@@ -57,7 +57,6 @@ from .learners import (
     OnlineGradientAscentOracle,
     PolicyConsensusLearner,
     RandomLearner,
-    oga_linear_oracle_step,
     random_baseline_round,
     sequential_greedy_round,
 )
@@ -65,7 +64,6 @@ from .network import (
     CommGraph,
     diameter,
     erdos_renyi,
-    exchange,
     graph_from_spec,
     metropolis_weights,
     spectral_gap,

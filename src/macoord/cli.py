@@ -83,6 +83,8 @@ def _load_run_config(args: argparse.Namespace, forced_kind: str | None) -> RunCo
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ConfigError("config must be a JSON object")
         doc.update(overrides)
     if not doc:
         raise ConfigError("need --config and/or --preset")

@@ -477,6 +477,8 @@ class _MovingTargetEnvironment:
         motion = MotionGrid(headings, speeds)
         self._rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x656E76)))
         mix = config.get("target_mix") or _default_mix(n_targets, self.target_kinds)
+        if not isinstance(mix, dict):
+            raise ConfigError("target_mix must map target kinds to counts")
         if sum(mix.values()) != n_targets:
             raise ConfigError("target_mix must sum to the number of targets")
         targets = _build_targets(mix, self._rng, self.horizon)

@@ -54,6 +54,11 @@ class Partition:
         """Total number of actions |V|."""
         return self._offsets[-1]
 
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        """Flat index of each agent's first action, followed by |V|."""
+        return self._offsets
+
     def validate(self, a: ActionId) -> None:
         if not (0 <= a.agent < self.n_agents) or not (0 <= a.slot < self.sizes[a.agent]):
             raise InvalidActionError(f"{a} outside partition with sizes {self.sizes}")

@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, MacoordError
 from .extension import EXACT_ENUMERATION_LIMIT, SurrogateScheme
 from .ground import Partition
 from .learners import (
@@ -116,10 +117,23 @@ def scheme_from_dict(doc: Optional[dict]) -> SurrogateScheme:
     raise ConfigError(f"unknown surrogate scheme kind {kind!r}")
 
 
+@contextmanager
+def _spec_errors(what: str, spec: dict):
+    """Report a bad value in a config mapping as a one-line ConfigError."""
+    try:
+        yield
+    except MacoordError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"bad {what} spec {spec}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} spec {spec}: {exc}") from exc
+
+
 def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
     doc = cfg.learner
     kind = doc["kind"]
-    try:
+    with _spec_errors("learner", doc):
         if kind == "ma-spl":
             return PolicyConsensusLearner(
                 partition,
@@ -148,10 +162,6 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
             return RandomLearner(partition, cfg.seed)
         if kind == "greedy":
             return GreedyLearner(partition, cfg.seed)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad learner spec {doc}: {exc}") from exc
     raise ConfigError(f"unknown learner kind {kind!r}")
 
 
@@ -159,7 +169,8 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
     """Execute one full run; deterministic in the config (incl. seed)."""
     env_spec = {**cfg.environment, "horizon": cfg.horizon}
     env_spec["kind"] = ENV_KIND_ALIASES.get(env_spec.get("kind"), env_spec.get("kind"))
-    env = make_environment(env_spec, cfg.seed)
+    with _spec_errors("environment", env_spec):
+        env = make_environment(env_spec, cfg.seed)
     partition = env.partition
     if cfg.oracle_regret:
         count = 1
@@ -170,7 +181,8 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
                 "oracle regret requested beyond enumeration scale "
                 f"({count} feasible selections)"
             )
-    graph = graph_from_spec(cfg.graph, partition.n_agents)
+    with _spec_errors("graph", cfg.graph):
+        graph = graph_from_spec(cfg.graph, partition.n_agents)
     learner = make_learner(cfg, partition, graph)
 
     logs: list[RoundLog] = []

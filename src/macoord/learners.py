@@ -1,22 +1,25 @@
 """Decentralized learners over the policy relaxation, plus baselines.
 
-Both coordination learners keep, per agent, an estimate of *every* agent's
-policy block and talk only to graph neighbors once per round (or once per
-inner step).  Agents query the objective only through marginal gains of
-their own actions.
+Both coordination learners hold one ``(n, |V|)`` matrix: row i is agent i's
+estimate of the whole joint policy, with columns in the partition's flat
+order, so agent j's block is the column range of its actions.  Agents talk
+only to graph neighbors once per round (or once per inner step) and query
+the objective only through marginal gains of their own actions.
 
 * :class:`PolicyConsensusLearner` — single projected-ascent step per round on
-  a reweighted stochastic gradient, with weighted averaging of neighbor
-  estimates (consensus matrix must be symmetric doubly stochastic).
+  a reweighted stochastic gradient, after mixing the rows through the
+  consensus matrix, ``W @ X`` (W must be symmetric doubly stochastic and
+  supported on the graph).
 * :class:`MetaConditionalGradientLearner` — per-round K-step conditional
   gradient whose ascent directions come from K persistent online linear
-  maximizers; estimates spread by coordinate-wise max over neighbors.
+  maximizers; each row spreads by max-consensus, the coordinate-wise max
+  over the agent's closed neighborhood.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .ground import (
     local_marginal_block,
     min_gain_vector,
 )
-from .network import CommGraph, exchange
+from .network import CommGraph
 
 _RANDOM_TAG = 0x72616E64
 
@@ -47,6 +50,10 @@ _RANDOM_TAG = 0x72616E64
 def agent_stream(seed: int, t: int, agent: int) -> np.random.Generator:
     """Independent per-(round, agent) generator; order-insensitive across agents."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(t), int(agent))))
+
+
+def _closed_neighborhoods(graph: CommGraph) -> list[list[int]]:
+    return [list(graph.neighbors(i) + (i,)) for i in range(graph.n)]
 
 
 def _check_consensus_matrix(w: np.ndarray, graph: CommGraph, atol: float = 1e-9) -> None:
@@ -57,13 +64,23 @@ def _check_consensus_matrix(w: np.ndarray, graph: CommGraph, atol: float = 1e-9)
         raise ConfigError("consensus matrix must be symmetric")
     if not np.allclose(w.sum(axis=1), 1.0, atol=atol) or w.min() < -atol:
         raise ConfigError("consensus matrix must be doubly stochastic")
-    for i in range(n):
-        allowed = set(graph.neighbors(i)) | {i}
-        for j in range(n):
-            if j not in allowed and abs(w[i, j]) > atol:
-                raise ConfigError(
-                    f"consensus weight between non-neighbors {i} and {j}"
-                )
+    allowed = np.zeros((n, n), dtype=bool)
+    for i, hood in enumerate(_closed_neighborhoods(graph)):
+        allowed[i, hood] = True
+    if np.abs(w[~allowed]).max(initial=0.0) > atol:
+        raise ConfigError("consensus matrix puts weight between non-neighbors")
+
+
+def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> float:
+    step = float(step_size) if step_size is not None else eta0 / math.sqrt(horizon)
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"step size must be finite and positive, got {step}")
+    return step
+
+
+def _blocks(partition: Partition, row: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cut one flat estimate row into per-agent policy blocks."""
+    return tuple(np.split(row, partition.offsets[1:-1]))
 
 
 class OnlineGradientAscentOracle:
@@ -76,8 +93,8 @@ class OnlineGradientAscentOracle:
     """
 
     def __init__(self, dim: int, step: float):
-        if dim < 1 or step <= 0:
-            raise ConfigError("oracle needs dim >= 1 and a positive step")
+        if dim < 1 or not 0.0 < step < math.inf:
+            raise ConfigError("oracle needs dim >= 1 and a finite positive step")
         self.step = float(step)
         self.iterate = np.full(dim, 1.0 / dim)
 
@@ -89,15 +106,6 @@ class OnlineGradientAscentOracle:
         if reward.shape != self.iterate.shape:
             raise ValueError("reward dimension mismatch")
         self.iterate = project_capped_simplex(self.iterate + self.step * reward)
-
-
-def oga_linear_oracle_step(
-    oracle: OnlineGradientAscentOracle, reward: np.ndarray
-) -> np.ndarray:
-    """One full oracle interaction: emit the current direction, then learn."""
-    d = oracle.direction()
-    oracle.update(reward)
-    return d
 
 
 class PolicyConsensusLearner:
@@ -153,35 +161,29 @@ class PolicyConsensusLearner:
         self.seed = int(seed)
         self.batch = int(batch)
         self.exact_gradient = bool(exact_gradient)
-        self.step_size = float(step_size) if step_size is not None else eta0 / math.sqrt(horizon)
-        n = partition.n_agents
-        self.policies: list[list[np.ndarray]] = [
-            [
-                np.full(partition.sizes[j], 1.0 / partition.sizes[j])
-                if j == i
-                else np.zeros(partition.sizes[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        self.budget = MarginalBudget(n)
+        self.step_size = _step_size(eta0, horizon, step_size)
+        self._ranges = list(zip(partition.offsets[:-1], partition.offsets[1:]))
+        # each agent starts uniform on its own block and empty elsewhere
+        self.policies = np.zeros((partition.n_agents, partition.total))
+        for i, (lo, hi) in enumerate(self._ranges):
+            self.policies[i, lo:hi] = 1.0 / (hi - lo)
+        self.budget = MarginalBudget(partition.n_agents)
 
     def set_start(self, profile: PolicyProfile) -> None:
         """Reset every agent's estimates to a common profile (diagnostics)."""
         if profile.sizes != self.partition.sizes:
             raise ConfigError("profile does not match the partition")
-        n = self.partition.n_agents
-        self.policies = [
-            [profile.blocks[j].copy() for j in range(n)] for i in range(n)
-        ]
+        row = np.concatenate(profile.blocks)
+        self.policies = np.tile(row, (self.partition.n_agents, 1))
 
     def local_profile(self, agent: int) -> PolicyProfile:
-        return PolicyProfile(tuple(self.policies[agent]))
+        return PolicyProfile(_blocks(self.partition, self.policies[agent]))
 
     def played_profile(self) -> PolicyProfile:
         """Own blocks only — the joint policy actually being sampled from."""
-        n = self.partition.n_agents
-        return PolicyProfile(tuple(self.policies[i][i] for i in range(n)))
+        return PolicyProfile(
+            tuple(self.policies[i, lo:hi] for i, (lo, hi) in enumerate(self._ranges))
+        )
 
     def round(self, f: SetFunction, t: int) -> FeasibleSet:
         self.budget.reset()
@@ -190,12 +192,9 @@ class PolicyConsensusLearner:
 
         # play: each agent samples from its own normalized block
         chosen = []
-        for i in range(n):
-            p = normalize_policy(self.policies[i][i])
+        for i, (lo, hi) in enumerate(self._ranges):
+            p = normalize_policy(self.policies[i, lo:hi])
             chosen.append(sample_distribution_slot(p, streams[i].random()))
-
-        # synchronous exchange of full estimate vectors (barrier snapshot)
-        inbox = exchange([self.policies[i] for i in range(n)], self.graph)
 
         # local reweighted-gradient estimates at each agent's current view
         grads = []
@@ -217,30 +216,20 @@ class PolicyConsensusLearner:
             ]
             grads.append(np.mean(samples, axis=0))
 
-        # consensus averaging on every block; ascent step on the own block
-        new_policies = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                mixed = sum(
-                    self.weights[i, k] * inbox[i][k][j] for k in inbox[i]
-                )
-                if j == i:
-                    row.append(project_capped_simplex(mixed + self.step_size * grads[i]))
-                else:
-                    row.append(mixed)
-            new_policies.append(row)
-        self.policies = new_policies
+        # consensus averaging of every copy; ascent step on the own block
+        mixed = self.weights @ self.policies
+        for i, (lo, hi) in enumerate(self._ranges):
+            mixed[i, lo:hi] = project_capped_simplex(
+                mixed[i, lo:hi] + self.step_size * grads[i]
+            )
+        self.policies = mixed
         return FeasibleSet(tuple(chosen))
 
     def disagreement(self) -> float:
         """Total L2 spread of the agents' estimates around their mean."""
-        n = self.partition.n_agents
-        total = 0.0
-        for j in range(n):
-            stack = np.stack([self.policies[i][j] for i in range(n)])
-            total += float(np.linalg.norm(stack - stack.mean(axis=0), axis=1).sum())
-        return total
+        spread = self.policies - self.policies.mean(axis=0)
+        per_block = np.add.reduceat(spread * spread, self.partition.offsets[:-1], axis=1)
+        return float(np.sqrt(per_block).sum())
 
 
 class MetaConditionalGradientLearner:
@@ -248,11 +237,11 @@ class MetaConditionalGradientLearner:
 
     Every round rebuilds the joint policy from zero in K inner steps: each
     agent adds one K-th of a direction proposed by its k-th online linear
-    maximizer, exchanges estimate vectors, and keeps the coordinate-wise max
-    of what it saw (estimates of any block only ever grow within a round, so
-    the max is the freshest copy).  After playing, each inner-step profile is
-    scored by an L-sample mean of marginal gains and fed back to the matching
-    maximizer.
+    maximizer to its own block, then keeps the coordinate-wise max over its
+    closed neighborhood (estimates of any block only ever grow within a
+    round, so the max is the freshest copy).  After playing, each inner-step
+    estimate is scored by an L-sample mean of marginal gains and fed back to
+    the matching maximizer.
     """
 
     kind = "ma-mpl"
@@ -279,72 +268,58 @@ class MetaConditionalGradientLearner:
         self.seed = int(seed)
         self.inner_steps = int(inner_steps)
         self.sample_batch = int(sample_batch)
-        step = float(step_size) if step_size is not None else eta0 / math.sqrt(horizon)
+        step = _step_size(eta0, horizon, step_size)
         n = partition.n_agents
         self.oracles = [
             [OnlineGradientAscentOracle(partition.sizes[i], step) for _ in range(inner_steps)]
             for i in range(n)
         ]
         self.budget = MarginalBudget(n)
-        self.estimates: list[list[np.ndarray]] = self._zero_estimates()
+        self._ranges = list(zip(partition.offsets[:-1], partition.offsets[1:]))
+        self._hoods = _closed_neighborhoods(graph)
+        self.estimates = np.zeros((n, partition.total))
         self.last_inner_disagreement: list[list[float]] = []
 
-    def _zero_estimates(self) -> list[list[np.ndarray]]:
-        n = self.partition.n_agents
-        return [
-            [np.zeros(self.partition.sizes[j]) for j in range(n)] for _ in range(n)
-        ]
-
     def local_profile(self, agent: int) -> PolicyProfile:
-        return PolicyProfile(tuple(self.estimates[agent]))
+        return PolicyProfile(_blocks(self.partition, self.estimates[agent]))
 
     def _inner_disagreement(self) -> list[float]:
-        """Per-agent (1/n) <1, own-blocks - estimates>; see the path-graph bound."""
-        n = self.partition.n_agents
-        own = [float(self.estimates[j][j].sum()) for j in range(n)]
-        out = []
-        for i in range(n):
-            est = [float(self.estimates[i][j].sum()) for j in range(n)]
-            out.append(sum(o - e for o, e in zip(own, est)) / n)
-        return out
+        """Per-agent (1/n) <1, own-blocks - estimates>; see the path-graph bound.
+
+        Own and estimated block masses come from one reduction, so each gap
+        is exactly nonnegative: an estimate never exceeds the own block.
+        """
+        mass = np.add.reduceat(self.estimates, self.partition.offsets[:-1], axis=1)
+        return ((np.diag(mass) - mass).sum(axis=1) / self.partition.n_agents).tolist()
 
     def round(
         self, f: SetFunction, t: int, record_inner: bool = False
     ) -> FeasibleSet:
         self.budget.reset()
         n = self.partition.n_agents
-        self.estimates = self._zero_estimates()
+        self.estimates = np.zeros((n, self.partition.total))
         self.last_inner_disagreement = []
-        snapshots: list[list[list[np.ndarray]]] = []
+        steps: list[np.ndarray] = []
 
         for k in range(self.inner_steps):
-            messages = []
-            for i in range(n):
-                y = [b.copy() for b in self.estimates[i]]
-                y[i] = y[i] + self.oracles[i][k].direction() / self.inner_steps
-                messages.append(y)
-            inbox = exchange(messages, self.graph)
-            self.estimates = [
-                [
-                    np.max(np.stack([inbox[i][j][m] for j in inbox[i]]), axis=0)
-                    for m in range(n)
-                ]
-                for i in range(n)
-            ]
-            snapshots.append([[b.copy() for b in self.estimates[i]] for i in range(n)])
+            y = self.estimates.copy()
+            for i, (lo, hi) in enumerate(self._ranges):
+                y[i, lo:hi] += self.oracles[i][k].direction() / self.inner_steps
+            self.estimates = np.stack([y[hood].max(axis=0) for hood in self._hoods])
+            steps.append(self.estimates)
             if record_inner:
                 self.last_inner_disagreement.append(self._inner_disagreement())
 
         streams = [agent_stream(self.seed, t, i) for i in range(n)]
         chosen = []
-        for i in range(n):
-            p = normalize_policy(self.estimates[i][i])
+        for i, (lo, hi) in enumerate(self._ranges):
+            p = normalize_policy(self.estimates[i, lo:hi])
             chosen.append(sample_distribution_slot(p, streams[i].random()))
 
-        # score every inner profile and teach the matching oracle
+        # score every inner estimate and teach the matching oracle
         for i in range(n):
-            for k in range(self.inner_steps):
-                profile = PolicyProfile(tuple(snapshots[k][i]))
+            for k, estimates in enumerate(steps):
+                profile = PolicyProfile(_blocks(self.partition, estimates[i]))
                 samples = [
                     estimate_gradient(f, profile, i, streams[i], self.budget).values
                     for _ in range(self.sample_batch)
@@ -354,8 +329,7 @@ class MetaConditionalGradientLearner:
 
     def disagreement(self) -> float:
         """Worst per-agent estimate gap at the final inner step of the round."""
-        vals = self._inner_disagreement()
-        return max(vals) if vals else 0.0
+        return max(self._inner_disagreement())
 
 
 def random_baseline_round(

@@ -1,4 +1,4 @@
-"""Communication graphs, consensus weight matrices, synchronous exchange.
+"""Communication graphs and consensus weight matrices.
 
 Consensus steps mix neighbor values through a symmetric doubly-stochastic
 matrix supported on the graph; its mixing rate is governed by the second
@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable
 
 import numpy as np
 
 from .errors import TopologyError
-
-T = TypeVar("T")
 
 ERDOS_RENYI_MAX_RETRIES = 1000
 
@@ -174,17 +172,3 @@ def graph_from_spec(spec: dict, n: int) -> CommGraph:
             raise TopologyError("explicit graph is disconnected")
         return g
     raise TopologyError(f"unknown graph kind {kind!r}")
-
-
-def exchange(messages: Sequence[T], g: CommGraph) -> list[dict[int, T]]:
-    """Synchronous neighborhood exchange.
-
-    Every agent posts one message; agent i receives ``{j: message_j}`` for all
-    j in N(i) plus its own.  All inboxes reflect the same barrier snapshot.
-    """
-    if len(messages) != g.n:
-        raise TopologyError(f"expected {g.n} messages, got {len(messages)}")
-    return [
-        {j: messages[j] for j in g.neighbors(i) + (i,)}
-        for i in range(g.n)
-    ]

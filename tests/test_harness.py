@@ -439,6 +439,22 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run-spl", "--config", str(missing)]) == 1
     assert main(["bench", "--preset", "galaxy-scale", "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    facility = {"kind": "facility", "agents": 2, "targets": 2}
+    malformed = {
+        "array": [CLI_DOC],
+        "agents": dict(CLI_DOC, environment={"kind": "facility", "agents": "x"}),
+        "avg_degree": dict(
+            CLI_DOC, environment=facility, graph={"kind": "erdos_renyi", "avg_degree": "x"}
+        ),
+        "edges": dict(CLI_DOC, environment=facility, graph={"kind": "explicit"}),
+        "target_mix": dict(CLI_DOC, environment=dict(facility, target_mix=[1])),
+    }
+    for name, doc in malformed.items():
+        path = _write_config(tmp_path, doc, f"{name}.json")
+        assert main(["run-spl", "--config", str(path)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, (name, err)
 
 
 def test_cli_preset_with_config_override(tmp_path, capsys):

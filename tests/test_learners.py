@@ -23,7 +23,6 @@ from macoord.learners import (
     PolicyConsensusLearner,
     RandomLearner,
     agent_stream,
-    oga_linear_oracle_step,
     random_baseline_round,
     sequential_greedy_round,
 )
@@ -61,8 +60,9 @@ def test_oga_oracle_initial_direction_is_uniform():
 def test_oga_oracle_validation():
     with pytest.raises(ConfigError):
         OnlineGradientAscentOracle(0, 0.1)
-    with pytest.raises(ConfigError):
-        OnlineGradientAscentOracle(3, 0.0)
+    for step in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            OnlineGradientAscentOracle(3, step)
     o = OnlineGradientAscentOracle(3, 0.1)
     with pytest.raises(ValueError):
         o.update(np.ones(2))
@@ -86,13 +86,6 @@ def test_oga_oracle_converges_to_argmax_vertex():
     np.testing.assert_allclose(o.direction(), [0.0, 1.0, 0.0], atol=1e-9)
 
 
-def test_oga_linear_oracle_step_emits_before_learning():
-    o = OnlineGradientAscentOracle(2, 0.5)
-    d = oga_linear_oracle_step(o, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(d, [0.5, 0.5], atol=0)
-    assert not np.allclose(o.direction(), d)
-
-
 # ---------------------------------------------------------------------------
 # consensus projected-ascent learner
 # ---------------------------------------------------------------------------
@@ -112,6 +105,12 @@ def test_spl_constructor_validations():
         _spl(p, CommGraph.path(3))  # agent-count mismatch
     with pytest.raises(ConfigError):
         _spl(p, g2, batch=0)
+    # the step must be finite and positive, whether given or derived from eta0
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            _spl(p, g2, eta0=bad)
+        with pytest.raises(ConfigError):
+            _spl(p, g2, step_size=bad)
     w = metropolis_weights(g2)
     bad_sym = w.copy()
     bad_sym[0, 1] += 0.2
@@ -136,8 +135,8 @@ def test_spl_constructor_validations():
 def test_spl_initial_state_and_set_start():
     p = Partition((2, 3))
     learner = _spl(p, CommGraph.complete(2))
-    np.testing.assert_allclose(learner.policies[0][0], [0.5, 0.5], atol=0)
-    np.testing.assert_allclose(learner.policies[0][1], np.zeros(3), atol=0)
+    np.testing.assert_allclose(learner.local_profile(0).blocks[0], [0.5, 0.5], atol=0)
+    np.testing.assert_allclose(learner.local_profile(0).blocks[1], np.zeros(3), atol=0)
     assert learner.disagreement() > 0.0
     start = PolicyProfile.uniform(p)
     learner.set_start(start)
@@ -173,17 +172,47 @@ def test_spl_one_round_consensus_arithmetic():
     g = CommGraph.path(2)
     f = ModularFunction(p, np.zeros(4))
     learner = _spl(p, g, exact_gradient=True, step_size=0.7)
-    learner.policies = [
-        [np.array([0.2, 0.1]), np.array([0.6, 0.2])],
-        [np.array([0.4, 0.3]), np.array([0.0, 0.4])],
-    ]
+    learner.policies = np.array([[0.2, 0.1, 0.6, 0.2], [0.4, 0.3, 0.0, 0.4]])
     learner.round(f, 1)
     # Metropolis on a 2-path averages the two copies of every block
-    np.testing.assert_allclose(learner.policies[0][0], [0.3, 0.2], atol=1e-12)
-    np.testing.assert_allclose(learner.policies[0][1], [0.3, 0.3], atol=1e-12)
-    np.testing.assert_allclose(learner.policies[1][0], [0.3, 0.2], atol=1e-12)
-    np.testing.assert_allclose(learner.policies[1][1], [0.3, 0.3], atol=1e-12)
+    blocks = [learner.local_profile(i).blocks for i in range(2)]
+    np.testing.assert_allclose(blocks[0][0], [0.3, 0.2], atol=1e-12)
+    np.testing.assert_allclose(blocks[0][1], [0.3, 0.3], atol=1e-12)
+    np.testing.assert_allclose(blocks[1][0], [0.3, 0.2], atol=1e-12)
+    np.testing.assert_allclose(blocks[1][1], [0.3, 0.3], atol=1e-12)
     assert learner.disagreement() == pytest.approx(0.0, abs=1e-12)
+
+    # Metropolis on a 3-path: the ends keep 2/3, the middle keeps 1/3, and
+    # every edge carries 1/3, so each copy mixes with its own weights
+    p = Partition((2, 2, 2))
+    g = CommGraph.path(3)
+    w = metropolis_weights(g)
+    np.testing.assert_allclose(np.diag(w), [2 / 3, 1 / 3, 2 / 3], atol=1e-15)
+    f = ModularFunction(p, np.zeros(6))
+    learner = _spl(p, g, exact_gradient=True, step_size=0.7)
+    learner.policies = np.array(
+        [
+            [0.3, 0.0, 0.6, 0.0, 0.0, 0.3],
+            [0.0, 0.6, 0.3, 0.3, 0.3, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.9, 0.0],
+        ]
+    )
+    learner.round(f, 1)
+    # row i of the result: agent i's block masses after the mixing
+    expected_sums = [
+        [0.4, 0.6, 0.3],  # 2/3 * (0.3, 0.6, 0.3) + 1/3 * (0.6, 0.6, 0.3)
+        [0.3, 0.4, 0.5],  # 1/3 * each of the three rows
+        [0.2, 0.2, 0.7],  # 1/3 * (0.6, 0.6, 0.3) + 2/3 * (0.0, 0.0, 0.9)
+    ]
+    for i in range(3):
+        sums = [b.sum() for b in learner.local_profile(i).blocks]
+        np.testing.assert_allclose(sums, expected_sums[i], atol=1e-12)
+    # the own blocks are feasible already, so the zero-gradient step keeps them
+    np.testing.assert_allclose(
+        np.concatenate(learner.played_profile().blocks),
+        [0.2, 0.2, 0.3, 0.1, 0.7, 0.0],
+        atol=1e-12,
+    )
 
 
 def test_spl_iterates_stay_feasible():
@@ -241,6 +270,11 @@ def test_mpl_constructor_validations():
         MetaConditionalGradientLearner(p, g, 10, 0, inner_steps=2)
     with pytest.raises(ConfigError):
         MetaConditionalGradientLearner(p, g, 10, 0, sample_batch=0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            MetaConditionalGradientLearner(p, g, 10, 0, eta0=bad)
+        with pytest.raises(ConfigError):
+            MetaConditionalGradientLearner(p, g, 10, 0, step_size=bad)
 
 
 def test_mpl_path_lag_disagreement_is_exact():
@@ -303,12 +337,12 @@ def test_mpl_estimates_reset_each_round():
         inner_steps=3, sample_batch=1,
     )
     learner.round(f, 1)
-    first = [b.copy() for b in learner.estimates[0]]
+    first = learner.local_profile(0).blocks
     learner.round(f, 2)
     # the build-from-zero loop caps every block's mass at one per round
     for i in range(3):
         for j in range(3):
-            assert learner.estimates[i][j].sum() <= 1.0 + 1e-9
+            assert learner.local_profile(i).blocks[j].sum() <= 1.0 + 1e-9
     assert all(b.sum() <= 1.0 + 1e-9 for b in first)
 
 

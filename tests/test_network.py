@@ -1,4 +1,4 @@
-"""Graphs, Metropolis consensus weights, spectral gaps, and exchange."""
+"""Graphs, Metropolis consensus weights, and spectral gaps."""
 
 import itertools
 
@@ -10,7 +10,6 @@ from macoord.network import (
     CommGraph,
     diameter,
     erdos_renyi,
-    exchange,
     graph_from_spec,
     metropolis_weights,
     spectral_gap,
@@ -138,12 +137,3 @@ def test_graph_from_spec():
     with pytest.raises(TopologyError):
         graph_from_spec({"kind": "smoke-signals"}, 3)
 
-
-def test_exchange_delivers_neighborhood_snapshot():
-    g = CommGraph.path(3)
-    inboxes = exchange(["a", "b", "c"], g)
-    assert inboxes[0] == {1: "b", 0: "a"}
-    assert inboxes[1] == {0: "a", 2: "c", 1: "b"}
-    assert inboxes[2] == {1: "b", 2: "c"}
-    with pytest.raises(TopologyError):
-        exchange(["a", "b"], g)
