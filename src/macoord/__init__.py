@@ -17,7 +17,6 @@ from .errors import (
     TopologyError,
 )
 from .extension import (
-    GradientEstimate,
     PolicyProfile,
     SurrogateScheme,
     estimate_gradient,

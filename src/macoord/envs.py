@@ -41,6 +41,7 @@ FACILITY_SPEEDS = (5.0, 10.0, 15.0)
 EKF_SPEEDS = (2.0, 7.0, 12.0)
 EKF_PROCESS_SCALE = 0.02
 EKF_NOISE_VAR = 0.01
+TARGET_KINDS = ("random", "polyline", "adversarial", "brownian")
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +208,8 @@ class MotionGrid:
             [2.0 * math.pi * (h + 1) / n_headings for h in range(n_headings)]
         )
         self.speeds = np.array(list(speeds), dtype=np.float64)
+        if not np.all(np.isfinite(self.speeds)):
+            raise ConfigError(f"speeds must be finite, got {list(speeds)}")
         self.dt = dt
 
     @property
@@ -355,6 +358,16 @@ class FacilityObjective(SetFunction):
         hi = lo + self.partition.sizes[agent]
         return np.maximum(self.reward[lo:hi] - best, 0.0).sum(axis=1)
 
+    def compute_min_gains(self) -> np.ndarray:
+        """Closed form: removing v lowers target j only if v is its unique
+        best action, and then by the lead over the runner-up (the empty max,
+        zero, when v is the only action).  Ties give zero."""
+        r = self.reward
+        best = r.argmax(axis=0)
+        top = r[best, np.arange(r.shape[1])]
+        second = np.partition(r, -2, axis=0)[-2] if r.shape[0] > 1 else 0.0
+        return np.bincount(best, weights=top - second, minlength=r.shape[0])
+
 
 class TrackingGainObjective(SetFunction):
     """Information-gain reward for jointly localizing diffusing targets.
@@ -443,7 +456,7 @@ def _build_targets(
     spots = _spawn_disk(rng, positions_needed)
     targets = []
     idx = 0
-    for kind in ("random", "polyline", "adversarial", "brownian"):
+    for kind in TARGET_KINDS:
         for _ in range(mix.get(kind, 0)):
             t = Target(kind=kind, pos=spots[idx].copy())
             if kind == "polyline":
@@ -479,6 +492,11 @@ class _MovingTargetEnvironment:
         mix = config.get("target_mix") or _default_mix(n_targets, self.target_kinds)
         if not isinstance(mix, dict):
             raise ConfigError("target_mix must map target kinds to counts")
+        unknown = sorted(set(mix) - set(TARGET_KINDS))
+        if unknown:
+            raise ConfigError(f"unknown target kinds {unknown}; known: {list(TARGET_KINDS)}")
+        if any(not isinstance(c, int) or c < 0 for c in mix.values()):
+            raise ConfigError(f"target_mix counts must be nonnegative integers, got {mix}")
         if sum(mix.values()) != n_targets:
             raise ConfigError("target_mix must sum to the number of targets")
         targets = _build_targets(mix, self._rng, self.horizon)

@@ -100,15 +100,6 @@ class PolicyProfile:
 
 
 @dataclass(frozen=True)
-class GradientEstimate:
-    """Single-sample (or batch-averaged) gradient block for one agent."""
-
-    agent: int
-    values: np.ndarray
-    scale: Optional[float] = None  # z draw used for a reweighted estimate
-
-
-@dataclass(frozen=True)
 class SurrogateScheme:
     """Reweighting scheme for surrogate gradients.
 
@@ -393,15 +384,14 @@ def estimate_gradient(
     agent: int,
     rng: np.random.Generator,
     budget: Optional[MarginalBudget] = None,
-) -> GradientEstimate:
+) -> np.ndarray:
     """Unbiased single-sample estimate of agent's gradient block of F.
 
     Samples every other agent's block once and queries the agent's own
     marginal gains against the sampled context (one query per slot).
     """
     ctx = sample_context(profile, agent, rng)
-    values = local_marginal_block(f, agent, ctx, budget)
-    return GradientEstimate(agent=agent, values=values)
+    return local_marginal_block(f, agent, ctx, budget)
 
 
 def estimate_surrogate_gradient(
@@ -412,14 +402,14 @@ def estimate_surrogate_gradient(
     rng: np.random.Generator,
     budget: Optional[MarginalBudget] = None,
     min_gain: Optional[np.ndarray] = None,
-) -> GradientEstimate:
+) -> np.ndarray:
     """Unbiased single-sample estimate of the reweighted gradient block.
 
     Draws z from the normalized weight density, samples the other agents from
     the z-scaled blocks, and rescales the observed gains by int_0^1 w.  With
     the submodular scheme the (policy-independent) min-gain bonus is added;
-    pass ``min_gain`` to reuse a per-round cached vector, otherwise it is
-    recomputed here at the cost of one query per slot.
+    pass ``min_gain`` if the agent already paid for it, otherwise it is read
+    through :func:`min_gain_vector`, which charges one query per slot.
     """
     z = sample_z(scheme, rng)
     ctx = sample_context(profile.scaled(z), agent, rng)
@@ -428,4 +418,4 @@ def estimate_surrogate_gradient(
         if min_gain is None:
             min_gain = min_gain_vector(f, agent, budget)
         values = values + math.exp(-1.0) * min_gain
-    return GradientEstimate(agent=agent, values=values, scale=z)
+    return values

@@ -126,12 +126,14 @@ def as_action_set(context: "FeasibleSet | Iterable[ActionId]") -> frozenset[Acti
 class SetFunction:
     """Monotone normalized objective over a partitioned ground set.
 
-    Subclasses must set ``partition`` and implement :meth:`value`.  The default
-    :meth:`marginal` uses two value queries; environments override
-    :meth:`agent_marginals` with vectorized versions where it pays off.
+    Subclasses must set ``partition`` and implement :meth:`value`, and must not
+    change after their constructor.  The default :meth:`marginal` uses two
+    value queries; environments override :meth:`agent_marginals` and
+    :meth:`compute_min_gains` with vectorized versions where it pays off.
     """
 
     partition: Partition
+    _min_gains: Optional[np.ndarray] = None
 
     def value(self, actions: Iterable[ActionId]) -> float:
         raise NotImplementedError
@@ -150,6 +152,27 @@ class SetFunction:
         for m in range(self.partition.sizes[agent]):
             out[m] = self.marginal(ActionId(agent, m), ctx)
         return out
+
+    @property
+    def min_gains(self) -> np.ndarray:
+        """Read-only flat vector of f(v | V - {v}) over all |V| actions.
+
+        It depends on f alone (not on any policy), so it is computed on first
+        use and kept for the life of the objective.
+        """
+        if self._min_gains is None:
+            gains = np.array(self.compute_min_gains(), dtype=np.float64)
+            gains.flags.writeable = False
+            self._min_gains = gains
+        return self._min_gains
+
+    def compute_min_gains(self) -> np.ndarray:
+        """Reference path for :attr:`min_gains`: two value queries per action."""
+        everything = frozenset(self.partition.all_actions())
+        return np.array(
+            [self.marginal(a, everything - {a}) for a in self.partition.all_actions()],
+            dtype=np.float64,
+        )
 
 
 class MarginalBudget:
@@ -212,15 +235,13 @@ def min_gain_vector(
 ) -> np.ndarray:
     """Smallest-context-complement gains f(v | V - {v}) for agent's actions.
 
-    These are the per-action gains against everything else, a quantity that
-    depends on f alone (not on any policy) and can therefore be cached per
-    round by callers.
+    Returns the agent's read-only slice of ``f.min_gains``, which is computed
+    once per objective.  Every call still charges the agent one query per
+    slot, since each agent learns its own gains through its own oracle.
     """
-    everything = frozenset(f.partition.all_actions())
+    if not (0 <= agent < f.partition.n_agents):
+        raise InvalidActionError(f"agent {agent} out of range")
     if budget is not None:
         budget.charge(agent, f.partition.sizes[agent])
-    out = np.empty(f.partition.sizes[agent], dtype=np.float64)
-    for m in range(f.partition.sizes[agent]):
-        a = ActionId(agent, m)
-        out[m] = f.marginal(a, everything - {a})
-    return out
+    lo, hi = f.partition.offsets[agent], f.partition.offsets[agent + 1]
+    return f.min_gains[lo:hi]

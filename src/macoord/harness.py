@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -69,6 +70,8 @@ class RunConfig:
             raise ConfigError(f"learner kind must be one of {LEARNER_KINDS}, got {kind!r}")
         if not (0.0 <= self.rho <= 1.0):
             raise ConfigError("rho must lie in [0, 1]")
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise ConfigError(f"out must be a directory path, got {self.out!r}")
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
@@ -104,6 +107,8 @@ class RunConfig:
 
 def scheme_from_dict(doc: Optional[dict]) -> SurrogateScheme:
     doc = doc or {"kind": "submodular"}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"surrogate scheme must be an object with a 'kind', got {doc!r}")
     kind = doc.get("kind")
     try:
         if kind == "submodular":

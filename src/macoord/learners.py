@@ -121,7 +121,8 @@ class PolicyConsensusLearner:
         Symmetric doubly-stochastic consensus matrix supported on the graph.
     scheme : SurrogateScheme
         Gradient reweighting; the submodular scheme also adds the min-gain
-        bonus, cached once per round since it does not depend on policies.
+        bonus, which the objective computes once; each agent is charged its
+        slots once per round and reuses its slice across the batch.
     horizon : int
         Used for the default step size eta0 / sqrt(horizon).
     seed : int
@@ -211,7 +212,7 @@ class PolicyConsensusLearner:
             samples = [
                 estimate_surrogate_gradient(
                     f, profile, i, self.scheme, streams[i], self.budget, min_gain
-                ).values
+                )
                 for _ in range(self.batch)
             ]
             grads.append(np.mean(samples, axis=0))
@@ -321,7 +322,7 @@ class MetaConditionalGradientLearner:
             for k, estimates in enumerate(steps):
                 profile = PolicyProfile(_blocks(self.partition, estimates[i]))
                 samples = [
-                    estimate_gradient(f, profile, i, streams[i], self.budget).values
+                    estimate_gradient(f, profile, i, streams[i], self.budget)
                     for _ in range(self.sample_batch)
                 ]
                 self.oracles[i][k].update(np.mean(samples, axis=0))

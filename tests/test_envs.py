@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macoord.envs import (
     ADVERSARIAL_TRIGGER_RADIUS,
@@ -38,7 +40,8 @@ from macoord.envs import (
     synthetic_setfn,
 )
 from macoord.errors import ConfigError, ScaleError
-from macoord.ground import ActionId, FeasibleSet, Partition
+from macoord.ground import ActionId, FeasibleSet, Partition, SetFunction
+from macoord.harness import resolve_preset
 from macoord.oracle import brute_force_opt, estimate_ratios
 
 
@@ -324,6 +327,84 @@ def test_facility_is_monotone_submodular():
                 if s_mask == 0:
                     break
                 s_mask = (s_mask - 1) & t_mask
+
+
+def _assert_min_gains_match_reference(f):
+    """Closed form against the generic two-value-query path of SetFunction.
+
+    Each reference entry is a difference of two values of size f(V), so the
+    tolerance is relative to f(V) as well as to the entry.
+    """
+    reference = SetFunction.compute_min_gains(f)
+    scale = f.value(f.partition.all_actions())
+    np.testing.assert_allclose(f.min_gains, reference, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "preset, seeds",
+    [("facility-desk", range(4)), ("facility-full", range(2))],
+    ids=["facility-desk", "facility-full"],
+)
+def test_facility_min_gains_match_generic_path(preset, seeds):
+    spec = resolve_preset(preset)["environment"]
+    for seed in seeds:
+        env = make_environment(dict(spec, horizon=10), seed)
+        rng = np.random.default_rng(seed)
+        for t in range(1, 4):
+            f = env.begin_round(t)
+            _assert_min_gains_match_reference(f)
+            moves = FeasibleSet(tuple(int(rng.integers(k)) for k in f.partition.sizes))
+            env.finish_round(t, moves)
+
+
+def test_orbiting_min_gains_match_generic_path():
+    for config in ({}, {"agents": 4, "slots": 3, "targets": 5}):
+        env = OrbitingTargetsEnvironment(dict(config, horizon=40), seed=3)
+        for t in range(1, 41):
+            _assert_min_gains_match_reference(env.begin_round(t))
+            env.finish_round(t, FeasibleSet.empty(env.partition.n_agents))
+
+
+def test_facility_min_gains_ties_and_single_action():
+    # two actions on one spot tie for every target: neither gains anything
+    p = Partition((2, 1))
+    sites = np.array([[1.0, 0.0], [1.0, 0.0], [-3.0, 0.0]])
+    f = FacilityObjective(p, sites, np.array([[0.0, 0.0], [2.0, 0.0]]))
+    assert f.min_gains.tolist() == [0.0, 0.0, 0.0]
+    # a lone action is compared with the empty max, zero
+    g = FacilityObjective(Partition((1,)), np.zeros((1, 2)), np.array([[3.0, 4.0]]))
+    assert g.min_gains.tolist() == [0.2]
+    # computed once, read-only
+    assert g.min_gains is g.min_gains
+    with pytest.raises(ValueError):
+        g.min_gains[0] = 1.0
+
+
+# near-duplicate coordinates give exact ties and distances under the floor
+_COORD = st.one_of(
+    st.sampled_from([0.0, DISTANCE_FLOOR / 2, 1.0, -2.5]),
+    st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _facility_instances(draw):
+    def points(n):
+        return np.array(draw(st.lists(st.tuples(_COORD, _COORD), min_size=n, max_size=n)))
+
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    return tuple(sizes), points(sum(sizes)), points(draw(st.integers(1, 4)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_facility_instances())
+@example(((1,), np.zeros((1, 2)), np.array([[0.0, DISTANCE_FLOOR / 2], [1.0, 1.0]])))
+@example(((2, 1), np.zeros((3, 2)), np.array([[1.0, 0.0]])))
+def test_facility_min_gains_property(instance):
+    sizes, sites, targets = instance
+    f = FacilityObjective(Partition(sizes), sites, targets)
+    _assert_min_gains_match_reference(f)
+    assert f.min_gains.min() >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from macoord.extension import PolicyProfile
 from macoord.geometry import indicator_profile, normalize_policy, project_capped_simplex
@@ -54,6 +57,49 @@ def test_projection_idempotent_and_feasible():
         x = project_capped_simplex(y)
         assert _feasible(x)
         np.testing.assert_allclose(project_capped_simplex(x), x, atol=1e-12)
+
+
+@st.composite
+def _point_and_directions(draw):
+    """A finite point y and a few vectors in [-1, 1]^k of the same dimension."""
+    k = draw(st.integers(1, 8))
+    y = draw(arrays(np.float64, k, elements=st.floats(-10.0, 10.0)))
+    directions = draw(
+        st.lists(arrays(np.float64, k, elements=st.floats(-1.0, 1.0)), min_size=1, max_size=5)
+    )
+    return y, directions
+
+
+def _to_feasible(v):
+    """Clip to nonnegative and scale down to unit mass: a feasible point."""
+    v = np.maximum(v, 0.0)
+    return v / v.sum() if v.sum() > 1.0 else v
+
+
+_PROJECTION_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@_PROJECTION_SETTINGS
+@given(_point_and_directions())
+def test_projection_property_feasible_and_idempotent(case):
+    y, _ = case
+    x = project_capped_simplex(y)
+    assert x.shape == y.shape
+    assert _feasible(x)
+    np.testing.assert_allclose(project_capped_simplex(x), x, rtol=0, atol=1e-12)
+
+
+@_PROJECTION_SETTINGS
+@given(_point_and_directions())
+def test_projection_property_no_feasible_point_is_nearer(case):
+    # feasible points both far away and in a small neighbourhood of the answer
+    y, directions = case
+    x = project_capped_simplex(y)
+    gap = np.linalg.norm(x - y)
+    for d in directions:
+        for q in (_to_feasible(d), _to_feasible(x + 0.01 * d)):
+            assert _feasible(q)
+            assert gap <= np.linalg.norm(q - y) + 1e-9
 
 
 def test_projection_rejects_bad_input():

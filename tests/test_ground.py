@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from macoord.envs import ModularFunction, SqrtModularFunction, WeightedCoverage
+from macoord.envs import (
+    ModularFunction,
+    SqrtModularFunction,
+    StaticEnvironment,
+    WeightedCoverage,
+)
 from macoord.errors import InvalidActionError
 from macoord.ground import (
     ActionId,
@@ -15,6 +20,9 @@ from macoord.ground import (
     local_marginal_block,
     min_gain_vector,
 )
+from macoord.extension import SurrogateScheme
+from macoord.learners import PolicyConsensusLearner
+from macoord.network import CommGraph, metropolis_weights
 
 
 def test_partition_validation():
@@ -143,3 +151,40 @@ def test_min_gain_vector():
     budget = MarginalBudget(2)
     assert min_gain_vector(g, 0, budget).tolist() == [0.0, 3.0]
     assert budget.per_agent().tolist() == [2, 0]
+
+
+class _CountingCoverage(WeightedCoverage):
+    """Weighted coverage that counts its value queries."""
+
+    value_calls = 0
+
+    def value(self, actions):
+        self.value_calls += 1
+        return super().value(actions)
+
+
+def test_min_gain_vector_computed_once_per_objective():
+    rng = np.random.default_rng(4)
+    p = Partition((2, 3, 2))
+    f = _CountingCoverage(p, rng.random((p.total, 6)) < 0.4, rng.uniform(0.1, 1.0, 6))
+    everything = frozenset(p.all_actions())
+    reference = [f.marginal(a, everything - {a}) for a in p.all_actions()]
+    f.value_calls = 0
+    env = StaticEnvironment(f, horizon=3)
+    graph = CommGraph.complete(p.n_agents)
+    learner = PolicyConsensusLearner(
+        p, graph, metropolis_weights(graph), SurrogateScheme.submodular(),
+        horizon=3, seed=0, batch=2,
+    )
+    budget = MarginalBudget(p.n_agents)
+    for t in range(1, 4):
+        g = env.begin_round(t)
+        budget.reset()
+        got = [min_gain_vector(g, i, budget) for i in range(p.n_agents)]
+        assert np.concatenate(got).tolist() == reference
+        # every agent pays for its own slots on every call
+        assert budget.per_agent().tolist() == list(p.sizes)
+        learner.round(g, t)
+        assert learner.budget.per_agent().tolist() == [3 * k for k in p.sizes]
+    # one generic pass (two value queries per action) over three rounds
+    assert f.value_calls == 2 * p.total

@@ -449,6 +449,11 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
         ),
         "edges": dict(CLI_DOC, environment=facility, graph={"kind": "explicit"}),
         "target_mix": dict(CLI_DOC, environment=dict(facility, target_mix=[1])),
+        "target_kind": dict(CLI_DOC, environment=dict(facility, target_mix={"ghost": 2})),
+        "scheme": dict(CLI_DOC, learner={"kind": "ma-spl", "scheme": "x"}),
+        "out": dict(CLI_DOC, out=5),
+        "speeds_nan": dict(CLI_DOC, environment=dict(facility, speeds=[float("nan")])),
+        "speeds_inf": dict(CLI_DOC, environment=dict(facility, speeds=[1e400])),
     }
     for name, doc in malformed.items():
         path = _write_config(tmp_path, doc, f"{name}.json")
