@@ -26,7 +26,7 @@ from .extension import (
     exact_partial,
     exact_surrogate_gradient,
     exact_surrogate_value,
-    sample_actions,
+    sample_choices,
     sample_z,
 )
 from .geometry import indicator_profile, normalize_policy, project_capped_simplex
@@ -87,7 +87,6 @@ from .oracle import (
     check_stationarity,
     estimate_ratios,
     feasible_sets,
-    mc_stats,
     projected_ascent,
     stationary_point_floor,
 )

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ScaleError
 from .ground import (
     ActionId,
-    FeasibleSet,
     MarginalBudget,
     Partition,
     SetFunction,
@@ -72,9 +71,6 @@ class PolicyProfile:
     @property
     def n_agents(self) -> int:
         return len(self.blocks)
-
-    def partition(self) -> Partition:
-        return Partition(self.sizes)
 
     def validate(self, atol: float = 1e-9) -> None:
         for i, b in enumerate(self.blocks):
@@ -170,48 +166,42 @@ class SurrogateScheme:
 # ---------------------------------------------------------------------------
 
 
-def _sample_slot(block: np.ndarray, u: float) -> Optional[int]:
-    """Slot index under half-open cumulative intervals; None for leftover mass."""
-    cum = np.cumsum(block)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return idx if idx < block.size else None
+def _cumulative_search(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(np.cumsum(row), u, side="right")`` for every row (its
+    cumulative masses never decrease); the row length means leftover mass."""
+    return np.count_nonzero(np.cumsum(rows, axis=-1) <= u[..., None], axis=-1)
+
+
+def sample_choices(
+    profile: PolicyProfile, u: np.ndarray, scale: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Round a profile: map ``(L, n)`` uniforms to an ``(L, n)`` slot matrix.
+
+    Entry ``[l, j]`` is agent j's slot under half-open cumulative intervals
+    of its block, or -1 (idle) when ``u[l, j]`` falls in the leftover mass.
+    Row l samples from the blocks scaled by ``scale[l]`` if given.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] != profile.n_agents:
+        raise ValueError(f"expected uniforms of shape (L, {profile.n_agents}), got {u.shape}")
+    choices = np.empty(u.shape, dtype=np.int64)
+    for j, block in enumerate(profile.blocks):
+        rows = block if scale is None else np.multiply.outer(scale, block)
+        idx = _cumulative_search(rows, u[:, j])
+        choices[:, j] = np.where(idx < block.size, idx, -1)
+    return choices
 
 
 def sample_distribution_slot(weights: np.ndarray, u: float) -> int:
-    """Like :func:`_sample_slot` for a full distribution; always returns a slot."""
-    idx = _sample_slot(weights, u)
-    return weights.size - 1 if idx is None else idx
+    """Slot of a full distribution holding u; round-off past the end is the last slot."""
+    return min(int(_cumulative_search(weights, np.asarray(u))), weights.size - 1)
 
 
-def sample_actions(profile: PolicyProfile, rng: np.random.Generator) -> FeasibleSet:
-    """Draw one joint action set: one uniform per agent, independent blocks."""
-    u = rng.random(profile.n_agents)
-    return FeasibleSet(
-        tuple(_sample_slot(b, u[i]) for i, b in enumerate(profile.blocks))
-    )
-
-
-def sample_context(
-    profile: PolicyProfile, exclude_agent: int, rng: np.random.Generator
-) -> frozenset[ActionId]:
-    """Sample every agent's block except one; used for local gradient estimates."""
-    u = rng.random(profile.n_agents)
-    out = []
-    for j, b in enumerate(profile.blocks):
-        if j == exclude_agent:
-            continue
-        slot = _sample_slot(b, u[j])
-        if slot is not None:
-            out.append(ActionId(j, slot))
-    return frozenset(out)
-
-
-def sample_z(scheme: SurrogateScheme, rng: np.random.Generator) -> float:
-    """Draw z in [0, 1] with density proportional to the scheme weight w(z).
+def sample_z(scheme: SurrogateScheme, u: float) -> float:
+    """Map a uniform u to z in [0, 1] with density proportional to w(z).
 
     Inverse transform of the normalized CDF: z = ln(1 + u (e^c - 1)) / c.
     """
-    u = rng.random()
     c = scheme.rate
     return math.log1p(u * math.expm1(c)) / c
 
@@ -374,8 +364,40 @@ def exact_surrogate_value(
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo estimators (one joint sample per call; batching is the caller's)
+# Monte-Carlo estimators (means over a batch of joint samples)
 # ---------------------------------------------------------------------------
+
+
+def _sampled_gains(
+    f: SetFunction,
+    profile: PolicyProfile,
+    agent: int,
+    rng: np.random.Generator,
+    samples: int,
+    budget: Optional[MarginalBudget],
+    scheme: Optional[SurrogateScheme] = None,
+) -> np.ndarray:
+    """Agent's marginal gains against ``samples`` sampled contexts, one row each.
+
+    Row l of ``rng.random((samples, n))`` rounds the profile; with a scheme,
+    row l of ``rng.random((samples, n + 1))`` draws z from its column 0 and
+    rounds the z-scaled profile with the rest.  The agent's own column is
+    drawn but left out of its context.  Each row charges one query per slot.
+    """
+    f.partition.check_agent(agent)
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    if scheme is None:
+        u, z = rng.random((samples, profile.n_agents)), None
+    else:
+        u = rng.random((samples, profile.n_agents + 1))
+        z = np.array([sample_z(scheme, x) for x in u[:, 0].tolist()])
+        u = u[:, 1:]
+    rows = []
+    for choice in sample_choices(profile, u, z).tolist():
+        ctx = frozenset(ActionId(j, s) for j, s in enumerate(choice) if s >= 0 and j != agent)
+        rows.append(local_marginal_block(f, agent, ctx, budget))
+    return np.array(rows)
 
 
 def estimate_gradient(
@@ -384,14 +406,11 @@ def estimate_gradient(
     agent: int,
     rng: np.random.Generator,
     budget: Optional[MarginalBudget] = None,
+    samples: int = 1,
 ) -> np.ndarray:
-    """Unbiased single-sample estimate of agent's gradient block of F.
-
-    Samples every other agent's block once and queries the agent's own
-    marginal gains against the sampled context (one query per slot).
-    """
-    ctx = sample_context(profile, agent, rng)
-    return local_marginal_block(f, agent, ctx, budget)
+    """Unbiased estimate of agent's gradient block of F: the mean of its own
+    marginal gains against ``samples`` independent roundings of the others."""
+    return _sampled_gains(f, profile, agent, rng, samples, budget).mean(axis=0)
 
 
 def estimate_surrogate_gradient(
@@ -402,20 +421,20 @@ def estimate_surrogate_gradient(
     rng: np.random.Generator,
     budget: Optional[MarginalBudget] = None,
     min_gain: Optional[np.ndarray] = None,
+    samples: int = 1,
 ) -> np.ndarray:
-    """Unbiased single-sample estimate of the reweighted gradient block.
+    """Unbiased estimate of the reweighted gradient block, a mean over samples.
 
-    Draws z from the normalized weight density, samples the other agents from
-    the z-scaled blocks, and rescales the observed gains by int_0^1 w.  With
-    the submodular scheme the (policy-independent) min-gain bonus is added;
-    pass ``min_gain`` if the agent already paid for it, otherwise it is read
+    Each sample draws z from the normalized weight density, rounds the
+    z-scaled profile, and rescales the observed gains by int_0^1 w.  With the
+    submodular scheme the (policy-independent) min-gain bonus is added; pass
+    ``min_gain`` if the agent already paid for it, otherwise it is read once
     through :func:`min_gain_vector`, which charges one query per slot.
     """
-    z = sample_z(scheme, rng)
-    ctx = sample_context(profile.scaled(z), agent, rng)
-    values = scheme.weight_integral * local_marginal_block(f, agent, ctx, budget)
+    gains = _sampled_gains(f, profile, agent, rng, samples, budget, scheme)
+    values = scheme.weight_integral * gains
     if scheme.adds_min_gain:
         if min_gain is None:
             min_gain = min_gain_vector(f, agent, budget)
         values = values + math.exp(-1.0) * min_gain
-    return values
+    return values.mean(axis=0)

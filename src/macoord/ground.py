@@ -59,6 +59,10 @@ class Partition:
         """Flat index of each agent's first action, followed by |V|."""
         return self._offsets
 
+    def check_agent(self, agent: int) -> None:
+        if not (0 <= agent < self.n_agents):
+            raise InvalidActionError(f"agent {agent} out of range")
+
     def validate(self, a: ActionId) -> None:
         if not (0 <= a.agent < self.n_agents) or not (0 <= a.slot < self.sizes[a.agent]):
             raise InvalidActionError(f"{a} outside partition with sizes {self.sizes}")
@@ -76,8 +80,7 @@ class Partition:
         return ActionId(agent, idx - self._offsets[agent])
 
     def agent_actions(self, agent: int) -> tuple[ActionId, ...]:
-        if not (0 <= agent < self.n_agents):
-            raise InvalidActionError(f"agent {agent} out of range")
+        self.check_agent(agent)
         return tuple(ActionId(agent, m) for m in range(self.sizes[agent]))
 
     def all_actions(self) -> Iterator[ActionId]:
@@ -224,6 +227,7 @@ def local_marginal_block(
     budget: Optional[MarginalBudget] = None,
 ) -> np.ndarray:
     """Marginal gains of all of ``agent``'s actions; charges one query per slot."""
+    f.partition.check_agent(agent)
     ctx = as_action_set(context)
     if budget is not None:
         budget.charge(agent, f.partition.sizes[agent])
@@ -239,8 +243,7 @@ def min_gain_vector(
     once per objective.  Every call still charges the agent one query per
     slot, since each agent learns its own gains through its own oracle.
     """
-    if not (0 <= agent < f.partition.n_agents):
-        raise InvalidActionError(f"agent {agent} out of range")
+    f.partition.check_agent(agent)
     if budget is not None:
         budget.charge(agent, f.partition.sizes[agent])
     lo, hi = f.partition.offsets[agent], f.partition.offsets[agent + 1]

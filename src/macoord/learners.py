@@ -209,13 +209,12 @@ class PolicyConsensusLearner:
             min_gain = (
                 min_gain_vector(f, i, self.budget) if self.scheme.adds_min_gain else None
             )
-            samples = [
+            grads.append(
                 estimate_surrogate_gradient(
-                    f, profile, i, self.scheme, streams[i], self.budget, min_gain
+                    f, profile, i, self.scheme, streams[i], self.budget, min_gain,
+                    samples=self.batch,
                 )
-                for _ in range(self.batch)
-            ]
-            grads.append(np.mean(samples, axis=0))
+            )
 
         # consensus averaging of every copy; ascent step on the own block
         mixed = self.weights @ self.policies
@@ -321,11 +320,11 @@ class MetaConditionalGradientLearner:
         for i in range(n):
             for k, estimates in enumerate(steps):
                 profile = PolicyProfile(_blocks(self.partition, estimates[i]))
-                samples = [
-                    estimate_gradient(f, profile, i, streams[i], self.budget)
-                    for _ in range(self.sample_batch)
-                ]
-                self.oracles[i][k].update(np.mean(samples, axis=0))
+                self.oracles[i][k].update(
+                    estimate_gradient(
+                        f, profile, i, streams[i], self.budget, samples=self.sample_batch
+                    )
+                )
         return FeasibleSet(tuple(chosen))
 
     def disagreement(self) -> float:

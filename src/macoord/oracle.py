@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -367,20 +367,6 @@ def projected_ascent(
     return profile
 
 
-def mc_stats(sampler: Callable[[], float], trials: int) -> tuple[float, float]:
-    """Streaming mean and standard error of a scalar sampler (Welford)."""
-    if trials < 2:
-        raise ValueError("need at least two trials for a standard error")
-    mean, m2 = 0.0, 0.0
-    for k in range(1, trials + 1):
-        x = float(sampler())
-        delta = x - mean
-        mean += delta / k
-        m2 += delta * (x - mean)
-    variance = m2 / (trials - 1)
-    return mean, math.sqrt(variance / trials)
-
-
 # ---------------------------------------------------------------------------
 # vectorized helpers for Monte-Carlo-heavy checks
 # ---------------------------------------------------------------------------
@@ -394,20 +380,10 @@ def subset_value_table(f: SetFunction) -> np.ndarray:
     return _subset_values(f, actions)
 
 
-def sample_selection_masks(
-    profile: PolicyProfile, rng: np.random.Generator, trials: int
-) -> np.ndarray:
-    """Bitmasks (over flat indices) of ``trials`` independent joint samples.
-
-    Matches the per-agent half-open-interval sampling of
-    ``extension.sample_actions``, vectorized across trials.
-    """
-    partition = profile.partition()
-    masks = np.zeros(trials, dtype=np.int64)
-    for i, block in enumerate(profile.blocks):
-        cum = np.cumsum(block)
-        idx = np.searchsorted(cum, rng.random(trials), side="right")
-        hit = idx < block.size
-        base = partition.flat_index(ActionId(i, 0))
-        masks[hit] |= np.int64(1) << (base + idx[hit]).astype(np.int64)
-    return masks
+def choice_masks(partition: Partition, choices: np.ndarray) -> np.ndarray:
+    """Bitmask over flat indices of each slot-matrix row (-1 is idle), as an
+    index into :func:`subset_value_table`."""
+    choices = np.asarray(choices)
+    flat = np.asarray(partition.offsets[:-1], dtype=np.int64) + choices
+    bits = (choices >= 0).astype(np.int64) << np.maximum(flat, 0)
+    return bits.sum(axis=1)

@@ -23,6 +23,7 @@ from .extension import (
     exact_extension,
     exact_gradient,
     exact_partial,
+    sample_choices,
     sample_z,
 )
 from .geometry import indicator_profile, project_capped_simplex
@@ -34,9 +35,9 @@ from .oracle import (
     approx_ratio_audit,
     brute_force_opt,
     check_stationarity,
+    choice_masks,
     estimate_ratios,
     projected_ascent,
-    sample_selection_masks,
     stationary_point_floor,
     subset_value_table,
 )
@@ -71,7 +72,8 @@ def _check_lossless_rounding(seed: int) -> CheckResult:
         profile = _random_profile(f.partition.sizes, rng)
         exact = exact_extension(f, profile)
         table = subset_value_table(f)
-        draws = table[sample_selection_masks(profile, rng, 40_000)]
+        u = rng.random((f.partition.n_agents, 40_000)).T  # agent-major draw order
+        draws = table[choice_masks(f.partition, sample_choices(profile, u))]
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         dev = abs(draws.mean() - exact) / max(stderr, 1e-15)
         worst = max(worst, dev)
@@ -238,7 +240,7 @@ def _check_mpl_disagreement(seed: int) -> CheckResult:
 def _check_z_sampler(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     scheme = SurrogateScheme.weak_dr(0.7)
-    draws = np.sort([sample_z(scheme, rng) for _ in range(20_000)])
+    draws = np.sort([sample_z(scheme, u) for u in rng.random(20_000).tolist()])
     cdf = np.expm1(scheme.rate * draws) / math.expm1(scheme.rate)
     dev = float(np.max(np.abs(cdf - (np.arange(1, draws.size + 1) - 0.5) / draws.size)))
     bound = 2.0 / math.sqrt(draws.size)  # ~4x the KS 1% critical value

@@ -25,6 +25,7 @@ from macoord.extension import (
     exact_extension,
     exact_gradient,
     exact_partial,
+    sample_choices,
 )
 from macoord.geometry import indicator_profile
 from macoord.ground import ActionId, FeasibleSet, Partition
@@ -40,10 +41,10 @@ from macoord.oracle import (
     approx_ratio_audit,
     brute_force_opt,
     check_stationarity,
+    choice_masks,
     estimate_ratios,
     feasible_sets,
     projected_ascent,
-    sample_selection_masks,
     stationary_point_floor,
     subset_value_table,
 )
@@ -97,7 +98,8 @@ def test_01_lossless_rounding():
         f = _random_instance(rng)
         profile = _random_profile(f.partition.sizes, rng)
         table = subset_value_table(f)
-        vals = table[sample_selection_masks(profile, rng, draws)]
+        u = rng.random((f.partition.n_agents, draws)).T  # agent-major draw order
+        vals = table[choice_masks(f.partition, sample_choices(profile, u))]
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1)) / math.sqrt(draws)
         dev = abs(mean - exact_extension(f, profile)) / max(stderr, 1e-12)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from macoord.envs import ModularFunction, synthetic_setfn
-from macoord.errors import ScaleError
+from macoord.errors import InvalidActionError, ScaleError
 from macoord.extension import (
     PolicyProfile,
     SurrogateScheme,
@@ -24,13 +24,19 @@ from macoord.extension import (
     exact_surrogate_gradient,
     exact_surrogate_gradient_block,
     exact_surrogate_value,
-    sample_actions,
-    sample_context,
+    sample_choices,
     sample_distribution_slot,
     sample_z,
 )
 from macoord.geometry import indicator_profile
-from macoord.ground import ActionId, FeasibleSet, MarginalBudget, Partition, min_gain_vector
+from macoord.ground import (
+    ActionId,
+    FeasibleSet,
+    MarginalBudget,
+    Partition,
+    local_marginal_block,
+    min_gain_vector,
+)
 
 
 def random_profile(sizes, rng, lo=0.05, hi=0.95):
@@ -112,46 +118,123 @@ def test_weight_integral_matches_dense_sum():
 # ---------------------------------------------------------------------------
 
 
-def test_sample_actions_on_indicator_is_deterministic():
+def reference_slot(block, u):
+    """Per-draw scalar sampler: half-open cumulative intervals, -1 for idle."""
+    idx = int(np.searchsorted(np.cumsum(block), u, side="right"))
+    return idx if idx < block.size else -1
+
+
+def reference_z(scheme, rng):
+    c = scheme.rate
+    return math.log1p(rng.random() * math.expm1(c)) / c
+
+
+def reference_gains(f, prof, agent, rng, z=1.0):
+    """One sample: a uniform per agent in agent order, the own draw ignored."""
+    u = rng.random(prof.n_agents)
+    ctx = []
+    for j, b in enumerate(prof.blocks):
+        slot = reference_slot(z * b, u[j])
+        if j != agent and slot >= 0:
+            ctx.append(ActionId(j, slot))
+    return f.agent_marginals(agent, frozenset(ctx))
+
+
+def reference_surrogate_sample(f, prof, agent, scheme, rng):
+    z = reference_z(scheme, rng)
+    values = scheme.weight_integral * reference_gains(f, prof, agent, rng, z)
+    if scheme.adds_min_gain:
+        values = values + math.exp(-1.0) * min_gain_vector(f, agent)
+    return values
+
+
+def test_sample_choices_match_scalar_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        sizes = tuple(int(k) for k in rng.integers(1, 5, size=int(rng.integers(1, 5))))
+        blocks = []
+        for k in sizes:
+            kind = int(rng.integers(4))
+            if kind == 0:
+                b = np.zeros(k)  # zero mass: always idle
+            elif kind == 1:
+                b = rng.random(k)
+                b /= b.sum()  # full mass (up to round-off)
+            elif kind == 2:
+                b = np.zeros(k)
+                b[rng.integers(k)] = 1.0
+            else:
+                b = rng.random(k) * rng.random() / k
+            blocks.append(b)
+        prof = PolicyProfile(tuple(blocks))
+        u = rng.random((25, len(sizes)))
+        # uniforms on the interval boundaries themselves
+        u[0] = 0.0
+        u[1] = [np.cumsum(b)[0] for b in prof.blocks]
+        scale = rng.random(25)
+        scale[:3] = (0.0, 1.0, 0.5)
+        for z in (None, scale):
+            got = sample_choices(prof, u, z)
+            assert got.shape == u.shape and got.dtype == np.int64
+            for l in range(u.shape[0]):
+                for j, b in enumerate(prof.blocks):
+                    block = b if z is None else float(z[l]) * b
+                    assert got[l, j] == reference_slot(block, u[l, j])
+
+
+def test_sample_choices_on_indicator_is_deterministic():
     p = Partition((2, 3, 2))
-    sel = FeasibleSet((1, None, 0))
-    prof = indicator_profile(sel, p)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        assert sample_actions(prof, rng) == sel
+    prof = indicator_profile(FeasibleSet((1, None, 0)), p)
+    choices = sample_choices(prof, np.random.default_rng(0).random((20, 3)))
+    assert (choices == [1, -1, 0]).all()
 
 
-def test_sample_actions_frequencies():
+def test_sample_choices_frequencies():
     prof = PolicyProfile((np.array([0.3, 0.5]),))  # leftover 0.2 idles
-    rng = np.random.default_rng(42)
     n = 20_000
-    counts = {0: 0, 1: 0, None: 0}
-    for _ in range(n):
-        counts[sample_actions(prof, rng).choice[0]] += 1
-    for key, p_true in ((0, 0.3), (1, 0.5), (None, 0.2)):
+    slots = sample_choices(prof, np.random.default_rng(42).random((n, 1)))[:, 0]
+    for key, p_true in ((0, 0.3), (1, 0.5), (-1, 0.2)):
         band = 4.0 * math.sqrt(p_true * (1 - p_true) / n)
-        assert abs(counts[key] / n - p_true) < band
+        assert abs(np.mean(slots == key) - p_true) < band
+
+
+def test_sample_choices_shape_guard():
+    prof = PolicyProfile.uniform(Partition((2, 2)))
+    for bad in (np.zeros((4, 3)), np.zeros(2)):
+        with pytest.raises(ValueError):
+            sample_choices(prof, bad)
 
 
 def test_sample_distribution_slot_hits_last_slot_on_tail():
     w = np.array([0.5, 0.5])
     assert sample_distribution_slot(w, 0.999999999999999) == 1
     assert sample_distribution_slot(w, 0.2) == 0
+    assert sample_distribution_slot(w, 0.5) == 1  # half-open intervals
+    # round-off leaves the cumulative mass below u: the last slot takes it
+    assert sample_distribution_slot(np.array([0.3, 0.3, 0.3]), 0.95) == 2
 
 
-def test_sample_context_excludes_own_agent():
+def test_estimators_exclude_own_agent():
+    p = Partition((2, 2, 2))
+    weights = np.arange(1.0, 7.0)
+    f = ModularFunction(p, weights)
+    # the agent's own block always samples slot 1; gains must ignore it
+    prof = PolicyProfile((np.array([0.5, 0.5]), np.array([0.0, 1.0]), np.array([0.2, 0.3])))
     rng = np.random.default_rng(3)
-    prof = PolicyProfile.uniform(Partition((2, 2, 2)))
-    for _ in range(50):
-        ctx = sample_context(prof, 1, rng)
-        assert all(a.agent != 1 for a in ctx)
+    np.testing.assert_array_equal(estimate_gradient(f, prof, 1, rng, samples=50), [3.0, 4.0])
+    scheme = SurrogateScheme.weak_dr(0.5)
+    np.testing.assert_allclose(
+        estimate_surrogate_gradient(f, prof, 1, scheme, rng, samples=50),
+        scheme.weight_integral * np.array([3.0, 4.0]),
+        rtol=1e-12,
+    )
 
 
 def test_sample_z_cdf():
     scheme = SurrogateScheme.weak_dr(0.7)
     rng = np.random.default_rng(5)
     n = 20_000
-    draws = np.sort([sample_z(scheme, rng) for _ in range(n)])
+    draws = np.sort([sample_z(scheme, u) for u in rng.random(n)])
     assert 0.0 <= draws[0] and draws[-1] <= 1.0
     c = scheme.rate
     cdf = (np.exp(c * draws) - 1.0) / (math.exp(c) - 1.0)
@@ -350,6 +433,70 @@ def test_estimate_surrogate_gradient_uses_cached_min_gain():
     estimate_surrogate_gradient(f, prof, 0, scheme, rng, budget, cached)
     # only the context gains are charged when the bonus is supplied
     assert budget.per_agent()[0] == 2
+    budget.reset()
+    estimate_surrogate_gradient(f, prof, 0, scheme, rng, budget, samples=3)
+    # otherwise the bonus is read, and charged, once per call
+    assert budget.per_agent()[0] == 3 * 2 + 2
+
+
+def test_estimators_match_scalar_reference():
+    rng = np.random.default_rng(23)
+    f = synthetic_setfn("coverage-random", (2, 3, 1, 2), rng)
+    for trial in range(6):
+        prof = random_profile(f.partition.sizes, rng)
+        agent = trial % 4
+        samples = (1, 2, 7)[trial % 3]
+        seed = 1000 + trial
+        ref_rng = np.random.default_rng(seed)
+        expect = np.mean(
+            [reference_gains(f, prof, agent, ref_rng) for _ in range(samples)], axis=0
+        )
+        got = estimate_gradient(f, prof, agent, np.random.default_rng(seed), samples=samples)
+        np.testing.assert_array_equal(got, expect)
+        for scheme in (SurrogateScheme.submodular(), SurrogateScheme.weak_dr(0.3)):
+            ref_rng = np.random.default_rng(seed)
+            expect = np.mean(
+                [
+                    reference_surrogate_sample(f, prof, agent, scheme, ref_rng)
+                    for _ in range(samples)
+                ],
+                axis=0,
+            )
+            got = estimate_surrogate_gradient(
+                f, prof, agent, scheme, np.random.default_rng(seed), samples=samples
+            )
+            np.testing.assert_array_equal(got, expect)
+
+
+@pytest.mark.parametrize("agent", [-1, 3])
+def test_bad_agent_raises_before_any_charge(agent):
+    rng = np.random.default_rng(8)
+    f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
+    prof = random_profile(f.partition.sizes, rng)
+    budget = MarginalBudget(3)
+    state = rng.bit_generator.state
+    calls = (
+        lambda: local_marginal_block(f, agent, [], budget),
+        lambda: estimate_gradient(f, prof, agent, rng, budget),
+        lambda: estimate_surrogate_gradient(
+            f, prof, agent, SurrogateScheme.submodular(), rng, budget
+        ),
+    )
+    for call in calls:
+        with pytest.raises(InvalidActionError):
+            call()
+    assert budget.total() == 0
+    assert rng.bit_generator.state == state
+
+
+def test_estimators_need_a_sample():
+    rng = np.random.default_rng(9)
+    f = synthetic_setfn("coverage-random", (2, 2), rng)
+    prof = random_profile(f.partition.sizes, rng)
+    with pytest.raises(ValueError):
+        estimate_gradient(f, prof, 0, rng, samples=0)
+    with pytest.raises(ValueError):
+        estimate_surrogate_gradient(f, prof, 0, SurrogateScheme.weak_dr(1.0), rng, samples=0)
 
 
 def test_lossless_rounding_small():
@@ -358,8 +505,10 @@ def test_lossless_rounding_small():
     prof = random_profile(f.partition.sizes, rng)
     exact = exact_extension(f, prof)
     n = 20_000
+    choices = sample_choices(prof, rng.random((n, prof.n_agents)))
     vals = np.array(
-        [f.value(sample_actions(prof, rng).actions()) for _ in range(n)]
+        [f.value(FeasibleSet(tuple(s if s >= 0 else None for s in row)).actions())
+         for row in choices.tolist()]
     )
     sem = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - exact) <= 4.0 * sem

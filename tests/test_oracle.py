@@ -22,6 +22,7 @@ from macoord.extension import (
     PolicyProfile,
     SurrogateScheme,
     exact_extension,
+    sample_choices,
 )
 from macoord.geometry import indicator_profile
 from macoord.ground import ActionId, FeasibleSet, Partition
@@ -29,12 +30,11 @@ from macoord.oracle import (
     approx_ratio_audit,
     brute_force_opt,
     check_stationarity,
+    choice_masks,
     estimate_ratios,
     feasible_sets,
     floor_variants,
-    mc_stats,
     projected_ascent,
-    sample_selection_masks,
     stationary_point_floor,
     subset_value_table,
 )
@@ -315,20 +315,8 @@ def test_projected_ascent_stays_at_trap_vertex():
 
 
 # ---------------------------------------------------------------------------
-# sampling statistics helpers
+# value tables and selection masks
 # ---------------------------------------------------------------------------
-
-
-def test_mc_stats_matches_numpy():
-    rng = np.random.default_rng(3)
-    data = list(rng.normal(2.0, 1.5, 400))
-    it = iter(data)
-    mean, stderr = mc_stats(lambda: next(it), len(data))
-    assert mean == pytest.approx(np.mean(data), rel=1e-12)
-    assert stderr == pytest.approx(np.std(data, ddof=1) / math.sqrt(len(data)),
-                                   rel=1e-12)
-    with pytest.raises(ValueError):
-        mc_stats(lambda: 0.0, 1)
 
 
 def test_subset_value_table_matches_direct_queries():
@@ -349,19 +337,27 @@ def test_subset_value_table_scale_guard():
         subset_value_table(f)
 
 
-def test_sample_selection_masks_indicator_is_deterministic():
+def test_choice_masks_set_one_bit_per_chosen_action():
+    p = Partition((2, 3))
+    choices = np.array([[1, 2], [-1, 0], [0, -1], [-1, -1]])
+    expect = [(1 << 1) | (1 << (2 + 2)), 1 << 2, 1 << 0, 0]
+    assert choice_masks(p, choices).tolist() == expect
+
+
+def test_choice_masks_indicator_is_deterministic():
     p = Partition((2, 3))
     prof = indicator_profile(FeasibleSet((1, 2)), p)
-    masks = sample_selection_masks(prof, np.random.default_rng(5), 64)
+    masks = choice_masks(p, sample_choices(prof, np.random.default_rng(5).random((64, 2))))
     expect = (1 << 1) | (1 << (2 + 2))
     assert np.all(masks == expect)
 
 
-def test_sample_selection_masks_frequencies():
+def test_choice_masks_frequencies():
     p = Partition((2,))
     prof = PolicyProfile((np.array([0.3, 0.4]),))
     trials = 20_000
-    masks = sample_selection_masks(prof, np.random.default_rng(6), trials)
+    choices = sample_choices(prof, np.random.default_rng(6).random((trials, 1)))
+    masks = choice_masks(p, choices)
     for flat, prob in ((0, 0.3), (1, 0.4)):
         hit = ((masks >> flat) & 1).mean()
         sigma = math.sqrt(prob * (1 - prob) / trials)
