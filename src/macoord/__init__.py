@@ -36,7 +36,6 @@ from .ground import (
     MarginalBudget,
     Partition,
     SetFunction,
-    local_marginal,
     local_marginal_block,
     min_gain_vector,
 )

@@ -71,6 +71,10 @@ class ModularFunction(SetFunction):
             return 0.0
         return float(self.weights[self.partition.flat_index(a)])
 
+    def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
+        lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
+        return np.tile(self.weights[lo:hi], (len(choices), 1))
+
 
 class SqrtModularFunction(SetFunction):
     """f(S) = sqrt(sum of weights): concave-of-modular, monotone submodular."""
@@ -105,20 +109,15 @@ class WeightedCoverage(SetFunction):
         self.masks = masks
         self.element_weights = weights
 
-    def _covered(self, actions: frozenset[ActionId]) -> np.ndarray:
-        if not actions:
-            return np.zeros(self.masks.shape[1], dtype=bool)
-        rows = [self.partition.flat_index(a) for a in actions]
-        return self.masks[rows].any(axis=0)
-
     def value(self, actions: Iterable[ActionId]) -> float:
-        return float(self.element_weights[self._covered(as_action_set(actions))].sum())
+        rows = [self.partition.flat_index(a) for a in as_action_set(actions)]
+        return float(self.element_weights[self.masks[rows].any(axis=0)].sum())
 
-    def agent_marginals(self, agent: int, context: Iterable[ActionId]) -> np.ndarray:
-        covered = self._covered(as_action_set(context))
-        lo = self.partition.flat_index(ActionId(agent, 0))
-        hi = lo + self.partition.sizes[agent]
-        fresh = self.masks[lo:hi] & ~covered
+    def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
+        idx, present = self.partition.context_index(choices, agent)
+        covered = (self.masks[idx] & present[:, :, None]).any(axis=1)  # (L, universe)
+        lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
+        fresh = self.masks[lo:hi] & ~covered[:, None, :]
         return fresh @ self.element_weights
 
 
@@ -343,20 +342,16 @@ class FacilityObjective(SetFunction):
         )
         self.reward = 1.0 / np.maximum(dists, floor)  # (actions, targets)
 
-    def _best(self, actions: frozenset[ActionId]) -> np.ndarray:
-        if not actions:
-            return np.zeros(self.reward.shape[1])
-        rows = [self.partition.flat_index(a) for a in actions]
-        return self.reward[rows].max(axis=0)
-
     def value(self, actions: Iterable[ActionId]) -> float:
-        return float(self._best(as_action_set(actions)).sum())
+        rows = [self.partition.flat_index(a) for a in as_action_set(actions)]
+        return float(self.reward[rows].max(axis=0, initial=0.0).sum())
 
-    def agent_marginals(self, agent: int, context: Iterable[ActionId]) -> np.ndarray:
-        best = self._best(as_action_set(context))
-        lo = self.partition.flat_index(ActionId(agent, 0))
-        hi = lo + self.partition.sizes[agent]
-        return np.maximum(self.reward[lo:hi] - best, 0.0).sum(axis=1)
+    def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
+        idx, present = self.partition.context_index(choices, agent)
+        # rewards are positive, so an absent entry's zero is the empty max
+        best = np.where(present[:, :, None], self.reward[idx], 0.0).max(axis=1)
+        lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
+        return np.maximum(self.reward[lo:hi] - best[:, None, :], 0.0).sum(axis=2)
 
     def compute_min_gains(self) -> np.ndarray:
         """Closed form: removing v lowers target j only if v is its unique
@@ -424,18 +419,14 @@ class TrackingGainObjective(SetFunction):
         posterior = self._inv_trace(self._posterior_info(actions)).sum()
         return float(n_targets - posterior / self.prior_trace)
 
-    def agent_marginals(self, agent: int, context: Iterable[ActionId]) -> np.ndarray:
-        ctx = as_action_set(context)
-        base = self._posterior_info(ctx)  # (targets, 2, 2)
-        base_trace = self._inv_trace(base).sum()
-        lo = self.partition.flat_index(ActionId(agent, 0))
-        hi = lo + self.partition.sizes[agent]
-        stacked = base[None, :, :, :] + self.info[lo:hi]
-        gains = (base_trace - self._inv_trace(stacked).sum(axis=1)) / self.prior_trace
-        for m in range(lo, hi):
-            if ActionId(agent, m - lo) in ctx:
-                gains[m - lo] = 0.0
-        return gains
+    def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
+        idx, present = self.partition.context_index(choices, agent)
+        gathered = self.info[idx] * present[:, :, None, None, None]  # (L, n, targets, 2, 2)
+        base = self.prior_info + gathered.sum(axis=1)  # (L, targets, 2, 2)
+        base_trace = self._inv_trace(base).sum(axis=1)
+        lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
+        stacked = base[:, None] + self.info[lo:hi]  # (L, k, targets, 2, 2)
+        return (base_trace[:, None] - self._inv_trace(stacked).sum(axis=2)) / self.prior_trace
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ Monte-Carlo estimators the learners consume.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -33,6 +34,7 @@ from .ground import (
     SetFunction,
     local_marginal_block,
     min_gain_vector,
+    slot_row_actions,
 )
 
 EXACT_ENUMERATION_LIMIT = 1_000_000
@@ -224,33 +226,27 @@ def _guard_enumeration(sizes: Sequence[int], exclude: Optional[int] = None) -> N
             )
 
 
-def _agent_outcomes(block: np.ndarray, agent: int):
-    """(probability, action-or-None) outcomes of one block, zero-prob pruned."""
-    outcomes = []
-    idle = 1.0 - float(block.sum())
-    if idle > 0.0:
-        outcomes.append((idle, None))
-    for m, p in enumerate(block):
-        if p > 0.0:
-            outcomes.append((float(p), ActionId(agent, m)))
-    return outcomes
+def _joint_choices(
+    profile: PolicyProfile, exclude_agent: Optional[int] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every joint outcome of positive probability: a probability vector and
+    the matching ``(N, n)`` slot matrix, with the excluded agent idle.
 
-
-def _joint_outcomes(profile: PolicyProfile, exclude_agent: Optional[int] = None):
-    """Yield (probability, frozenset-of-actions) over all joint outcomes."""
-    per_agent = [
-        _agent_outcomes(b, i)
-        for i, b in enumerate(profile.blocks)
-        if i != exclude_agent
-    ]
-    stack: list[tuple[int, float, list[ActionId]]] = [(0, 1.0, [])]
-    while stack:
-        depth, prob, acc = stack.pop()
-        if depth == len(per_agent):
-            yield prob, frozenset(acc)
-            continue
-        for p, a in per_agent[depth]:
-            stack.append((depth + 1, prob * p, acc if a is None else acc + [a]))
+    Outcomes run in depth-first order, agent 0 outermost and each agent's
+    outcomes (idle, then its slots) last-first; a probability is the
+    product in agent order.
+    """
+    probs, slots = [], []
+    for i, b in enumerate(profile.blocks):
+        p = np.ones(1) if i == exclude_agent else np.concatenate(([1.0 - float(b.sum())], b))
+        keep = np.flatnonzero(p > 0.0)[::-1]
+        probs.append(p[keep])
+        slots.append(keep - 1)
+    joint = np.meshgrid(*slots, indexing="ij")
+    return (
+        functools.reduce(np.multiply.outer, probs).ravel(),
+        np.stack(joint, axis=-1).reshape(-1, profile.n_agents),
+    )
 
 
 def exact_extension(f: SetFunction, profile: PolicyProfile) -> float:
@@ -260,25 +256,26 @@ def exact_extension(f: SetFunction, profile: PolicyProfile) -> float:
     """
     profile.validate()
     _guard_enumeration(profile.sizes)
+    probs, choices = _joint_choices(profile)
     total = 0.0
-    for prob, chosen in _joint_outcomes(profile):
-        total += prob * f.value(chosen)
+    for prob, choice in zip(probs.tolist(), choices.tolist()):
+        total += prob * f.value(slot_row_actions(choice))
     return total
 
 
 def exact_gradient_block(f: SetFunction, profile: PolicyProfile, agent: int) -> np.ndarray:
     """Exact partial derivatives of F for one agent's block.
 
-    dF/dpi_{agent,m} = E[ f(v_{agent,m} | other agents' samples) ], enumerated.
+    dF/dpi_{agent,m} = E[ f(v_{agent,m} | other agents' samples) ]: the other
+    agents' joint outcomes form one slot matrix, answered by one batched
+    :meth:`SetFunction.agent_marginals` call and weighted by one dot product
+    with their probabilities.
     """
     profile.validate()
     _guard_enumeration(profile.sizes, exclude=agent)
-    k = profile.sizes[agent]
-    out = np.zeros(k, dtype=np.float64)
-    for prob, ctx in _joint_outcomes(profile, exclude_agent=agent):
-        gains = f.agent_marginals(agent, ctx)
-        out += prob * gains
-    return out
+    probs, choices = _joint_choices(profile, exclude_agent=agent)
+    return probs @ f.agent_marginals(agent, choices)
+
 
 def exact_partial(f: SetFunction, profile: PolicyProfile, a: ActionId) -> float:
     """Exact partial derivative of F along one coordinate."""
@@ -381,8 +378,9 @@ def _sampled_gains(
 
     Row l of ``rng.random((samples, n))`` rounds the profile; with a scheme,
     row l of ``rng.random((samples, n + 1))`` draws z from its column 0 and
-    rounds the z-scaled profile with the rest.  The agent's own column is
-    drawn but left out of its context.  Each row charges one query per slot.
+    rounds the z-scaled profile with the rest.  The whole ``(samples, n)``
+    slot matrix goes to one :func:`local_marginal_block` call, which ignores
+    the agent's own (drawn) column and charges one query per slot per row.
     """
     f.partition.check_agent(agent)
     if samples < 1:
@@ -393,11 +391,7 @@ def _sampled_gains(
         u = rng.random((samples, profile.n_agents + 1))
         z = np.array([sample_z(scheme, x) for x in u[:, 0].tolist()])
         u = u[:, 1:]
-    rows = []
-    for choice in sample_choices(profile, u, z).tolist():
-        ctx = frozenset(ActionId(j, s) for j, s in enumerate(choice) if s >= 0 and j != agent)
-        rows.append(local_marginal_block(f, agent, ctx, budget))
-    return np.array(rows)
+    return local_marginal_block(f, agent, sample_choices(profile, u, z), budget)
 
 
 def estimate_gradient(

@@ -10,15 +10,12 @@ gains on their own actions.
 from __future__ import annotations
 
 import itertools
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidActionError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, order=True)
@@ -62,6 +59,26 @@ class Partition:
     def check_agent(self, agent: int) -> None:
         if not (0 <= agent < self.n_agents):
             raise InvalidActionError(f"agent {agent} out of range")
+
+    def check_choices(self, choices: np.ndarray) -> None:
+        """Reject anything but an ``(L, n)`` int matrix with column j in [-1, k_j)."""
+        if not (
+            isinstance(choices, np.ndarray)
+            and choices.ndim == 2
+            and choices.shape[1] == self.n_agents
+            and np.issubdtype(choices.dtype, np.integer)
+        ):
+            raise InvalidActionError(f"expected an int slot matrix of shape (L, {self.n_agents})")
+        if choices.size and ((choices < -1).any() or (choices >= self.sizes).any()):
+            raise InvalidActionError(f"slot matrix entry outside [-1, k) for sizes {self.sizes}")
+
+    def context_index(self, choices: np.ndarray, agent: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat action index of every slot-matrix entry, and whether it is in
+        the row's context (chosen, and not in ``agent``'s own column).  An
+        absent entry's index is a valid placeholder, 0."""
+        present = choices >= 0
+        present[:, agent] = False
+        return np.where(present, choices + self._offsets[:-1], 0), present
 
     def validate(self, a: ActionId) -> None:
         if not (0 <= a.agent < self.n_agents) or not (0 <= a.slot < self.sizes[a.agent]):
@@ -126,13 +143,25 @@ def as_action_set(context: "FeasibleSet | Iterable[ActionId]") -> frozenset[Acti
     return frozenset(context)
 
 
+def slot_row_actions(choice: Sequence[int], skip: Optional[int] = None) -> frozenset[ActionId]:
+    """Actions chosen by one slot-matrix row (-1 is idle), leaving out agent ``skip``."""
+    return frozenset(ActionId(j, s) for j, s in enumerate(choice) if s >= 0 and j != skip)
+
+
 class SetFunction:
     """Monotone normalized objective over a partitioned ground set.
 
-    Subclasses must set ``partition`` and implement :meth:`value`, and must not
-    change after their constructor.  The default :meth:`marginal` uses two
-    value queries; environments override :meth:`agent_marginals` and
-    :meth:`compute_min_gains` with vectorized versions where it pays off.
+    Subclasses set ``partition``, implement :meth:`value`, and must not
+    change after their constructor.  The marginal oracle is
+    :meth:`agent_marginals`: it takes an ``(L, n)`` int slot matrix, one
+    context per row, where entry ``[l, j]`` is agent j's chosen slot or -1
+    for idle, and the querying agent's own column is ignored.  It returns
+    the ``(L, k_agent)`` gains of every one of the agent's actions against
+    every row.  Callers go through :func:`local_marginal_block`, which
+    validates the matrix and charges the queries.  The generic
+    :meth:`agent_marginals` (two value queries per slot per row) and
+    :meth:`compute_min_gains` are the tested references; objectives
+    override them with vectorized versions where it pays off.
     """
 
     partition: Partition
@@ -148,12 +177,13 @@ class SetFunction:
             return 0.0
         return self.value(ctx | {a}) - self.value(ctx)
 
-    def agent_marginals(self, agent: int, context: Iterable[ActionId]) -> np.ndarray:
-        """Marginal gains of every action of ``agent`` against a fixed context."""
-        ctx = as_action_set(context)
-        out = np.empty(self.partition.sizes[agent], dtype=np.float64)
-        for m in range(self.partition.sizes[agent]):
-            out[m] = self.marginal(ActionId(agent, m), ctx)
+    def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
+        """Gains of every action of ``agent`` against every slot-matrix row."""
+        out = np.empty((len(choices), self.partition.sizes[agent]), dtype=np.float64)
+        for row, choice in zip(out, np.asarray(choices).tolist()):
+            ctx = slot_row_actions(choice, skip=agent)
+            for m in range(row.size):
+                row[m] = self.marginal(ActionId(agent, m), ctx)
         return out
 
     @property
@@ -199,39 +229,24 @@ class MarginalBudget:
         self._counts[:] = 0
 
 
-def local_marginal(
-    f: SetFunction,
-    a: ActionId,
-    context: "FeasibleSet | Iterable[ActionId]",
-    budget: Optional[MarginalBudget] = None,
-) -> float:
-    """One marginal-oracle query f(a | context), charged to ``a.agent``.
-
-    A degenerate query with ``a`` already in the context is answered with 0
-    and logged, since the gain of re-adding an element is vacuously zero.
-    """
-    f.partition.validate(a)
-    ctx = as_action_set(context)
-    if budget is not None:
-        budget.charge(a.agent)
-    if a in ctx:
-        logger.warning("degenerate marginal query: %s already in context", a)
-        return 0.0
-    return f.marginal(a, ctx)
-
-
 def local_marginal_block(
     f: SetFunction,
     agent: int,
-    context: "FeasibleSet | Iterable[ActionId]",
+    choices: np.ndarray,
     budget: Optional[MarginalBudget] = None,
 ) -> np.ndarray:
-    """Marginal gains of all of ``agent``'s actions; charges one query per slot."""
+    """Gains of all of ``agent``'s actions against every row of an ``(L, n)``
+    slot matrix (see :class:`SetFunction`), as an ``(L, k_agent)`` array.
+
+    The matrix is checked before anything is charged: an entry outside
+    [-1, k_j) would address another agent's action.  Charges one query per
+    slot per row.
+    """
     f.partition.check_agent(agent)
-    ctx = as_action_set(context)
+    f.partition.check_choices(choices)
     if budget is not None:
-        budget.charge(agent, f.partition.sizes[agent])
-    return f.agent_marginals(agent, ctx)
+        budget.charge(agent, len(choices) * f.partition.sizes[agent])
+    return f.agent_marginals(agent, choices)
 
 
 def min_gain_vector(

@@ -34,7 +34,6 @@ from .extension import (
 )
 from .geometry import normalize_policy, project_capped_simplex
 from .ground import (
-    ActionId,
     FeasibleSet,
     MarginalBudget,
     Partition,
@@ -350,11 +349,10 @@ def sequential_greedy_round(
 
     Ties break to the lowest slot (argmax returns the first maximizer).
     """
-    chosen: list[ActionId] = []
+    chosen = np.full((1, partition.n_agents), -1, dtype=np.int64)
     for i in range(partition.n_agents):
-        gains = local_marginal_block(f, i, chosen, budget)
-        chosen.append(ActionId(i, int(np.argmax(gains))))
-    return FeasibleSet.from_actions(partition, chosen)
+        chosen[0, i] = np.argmax(local_marginal_block(f, i, chosen, budget)[0])
+    return FeasibleSet(tuple(chosen[0].tolist()))
 
 
 class RandomLearner:

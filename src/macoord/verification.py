@@ -202,7 +202,7 @@ def _check_ratio_sanity(seed: int) -> CheckResult:
     )
 
 
-def _check_consensus_matrix(seed: int) -> CheckResult:
+def _check_consensus_weights(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     g = erdos_renyi(8, 4.0, rng)
     w = metropolis_weights(g)
@@ -277,7 +277,7 @@ CHECKS: list[Callable[[int], CheckResult]] = [
     _check_stationary_floors,
     _check_tightness_instance,
     _check_ratio_sanity,
-    _check_consensus_matrix,
+    _check_consensus_weights,
     _check_mpl_disagreement,
     _check_z_sampler,
     _check_determinism,

@@ -76,9 +76,10 @@ def test_weighted_coverage_value_and_marginals():
     f = WeightedCoverage(p, masks, w)
     assert f.value([ActionId(0, 0)]) == 1.0
     assert f.value([ActionId(0, 1), ActionId(1, 0)]) == 7.0
-    # vectorized marginals agree with the two-query definition
-    ctx = [ActionId(0, 1)]
-    block = f.agent_marginals(0, ctx)
+    # vectorized marginals agree with the two-query definition; the agent's
+    # own column of the slot row is ignored
+    ctx = [ActionId(1, 0)]
+    block = f.agent_marginals(0, np.array([[1, 0]]))[0]
     for m in range(2):
         expect = f.value(ctx + [ActionId(0, m)]) - f.value(ctx)
         assert block[m] == pytest.approx(expect, abs=1e-15)
@@ -301,7 +302,7 @@ def test_facility_marginals_match_value_differences():
     p = Partition((3, 3))
     f = FacilityObjective(p, rng.normal(0, 5, (6, 2)), rng.normal(0, 5, (4, 2)))
     ctx = [ActionId(1, 2)]
-    block = f.agent_marginals(0, ctx)
+    block = f.agent_marginals(0, np.array([[-1, 2]]))[0]
     for m in range(3):
         expect = f.value(ctx + [ActionId(0, m)]) - f.value(ctx)
         assert block[m] == pytest.approx(expect, abs=1e-12)
@@ -408,6 +409,57 @@ def test_facility_min_gains_property(instance):
 
 
 # ---------------------------------------------------------------------------
+# batched marginals against the generic reference
+# ---------------------------------------------------------------------------
+
+
+def _marginal_objective(kind, sizes, rng):
+    partition = Partition(sizes)
+    if kind == "coverage":
+        n = len(sizes) + 1
+        return coverage_instance(n, float(rng.uniform(0.01, 1.0)), int(rng.integers(1, n)))
+    if kind == "facility":
+        sites, targets = rng.normal(0, 5, (partition.total, 2)), rng.normal(0, 5, (3, 2))
+        return FacilityObjective(partition, sites, targets)
+    if kind == "tracking":
+        sites, targets = rng.normal(0, 5, (partition.total, 2)), rng.normal(0, 5, (3, 2))
+        return TrackingGainObjective(partition, sites, targets)
+    return synthetic_setfn(kind, sizes, rng)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(
+        ["modular", "coverage-random", "concave-of-modular", "coverage", "facility", "tracking"]
+    ),
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="tracking", sizes=(2, 2), rows=1, seed=0)
+@example(kind="facility", sizes=(3,), rows=1, seed=1)
+def test_batched_marginals_match_reference(kind, sizes, rows, seed):
+    """Every objective's batched agent_marginals against the generic path of
+    SetFunction (two value queries per slot per row).  The first of several
+    rows is all idle, and the agent's own column is always set (and ignored).
+    A gain is a difference of two values of size f(V), so the tolerance is
+    relative to f(V) as well as to the entry."""
+    rng = np.random.default_rng(seed)
+    f = _marginal_objective(kind, sizes, rng)
+    p = f.partition
+    agent = int(rng.integers(p.n_agents))
+    choices = rng.integers(-1, p.sizes, size=(rows, p.n_agents))
+    if rows > 1:
+        choices[0] = -1
+    choices[:, agent] = rng.integers(p.sizes[agent], size=rows)
+    got = f.agent_marginals(agent, choices)
+    reference = SetFunction.agent_marginals(f, agent, choices)
+    assert got.shape == (rows, p.sizes[agent])
+    scale = f.value(p.all_actions())
+    np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
 # tracking-gain objective
 # ---------------------------------------------------------------------------
 
@@ -480,12 +532,15 @@ def test_tracking_gain_marginals_match_value_differences():
     p = Partition((2, 2))
     f = TrackingGainObjective(p, rng.normal(0, 5, (4, 2)), rng.normal(0, 5, (3, 2)))
     ctx = [ActionId(1, 0)]
-    block = f.agent_marginals(0, ctx)
+    block = f.agent_marginals(0, np.array([[-1, 0]]))[0]
     for m in range(2):
         expect = f.value(ctx + [ActionId(0, m)]) - f.value(ctx)
         assert block[m] == pytest.approx(expect, rel=1e-10, abs=1e-14)
-    # an action already in the context gains nothing
-    assert f.agent_marginals(1, ctx)[0] == 0.0
+    # an action already in the context gains nothing; in a slot row the
+    # agent's own column is ignored, so it cannot be in the context
+    assert f.marginal(ActionId(1, 0), ctx) == 0.0
+    own_set = f.agent_marginals(1, np.array([[-1, 0], [-1, 1]]))
+    assert own_set.tolist() == f.agent_marginals(1, np.array([[-1, -1]] * 2)).tolist()
 
 
 def test_tracking_gain_single_bearing_falls_off_with_range():

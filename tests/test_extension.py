@@ -132,12 +132,9 @@ def reference_z(scheme, rng):
 def reference_gains(f, prof, agent, rng, z=1.0):
     """One sample: a uniform per agent in agent order, the own draw ignored."""
     u = rng.random(prof.n_agents)
-    ctx = []
-    for j, b in enumerate(prof.blocks):
-        slot = reference_slot(z * b, u[j])
-        if j != agent and slot >= 0:
-            ctx.append(ActionId(j, slot))
-    return f.agent_marginals(agent, frozenset(ctx))
+    row = [reference_slot(z * b, u[j]) for j, b in enumerate(prof.blocks)]
+    row[agent] = -1
+    return f.agent_marginals(agent, np.array([row]))[0]
 
 
 def reference_surrogate_sample(f, prof, agent, scheme, rng):
@@ -476,7 +473,7 @@ def test_bad_agent_raises_before_any_charge(agent):
     budget = MarginalBudget(3)
     state = rng.bit_generator.state
     calls = (
-        lambda: local_marginal_block(f, agent, [], budget),
+        lambda: local_marginal_block(f, agent, np.full((1, 3), -1), budget),
         lambda: estimate_gradient(f, prof, agent, rng, budget),
         lambda: estimate_surrogate_gradient(
             f, prof, agent, SurrogateScheme.submodular(), rng, budget

@@ -16,7 +16,6 @@ from macoord.ground import (
     MarginalBudget,
     Partition,
     as_action_set,
-    local_marginal,
     local_marginal_block,
     min_gain_vector,
 )
@@ -95,7 +94,7 @@ def test_default_agent_marginals_matches_slot_loop():
     p = Partition((3, 2))
     f = SqrtModularFunction(p, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
     ctx = [ActionId(1, 1)]
-    block = f.agent_marginals(0, ctx)
+    block = f.agent_marginals(0, np.array([[-1, 1]]))[0]
     for m in range(3):
         assert block[m] == pytest.approx(f.marginal(ActionId(0, m), ctx), abs=1e-15)
 
@@ -112,24 +111,41 @@ def test_budget_accounting():
         b.charge(1, -1)
 
 
-def test_local_marginal_charges_and_handles_degenerate_queries():
-    p = Partition((2, 2))
-    f = ModularFunction(p, np.array([1.0, 2.0, 3.0, 4.0]))
-    budget = MarginalBudget(2)
-    a = ActionId(0, 1)
-    assert local_marginal(f, a, [], budget) == 2.0
-    # degenerate query still consumes budget and answers zero
-    assert local_marginal(f, a, [a], budget) == 0.0
-    assert budget.per_agent().tolist() == [2, 0]
-
-
 def test_local_marginal_block_charges_per_slot():
     p = Partition((2, 3))
     f = ModularFunction(p, np.arange(1.0, 6.0))
     budget = MarginalBudget(2)
-    gains = local_marginal_block(f, 1, [], budget)
-    assert gains.tolist() == [3.0, 4.0, 5.0]
+    gains = local_marginal_block(f, 1, np.array([[-1, -1]]), budget)
+    assert gains.tolist() == [[3.0, 4.0, 5.0]]
     assert budget.per_agent().tolist() == [0, 3]
+    # every row is charged one query per slot, also a row that sets the
+    # agent's own column (ignored: the full own weights come back)
+    gains = local_marginal_block(f, 0, np.array([[1, 0], [-1, 2], [0, -1]]), budget)
+    assert gains.tolist() == [[1.0, 2.0]] * 3
+    assert budget.per_agent().tolist() == [6, 3]
+
+
+@pytest.mark.parametrize(
+    "choices",
+    [
+        np.array([0, 1]),  # one row, but 1-d
+        np.zeros((1, 3), dtype=np.int64),  # a column too many
+        np.zeros((1, 2), dtype=np.float64),  # not integer
+        np.zeros((1, 2), dtype=bool),  # not integer
+        [[0, 1]],  # not an array
+        np.array([[2, 0]]),  # agent 0 has 2 slots: flat index 2 is agent 1's slot 0
+        np.array([[-2, 0]]),  # below idle: flat index -2 wraps to agent 1's slot 1
+        np.array([[0, 0], [0, 3]]),  # second row past agent 1's last slot
+    ],
+    ids=["1d", "shape", "float", "bool", "list", "slot-past-k", "below-idle", "own-past-k"],
+)
+def test_local_marginal_block_rejects_bad_slot_matrix_before_charge(choices):
+    p = Partition((2, 3))
+    f = ModularFunction(p, np.arange(1.0, 6.0))
+    budget = MarginalBudget(2)
+    with pytest.raises(InvalidActionError):
+        local_marginal_block(f, 1, choices, budget)
+    assert budget.total() == 0
 
 
 def test_min_gain_vector():
