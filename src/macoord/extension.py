@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ScaleError
 from .ground import (
     ActionId,
     MarginalBudget,
@@ -34,10 +33,8 @@ from .ground import (
     SetFunction,
     local_marginal_block,
     min_gain_vector,
-    slot_row_actions,
 )
 
-EXACT_ENUMERATION_LIMIT = 1_000_000
 QUADRATURE_NODES = 64
 
 
@@ -153,8 +150,9 @@ class SurrogateScheme:
     def adds_min_gain(self) -> bool:
         return self.kind == "submodular"
 
-    def weight(self, z: float) -> float:
-        return math.exp(self.rate * (z - 1.0))
+    def weight(self, z):
+        """w(z) at a scalar or at every entry of an array of nodes."""
+        return np.exp(self.rate * (z - 1.0))
 
     @property
     def weight_integral(self) -> float:
@@ -168,12 +166,6 @@ class SurrogateScheme:
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_search(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(np.cumsum(row), u, side="right")`` for every row (its
-    cumulative masses never decrease); the row length means leftover mass."""
-    return np.count_nonzero(np.cumsum(rows, axis=-1) <= u[..., None], axis=-1)
-
-
 def sample_choices(
     profile: PolicyProfile, u: np.ndarray, scale: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -181,22 +173,27 @@ def sample_choices(
 
     Entry ``[l, j]`` is agent j's slot under half-open cumulative intervals
     of its block, or -1 (idle) when ``u[l, j]`` falls in the leftover mass.
-    Row l samples from the blocks scaled by ``scale[l]`` if given.
+    Row l samples from the blocks scaled by ``scale[l]`` if given.  All
+    agents go through one cumulative sum over the blocks zero-padded to the
+    longest; the padded columns are left out of the count.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != profile.n_agents:
         raise ValueError(f"expected uniforms of shape (L, {profile.n_agents}), got {u.shape}")
-    choices = np.empty(u.shape, dtype=np.int64)
-    for j, block in enumerate(profile.blocks):
-        rows = block if scale is None else np.multiply.outer(scale, block)
-        idx = _cumulative_search(rows, u[:, j])
-        choices[:, j] = np.where(idx < block.size, idx, -1)
-    return choices
+    sizes = np.array(profile.sizes)
+    real = np.arange(sizes.max()) < sizes[:, None]  # (n, k_max)
+    padded = np.zeros(real.shape)
+    padded[real] = profile.flat()
+    if scale is not None:
+        padded = np.multiply.outer(scale, padded)  # (L, n, k_max)
+    hits = np.cumsum(padded, axis=-1) <= u[..., None]
+    idx = np.count_nonzero(hits & real, axis=-1)
+    return np.where(idx < sizes, idx, -1)
 
 
 def sample_distribution_slot(weights: np.ndarray, u: float) -> int:
     """Slot of a full distribution holding u; round-off past the end is the last slot."""
-    return min(int(_cumulative_search(weights, np.asarray(u))), weights.size - 1)
+    return min(int(np.count_nonzero(np.cumsum(weights) <= u)), weights.size - 1)
 
 
 def sample_z(scheme: SurrogateScheme, u: float) -> float:
@@ -209,72 +206,76 @@ def sample_z(scheme: SurrogateScheme, u: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact (enumeration / quadrature) operations
+# exact operations: contractions of the outcome-value tensor
 # ---------------------------------------------------------------------------
 
 
-def _guard_enumeration(sizes: Sequence[int], exclude: Optional[int] = None) -> None:
-    count = 1
-    for i, k in enumerate(sizes):
-        if i == exclude:
-            continue
-        count *= k + 1
-        if count > EXACT_ENUMERATION_LIMIT:
-            raise ScaleError(
-                f"joint outcome space exceeds {EXACT_ENUMERATION_LIMIT}; "
-                "use the Monte-Carlo estimators instead"
-            )
+@functools.cache
+def _gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [0, 1], computed once per count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    zs, ws = 0.5 * (x + 1.0), 0.5 * w
+    zs.flags.writeable = ws.flags.writeable = False
+    return zs, ws
 
 
-def _joint_choices(
-    profile: PolicyProfile, exclude_agent: Optional[int] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every joint outcome of positive probability: a probability vector and
-    the matching ``(N, n)`` slot matrix, with the excluded agent idle.
+_UNSCALED = np.ones(1)  # the single node z = 1: the profile itself
 
-    Outcomes run in depth-first order, agent 0 outermost and each agent's
-    outcomes (idle, then its slots) last-first; a probability is the
-    product in agent order.
+
+def _expectation(table: np.ndarray, blocks: Sequence[np.ndarray], zs: np.ndarray) -> np.ndarray:
+    """Contract the leading axes of ``table``, one per block in order, with
+    the outcome probabilities (idle, then the slots) of ``z * block``.
+
+    Returns ``(len(zs), *trailing axes)``: row q is the expectation of
+    ``table`` when agent j rounds ``zs[q] * blocks[j]``.  Negative round-off
+    mass within :meth:`PolicyProfile.validate`'s tolerance counts as zero.
+    The first step holds ``len(zs)`` times ``table.size / table.shape[0]``
+    entries, the largest intermediate.
     """
-    probs, slots = [], []
-    for i, b in enumerate(profile.blocks):
-        p = np.ones(1) if i == exclude_agent else np.concatenate(([1.0 - float(b.sum())], b))
-        keep = np.flatnonzero(p > 0.0)[::-1]
-        probs.append(p[keep])
-        slots.append(keep - 1)
-    joint = np.meshgrid(*slots, indexing="ij")
-    return (
-        functools.reduce(np.multiply.outer, probs).ravel(),
-        np.stack(joint, axis=-1).reshape(-1, profile.n_agents),
-    )
+    out = table.reshape(1, -1)
+    for block in blocks:
+        scaled = np.multiply.outer(zs, block)
+        idle = 1.0 - scaled.sum(axis=1, keepdims=True)
+        w = np.maximum(np.concatenate((idle, scaled), axis=1), 0.0)  # (len(zs), k + 1)
+        out = np.matmul(w[:, None, :], out.reshape(len(out), w.shape[1], -1))[:, 0]
+    out = np.broadcast_to(out, (len(zs), out.shape[1]))
+    return out.reshape((len(zs),) + table.shape[len(blocks) :])
+
+
+def _checked_blocks(f: SetFunction, profile: PolicyProfile) -> tuple[np.ndarray, ...]:
+    profile.validate()
+    if profile.sizes != f.partition.sizes:
+        raise ValueError(f"profile sizes {profile.sizes} differ from {f.partition.sizes}")
+    return profile.blocks
+
+
+def _gains_at_nodes(
+    f: SetFunction, profile: PolicyProfile, agent: int, zs: np.ndarray
+) -> np.ndarray:
+    """``(len(zs), k_agent)`` exact partials of F at every ``z * profile``.
+
+    dF/dpi_{agent,m} = E[ f(v_{agent,m} | others' samples) ]: the outcome
+    tensor at the agent's slots minus at its idle entry, contracted with
+    every other agent's outcome probabilities.
+    """
+    blocks = _checked_blocks(f, profile)
+    f.partition.check_agent(agent)
+    table = np.moveaxis(f.outcome_values, agent, -1)
+    gains = table[..., 1:] - table[..., :1]
+    return _expectation(gains, blocks[:agent] + blocks[agent + 1 :], zs)
 
 
 def exact_extension(f: SetFunction, profile: PolicyProfile) -> float:
-    """F(pi) by full enumeration of the joint outcome space.
-
-    Guarded by :data:`EXACT_ENUMERATION_LIMIT` on prod_i (size_i + 1).
+    """F(pi): :attr:`SetFunction.outcome_values` contracted with every
+    agent's outcome probabilities (1 - sum pi_i, pi_i).  The tensor is
+    guarded by :meth:`Partition.check_enumerable` on prod_i (size_i + 1).
     """
-    profile.validate()
-    _guard_enumeration(profile.sizes)
-    probs, choices = _joint_choices(profile)
-    total = 0.0
-    for prob, choice in zip(probs.tolist(), choices.tolist()):
-        total += prob * f.value(slot_row_actions(choice))
-    return total
+    return float(_expectation(f.outcome_values, _checked_blocks(f, profile), _UNSCALED)[0])
 
 
 def exact_gradient_block(f: SetFunction, profile: PolicyProfile, agent: int) -> np.ndarray:
-    """Exact partial derivatives of F for one agent's block.
-
-    dF/dpi_{agent,m} = E[ f(v_{agent,m} | other agents' samples) ]: the other
-    agents' joint outcomes form one slot matrix, answered by one batched
-    :meth:`SetFunction.agent_marginals` call and weighted by one dot product
-    with their probabilities.
-    """
-    profile.validate()
-    _guard_enumeration(profile.sizes, exclude=agent)
-    probs, choices = _joint_choices(profile, exclude_agent=agent)
-    return probs @ f.agent_marginals(agent, choices)
+    """Exact partial derivatives of F for one agent's block."""
+    return _gains_at_nodes(f, profile, agent, _UNSCALED)[0]
 
 
 def exact_partial(f: SetFunction, profile: PolicyProfile, a: ActionId) -> float:
@@ -288,11 +289,6 @@ def exact_gradient(f: SetFunction, profile: PolicyProfile) -> list[np.ndarray]:
     return [exact_gradient_block(f, profile, i) for i in range(profile.n_agents)]
 
 
-def _gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def exact_surrogate_gradient_block(
     f: SetFunction,
     profile: PolicyProfile,
@@ -302,17 +298,14 @@ def exact_surrogate_gradient_block(
 ) -> np.ndarray:
     """Quadrature evaluation of one agent's block of the reweighted gradient.
 
-    Gauss-Legendre on [0, 1]; the integrand is smooth (a polynomial in z of
-    degree < |V| times an exponential weight), so 64 nodes are far beyond the
-    accuracy needed at desk scale.  For the submodular scheme the min-gain
-    bonus e^{-1} f(v | V - {v}) is added to every coordinate.
+    Gauss-Legendre on [0, 1], every node in one contraction; the integrand
+    is smooth (a polynomial in z of degree < |V| times an exponential
+    weight), so 64 nodes are far beyond the accuracy needed at desk scale.
+    For the submodular scheme the min-gain bonus e^{-1} f(v | V - {v}) is
+    added to every coordinate.
     """
     zs, ws = _gauss_legendre_01(nodes)
-    grad = np.zeros(profile.sizes[agent], dtype=np.float64)
-    for z, wq in zip(zs, ws):
-        grad += wq * scheme.weight(float(z)) * exact_gradient_block(
-            f, profile.scaled(float(z)), agent
-        )
+    grad = (ws * scheme.weight(zs)) @ _gains_at_nodes(f, profile, agent, zs)
     if scheme.adds_min_gain:
         grad += math.exp(-1.0) * min_gain_vector(f, agent)
     return grad
@@ -347,16 +340,10 @@ def exact_surrogate_value(
     normalized objective.  Gauss-Legendre nodes avoid the endpoint.
     """
     zs, ws = _gauss_legendre_01(nodes)
-    total = 0.0
-    for z, wq in zip(zs, ws):
-        total += wq * scheme.weight(float(z)) / float(z) * exact_extension(
-            f, profile.scaled(float(z))
-        )
+    values = _expectation(f.outcome_values, _checked_blocks(f, profile), zs)
+    total = float((ws * scheme.weight(zs) / zs) @ values)
     if scheme.adds_min_gain:
-        for i in range(profile.n_agents):
-            total += math.exp(-1.0) * float(
-                np.dot(min_gain_vector(f, i), profile.blocks[i])
-            )
+        total += math.exp(-1.0) * float(np.dot(f.min_gains, profile.flat()))
     return total
 
 

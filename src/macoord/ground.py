@@ -10,12 +10,15 @@ gains on their own actions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidActionError
+from .errors import InvalidActionError, ScaleError
+
+EXACT_ENUMERATION_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -55,6 +58,19 @@ class Partition:
     def offsets(self) -> tuple[int, ...]:
         """Flat index of each agent's first action, followed by |V|."""
         return self._offsets
+
+    @property
+    def outcome_shape(self) -> tuple[int, ...]:
+        """Joint outcomes per agent: idle, then each of its slots."""
+        return tuple(k + 1 for k in self.sizes)
+
+    def check_enumerable(self) -> None:
+        """Refuse joint outcome spaces beyond :data:`EXACT_ENUMERATION_LIMIT`."""
+        if math.prod(self.outcome_shape) > EXACT_ENUMERATION_LIMIT:
+            raise ScaleError(
+                f"joint outcome space exceeds {EXACT_ENUMERATION_LIMIT}; "
+                "use the Monte-Carlo estimators instead"
+            )
 
     def check_agent(self, agent: int) -> None:
         if not (0 <= agent < self.n_agents):
@@ -161,11 +177,13 @@ class SetFunction:
     validates the matrix and charges the queries.  The generic
     :meth:`agent_marginals` (two value queries per slot per row) and
     :meth:`compute_min_gains` are the tested references; objectives
-    override them with vectorized versions where it pays off.
+    override them with vectorized versions where it pays off.  The exact
+    (enumeration-scale) layer reads :attr:`outcome_values` instead.
     """
 
     partition: Partition
     _min_gains: Optional[np.ndarray] = None
+    _outcome_values: Optional[np.ndarray] = None
 
     def value(self, actions: Iterable[ActionId]) -> float:
         raise NotImplementedError
@@ -198,6 +216,27 @@ class SetFunction:
             gains.flags.writeable = False
             self._min_gains = gains
         return self._min_gains
+
+    @property
+    def outcome_values(self) -> np.ndarray:
+        """Read-only tensor T of f over every joint outcome, of shape
+        ``partition.outcome_shape``.
+
+        Index 0 on agent i's axis is idle and index m + 1 its slot m, so the
+        rows of a slot matrix read ``T[tuple((choices + 1).T)]``, and C order
+        runs through the selections in ``oracle.feasible_sets`` order.  Like
+        :attr:`min_gains` it is computed on first use, one value query per
+        outcome, and the size guard runs before any query.
+        """
+        if self._outcome_values is None:
+            self.partition.check_enumerable()
+            rows = itertools.product(*(range(-1, k) for k in self.partition.sizes))
+            values = np.array(
+                [self.value(slot_row_actions(row)) for row in rows], dtype=np.float64
+            ).reshape(self.partition.outcome_shape)
+            values.flags.writeable = False
+            self._outcome_values = values
+        return self._outcome_values
 
     def compute_min_gains(self) -> np.ndarray:
         """Reference path for :attr:`min_gains`: two value queries per action."""

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, MacoordError
-from .extension import EXACT_ENUMERATION_LIMIT, SurrogateScheme
-from .ground import Partition
+from .extension import SurrogateScheme
+from .ground import EXACT_ENUMERATION_LIMIT, Partition
 from .learners import (
     GreedyLearner,
     MetaConditionalGradientLearner,
@@ -178,9 +178,7 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
         env = make_environment(env_spec, cfg.seed)
     partition = env.partition
     if cfg.oracle_regret:
-        count = 1
-        for k in partition.sizes:
-            count *= k + 1
+        count = math.prod(partition.outcome_shape)
         if count > EXACT_ENUMERATION_LIMIT:
             raise ConfigError(
                 "oracle regret requested beyond enumeration scale "

@@ -9,6 +9,7 @@ certificates, and approximation-floor audits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import DataError, ScaleError
 from .extension import (
-    EXACT_ENUMERATION_LIMIT,
     PolicyProfile,
     SurrogateScheme,
     exact_extension,
@@ -39,33 +39,23 @@ OBJECTIVES = ("extension", "surrogate", "surrogate+min-gain")
 def feasible_sets(partition: Partition) -> Iterator[FeasibleSet]:
     """All selections with at most one action per agent, lexicographic order
     (None before slot 0 before slot 1, agents nested left to right)."""
-    def rec(agent: int, acc: list[Optional[int]]):
-        if agent == partition.n_agents:
-            yield FeasibleSet(tuple(acc))
-            return
-        for slot in [None] + list(range(partition.sizes[agent])):
-            yield from rec(agent + 1, acc + [slot])
-
-    count = 1
-    for k in partition.sizes:
-        count *= k + 1
-        if count > EXACT_ENUMERATION_LIMIT:
-            raise ScaleError("feasible-set enumeration beyond oracle scale")
-    yield from rec(0, [])
+    partition.check_enumerable()
+    for choice in itertools.product(*([None, *range(k)] for k in partition.sizes)):
+        yield FeasibleSet(choice)
 
 
 def brute_force_opt(f: SetFunction, partition: Partition) -> tuple[FeasibleSet, float]:
-    """Best feasible selection by exhaustive search.
+    """Best feasible selection: the argmax of ``f.outcome_values``.
 
-    Ties go to the lexicographically first selection in the enumeration
-    order of :func:`feasible_sets` (strict improvement required to replace).
+    ``partition`` must be f's own.  Ties go to the first maximum in C order,
+    which is the order of :func:`feasible_sets`.
     """
-    best_set, best_val = None, -math.inf
-    for s in feasible_sets(partition):
-        v = f.value(s.actions())
-        if v > best_val:
-            best_set, best_val = s, v
-    return best_set, float(best_val)
+    if partition != f.partition:
+        raise ValueError(f"partition {partition.sizes} is not the objective's {f.partition.sizes}")
+    values = f.outcome_values
+    best = np.unravel_index(int(np.argmax(values)), values.shape)
+    choice = tuple(None if s == 0 else int(s) - 1 for s in best)
+    return FeasibleSet(choice), float(values[best])
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +355,3 @@ def projected_ascent(
         if move < move_tol:
             break
     return profile
-
-
-# ---------------------------------------------------------------------------
-# vectorized helpers for Monte-Carlo-heavy checks
-# ---------------------------------------------------------------------------
-
-
-def subset_value_table(f: SetFunction) -> np.ndarray:
-    """values[mask] = f of the actions whose flat-index bits are set in mask."""
-    actions = list(f.partition.all_actions())
-    if len(actions) > 20:
-        raise ScaleError("value table is capped at 2^20 entries")
-    return _subset_values(f, actions)
-
-
-def choice_masks(partition: Partition, choices: np.ndarray) -> np.ndarray:
-    """Bitmask over flat indices of each slot-matrix row (-1 is idle), as an
-    index into :func:`subset_value_table`."""
-    choices = np.asarray(choices)
-    flat = np.asarray(partition.offsets[:-1], dtype=np.int64) + choices
-    bits = (choices >= 0).astype(np.int64) << np.maximum(flat, 0)
-    return bits.sum(axis=1)

@@ -35,11 +35,9 @@ from .oracle import (
     approx_ratio_audit,
     brute_force_opt,
     check_stationarity,
-    choice_masks,
     estimate_ratios,
     projected_ascent,
     stationary_point_floor,
-    subset_value_table,
 )
 
 
@@ -71,9 +69,8 @@ def _check_lossless_rounding(seed: int) -> CheckResult:
         f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
         profile = _random_profile(f.partition.sizes, rng)
         exact = exact_extension(f, profile)
-        table = subset_value_table(f)
         u = rng.random((f.partition.n_agents, 40_000)).T  # agent-major draw order
-        draws = table[choice_masks(f.partition, sample_choices(profile, u))]
+        draws = f.outcome_values[tuple((sample_choices(profile, u) + 1).T)]
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         dev = abs(draws.mean() - exact) / max(stderr, 1e-15)
         worst = max(worst, dev)

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from macoord.envs import ModularFunction, synthetic_setfn
+from macoord.envs import FacilityObjective, ModularFunction, coverage_instance, synthetic_setfn
 from macoord.errors import InvalidActionError, ScaleError
 from macoord.extension import (
     PolicyProfile,
@@ -37,6 +39,7 @@ from macoord.ground import (
     local_marginal_block,
     min_gain_vector,
 )
+from macoord.oracle import feasible_sets
 
 
 def random_profile(sizes, rng, lo=0.05, hi=0.95):
@@ -177,6 +180,62 @@ def test_sample_choices_match_scalar_reference():
                 for j, b in enumerate(prof.blocks):
                     block = b if z is None else float(z[l]) * b
                     assert got[l, j] == reference_slot(block, u[l, j])
+
+
+def reference_sample_choices(prof, u, scale=None):
+    """Per-agent loop: one cumulative search of each block in turn."""
+    choices = np.empty(u.shape, dtype=np.int64)
+    for j, block in enumerate(prof.blocks):
+        rows = block if scale is None else np.multiply.outer(scale, block)
+        idx = np.count_nonzero(np.cumsum(rows, axis=-1) <= u[:, j, None], axis=-1)
+        choices[:, j] = np.where(idx < block.size, idx, -1)
+    return choices
+
+
+BLOCK_KINDS = ("zero", "full", "indicator", "partial", "overfull", "negative")
+
+
+def make_block(kind, k, rng):
+    if kind == "zero":
+        return np.zeros(k)  # always idle
+    if kind in ("full", "overfull"):
+        b = rng.random(k) + 1e-3
+        b /= b.sum()  # no idle mass (up to round-off)
+        # overfull: idle mass -5e-10, within validate's tolerance
+        return b * (1.0 + 5e-10) if kind == "overfull" else b
+    if kind == "indicator":
+        b = np.zeros(k)
+        b[rng.integers(k)] = 1.0
+        return b
+    b = rng.random(k) * rng.random() / k
+    if kind == "negative":
+        b[-1] = -5e-10  # round-off below zero, within validate's tolerance
+    return b
+
+
+@st.composite
+def profiles_and_uniforms(draw):
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    kinds = draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=len(sizes), max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prof = PolicyProfile(tuple(make_block(kind, k, rng) for kind, k in zip(kinds, sizes)))
+    u = rng.random((draw(st.integers(0, 30)), len(sizes)))
+    if len(u) >= 2:
+        u[0] = 0.0  # uniforms on the interval boundaries themselves
+        u[1] = [np.cumsum(b)[rng.integers(b.size)] for b in prof.blocks]
+    scale = rng.random(len(u))
+    scale[: min(3, len(u))] = (0.0, 1.0, 0.5)[: min(3, len(u))]
+    return prof, u, scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(profiles_and_uniforms())
+def test_sample_choices_equal_per_agent_loop(case):
+    prof, u, scale = case
+    for z in (None, scale):
+        got = sample_choices(prof, u, z)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, reference_sample_choices(prof, u, z))
 
 
 def test_sample_choices_on_indicator_is_deterministic():
@@ -379,6 +438,137 @@ def test_surrogate_value_gradient_consistency():
             - exact_surrogate_value(f, prof.with_block(a.agent, dn), scheme)
         ) / (2 * h)
         assert grad[a.agent][a.slot] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the contraction against an enumeration reference
+# ---------------------------------------------------------------------------
+
+
+def enumerated_values(f):
+    return {s.choice: f.value(s.actions()) for s in feasible_sets(f.partition)}
+
+
+def outcome_prob(blocks, choice, skip=None):
+    """Probability of one joint outcome; zero for negative round-off mass."""
+    prob = 1.0
+    for j, (b, slot) in enumerate(zip(blocks, choice)):
+        if j != skip:
+            prob *= max(1.0 - float(b.sum()), 0.0) if slot is None else max(float(b[slot]), 0.0)
+    return prob
+
+
+def enumerated_extension(values, blocks):
+    return sum(outcome_prob(blocks, c) * v for c, v in values.items())
+
+
+def enumerated_gradient(values, blocks, agent):
+    grad = np.zeros(blocks[agent].size)
+    for c, v in values.items():
+        if c[agent] is None:
+            prob = outcome_prob(blocks, c, skip=agent)
+            for m in range(grad.size):
+                grad[m] += prob * (values[c[:agent] + (m,) + c[agent + 1 :]] - v)
+    return grad
+
+
+def gauss_legendre_01(nodes=64):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def enumerated_surrogate_gradient(f, values, blocks, scheme, agent):
+    grad = np.zeros(blocks[agent].size)
+    for z, wq in zip(*gauss_legendre_01()):
+        scaled = [z * b for b in blocks]
+        grad += wq * math.exp(scheme.rate * (z - 1.0)) * enumerated_gradient(values, scaled, agent)
+    if scheme.adds_min_gain:
+        grad += math.exp(-1.0) * min_gain_vector(f, agent)
+    return grad
+
+
+def enumerated_surrogate_value(f, values, blocks, scheme):
+    total = 0.0
+    for z, wq in zip(*gauss_legendre_01()):
+        scaled = [z * b for b in blocks]
+        total += wq * math.exp(scheme.rate * (z - 1.0)) / z * enumerated_extension(values, scaled)
+    if scheme.adds_min_gain:
+        for i, b in enumerate(blocks):
+            total += math.exp(-1.0) * float(np.dot(min_gain_vector(f, i), b))
+    return total
+
+
+SCHEMES = (
+    SurrogateScheme.submodular(),
+    SurrogateScheme.weak_dr(0.4),
+    SurrogateScheme.weak_sub(gamma=0.7, beta=1.3),
+)
+
+
+@st.composite
+def exact_cases(draw):
+    kind = draw(
+        st.sampled_from(
+            ("modular", "coverage-random", "concave-of-modular", "coverage-instance", "facility")
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "coverage-instance":
+        n = draw(st.integers(2, 4))
+        f = coverage_instance(n, draw(st.floats(0.01, 1.0)), draw(st.integers(1, n - 1)))
+    else:
+        sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+        if kind == "facility":
+            p = Partition(sizes)
+            f = FacilityObjective(p, rng.uniform(-5, 5, (p.total, 2)), rng.uniform(-5, 5, (2, 2)))
+        else:
+            f = synthetic_setfn(kind, sizes, rng)
+    n = f.partition.n_agents
+    kinds = draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=n, max_size=n))
+    blocks = tuple(make_block(kind, k, rng) for kind, k in zip(kinds, f.partition.sizes))
+    return f, PolicyProfile(blocks), draw(st.integers(0, n - 1)), draw(st.sampled_from(SCHEMES))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(exact_cases())
+def test_contraction_matches_enumeration(case):
+    """Every exact quantity agrees with explicit enumeration to 1e-12,
+    relative to the objective's largest value."""
+    f, prof, agent, scheme = case
+    values = enumerated_values(f)
+    scale = max(max(abs(v) for v in values.values()), 1e-300)
+
+    def close(got, expect):
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * scale)
+
+    close(exact_extension(f, prof), enumerated_extension(values, prof.blocks))
+    close(exact_gradient_block(f, prof, agent), enumerated_gradient(values, prof.blocks, agent))
+    close(
+        exact_surrogate_gradient_block(f, prof, scheme, agent),
+        enumerated_surrogate_gradient(f, values, prof.blocks, scheme, agent),
+    )
+    close(
+        exact_surrogate_value(f, prof, scheme),
+        enumerated_surrogate_value(f, values, prof.blocks, scheme),
+    )
+
+
+def test_exact_layer_rejects_mismatched_profiles():
+    f = synthetic_setfn("coverage-random", (2, 2), np.random.default_rng(3))
+    scheme = SurrogateScheme.submodular()
+    wrong = PolicyProfile.uniform(Partition((2, 3)))
+    bad = PolicyProfile((np.array([0.7, 0.7]), np.zeros(2)))
+    for prof in (wrong, bad):
+        for call in (
+            lambda: exact_extension(f, prof),
+            lambda: exact_gradient_block(f, prof, 0),
+            lambda: exact_surrogate_gradient_block(f, prof, scheme, 0),
+            lambda: exact_surrogate_value(f, prof, scheme),
+        ):
+            with pytest.raises(ValueError):
+                call()
+    with pytest.raises(InvalidActionError):
+        exact_gradient_block(f, PolicyProfile.uniform(f.partition), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,11 @@ from macoord.oracle import (
     approx_ratio_audit,
     brute_force_opt,
     check_stationarity,
-    choice_masks,
     estimate_ratios,
     feasible_sets,
     floor_variants,
     projected_ascent,
     stationary_point_floor,
-    subset_value_table,
 )
 
 
@@ -87,6 +85,31 @@ def test_brute_force_opt_tie_breaks_lexicographically():
     opt_set, opt = brute_force_opt(f, p)
     assert opt == 0.0
     assert opt_set.choice == (None, None)
+
+
+def test_brute_force_opt_ties_away_from_empty_set():
+    p = Partition((2, 2))
+    opt_set, opt = brute_force_opt(ModularFunction(p, np.array([1.0, 1.0, 0.5, 0.5])), p)
+    assert (opt_set.choice, opt) == ((0, 0), 1.5)
+    # against the first strict improvement in enumeration order, on
+    # 0/1 weights, where many selections tie
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        sizes = tuple(int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 4))))
+        part = Partition(sizes)
+        f = ModularFunction(part, rng.integers(0, 2, part.total).astype(float))
+        best_set, best = None, -math.inf
+        for s in feasible_sets(part):
+            v = f.value(s.actions())
+            if v > best:
+                best_set, best = s, v
+        assert brute_force_opt(f, part) == (best_set, best)
+
+
+def test_brute_force_opt_rejects_foreign_partition():
+    f = ModularFunction(Partition((2, 2)), np.ones(4))
+    with pytest.raises(ValueError):
+        brute_force_opt(f, Partition((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,58 +338,66 @@ def test_projected_ascent_stays_at_trap_vertex():
 
 
 # ---------------------------------------------------------------------------
-# value tables and selection masks
+# outcome-value tensor
 # ---------------------------------------------------------------------------
 
 
-def test_subset_value_table_matches_direct_queries():
+def test_outcome_values_match_direct_queries():
     rng = np.random.default_rng(4)
-    f = synthetic_setfn("coverage-random", (2, 2), rng)
-    table = subset_value_table(f)
-    actions = list(f.partition.all_actions())
-    assert table.size == 16
-    for mask in range(16):
-        members = [actions[b] for b in range(4) if mask >> b & 1]
-        assert table[mask] == pytest.approx(f.value(members), abs=1e-12)
+    f = synthetic_setfn("coverage-random", (2, 3), rng)
+    table = f.outcome_values
+    assert table.shape == (3, 4)
+    assert not table.flags.writeable
+    assert f.outcome_values is table  # computed once per objective
+    for s, value in zip(feasible_sets(f.partition), table.ravel()):
+        assert value == f.value(s.actions())
 
 
-def test_subset_value_table_scale_guard():
-    p = Partition((11, 10))
-    f = ModularFunction(p, np.ones(21))
+class _CountingModular(ModularFunction):
+    def __init__(self, partition):
+        super().__init__(partition, np.ones(partition.total))
+        self.queries = 0
+
+    def value(self, actions):
+        self.queries += 1
+        return super().value(actions)
+
+
+def test_outcome_values_scale_guard():
+    f = _CountingModular(Partition((9,) * 7))  # 10^7 joint outcomes
     with pytest.raises(ScaleError):
-        subset_value_table(f)
+        f.outcome_values
+    with pytest.raises(ScaleError):
+        exact_extension(f, PolicyProfile.uniform(f.partition))
+    assert f.queries == 0
 
 
-def test_choice_masks_set_one_bit_per_chosen_action():
-    p = Partition((2, 3))
+def test_slot_rows_index_outcome_values():
+    rng = np.random.default_rng(9)
+    f = synthetic_setfn("coverage-random", (2, 3), rng)
     choices = np.array([[1, 2], [-1, 0], [0, -1], [-1, -1]])
-    expect = [(1 << 1) | (1 << (2 + 2)), 1 << 2, 1 << 0, 0]
-    assert choice_masks(p, choices).tolist() == expect
+    got = f.outcome_values[tuple((choices + 1).T)]
+    for row, value in zip(choices.tolist(), got):
+        assert value == f.value([ActionId(j, s) for j, s in enumerate(row) if s >= 0])
 
 
-def test_choice_masks_indicator_is_deterministic():
+def test_outcome_values_at_indicator_draws_are_constant():
     p = Partition((2, 3))
+    f = ModularFunction(p, np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
     prof = indicator_profile(FeasibleSet((1, 2)), p)
-    masks = choice_masks(p, sample_choices(prof, np.random.default_rng(5).random((64, 2))))
-    expect = (1 << 1) | (1 << (2 + 2))
-    assert np.all(masks == expect)
+    choices = sample_choices(prof, np.random.default_rng(5).random((64, 2)))
+    assert np.all(f.outcome_values[tuple((choices + 1).T)] == 2.0 + 16.0)
 
 
-def test_choice_masks_frequencies():
+def test_outcome_values_at_draws_reproduce_extension():
     p = Partition((2,))
-    prof = PolicyProfile((np.array([0.3, 0.4]),))
+    prof = PolicyProfile((np.array([0.3, 0.4]),))  # leftover 0.3 idles
+    f = ModularFunction(p, np.array([1.0, 2.0]))
     trials = 20_000
     choices = sample_choices(prof, np.random.default_rng(6).random((trials, 1)))
-    masks = choice_masks(p, choices)
-    for flat, prob in ((0, 0.3), (1, 0.4)):
-        hit = ((masks >> flat) & 1).mean()
-        sigma = math.sqrt(prob * (1 - prob) / trials)
-        assert abs(hit - prob) < 4 * sigma
-    # idle mass: no bit set
-    idle = (masks == 0).mean()
-    assert abs(idle - 0.3) < 4 * math.sqrt(0.3 * 0.7 / trials)
-    # a mask-weighted average reproduces the exact multilinear extension
-    f = ModularFunction(p, np.array([1.0, 2.0]))
-    table = subset_value_table(f)
-    mc = table[masks].mean()
-    assert mc == pytest.approx(exact_extension(f, prof), abs=0.02)
+    draws = f.outcome_values[tuple((choices + 1).T)]
+    for value, prob in ((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)):
+        hit = (draws == value).mean()
+        assert abs(hit - prob) < 4 * math.sqrt(prob * (1 - prob) / trials)
+    # a value-weighted average reproduces the exact multilinear extension
+    assert draws.mean() == pytest.approx(exact_extension(f, prof), abs=0.02)
