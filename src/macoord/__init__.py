@@ -23,7 +23,6 @@ from .extension import (
     estimate_surrogate_gradient,
     exact_extension,
     exact_gradient,
-    exact_partial,
     exact_surrogate_gradient,
     exact_surrogate_value,
     sample_choices,
@@ -31,7 +30,6 @@ from .extension import (
 )
 from .geometry import indicator_profile, normalize_policy, project_capped_simplex
 from .ground import (
-    ActionId,
     FeasibleSet,
     MarginalBudget,
     Partition,

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ScaleError
-from .ground import ActionId, FeasibleSet, Partition, SetFunction, as_action_set
+from .ground import FeasibleSet, Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
 DISTANCE_FLOOR = 1e-3
@@ -35,6 +35,7 @@ ADVERSARIAL_TRIGGER_RADIUS = 20.0
 EVADE_SPEED = 15.0
 EVADE_CANDIDATE_HEADINGS = 16
 SYNTHETIC_MAX_ACTIONS = 12
+VALUE_BLOCK = 1 << 20  # floats per masked block of FacilityObjective.value
 
 DEFAULT_HEADINGS = 8
 FACILITY_SPEEDS = (5.0, 10.0, 15.0)
@@ -61,15 +62,8 @@ class ModularFunction(SetFunction):
         self.partition = partition
         self.weights = weights
 
-    def value(self, actions: Iterable[ActionId]) -> float:
-        rows = [self.partition.flat_index(a) for a in as_action_set(actions)]
-        return float(self.weights[rows].sum())
-
-    def marginal(self, a: ActionId, context: Iterable[ActionId]) -> float:
-        ctx = as_action_set(context)
-        if a in ctx:
-            return 0.0
-        return float(self.weights[self.partition.flat_index(a)])
+    def value(self, members: np.ndarray) -> np.ndarray:
+        return members @ self.weights
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
         lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
@@ -88,9 +82,8 @@ class SqrtModularFunction(SetFunction):
         self.partition = partition
         self.weights = weights
 
-    def value(self, actions: Iterable[ActionId]) -> float:
-        rows = [self.partition.flat_index(a) for a in as_action_set(actions)]
-        return float(math.sqrt(self.weights[rows].sum()))
+    def value(self, members: np.ndarray) -> np.ndarray:
+        return np.sqrt(members @ self.weights)
 
 
 class WeightedCoverage(SetFunction):
@@ -109,9 +102,9 @@ class WeightedCoverage(SetFunction):
         self.masks = masks
         self.element_weights = weights
 
-    def value(self, actions: Iterable[ActionId]) -> float:
-        rows = [self.partition.flat_index(a) for a in as_action_set(actions)]
-        return float(self.element_weights[self.masks[rows].any(axis=0)].sum())
+    def value(self, members: np.ndarray) -> np.ndarray:
+        covered = members @ self.masks  # boolean matmul: OR of the masks, (L, universe)
+        return np.where(covered, self.element_weights, 0.0).sum(axis=1)
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
         idx, present = self.partition.context_index(choices, agent)
@@ -136,8 +129,8 @@ def coverage_instance(n: int, epsilon: float, k: int) -> WeightedCoverage:
         raise ConfigError("coverage instance needs n >= 2 agents")
     if not (1 <= k <= n - 1):
         raise ConfigError(f"coverage instance needs 1 <= k <= n-1, got k={k}")
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
     n_x, n_y, n_eps = n - 1, n - k, n - 1
     universe = n_x + n_y + n_eps
     x0, y0, e0 = 0, n_x, n_x + n_y
@@ -146,11 +139,11 @@ def coverage_instance(n: int, epsilon: float, k: int) -> WeightedCoverage:
     )
     partition = Partition((2,) * n)
     masks = np.zeros((partition.total, universe), dtype=bool)
-    for i in range(n - 1):
-        masks[partition.flat_index(ActionId(i, 0)), e0 + i] = True
-        masks[partition.flat_index(ActionId(i, 1)), x0 + i] = True
-    masks[partition.flat_index(ActionId(n - 1, 0)), x0 : x0 + n_x] = True
-    masks[partition.flat_index(ActionId(n - 1, 1)), y0 : y0 + n_y] = True
+    for i in range(n - 1):  # agent i's slot m has flat index 2i + m
+        masks[2 * i, e0 + i] = True
+        masks[2 * i + 1, x0 + i] = True
+    masks[2 * (n - 1), x0 : x0 + n_x] = True
+    masks[2 * (n - 1) + 1, y0 : y0 + n_y] = True
     return WeightedCoverage(partition, masks, weights)
 
 
@@ -342,9 +335,15 @@ class FacilityObjective(SetFunction):
         )
         self.reward = 1.0 / np.maximum(dists, floor)  # (actions, targets)
 
-    def value(self, actions: Iterable[ActionId]) -> float:
-        rows = [self.partition.flat_index(a) for a in as_action_set(actions)]
-        return float(self.reward[rows].max(axis=0, initial=0.0).sum())
+    def value(self, members: np.ndarray) -> np.ndarray:
+        # rewards are positive, so a non-member's zero is the empty max; the
+        # rows go in blocks that keep the masked rewards under VALUE_BLOCK
+        out = np.empty(len(members))
+        step = max(1, VALUE_BLOCK // self.reward.size)
+        for lo in range(0, len(members), step):
+            masked = np.where(members[lo : lo + step, :, None], self.reward, 0.0)
+            out[lo : lo + step] = masked.max(axis=1).sum(axis=1)
+        return out
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
         idx, present = self.partition.context_index(choices, agent)
@@ -405,19 +404,11 @@ class TrackingGainObjective(SetFunction):
         det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
         return (m[..., 0, 0] + m[..., 1, 1]) / det
 
-    def _posterior_info(self, actions: frozenset[ActionId]) -> np.ndarray:
-        total = np.broadcast_to(
-            self.prior_info, (self.info.shape[1], 2, 2)
-        ).copy()
-        for a in actions:
-            total += self.info[self.partition.flat_index(a)]
-        return total
-
-    def value(self, actions: Iterable[ActionId]) -> float:
-        actions = as_action_set(actions)
+    def value(self, members: np.ndarray) -> np.ndarray:
         n_targets = self.info.shape[1]
-        posterior = self._inv_trace(self._posterior_info(actions)).sum()
-        return float(n_targets - posterior / self.prior_trace)
+        gathered = (members @ self.info.reshape(len(self.info), -1)).reshape(-1, n_targets, 2, 2)
+        posterior = self._inv_trace(self.prior_info + gathered).sum(axis=1)
+        return n_targets - posterior / self.prior_trace
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
         idx, present = self.partition.context_index(choices, agent)
@@ -584,6 +575,13 @@ class OrbitingTargetsEnvironment:
         self.cycles = float(config.get("drift_cycles", 1.0))
         self.radius = float(config.get("radius", 4.0))
         self.target_radius = float(config.get("target_radius", 0.625 * self.radius))
+        for name, x in (
+            ("drift_cycles", self.cycles),
+            ("radius", self.radius),
+            ("target_radius", self.target_radius),
+        ):
+            if not math.isfinite(x):
+                raise ConfigError(f"orbiting-targets {name} must be finite, got {x}")
         self.partition = Partition((slots,) * n_agents)
         total = self.partition.total
         angles = 2.0 * math.pi * np.arange(total) / total

@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ground import (
-    ActionId,
     MarginalBudget,
     Partition,
     SetFunction,
@@ -79,11 +78,6 @@ class PolicyProfile:
                 raise ValueError(f"block {i} has negative mass {b.min()}")
             if b.sum() > 1.0 + atol:
                 raise ValueError(f"block {i} carries total mass {b.sum()} > 1")
-
-    def scaled(self, z: float) -> "PolicyProfile":
-        if not (0.0 <= z <= 1.0):
-            raise ValueError(f"scale {z} outside [0, 1]")
-        return PolicyProfile(tuple(z * b for b in self.blocks))
 
     def with_block(self, agent: int, block: np.ndarray) -> "PolicyProfile":
         new = list(self.blocks)
@@ -276,12 +270,6 @@ def exact_extension(f: SetFunction, profile: PolicyProfile) -> float:
 def exact_gradient_block(f: SetFunction, profile: PolicyProfile, agent: int) -> np.ndarray:
     """Exact partial derivatives of F for one agent's block."""
     return _gains_at_nodes(f, profile, agent, _UNSCALED)[0]
-
-
-def exact_partial(f: SetFunction, profile: PolicyProfile, a: ActionId) -> float:
-    """Exact partial derivative of F along one coordinate."""
-    f.partition.validate(a)
-    return float(exact_gradient_block(f, profile, a.agent)[a.slot])
 
 
 def exact_gradient(f: SetFunction, profile: PolicyProfile) -> list[np.ndarray]:

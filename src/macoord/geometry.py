@@ -6,12 +6,10 @@ The feasible region of one agent's block is the capped simplex
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .extension import PolicyProfile
-from .ground import ActionId, FeasibleSet, Partition, as_action_set
+from .ground import FeasibleSet, Partition
 
 NORMALIZE_FLOOR = 1e-12
 
@@ -49,12 +47,8 @@ def normalize_policy(x: np.ndarray) -> np.ndarray:
     return x / total
 
 
-def indicator_profile(
-    selection: "FeasibleSet | Iterable[ActionId]", partition: Partition
-) -> PolicyProfile:
+def indicator_profile(selection: FeasibleSet, partition: Partition) -> PolicyProfile:
     """Deterministic profile putting mass 1 on each selected action."""
-    if not isinstance(selection, FeasibleSet):
-        selection = FeasibleSet.from_actions(partition, as_action_set(selection))
     if len(selection.choice) != partition.n_agents:
         raise ValueError("selection and partition disagree on the number of agents")
     blocks = []

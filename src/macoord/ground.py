@@ -1,10 +1,21 @@
 """Partitioned ground sets and the marginal-gain oracle interface.
 
 The ground set V is a disjoint union of per-agent action sets V_1, ..., V_n;
-agent i owns ``sizes[i]`` actions addressed as ``ActionId(agent=i, slot=m)``.
-A feasible selection picks at most one action per agent.  Objectives are
-monotone normalized set functions exposed to learners only through marginal
-gains on their own actions.
+agent i owns ``sizes[i]`` actions, and slot m of agent i has flat index
+``offsets[i] + m`` (agent-major, slot-minor).  Sets are handled in two array
+forms only:
+
+* a slot matrix, ``(L, n)`` ints, one selection per row with entry ``[l, i]``
+  agent i's chosen slot or -1 for idle -- at most one action per agent, the
+  form of samples, contexts and the outcome tensor;
+* membership rows, ``(L, |V|)`` bools, one arbitrary subset of V per row in
+  flat order -- the form :meth:`SetFunction.value` evaluates, since the
+  min-gain vector and the structure ratios need subsets holding several
+  actions of one agent.  :meth:`Partition.members` converts the first form to
+  the second.
+
+Objectives are monotone normalized set functions exposed to learners only
+through marginal gains on their own actions.
 """
 
 from __future__ import annotations
@@ -12,21 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidActionError, ScaleError
 
 EXACT_ENUMERATION_LIMIT = 1_000_000
-
-
-@dataclass(frozen=True, order=True)
-class ActionId:
-    """Identifier of a single action: slot ``slot`` of agent ``agent``."""
-
-    agent: int
-    slot: int
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,9 @@ class Partition:
         object.__setattr__(self, "sizes", sizes)
         offsets = (0,) + tuple(itertools.accumulate(sizes))
         object.__setattr__(self, "_offsets", offsets)
+        # array forms for the per-call checks and conversions
+        object.__setattr__(self, "_sizes", np.array(sizes))
+        object.__setattr__(self, "_starts", np.array(offsets[:-1]))
 
     @property
     def n_agents(self) -> int:
@@ -82,10 +88,10 @@ class Partition:
             isinstance(choices, np.ndarray)
             and choices.ndim == 2
             and choices.shape[1] == self.n_agents
-            and np.issubdtype(choices.dtype, np.integer)
+            and choices.dtype.kind in "iu"  # signed or unsigned integer
         ):
             raise InvalidActionError(f"expected an int slot matrix of shape (L, {self.n_agents})")
-        if choices.size and ((choices < -1).any() or (choices >= self.sizes).any()):
+        if choices.size and ((choices < -1) | (choices >= self._sizes)).any():
             raise InvalidActionError(f"slot matrix entry outside [-1, k) for sizes {self.sizes}")
 
     def context_index(self, choices: np.ndarray, agent: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,32 +100,16 @@ class Partition:
         absent entry's index is a valid placeholder, 0."""
         present = choices >= 0
         present[:, agent] = False
-        return np.where(present, choices + self._offsets[:-1], 0), present
+        return np.where(present, choices + self._starts, 0), present
 
-    def validate(self, a: ActionId) -> None:
-        if not (0 <= a.agent < self.n_agents) or not (0 <= a.slot < self.sizes[a.agent]):
-            raise InvalidActionError(f"{a} outside partition with sizes {self.sizes}")
-
-    def flat_index(self, a: ActionId) -> int:
-        """Position of ``a`` in the flat enumeration (agent-major, slot-minor)."""
-        self.validate(a)
-        return self._offsets[a.agent] + a.slot
-
-    def from_flat(self, idx: int) -> ActionId:
-        """Inverse of :meth:`flat_index`."""
-        if not (0 <= idx < self.total):
-            raise InvalidActionError(f"flat index {idx} out of range [0, {self.total})")
-        agent = int(np.searchsorted(self._offsets, idx, side="right")) - 1
-        return ActionId(agent, idx - self._offsets[agent])
-
-    def agent_actions(self, agent: int) -> tuple[ActionId, ...]:
-        self.check_agent(agent)
-        return tuple(ActionId(agent, m) for m in range(self.sizes[agent]))
-
-    def all_actions(self) -> Iterator[ActionId]:
-        for i, k in enumerate(self.sizes):
-            for m in range(k):
-                yield ActionId(i, m)
+    def members(self, choices: np.ndarray) -> np.ndarray:
+        """``(L, |V|)`` bool membership rows of an ``(L, n)`` slot matrix: row l
+        sets the flat index of every chosen entry of ``choices[l]``."""
+        self.check_choices(choices)
+        present = choices >= 0
+        out = np.zeros((len(choices), self.total), dtype=bool)
+        out[np.nonzero(present)[0], (choices + self._starts)[present]] = True
+        return out
 
 
 @dataclass(frozen=True)
@@ -132,77 +122,52 @@ class FeasibleSet:
     def empty(n_agents: int) -> "FeasibleSet":
         return FeasibleSet((None,) * n_agents)
 
-    @staticmethod
-    def from_actions(partition: Partition, actions: Iterable[ActionId]) -> "FeasibleSet":
-        choice: list[Optional[int]] = [None] * partition.n_agents
-        for a in actions:
-            partition.validate(a)
-            if choice[a.agent] is not None:
-                raise InvalidActionError(f"agent {a.agent} selected twice")
-            choice[a.agent] = a.slot
-        return FeasibleSet(tuple(choice))
-
-    def actions(self) -> tuple[ActionId, ...]:
-        return tuple(ActionId(i, m) for i, m in enumerate(self.choice) if m is not None)
-
-    def as_set(self) -> frozenset[ActionId]:
-        return frozenset(self.actions())
-
     def size(self) -> int:
         return sum(1 for m in self.choice if m is not None)
-
-
-def as_action_set(context: "FeasibleSet | Iterable[ActionId]") -> frozenset[ActionId]:
-    """Canonicalize a context (FeasibleSet or iterable of actions) to a frozenset."""
-    if isinstance(context, FeasibleSet):
-        return context.as_set()
-    return frozenset(context)
-
-
-def slot_row_actions(choice: Sequence[int], skip: Optional[int] = None) -> frozenset[ActionId]:
-    """Actions chosen by one slot-matrix row (-1 is idle), leaving out agent ``skip``."""
-    return frozenset(ActionId(j, s) for j, s in enumerate(choice) if s >= 0 and j != skip)
 
 
 class SetFunction:
     """Monotone normalized objective over a partitioned ground set.
 
     Subclasses set ``partition``, implement :meth:`value`, and must not
-    change after their constructor.  The marginal oracle is
-    :meth:`agent_marginals`: it takes an ``(L, n)`` int slot matrix, one
-    context per row, where entry ``[l, j]`` is agent j's chosen slot or -1
-    for idle, and the querying agent's own column is ignored.  It returns
-    the ``(L, k_agent)`` gains of every one of the agent's actions against
-    every row.  Callers go through :func:`local_marginal_block`, which
-    validates the matrix and charges the queries.  The generic
-    :meth:`agent_marginals` (two value queries per slot per row) and
-    :meth:`compute_min_gains` are the tested references; objectives
-    override them with vectorized versions where it pays off.  The exact
-    (enumeration-scale) layer reads :attr:`outcome_values` instead.
+    change after their constructor.  ``value`` takes an ``(L, |V|)`` bool
+    membership matrix, row l one subset of V in flat order (any subset: rows
+    may hold several actions of one agent, or none), and returns the
+    ``(L,)`` float64 values, one vectorized pass for all rows.  Its
+    intermediates should stay linear in L times the larger of |V| and the
+    objective's own width (targets, universe), since :attr:`outcome_values`
+    asks for up to :data:`EXACT_ENUMERATION_LIMIT` rows at once.
+
+    The marginal oracle is :meth:`agent_marginals`: it takes an ``(L, n)``
+    int slot matrix, one context per row, where the querying agent's own
+    column is ignored, and returns the ``(L, k_agent)`` gains of every one of
+    the agent's actions against every row.  Callers go through
+    :func:`local_marginal_block`, which validates the matrix and charges the
+    queries.  The generic :meth:`agent_marginals` and
+    :meth:`compute_min_gains` (one ``value`` call each) are the tested
+    references; objectives may override them with direct batched forms.
+    The exact (enumeration-scale) layer reads :attr:`outcome_values`.
     """
 
     partition: Partition
     _min_gains: Optional[np.ndarray] = None
     _outcome_values: Optional[np.ndarray] = None
 
-    def value(self, actions: Iterable[ActionId]) -> float:
+    def value(self, members: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def marginal(self, a: ActionId, context: Iterable[ActionId]) -> float:
-        """Gain of adding ``a`` to ``context``; zero if ``a`` already present."""
-        ctx = as_action_set(context)
-        if a in ctx:
-            return 0.0
-        return self.value(ctx | {a}) - self.value(ctx)
-
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
-        """Gains of every action of ``agent`` against every slot-matrix row."""
-        out = np.empty((len(choices), self.partition.sizes[agent]), dtype=np.float64)
-        for row, choice in zip(out, np.asarray(choices).tolist()):
-            ctx = slot_row_actions(choice, skip=agent)
-            for m in range(row.size):
-                row[m] = self.marginal(ActionId(agent, m), ctx)
-        return out
+        """Gains of every action of ``agent`` against every slot-matrix row:
+        the value of each row with the agent idle, and of that row plus each
+        one of its slots, all in one :meth:`value` call."""
+        lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
+        base = np.array(choices)
+        base[:, agent] = -1
+        rows = self.partition.members(base)
+        added = np.repeat(rows, hi - lo, axis=0)  # row l * k + m: row l plus slot m
+        added[np.arange(len(added)), np.tile(np.arange(lo, hi), len(rows))] = True
+        values = self.value(np.concatenate((rows, added)))
+        return values[len(rows) :].reshape(len(rows), hi - lo) - values[: len(rows), None]
 
     @property
     def min_gains(self) -> np.ndarray:
@@ -225,26 +190,24 @@ class SetFunction:
         Index 0 on agent i's axis is idle and index m + 1 its slot m, so the
         rows of a slot matrix read ``T[tuple((choices + 1).T)]``, and C order
         runs through the selections in ``oracle.feasible_sets`` order.  Like
-        :attr:`min_gains` it is computed on first use, one value query per
-        outcome, and the size guard runs before any query.
+        :attr:`min_gains` it is computed on first use, in one :meth:`value`
+        call over every outcome, and the size guard runs before it.
         """
         if self._outcome_values is None:
             self.partition.check_enumerable()
-            rows = itertools.product(*(range(-1, k) for k in self.partition.sizes))
-            values = np.array(
-                [self.value(slot_row_actions(row)) for row in rows], dtype=np.float64
-            ).reshape(self.partition.outcome_shape)
+            shape = self.partition.outcome_shape
+            choices = np.indices(shape).reshape(len(shape), -1).T - 1
+            values = self.value(self.partition.members(choices)).reshape(shape)
             values.flags.writeable = False
             self._outcome_values = values
         return self._outcome_values
 
     def compute_min_gains(self) -> np.ndarray:
-        """Reference path for :attr:`min_gains`: two value queries per action."""
-        everything = frozenset(self.partition.all_actions())
-        return np.array(
-            [self.marginal(a, everything - {a}) for a in self.partition.all_actions()],
-            dtype=np.float64,
-        )
+        """Reference path for :attr:`min_gains`: f(V) minus f(V - {v}) for
+        every v, in one :meth:`value` call."""
+        total = self.partition.total
+        values = self.value(np.vstack((np.ones(total, dtype=bool), ~np.eye(total, dtype=bool))))
+        return values[0] - values[1:]
 
 
 class MarginalBudget:

@@ -193,7 +193,8 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
     for t in range(1, cfg.horizon + 1):
         f = env.begin_round(t)
         chosen = learner.round(f, t)
-        utility = float(f.value(chosen.actions()))
+        slots = np.array([[-1 if m is None else m for m in chosen.choice]])
+        utility = float(f.value(partition.members(slots))[0])
         opt: Optional[float] = None
         regret: Optional[float] = None
         if cfg.oracle_regret:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -21,10 +20,12 @@ ERDOS_RENYI_MAX_RETRIES = 1000
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Undirected simple graph on agents 0..n-1."""
+    """Undirected simple graph on agents 0..n-1.  Any iterable of pairs is
+    accepted as ``edges`` and stored as the sorted tuple of distinct (u, v),
+    u < v."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -36,26 +37,26 @@ class CommGraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise TopologyError(f"edge ({u}, {v}) out of range")
             canon.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(canon))
-        adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted({v for (a, v) in _directed(self.edges) if a == u}))
-            for u in range(self.n)
-        )
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
 
     @staticmethod
     def complete(n: int) -> "CommGraph":
-        return CommGraph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+        return CommGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
     @staticmethod
     def path(n: int) -> "CommGraph":
-        return CommGraph(n, frozenset((i, i + 1) for i in range(n - 1)))
+        return CommGraph(n, [(i, i + 1) for i in range(n - 1)])
 
     @staticmethod
     def cycle(n: int) -> "CommGraph":
         if n < 3:
             raise TopologyError("cycle needs at least 3 nodes")
-        return CommGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+        return CommGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adj[i]
@@ -73,12 +74,6 @@ class CommGraph:
                     seen.add(v)
                     queue.append(v)
         return len(seen) == self.n
-
-
-def _directed(edges: Iterable[tuple[int, int]]):
-    for u, v in edges:
-        yield u, v
-        yield v, u
 
 
 def metropolis_weights(g: CommGraph) -> np.ndarray:
@@ -141,10 +136,7 @@ def erdos_renyi(
         raise TopologyError(f"average degree {avg_degree} infeasible for n={n}")
     for _ in range(max_retries):
         mask = rng.random((n, n)) < p
-        edges = frozenset(
-            (i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]
-        )
-        g = CommGraph(n, edges)
+        g = CommGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]])
         if g.is_connected():
             return g
     raise TopologyError(
@@ -166,8 +158,7 @@ def graph_from_spec(spec: dict, n: int) -> CommGraph:
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6E6574)))
         return erdos_renyi(n, float(spec.get("avg_degree", 4)), rng)
     if kind == "explicit":
-        edges = frozenset((int(u), int(v)) for u, v in spec["edges"])
-        g = CommGraph(n, edges)
+        g = CommGraph(n, [(int(u), int(v)) for u, v in spec["edges"]])
         if not g.is_connected():
             raise TopologyError("explicit graph is disconnected")
         return g

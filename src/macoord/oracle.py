@@ -25,7 +25,7 @@ from .extension import (
     exact_surrogate_gradient,
 )
 from .geometry import project_capped_simplex
-from .ground import ActionId, FeasibleSet, Partition, SetFunction
+from .ground import FeasibleSet, Partition, SetFunction
 
 RATIO_MAX_ACTIONS = 12
 STATIONARITY_TOL = 1e-6
@@ -79,12 +79,11 @@ class RatioReport:
     upper_ratio: float
 
 
-def _subset_values(f: SetFunction, actions: list[ActionId]) -> np.ndarray:
-    values = np.empty(1 << len(actions), dtype=np.float64)
-    for mask in range(values.size):
-        members = [actions[b] for b in range(len(actions)) if mask >> b & 1]
-        values[mask] = f.value(members)
-    return values
+def _subset_values(f: SetFunction) -> np.ndarray:
+    """f at every subset of V, indexed by its bitmask over the flat order."""
+    kappa = f.partition.total
+    masks = np.arange(1 << kappa)[:, None] >> np.arange(kappa) & 1
+    return f.value(masks.astype(bool))
 
 
 def estimate_ratios(f: SetFunction, zero_tol: float = 1e-12) -> RatioReport:
@@ -94,11 +93,10 @@ def estimate_ratios(f: SetFunction, zero_tol: float = 1e-12) -> RatioReport:
     exactly the pairs where the defining constraint binds vacuously.
     Exponential in the number of actions; guarded at 12.
     """
-    actions = list(f.partition.all_actions())
-    kappa = len(actions)
+    kappa = f.partition.total
     if kappa > RATIO_MAX_ACTIONS:
         raise ScaleError(f"ratio estimation is capped at {RATIO_MAX_ACTIONS} actions")
-    values = _subset_values(f, actions)
+    values = _subset_values(f)
     full = (1 << kappa) - 1
 
     singleton = np.array([values[1 << b] - values[0] for b in range(kappa)])

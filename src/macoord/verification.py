@@ -22,12 +22,12 @@ from .extension import (
     SurrogateScheme,
     exact_extension,
     exact_gradient,
-    exact_partial,
+    exact_gradient_block,
     sample_choices,
     sample_z,
 )
 from .geometry import indicator_profile, project_capped_simplex
-from .ground import ActionId, FeasibleSet
+from .ground import FeasibleSet
 from .harness import RunConfig, export_csv, run_experiment
 from .learners import MetaConditionalGradientLearner, PolicyConsensusLearner
 from .network import CommGraph, diameter, erdos_renyi, metropolis_weights, spectral_gap
@@ -87,12 +87,13 @@ def _check_gradient_fd(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(10):
         profile = _random_profile(f.partition.sizes, rng, interior=True)
-        a = ActionId(int(rng.integers(3)), 0)
-        h = 1e-5
-        up = profile.with_block(a.agent, profile.blocks[a.agent] + _eh(profile, a, h))
-        dn = profile.with_block(a.agent, profile.blocks[a.agent] - _eh(profile, a, h))
+        agent, h = int(rng.integers(3)), 1e-5
+        step = np.zeros(profile.sizes[agent])
+        step[0] = h  # along the agent's slot 0
+        up = profile.with_block(agent, profile.blocks[agent] + step)
+        dn = profile.with_block(agent, profile.blocks[agent] - step)
         fd = (exact_extension(f, up) - exact_extension(f, dn)) / (2 * h)
-        ex = exact_partial(f, profile, a)
+        ex = exact_gradient_block(f, profile, agent)[0]
         worst = max(worst, abs(fd - ex) / max(abs(ex), 1e-12))
     return CheckResult(
         "gradient-finite-difference",
@@ -101,32 +102,23 @@ def _check_gradient_fd(seed: int) -> CheckResult:
     )
 
 
-def _eh(profile: PolicyProfile, a: ActionId, h: float) -> np.ndarray:
-    e = np.zeros(profile.sizes[a.agent])
-    e[a.slot] = h
-    return e
-
-
 def _check_key_inequalities(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
     ratios = estimate_ratios(f)
+    g, b = ratios.lower_ratio, ratios.upper_ratio
+    shape = f.partition.outcome_shape
+    # every feasible selection, in the C order of the outcome tensor
+    members = f.partition.members(np.indices(shape).reshape(len(shape), -1).T - 1)
+    fs = f.outcome_values.ravel()
     worst = math.inf
-    from .oracle import feasible_sets
-
     for _ in range(10):
         profile = _random_profile(f.partition.sizes, rng)
         value = exact_extension(f, profile)
-        grad = exact_gradient(f, profile)
-        for s in feasible_sets(f.partition):
-            picked = sum(
-                grad[a.agent][a.slot] for a in s.actions()
-            )
-            fs = f.value(s.actions())
-            slack_dr = picked - ratios.dr_ratio * (fs - value)
-            g, b = ratios.lower_ratio, ratios.upper_ratio
-            slack_ws = picked - (g**2 * fs - (b * (1 - g) + g**2) * value)
-            worst = min(worst, slack_dr, slack_ws)
+        picked = members @ np.concatenate(exact_gradient(f, profile))
+        slack_dr = picked - ratios.dr_ratio * (fs - value)
+        slack_ws = picked - (g**2 * fs - (b * (1 - g) + g**2) * value)
+        worst = min(worst, float(slack_dr.min()), float(slack_ws.min()))
     return CheckResult(
         "gradient-value-inequalities",
         worst >= -1e-9,

@@ -24,11 +24,11 @@ from macoord.extension import (
     SurrogateScheme,
     exact_extension,
     exact_gradient,
-    exact_partial,
+    exact_gradient_block,
     sample_choices,
 )
 from macoord.geometry import indicator_profile
-from macoord.ground import ActionId, FeasibleSet, Partition
+from macoord.ground import FeasibleSet, Partition
 from macoord.harness import (
     RunConfig,
     resolve_preset,
@@ -132,7 +132,7 @@ def test_02_gradient_formula():
                     exact_extension(f, PolicyProfile(tuple(up)))
                     - exact_extension(f, PolicyProfile(tuple(down)))
                 ) / (2 * h)
-                g = exact_partial(f, profile, ActionId(i, m))
+                g = exact_gradient_block(f, profile, i)[m]
                 worst = max(worst, abs(fd - g) / max(abs(g), 1e-9))
     elapsed = time.monotonic() - started
     ok = worst < 1e-6 and elapsed < 10.0
@@ -162,13 +162,13 @@ def test_03_key_inequalities():
             profile = _random_profile(f.partition.sizes, rng)
             value = exact_extension(f, profile)
             grad = exact_gradient(f, profile)
-            for s in sets:
+            # the outcome tensor holds f at every feasible set, in their order
+            for s, fs in zip(sets, f.outcome_values.ravel()):
                 picked = sum(
                     float(grad[i][slot])
                     for i, slot in enumerate(s.choice)
                     if slot is not None
                 )
-                fs = f.value(s.actions())
                 slack_dr = picked - alpha * (fs - value)
                 slack_ws = picked - (
                     gamma**2 * fs - (beta * (1.0 - gamma) + gamma**2) * value

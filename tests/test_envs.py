@@ -5,6 +5,7 @@ oracles; target motion is checked kind by kind against its advertised
 behavior.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -40,9 +41,23 @@ from macoord.envs import (
     synthetic_setfn,
 )
 from macoord.errors import ConfigError, ScaleError
-from macoord.ground import ActionId, FeasibleSet, Partition, SetFunction
+from macoord.ground import FeasibleSet, Partition, SetFunction
 from macoord.harness import resolve_preset
 from macoord.oracle import brute_force_opt, estimate_ratios
+
+
+def _value(f, *actions):
+    """f at one set of (agent, slot) pairs through one membership row; a
+    ``None`` slot (an idle agent of a FeasibleSet) is skipped."""
+    row = np.zeros((1, f.partition.total), dtype=bool)
+    for agent, slot in actions:
+        if slot is not None:
+            row[0, f.partition.offsets[agent] + slot] = True
+    return float(f.value(row)[0])
+
+
+def _full_value(f):
+    return float(f.value(np.ones((1, f.partition.total), dtype=bool))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +68,9 @@ from macoord.oracle import brute_force_opt, estimate_ratios
 def test_modular_function():
     p = Partition((2, 2))
     f = ModularFunction(p, np.array([1.0, 2.0, 3.0, 4.0]))
-    assert f.value([ActionId(0, 1), ActionId(1, 0)]) == 5.0
-    assert f.value([]) == 0.0
-    assert f.marginal(ActionId(1, 1), [ActionId(0, 0)]) == 4.0
+    assert _value(f, (0, 1), (1, 0)) == 5.0
+    assert _value(f) == 0.0
+    assert f.agent_marginals(1, np.array([[0, -1]]))[0, 1] == 4.0
     with pytest.raises(ValueError):
         ModularFunction(p, np.array([1.0, -2.0, 3.0, 4.0]))
     with pytest.raises(ValueError):
@@ -65,8 +80,8 @@ def test_modular_function():
 def test_sqrt_modular_function():
     p = Partition((2, 1))
     f = SqrtModularFunction(p, np.array([9.0, 16.0, 0.0]))
-    assert f.value([ActionId(0, 0), ActionId(0, 1)]) == 5.0
-    assert f.value([ActionId(1, 0)]) == 0.0
+    assert _value(f, (0, 0), (0, 1)) == 5.0
+    assert _value(f, (1, 0)) == 0.0
 
 
 def test_weighted_coverage_value_and_marginals():
@@ -74,14 +89,13 @@ def test_weighted_coverage_value_and_marginals():
     masks = np.array([[True, False, False], [True, True, False], [False, False, True]])
     w = np.array([1.0, 2.0, 4.0])
     f = WeightedCoverage(p, masks, w)
-    assert f.value([ActionId(0, 0)]) == 1.0
-    assert f.value([ActionId(0, 1), ActionId(1, 0)]) == 7.0
+    assert _value(f, (0, 0)) == 1.0
+    assert _value(f, (0, 1), (1, 0)) == 7.0
     # vectorized marginals agree with the two-query definition; the agent's
     # own column of the slot row is ignored
-    ctx = [ActionId(1, 0)]
     block = f.agent_marginals(0, np.array([[1, 0]]))[0]
     for m in range(2):
-        expect = f.value(ctx + [ActionId(0, m)]) - f.value(ctx)
+        expect = _value(f, (1, 0), (0, m)) - _value(f, (1, 0))
         assert block[m] == pytest.approx(expect, abs=1e-15)
 
 
@@ -91,8 +105,9 @@ def test_coverage_instance_values():
     assert f.partition.sizes == (2,) * n
     all_zero = FeasibleSet((0,) * n)
     all_one = FeasibleSet((1,) * n)
-    assert f.value(all_zero.actions()) == pytest.approx((1 + eps) * (n - 1), abs=1e-12)
-    assert f.value(all_one.actions()) == pytest.approx(2 * n - k - 1, abs=1e-12)
+    zero_value, one_value = f.value(f.partition.members(np.array([all_zero.choice, all_one.choice])))
+    assert zero_value == pytest.approx((1 + eps) * (n - 1), abs=1e-12)
+    assert one_value == pytest.approx(2 * n - k - 1, abs=1e-12)
     opt_set, opt = brute_force_opt(f, f.partition)
     assert opt == pytest.approx(2 * n - k - 1, abs=1e-12)
     assert opt_set == all_one
@@ -113,9 +128,8 @@ def test_synthetic_setfn_kinds_and_guards():
     rng = np.random.default_rng(1)
     for kind in ("modular", "coverage-random", "concave-of-modular"):
         f = synthetic_setfn(kind, (2, 2), rng)
-        assert f.value([]) == 0.0
-        full = list(f.partition.all_actions())
-        assert f.value(full) > 0.0
+        assert _value(f) == 0.0
+        assert _full_value(f) > 0.0
     with pytest.raises(ScaleError):
         synthetic_setfn("modular", (7, 7), rng)
     with pytest.raises(ConfigError):
@@ -276,16 +290,16 @@ def test_facility_inverse_distance_examples():
     targets = np.array([[0.0, 0.0]])
     f = FacilityObjective(p, cands, targets)
     # one action at distance 2 pays 1/2
-    assert f.value([ActionId(0, 0)]) == pytest.approx(0.5, abs=1e-15)
+    assert _value(f, (0, 0)) == pytest.approx(0.5, abs=1e-15)
     # the max picks the nearer of distances 2 and 4
-    assert f.value([ActionId(0, 0), ActionId(0, 1)]) == pytest.approx(0.5, abs=1e-15)
-    assert f.value([]) == 0.0
+    assert _value(f, (0, 0), (0, 1)) == pytest.approx(0.5, abs=1e-15)
+    assert _value(f) == 0.0
 
 
 def test_facility_distance_floor():
     p = Partition((1,))
     f = FacilityObjective(p, np.zeros((1, 2)), np.zeros((1, 2)))
-    assert f.value([ActionId(0, 0)]) == pytest.approx(1.0 / DISTANCE_FLOOR, abs=1e-9)
+    assert _value(f, (0, 0)) == pytest.approx(1.0 / DISTANCE_FLOOR, abs=1e-9)
 
 
 def test_facility_two_targets_sum():
@@ -294,17 +308,16 @@ def test_facility_two_targets_sum():
     targets = np.array([[0.0, 0.0], [5.0, 0.0]])
     f = FacilityObjective(p, cands, targets)
     # target 0 served at distance 1, target 1 at distance 1 via the other site
-    assert f.value(list(p.all_actions())) == pytest.approx(2.0, abs=1e-12)
+    assert _full_value(f) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_facility_marginals_match_value_differences():
     rng = np.random.default_rng(12)
     p = Partition((3, 3))
     f = FacilityObjective(p, rng.normal(0, 5, (6, 2)), rng.normal(0, 5, (4, 2)))
-    ctx = [ActionId(1, 2)]
     block = f.agent_marginals(0, np.array([[-1, 2]]))[0]
     for m in range(3):
-        expect = f.value(ctx + [ActionId(0, m)]) - f.value(ctx)
+        expect = _value(f, (1, 2), (0, m)) - _value(f, (1, 2))
         assert block[m] == pytest.approx(expect, abs=1e-12)
 
 
@@ -312,19 +325,18 @@ def test_facility_is_monotone_submodular():
     rng = np.random.default_rng(13)
     p = Partition((2, 2, 2))
     f = FacilityObjective(p, rng.normal(0, 5, (6, 2)), rng.normal(0, 5, (2, 2)))
-    actions = list(p.all_actions())
+    # f at every subset of V, indexed by its bitmask over the flat order
+    values = f.value((np.arange(64)[:, None] >> np.arange(6) & 1).astype(bool))
     # enumerate all (S subset T, v not in T): diminishing returns must hold
     for t_mask in range(64):
-        t_set = [actions[b] for b in range(6) if t_mask >> b & 1]
         for v in range(6):
             if t_mask >> v & 1:
                 continue
-            gain_t = f.marginal(actions[v], t_set)
+            gain_t = values[t_mask | 1 << v] - values[t_mask]
             assert gain_t >= -1e-12  # monotone
             s_mask = (t_mask - 1) & t_mask if t_mask else 0
             while True:
-                s_set = [actions[b] for b in range(6) if s_mask >> b & 1]
-                assert f.marginal(actions[v], s_set) >= gain_t - 1e-12
+                assert values[s_mask | 1 << v] - values[s_mask] >= gain_t - 1e-12
                 if s_mask == 0:
                     break
                 s_mask = (s_mask - 1) & t_mask
@@ -337,7 +349,7 @@ def _assert_min_gains_match_reference(f):
     tolerance is relative to f(V) as well as to the entry.
     """
     reference = SetFunction.compute_min_gains(f)
-    scale = f.value(f.partition.all_actions())
+    scale = _full_value(f)
     np.testing.assert_allclose(f.min_gains, reference, rtol=1e-12, atol=1e-12 * scale)
 
 
@@ -455,8 +467,77 @@ def test_batched_marginals_match_reference(kind, sizes, rows, seed):
     got = f.agent_marginals(agent, choices)
     reference = SetFunction.agent_marginals(f, agent, choices)
     assert got.shape == (rows, p.sizes[agent])
-    scale = f.value(p.all_actions())
+    scale = _full_value(f)
     np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# batched value against the per-set formulas
+# ---------------------------------------------------------------------------
+
+
+def _reference_value(f, actions):
+    """f at one set, given as flat action indices, by its class's formula
+    applied to that set alone (a loop over the set for the tracking gain)."""
+    if isinstance(f, ModularFunction):
+        return float(f.weights[actions].sum())
+    if isinstance(f, SqrtModularFunction):
+        return math.sqrt(f.weights[actions].sum())
+    if isinstance(f, WeightedCoverage):
+        return float(f.element_weights[f.masks[actions].any(axis=0)].sum())
+    if isinstance(f, FacilityObjective):
+        return float(f.reward[actions].max(axis=0, initial=0.0).sum())
+    n_targets = f.info.shape[1]
+    total = np.broadcast_to(f.prior_info, (n_targets, 2, 2)).copy()
+    for a in actions:
+        total += f.info[a]
+    return n_targets - np.trace(np.linalg.inv(total), axis1=1, axis2=2).sum() / f.prior_trace
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(
+        ["modular", "concave-of-modular", "coverage-random", "coverage", "facility", "tracking"]
+    ),
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+    rows=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="tracking", sizes=(3, 1), rows=0, seed=0)
+@example(kind="facility", sizes=(1,), rows=2, seed=1)
+def test_batched_value_matches_per_set_formulas(kind, sizes, rows, seed):
+    """One value call over many membership rows against the per-set formula
+    row by row: the empty set, V, every action of the largest agent (several
+    actions of one agent once it has two), and random subsets.  The tracking
+    gain is n_targets minus a posterior share of similar size, so its error
+    scale is n_targets; every other value is at most f(V)."""
+    rng = np.random.default_rng(seed)
+    f = _marginal_objective(kind, sizes, rng)
+    p = f.partition
+    crowded = np.zeros(p.total, dtype=bool)
+    big = int(np.argmax(p.sizes))
+    crowded[p.offsets[big] : p.offsets[big + 1]] = True
+    members = np.vstack(
+        [
+            np.zeros(p.total, dtype=bool),
+            np.ones(p.total, dtype=bool),
+            crowded,
+            rng.random((rows, p.total)) < rng.uniform(0.1, 0.9),
+        ]
+    )
+    got = f.value(members)
+    assert got.dtype == np.float64 and got.shape == (len(members),)
+    reference = [_reference_value(f, np.flatnonzero(row)) for row in members]
+    scale = f.info.shape[1] if kind == "tracking" else reference[1]
+    np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12 * scale)
+    # the outcome tensor, built in one value call, against a per-outcome loop
+    per_outcome = [
+        _reference_value(f, np.array([p.offsets[j] + s for j, s in enumerate(row) if s >= 0], int))
+        for row in itertools.product(*(range(-1, k) for k in p.sizes))
+    ]
+    np.testing.assert_allclose(
+        f.outcome_values.ravel(), per_outcome, rtol=1e-12, atol=1e-12 * scale
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +567,14 @@ def _gain_oracle(zs):
 def test_tracking_gain_empty_is_zero():
     p = Partition((2,))
     f = TrackingGainObjective(p, np.ones((2, 2)), np.zeros((3, 2)))
-    assert f.value([]) == 0.0
+    assert _value(f) == 0.0
 
 
 def test_tracking_gain_single_measurement_matches_dense_oracle():
     # one target at the origin, one candidate landing at (1, 0): z = (1, 0)
     p = Partition((1,))
     f = TrackingGainObjective(p, np.array([[1.0, 0.0]]), np.zeros((1, 2)))
-    assert f.value([ActionId(0, 0)]) == pytest.approx(
+    assert _value(f, (0, 0)) == pytest.approx(
         _gain_oracle([np.array([1.0, 0.0])]), abs=1e-10
     )
 
@@ -505,40 +586,35 @@ def test_tracking_gain_value_matches_dense_oracle_on_sets():
     targets = rng.normal(0, 5, (2, 2))
     f = TrackingGainObjective(p, cands, targets)
     for choice in ((0, 0), (1, None), (0, 1)):
-        sel = FeasibleSet(choice)
-        expect = sum(
-            _gain_oracle(
-                [cands[p.flat_index(a)] - targets[j] for a in sel.actions()]
-            )
-            for j in range(2)
-        )
-        assert f.value(sel.actions()) == pytest.approx(expect, abs=1e-10)
+        sites = [cands[p.offsets[i] + m] for i, m in enumerate(choice) if m is not None]
+        expect = sum(_gain_oracle([site - targets[j] for site in sites]) for j in range(2))
+        assert _value(f, *enumerate(choice)) == pytest.approx(expect, abs=1e-10)
 
 
 def test_tracking_gain_monotone_on_random_pairs():
     rng = np.random.default_rng(15)
     p = Partition((3, 3))
     f = TrackingGainObjective(p, rng.normal(0, 10, (6, 2)), rng.normal(0, 10, (2, 2)))
-    actions = list(p.all_actions())
-    for _ in range(10_000):
-        mask = rng.integers(0, 2, 6).astype(bool)
-        s = [a for a, keep in zip(actions, mask) if keep]
-        a = actions[int(rng.integers(6))]
-        assert f.marginal(a, s) >= -1e-12
+    contexts = np.empty((10_000, 6), dtype=bool)
+    added = contexts.copy()
+    for r in range(10_000):
+        contexts[r] = rng.integers(0, 2, 6).astype(bool)
+        added[r] = contexts[r]
+        added[r, int(rng.integers(6))] = True  # the gain is zero if already in
+    assert (f.value(added) - f.value(contexts)).min() >= -1e-12
 
 
 def test_tracking_gain_marginals_match_value_differences():
     rng = np.random.default_rng(16)
     p = Partition((2, 2))
     f = TrackingGainObjective(p, rng.normal(0, 5, (4, 2)), rng.normal(0, 5, (3, 2)))
-    ctx = [ActionId(1, 0)]
     block = f.agent_marginals(0, np.array([[-1, 0]]))[0]
     for m in range(2):
-        expect = f.value(ctx + [ActionId(0, m)]) - f.value(ctx)
+        expect = _value(f, (1, 0), (0, m)) - _value(f, (1, 0))
         assert block[m] == pytest.approx(expect, rel=1e-10, abs=1e-14)
     # an action already in the context gains nothing; in a slot row the
     # agent's own column is ignored, so it cannot be in the context
-    assert f.marginal(ActionId(1, 0), ctx) == 0.0
+    assert _value(f, (1, 0), (1, 0)) - _value(f, (1, 0)) == 0.0
     own_set = f.agent_marginals(1, np.array([[-1, 0], [-1, 1]]))
     assert own_set.tolist() == f.agent_marginals(1, np.array([[-1, -1]] * 2)).tolist()
 
@@ -549,7 +625,7 @@ def test_tracking_gain_single_bearing_falls_off_with_range():
     direction = np.array([0.6, -0.8])
     cands = np.array([1.0, 5.0, 20.0])[:, None] * direction
     f = TrackingGainObjective(p, cands, np.zeros((1, 2)))
-    gains = [f.value([ActionId(0, m)]) for m in range(3)]
+    gains = [_value(f, (0, m)) for m in range(3)]
     assert gains[0] > gains[1] > gains[2] > 0.0
 
 
@@ -644,9 +720,8 @@ def test_static_environment_passthrough():
     f = coverage_instance(3, 0.1, 1)
     env = make_environment({"kind": "coverage", "agents": 3, "epsilon": 0.1, "k": 1}, 0)
     assert isinstance(env, StaticEnvironment)
-    assert env.begin_round(1).value(FeasibleSet((1, 1, 1)).actions()) == f.value(
-        FeasibleSet((1, 1, 1)).actions()
-    )
+    rows = f.partition.members(np.array([[1, 1, 1]]))
+    assert env.begin_round(1).value(rows) == f.value(rows)
 
 
 def test_orbiting_environment_geometry():

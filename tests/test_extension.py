@@ -22,7 +22,6 @@ from macoord.extension import (
     exact_extension,
     exact_gradient,
     exact_gradient_block,
-    exact_partial,
     exact_surrogate_gradient,
     exact_surrogate_gradient_block,
     exact_surrogate_value,
@@ -32,7 +31,6 @@ from macoord.extension import (
 )
 from macoord.geometry import indicator_profile
 from macoord.ground import (
-    ActionId,
     FeasibleSet,
     MarginalBudget,
     Partition,
@@ -40,6 +38,17 @@ from macoord.ground import (
     min_gain_vector,
 )
 from macoord.oracle import feasible_sets
+
+
+def selection_value(f, choice):
+    """f at one selection, given as a choice tuple (None idle)."""
+    slots = np.array([[-1 if s is None else s for s in choice]])
+    return float(f.value(f.partition.members(slots))[0])
+
+
+def all_slots(partition):
+    """Every action as an (agent, slot) pair, in flat order."""
+    return [(i, m) for i, k in enumerate(partition.sizes) for m in range(k)]
 
 
 def random_profile(sizes, rng, lo=0.05, hi=0.95):
@@ -77,12 +86,8 @@ def test_profile_validate():
         PolicyProfile((np.array([np.inf, 0.0]),)).validate()
 
 
-def test_profile_scaled_and_with_block():
+def test_profile_with_block():
     prof = PolicyProfile((np.array([0.2, 0.6]), np.array([1.0])))
-    half = prof.scaled(0.5)
-    np.testing.assert_allclose(half.blocks[0], [0.1, 0.3])
-    with pytest.raises(ValueError):
-        prof.scaled(1.5)
     swapped = prof.with_block(1, np.array([0.25]))
     assert swapped.blocks[1][0] == 0.25
     assert prof.blocks[1][0] == 1.0  # original untouched
@@ -309,7 +314,7 @@ def test_extension_at_indicator_equals_set_value():
     for sel in (FeasibleSet((0, 1, None)), FeasibleSet((None, None, None))):
         prof = indicator_profile(sel, f.partition)
         assert exact_extension(f, prof) == pytest.approx(
-            f.value(sel.actions()), abs=1e-12
+            selection_value(f, sel.choice), abs=1e-12
         )
 
 
@@ -328,11 +333,10 @@ def test_multilinearity_in_each_coordinate():
     rng = np.random.default_rng(21)
     f = synthetic_setfn("coverage-random", (2, 2), rng)
     base = random_profile(f.partition.sizes, rng, hi=0.4)
-    a = ActionId(0, 1)
     vals = []
     for s in (0.0, 0.1, 0.2):
         block = base.blocks[0].copy()
-        block[a.slot] += s
+        block[1] += s
         vals.append(exact_extension(f, base.with_block(0, block)))
     # linear in one coordinate: equal successive differences
     assert (vals[1] - vals[0]) == pytest.approx(vals[2] - vals[1], abs=1e-12)
@@ -345,24 +349,16 @@ def test_exact_gradient_matches_finite_differences():
     for _ in range(10):
         prof = random_profile(f.partition.sizes, rng, lo=0.1, hi=0.5)
         grad = exact_gradient(f, prof)
-        for a in f.partition.all_actions():
-            up = prof.blocks[a.agent].copy()
-            up[a.slot] += h
-            dn = prof.blocks[a.agent].copy()
-            dn[a.slot] -= h
+        for agent, slot in all_slots(f.partition):
+            up = prof.blocks[agent].copy()
+            up[slot] += h
+            dn = prof.blocks[agent].copy()
+            dn[slot] -= h
             fd = (
-                exact_extension(f, prof.with_block(a.agent, up))
-                - exact_extension(f, prof.with_block(a.agent, dn))
+                exact_extension(f, prof.with_block(agent, up))
+                - exact_extension(f, prof.with_block(agent, dn))
             ) / (2 * h)
-            assert grad[a.agent][a.slot] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-
-def test_exact_partial_consistency():
-    rng = np.random.default_rng(4)
-    f = synthetic_setfn("coverage-random", (2, 2), rng)
-    prof = random_profile(f.partition.sizes, rng)
-    a = ActionId(1, 0)
-    assert exact_partial(f, prof, a) == exact_gradient_block(f, prof, 1)[0]
+            assert grad[agent][slot] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_gradient_of_monotone_objective_is_nonnegative():
@@ -391,7 +387,8 @@ def dense_surrogate_gradient(f, prof, scheme, agent, steps=2000):
     zs = np.linspace(0.0, 1.0, steps + 1)
     vals = np.stack(
         [
-            scheme.weight(float(z)) * exact_gradient_block(f, prof.scaled(float(z)), agent)
+            scheme.weight(float(z))
+            * exact_gradient_block(f, PolicyProfile(tuple(z * b for b in prof.blocks)), agent)
             for z in zs
         ]
     )
@@ -428,16 +425,16 @@ def test_surrogate_value_gradient_consistency():
     prof = random_profile(f.partition.sizes, rng, lo=0.1, hi=0.4)
     grad = exact_surrogate_gradient(f, prof, scheme)
     h = 1e-5
-    for a in f.partition.all_actions():
-        up = prof.blocks[a.agent].copy()
-        up[a.slot] += h
-        dn = prof.blocks[a.agent].copy()
-        dn[a.slot] -= h
+    for agent, slot in all_slots(f.partition):
+        up = prof.blocks[agent].copy()
+        up[slot] += h
+        dn = prof.blocks[agent].copy()
+        dn[slot] -= h
         fd = (
-            exact_surrogate_value(f, prof.with_block(a.agent, up), scheme)
-            - exact_surrogate_value(f, prof.with_block(a.agent, dn), scheme)
+            exact_surrogate_value(f, prof.with_block(agent, up), scheme)
+            - exact_surrogate_value(f, prof.with_block(agent, dn), scheme)
         ) / (2 * h)
-        assert grad[a.agent][a.slot] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        assert grad[agent][slot] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +443,7 @@ def test_surrogate_value_gradient_consistency():
 
 
 def enumerated_values(f):
-    return {s.choice: f.value(s.actions()) for s in feasible_sets(f.partition)}
+    return {s.choice: selection_value(f, s.choice) for s in feasible_sets(f.partition)}
 
 
 def outcome_prob(blocks, choice, skip=None):
@@ -693,9 +690,6 @@ def test_lossless_rounding_small():
     exact = exact_extension(f, prof)
     n = 20_000
     choices = sample_choices(prof, rng.random((n, prof.n_agents)))
-    vals = np.array(
-        [f.value(FeasibleSet(tuple(s if s >= 0 else None for s in row)).actions())
-         for row in choices.tolist()]
-    )
+    vals = f.value(f.partition.members(choices))
     sem = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - exact) <= 4.0 * sem

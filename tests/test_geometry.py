@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from macoord.extension import PolicyProfile
 from macoord.geometry import indicator_profile, normalize_policy, project_capped_simplex
-from macoord.ground import ActionId, FeasibleSet, Partition
+from macoord.ground import FeasibleSet, Partition
 
 
 def _feasible(x, atol=1e-12):
@@ -126,8 +126,8 @@ def test_indicator_profile():
     prof = indicator_profile(FeasibleSet((1, None)), p)
     assert prof.blocks[0].tolist() == [0.0, 1.0]
     assert prof.blocks[1].tolist() == [0.0, 0.0, 0.0]
-    # from an action iterable as well
-    prof2 = indicator_profile([ActionId(1, 2)], p)
+    # agent 0 idle, agent 1 on its last slot
+    prof2 = indicator_profile(FeasibleSet((None, 2)), p)
     assert prof2.blocks[1].tolist() == [0.0, 0.0, 1.0]
     with pytest.raises(ValueError):
         indicator_profile(FeasibleSet((1, None, 0)), p)

@@ -11,11 +11,10 @@ from macoord.envs import (
 )
 from macoord.errors import InvalidActionError
 from macoord.ground import (
-    ActionId,
     FeasibleSet,
     MarginalBudget,
     Partition,
-    as_action_set,
+    SetFunction,
     local_marginal_block,
     min_gain_vector,
 )
@@ -36,67 +35,73 @@ def test_partition_validation():
 
 def test_flat_index_roundtrip():
     p = Partition((2, 1, 3))
+    assert p.offsets == (0, 2, 3, 6)
+    # slot m of agent i sets flat index offsets[i] + m: agent-major,
+    # slot-minor, covering 0..total-1 in order, and the offsets map it back
     seen = []
-    for a in p.all_actions():
-        idx = p.flat_index(a)
-        assert p.from_flat(idx) == a
-        seen.append(idx)
-    # agent-major, slot-minor enumeration covers 0..total-1 in order
+    for i, k in enumerate(p.sizes):
+        for m in range(k):
+            choices = np.full((1, p.n_agents), -1)
+            choices[0, i] = m
+            idx = int(np.flatnonzero(p.members(choices)[0])[0])
+            agent = int(np.searchsorted(p.offsets, idx, side="right")) - 1
+            assert (agent, idx - p.offsets[agent]) == (i, m)
+            seen.append(idx)
     assert seen == list(range(p.total))
+    rows = p.members(np.array([[1, -1, 2], [-1, -1, -1], [0, 0, 0]]))
+    assert rows.dtype == bool
+    assert rows.astype(int).tolist() == [
+        [0, 1, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0, 0],
+        [1, 0, 1, 1, 0, 0],
+    ]
+    assert p.members(np.zeros((0, 3), dtype=np.int64)).shape == (0, 6)
     with pytest.raises(InvalidActionError):
-        p.flat_index(ActionId(0, 2))
+        p.members(np.array([[2, -1, 0]]))  # agent 0 has two slots
     with pytest.raises(InvalidActionError):
-        p.from_flat(6)
+        p.members(np.array([[0, 0]]))  # a column short
 
 
 def test_agent_actions():
     p = Partition((2, 3))
-    assert p.agent_actions(1) == (ActionId(1, 0), ActionId(1, 1), ActionId(1, 2))
+    # agent 1's actions are the flat range offsets[1] .. offsets[2] - 1
+    assert list(range(p.offsets[1], p.offsets[2])) == [2, 3, 4]
+    p.check_agent(1)
     with pytest.raises(InvalidActionError):
-        p.agent_actions(2)
+        p.check_agent(2)
 
 
 def test_feasible_set_basics():
     p = Partition((2, 2, 2))
     s = FeasibleSet((1, None, 0))
-    assert s.actions() == (ActionId(0, 1), ActionId(2, 0))
+    row = p.members(np.array([[-1 if m is None else m for m in s.choice]]))[0]
+    assert np.flatnonzero(row).tolist() == [1, 4]
     assert s.size() == 2
-    assert s.as_set() == frozenset({ActionId(0, 1), ActionId(2, 0)})
     assert FeasibleSet.empty(3).size() == 0
-    rebuilt = FeasibleSet.from_actions(p, s.actions())
-    assert rebuilt == s
-
-
-def test_feasible_set_rejects_double_selection():
-    p = Partition((2, 2))
-    with pytest.raises(InvalidActionError):
-        FeasibleSet.from_actions(p, [ActionId(0, 0), ActionId(0, 1)])
-
-
-def test_as_action_set_accepts_both_forms():
-    s = FeasibleSet((None, 1))
-    assert as_action_set(s) == frozenset({ActionId(1, 1)})
-    assert as_action_set([ActionId(1, 1)]) == frozenset({ActionId(1, 1)})
 
 
 def test_default_marginal_is_value_difference():
     p = Partition((2, 2))
     f = SqrtModularFunction(p, np.array([1.0, 4.0, 9.0, 16.0]))
-    a = ActionId(1, 0)
-    ctx = [ActionId(0, 1)]
-    expect = f.value([ActionId(0, 1), a]) - f.value(ctx)
-    assert f.marginal(a, ctx) == pytest.approx(expect, abs=1e-15)
-    # re-adding a selected action gains nothing
-    assert f.marginal(a, [a]) == 0.0
+    # context {(0, 1)}, and the same context plus each of agent 1's slots
+    rows = np.array([[0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=bool)
+    values = f.value(rows)
+    gains = SetFunction.agent_marginals(f, 1, np.array([[1, -1]]))[0]
+    assert gains == pytest.approx(values[1:] - values[0], abs=1e-15)
+    # the agent's own column is ignored: a chosen own slot is not context
+    assert SetFunction.agent_marginals(f, 1, np.array([[1, 0]])).tolist() == [gains.tolist()]
 
 
 def test_default_agent_marginals_matches_slot_loop():
     p = Partition((3, 2))
     f = SqrtModularFunction(p, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-    ctx = [ActionId(1, 1)]
+    base = np.array([[False, False, False, False, True]])  # context {(1, 1)}
     block = f.agent_marginals(0, np.array([[-1, 1]]))[0]
     for m in range(3):
-        assert block[m] == pytest.approx(f.marginal(ActionId(0, m), ctx), abs=1e-15)
+        with_m = base.copy()
+        with_m[0, m] = True
+        expect = f.value(with_m)[0] - f.value(base)[0]
+        assert block[m] == pytest.approx(expect, abs=1e-15)
 
 
 def test_budget_accounting():
@@ -170,22 +175,24 @@ def test_min_gain_vector():
 
 
 class _CountingCoverage(WeightedCoverage):
-    """Weighted coverage that counts its value queries."""
+    """Weighted coverage that counts its value calls and the rows they carry."""
 
     value_calls = 0
+    value_rows = 0
 
-    def value(self, actions):
+    def value(self, members):
         self.value_calls += 1
-        return super().value(actions)
+        self.value_rows += len(members)
+        return super().value(members)
 
 
 def test_min_gain_vector_computed_once_per_objective():
     rng = np.random.default_rng(4)
     p = Partition((2, 3, 2))
     f = _CountingCoverage(p, rng.random((p.total, 6)) < 0.4, rng.uniform(0.1, 1.0, 6))
-    everything = frozenset(p.all_actions())
-    reference = [f.marginal(a, everything - {a}) for a in p.all_actions()]
-    f.value_calls = 0
+    full = f.value(np.ones((1, p.total), dtype=bool))[0]
+    reference = (full - f.value(~np.eye(p.total, dtype=bool))).tolist()
+    f.value_calls = f.value_rows = 0
     env = StaticEnvironment(f, horizon=3)
     graph = CommGraph.complete(p.n_agents)
     learner = PolicyConsensusLearner(
@@ -202,5 +209,6 @@ def test_min_gain_vector_computed_once_per_objective():
         assert budget.per_agent().tolist() == list(p.sizes)
         learner.round(g, t)
         assert learner.budget.per_agent().tolist() == [3 * k for k in p.sizes]
-    # one generic pass (two value queries per action) over three rounds
-    assert f.value_calls == 2 * p.total
+    # one generic pass (one value call: V and every V - {v}) over three rounds
+    assert f.value_calls == 1
+    assert f.value_rows == p.total + 1

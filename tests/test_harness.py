@@ -14,7 +14,6 @@ from macoord.cli import main
 from macoord.envs import make_environment
 from macoord.errors import ConfigError, DataError
 from macoord.geometry import normalize_policy
-from macoord.ground import ActionId
 from macoord.harness import (
     BENCH_MATRICES,
     CSV_COLUMNS,
@@ -142,7 +141,8 @@ def test_run_experiment_single_round_known_value():
     )
     logs = run_experiment(cfg)
     env = make_environment({**cfg.environment, "horizon": 1}, cfg.seed)
-    expect = env.begin_round(1).value([ActionId(0, 0), ActionId(1, 0)])
+    f = env.begin_round(1)
+    expect = f.value(f.partition.members(np.array([[0, 0]])))[0]
     assert len(logs) == 1
     assert logs[0].t == 1
     assert logs[0].utility == pytest.approx(expect, abs=1e-12)
@@ -460,6 +460,28 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
         assert main(["run-spl", "--config", str(path)]) == 1, name
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, (name, err)
+
+
+@pytest.mark.parametrize(
+    "environment",
+    [
+        {"kind": "orbiting-targets", "radius": float("nan")},
+        {"kind": "orbiting-targets", "radius": float("inf")},
+        {"kind": "orbiting-targets", "target_radius": float("-inf")},
+        {"kind": "orbiting-targets", "drift_cycles": float("nan")},
+        {"kind": "orbiting-targets", "drift_cycles": float("inf")},
+        {"kind": "coverage", "agents": 3, "epsilon": float("nan"), "k": 1},
+        {"kind": "coverage", "agents": 3, "epsilon": float("inf"), "k": 1},
+    ],
+    ids=["radius-nan", "radius-inf", "target-radius-inf", "cycles-nan", "cycles-inf",
+         "epsilon-nan", "epsilon-inf"],
+)
+def test_cli_rejects_non_finite_environment_values(tmp_path, capsys, environment):
+    # json writes these as NaN / Infinity, which a config may hold
+    path = _write_config(tmp_path, dict(CLI_DOC, environment=environment))
+    assert main(["run-spl", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
 def test_cli_preset_with_config_override(tmp_path, capsys):

@@ -15,7 +15,7 @@ from macoord.envs import (
 )
 from macoord.errors import ConfigError
 from macoord.extension import PolicyProfile, SurrogateScheme, exact_extension
-from macoord.ground import ActionId, FeasibleSet, Partition
+from macoord.ground import FeasibleSet, Partition
 from macoord.learners import (
     GreedyLearner,
     MetaConditionalGradientLearner,
@@ -366,7 +366,7 @@ def test_sequential_greedy_escapes_coverage_trap():
     f = coverage_instance(3, 0.1, 1)
     s = sequential_greedy_round(f, f.partition)
     assert s == FeasibleSet((1, 1, 1))
-    assert f.value(s.actions()) == pytest.approx(4.0, abs=1e-12)
+    assert f.value(f.partition.members(np.array([s.choice])))[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_sequential_greedy_tie_breaks_to_lowest_slot():
@@ -380,7 +380,8 @@ def test_sequential_greedy_curvature_guarantee():
     rng = np.random.default_rng(6)
     for _ in range(20):
         f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
-        greedy_val = f.value(sequential_greedy_round(f, f.partition).actions())
+        greedy = sequential_greedy_round(f, f.partition)
+        greedy_val = f.value(f.partition.members(np.array([greedy.choice])))[0]
         opt = brute_force_opt(f, f.partition)[1]
         c = estimate_ratios(f).curvature
         assert greedy_val >= opt / (1.0 + c) - 1e-9

@@ -25,7 +25,7 @@ from macoord.extension import (
     sample_choices,
 )
 from macoord.geometry import indicator_profile
-from macoord.ground import ActionId, FeasibleSet, Partition
+from macoord.ground import FeasibleSet, Partition
 from macoord.oracle import (
     approx_ratio_audit,
     brute_force_opt,
@@ -36,6 +36,18 @@ from macoord.oracle import (
     projected_ascent,
     stationary_point_floor,
 )
+
+
+def _value(f, choice):
+    """f at one selection, given as a choice tuple (None idle)."""
+    slots = np.array([[-1 if s is None else s for s in choice]])
+    return float(f.value(f.partition.members(slots))[0])
+
+
+def _mask_value(f, mask):
+    """f at the subset of V whose flat indices are the set bits of ``mask``."""
+    row = (mask >> np.arange(f.partition.total) & 1).astype(bool)
+    return float(f.value(row[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +78,7 @@ def test_brute_force_opt_matches_itertools_oracle():
         f = synthetic_setfn("coverage-random", (2, 3), rng)
         best = max(
             (
-                f.value(
-                    [ActionId(i, s) for i, s in enumerate(choice) if s is not None]
-                )
+                _value(f, choice)
                 for choice in itertools.product(
                     (None, 0, 1), (None, 0, 1, 2)
                 )
@@ -76,7 +86,7 @@ def test_brute_force_opt_matches_itertools_oracle():
         )
         opt_set, opt = brute_force_opt(f, f.partition)
         assert opt == pytest.approx(best, abs=1e-12)
-        assert f.value(opt_set.actions()) == opt
+        assert _value(f, opt_set.choice) == opt
 
 
 def test_brute_force_opt_tie_breaks_lexicographically():
@@ -100,7 +110,7 @@ def test_brute_force_opt_ties_away_from_empty_set():
         f = ModularFunction(part, rng.integers(0, 2, part.total).astype(float))
         best_set, best = None, -math.inf
         for s in feasible_sets(part):
-            v = f.value(s.actions())
+            v = _value(f, s.choice)
             if v > best:
                 best_set, best = s, v
         assert brute_force_opt(f, part) == (best_set, best)
@@ -120,22 +130,19 @@ def test_brute_force_opt_rejects_foreign_partition():
 def _dr_ratio_oracle(f, tol=1e-12):
     """Largest alpha with f(v|S) >= alpha f(v|T) for all S subset T, v not in T,
     by direct value queries over every submask pair."""
-    actions = list(f.partition.all_actions())
-    n = len(actions)
+    n = f.partition.total
     best = 1.0
     for t_mask in range(1 << n):
-        t_set = [actions[b] for b in range(n) if t_mask >> b & 1]
-        ft = f.value(t_set)
+        ft = _mask_value(f, t_mask)
         for v in range(n):
             if t_mask >> v & 1:
                 continue
-            gain_t = f.value(t_set + [actions[v]]) - ft
+            gain_t = _mask_value(f, t_mask | 1 << v) - ft
             if gain_t <= tol:
                 continue
             s_mask = t_mask
             while True:
-                s_set = [actions[b] for b in range(n) if s_mask >> b & 1]
-                gain_s = f.value(s_set + [actions[v]]) - f.value(s_set)
+                gain_s = _mask_value(f, s_mask | 1 << v) - _mask_value(f, s_mask)
                 best = min(best, gain_s / gain_t)
                 if s_mask == 0:
                     break
@@ -350,7 +357,7 @@ def test_outcome_values_match_direct_queries():
     assert not table.flags.writeable
     assert f.outcome_values is table  # computed once per objective
     for s, value in zip(feasible_sets(f.partition), table.ravel()):
-        assert value == f.value(s.actions())
+        assert value == _value(f, s.choice)
 
 
 class _CountingModular(ModularFunction):
@@ -358,9 +365,9 @@ class _CountingModular(ModularFunction):
         super().__init__(partition, np.ones(partition.total))
         self.queries = 0
 
-    def value(self, actions):
+    def value(self, members):
         self.queries += 1
-        return super().value(actions)
+        return super().value(members)
 
 
 def test_outcome_values_scale_guard():
@@ -378,7 +385,7 @@ def test_slot_rows_index_outcome_values():
     choices = np.array([[1, 2], [-1, 0], [0, -1], [-1, -1]])
     got = f.outcome_values[tuple((choices + 1).T)]
     for row, value in zip(choices.tolist(), got):
-        assert value == f.value([ActionId(j, s) for j, s in enumerate(row) if s >= 0])
+        assert value == f.value(f.partition.members(np.array([row])))[0]
 
 
 def test_outcome_values_at_indicator_draws_are_constant():
