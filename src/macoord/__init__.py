@@ -28,9 +28,8 @@ from .extension import (
     sample_choices,
     sample_z,
 )
-from .geometry import indicator_profile, normalize_policy, project_capped_simplex
+from .geometry import normalize_policy, project_capped_simplex
 from .ground import (
-    FeasibleSet,
     MarginalBudget,
     Partition,
     SetFunction,
@@ -45,12 +44,10 @@ from .harness import (
     export_json,
     run_bench,
     run_experiment,
-    running_average,
 )
 from .learners import (
     GreedyLearner,
     MetaConditionalGradientLearner,
-    OnlineGradientAscentOracle,
     PolicyConsensusLearner,
     RandomLearner,
     random_baseline_round,

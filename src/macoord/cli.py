@@ -89,9 +89,10 @@ def _load_run_config(args: argparse.Namespace, forced_kind: str | None) -> RunCo
     if not doc:
         raise ConfigError("need --config and/or --preset")
     if forced_kind is not None:
-        learner = dict(doc.get("learner", {}))
-        learner["kind"] = forced_kind
-        doc["learner"] = learner
+        learner = doc.get("learner", {})
+        if not isinstance(learner, dict):
+            raise ConfigError(f"learner must be an object, got {learner!r}")
+        doc["learner"] = {**learner, "kind": forced_kind}
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.out is not None:

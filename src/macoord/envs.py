@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ScaleError
-from .ground import FeasibleSet, Partition, SetFunction
+from .ground import Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
 DISTANCE_FLOOR = 1e-3
@@ -36,6 +36,7 @@ EVADE_SPEED = 15.0
 EVADE_CANDIDATE_HEADINGS = 16
 SYNTHETIC_MAX_ACTIONS = 12
 VALUE_BLOCK = 1 << 20  # floats per masked block of FacilityObjective.value
+MARGINAL_BLOCK = 1 << 14  # floats per stacked block of TrackingGainObjective.agent_marginals
 
 DEFAULT_HEADINGS = 8
 FACILITY_SPEEDS = (5.0, 10.0, 15.0)
@@ -243,11 +244,10 @@ class TrackingWorld:
         moves = self.motion.displacements()
         return (self.agents[:, None, :] + moves[None, :, :]).reshape(-1, 2)
 
-    def apply_moves(self, chosen: FeasibleSet) -> None:
-        moves = self.motion.displacements()
-        for i, slot in enumerate(chosen.choice):
-            if slot is not None:
-                self.agents[i] = self.agents[i] + moves[slot]
+    def apply_moves(self, chosen: np.ndarray) -> None:
+        """Move every agent by its chosen slot of a slot row; idle (-1) stays."""
+        moving = chosen >= 0
+        self.agents[moving] += self.motion.displacements()[chosen[moving]]
 
     def target_positions(self) -> np.ndarray:
         return np.stack([t.pos for t in self.targets])
@@ -411,13 +411,21 @@ class TrackingGainObjective(SetFunction):
         return n_targets - posterior / self.prior_trace
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
-        idx, present = self.partition.context_index(choices, agent)
-        gathered = self.info[idx] * present[:, :, None, None, None]  # (L, n, targets, 2, 2)
-        base = self.prior_info + gathered.sum(axis=1)  # (L, targets, 2, 2)
-        base_trace = self._inv_trace(base).sum(axis=1)
         lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
-        stacked = base[:, None] + self.info[lo:hi]  # (L, k, targets, 2, 2)
-        return (base_trace[:, None] - self._inv_trace(stacked).sum(axis=2)) / self.prior_trace
+        own = self.info[lo:hi]
+        # rows go in blocks that keep each stack of own info under MARGINAL_BLOCK
+        # floats: large batches otherwise spend more on fresh pages than on math
+        out = np.empty((len(choices), hi - lo))
+        step = max(1, MARGINAL_BLOCK // own.size)
+        for start in range(0, len(choices), step):
+            block = choices[start : start + step]
+            idx, present = self.partition.context_index(block, agent)
+            gathered = self.info[idx] * present[:, :, None, None, None]  # (B, n, targets, 2, 2)
+            base = self.prior_info + gathered.sum(axis=1)  # (B, targets, 2, 2)
+            base_trace = self._inv_trace(base).sum(axis=1)
+            stacked = base[:, None] + own  # (B, k, targets, 2, 2)
+            out[start : start + step] = base_trace[:, None] - self._inv_trace(stacked).sum(axis=2)
+        return out / self.prior_trace
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +504,7 @@ class _MovingTargetEnvironment:
     def begin_round(self, t: int) -> SetFunction:
         return self._objective()
 
-    def finish_round(self, t: int, chosen: FeasibleSet) -> None:
+    def finish_round(self, t: int, chosen: np.ndarray) -> None:
         self.world.apply_moves(chosen)
         step_targets(self.world, self._rng)
         if self.record_world:
@@ -550,7 +558,7 @@ class StaticEnvironment:
     def begin_round(self, t: int) -> SetFunction:
         return self.f
 
-    def finish_round(self, t: int, chosen: FeasibleSet) -> None:
+    def finish_round(self, t: int, chosen: np.ndarray) -> None:
         pass
 
     def trajectory_rows(self) -> list[tuple]:
@@ -597,7 +605,7 @@ class OrbitingTargetsEnvironment:
     def begin_round(self, t: int) -> SetFunction:
         return FacilityObjective(self.partition, self.sites, self._target_positions())
 
-    def finish_round(self, t: int, chosen: FeasibleSet) -> None:
+    def finish_round(self, t: int, chosen: np.ndarray) -> None:
         self.tick += 1
 
     def trajectory_rows(self) -> list[tuple]:

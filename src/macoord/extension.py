@@ -35,57 +35,62 @@ from .ground import (
 )
 
 QUADRATURE_NODES = 64
+PROFILE_ATOL = 1e-9  # round-off a profile's masses may carry past [0, 1]
 
 
 @dataclass(frozen=True)
 class PolicyProfile:
-    """One sub-distribution block per agent, all float64 and read-only."""
+    """A joint policy as one flat float64 row on ``partition.offsets``.
 
-    blocks: tuple[np.ndarray, ...]
+    Agent j's sub-distribution is ``row[offsets[j]:offsets[j + 1]]``.
+    ``row`` may instead be an ``(m, |V|)`` stack of m such rows, which
+    :func:`sample_choices` and the Monte-Carlo estimators take at once; the
+    exact layer takes a single row.  The row is copied, made read-only and
+    validated once, here: finite, no entry below ``-PROFILE_ATOL`` and no
+    block carrying more than ``1 + PROFILE_ATOL``.
+    """
+
+    partition: Partition
+    row: np.ndarray
 
     def __post_init__(self) -> None:
-        blocks = []
-        for b in self.blocks:
-            arr = np.asarray(b, dtype=np.float64).copy()
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("each policy block must be a nonempty 1-d vector")
-            arr.flags.writeable = False
-            blocks.append(arr)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        row = np.array(self.row, dtype=np.float64)
+        if row.ndim not in (1, 2) or row.shape[-1] != self.partition.total or not len(row):
+            raise ValueError(
+                f"expected a row or a nonempty stack of rows of length "
+                f"{self.partition.total}, got shape {row.shape}"
+            )
+        if not np.isfinite(row).all():
+            raise ValueError("policy has non-finite entries")
+        if row.min() < -PROFILE_ATOL:
+            raise ValueError(f"policy has negative mass {row.min()}")
+        mass = self.partition.pad(row).sum(axis=-1)
+        if (mass > 1.0 + PROFILE_ATOL).any():
+            raise ValueError(f"a policy block carries total mass {mass.max()} > 1")
+        row.flags.writeable = False
+        object.__setattr__(self, "row", row)
 
     @staticmethod
     def zeros(partition: Partition) -> "PolicyProfile":
-        return PolicyProfile(tuple(np.zeros(k) for k in partition.sizes))
+        return PolicyProfile(partition, np.zeros(partition.total))
 
     @staticmethod
     def uniform(partition: Partition) -> "PolicyProfile":
         """Uniform distribution on each agent's own actions (no idle mass)."""
-        return PolicyProfile(tuple(np.full(k, 1.0 / k) for k in partition.sizes))
+        return PolicyProfile(partition, np.repeat(1.0 / np.array(partition.sizes), partition.sizes))
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
+        return self.partition.sizes
 
     @property
     def n_agents(self) -> int:
-        return len(self.blocks)
+        return self.partition.n_agents
 
-    def validate(self, atol: float = 1e-9) -> None:
-        for i, b in enumerate(self.blocks):
-            if not np.all(np.isfinite(b)):
-                raise ValueError(f"block {i} has non-finite entries")
-            if b.min(initial=0.0) < -atol:
-                raise ValueError(f"block {i} has negative mass {b.min()}")
-            if b.sum() > 1.0 + atol:
-                raise ValueError(f"block {i} carries total mass {b.sum()} > 1")
-
-    def with_block(self, agent: int, block: np.ndarray) -> "PolicyProfile":
-        new = list(self.blocks)
-        new[agent] = np.asarray(block, dtype=np.float64)
-        return PolicyProfile(tuple(new))
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only views of the agents' blocks (columns of a stack)."""
+        return tuple(np.split(self.row, self.partition.offsets[1:-1], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -160,34 +165,30 @@ class SurrogateScheme:
 # ---------------------------------------------------------------------------
 
 
-def sample_choices(
-    profile: PolicyProfile, u: np.ndarray, scale: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Round a profile: map ``(L, n)`` uniforms to an ``(L, n)`` slot matrix.
+def sample_rows(partition: Partition, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Round policy rows: map ``(L, n)`` uniforms to an ``(L, n)`` slot matrix.
 
     Entry ``[l, j]`` is agent j's slot under half-open cumulative intervals
     of its block, or -1 (idle) when ``u[l, j]`` falls in the leftover mass.
-    Row l samples from the blocks scaled by ``scale[l]`` if given.  All
-    agents go through one cumulative sum over the blocks zero-padded to the
-    longest; the padded columns are left out of the count.
+    ``rows`` is one flat row or an ``(m, |V|)`` stack; with a stack, the
+    rows of ``u`` fall into m equal consecutive groups and group r rounds
+    row r.  All agents go through one cumulative sum over the blocks padded
+    to the longest (:meth:`Partition.pad`) with +inf, which no uniform
+    reaches, so only a block's own entries are counted.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[1] != profile.n_agents:
-        raise ValueError(f"expected uniforms of shape (L, {profile.n_agents}), got {u.shape}")
-    sizes = np.array(profile.sizes)
-    real = np.arange(sizes.max()) < sizes[:, None]  # (n, k_max)
-    padded = np.zeros(real.shape)
-    padded[real] = profile.flat()
-    if scale is not None:
-        padded = np.multiply.outer(scale, padded)  # (L, n, k_max)
-    hits = np.cumsum(padded, axis=-1) <= u[..., None]
-    idx = np.count_nonzero(hits & real, axis=-1)
-    return np.where(idx < sizes, idx, -1)
+    n = partition.n_agents
+    m = 1 if rows.ndim == 1 else len(rows)
+    if u.ndim != 2 or u.shape[1] != n or len(u) % m:
+        raise ValueError(f"expected uniforms of shape ({m} * L, {n}), got {u.shape}")
+    cumulative = np.cumsum(partition.pad(rows, np.inf), axis=-1).reshape(m, 1, n, -1)
+    idx = np.count_nonzero(cumulative <= u.reshape(m, -1, n, 1), axis=-1).reshape(u.shape)
+    return np.where(idx < partition.sizes, idx, -1)
 
 
-def sample_distribution_slot(weights: np.ndarray, u: float) -> int:
-    """Slot of a full distribution holding u; round-off past the end is the last slot."""
-    return min(int(np.count_nonzero(np.cumsum(weights) <= u)), weights.size - 1)
+def sample_choices(profile: PolicyProfile, u: np.ndarray) -> np.ndarray:
+    """Round a profile's row, or each row of its stack: :func:`sample_rows`."""
+    return sample_rows(profile.partition, profile.row, u)
 
 
 def sample_z(scheme: SurrogateScheme, u: float) -> float:
@@ -222,7 +223,7 @@ def _expectation(table: np.ndarray, blocks: Sequence[np.ndarray], zs: np.ndarray
 
     Returns ``(len(zs), *trailing axes)``: row q is the expectation of
     ``table`` when agent j rounds ``zs[q] * blocks[j]``.  Negative round-off
-    mass within :meth:`PolicyProfile.validate`'s tolerance counts as zero.
+    mass within :data:`PROFILE_ATOL` counts as zero.
     The first step holds ``len(zs)`` times ``table.size / table.shape[0]``
     entries, the largest intermediate.
     """
@@ -236,10 +237,11 @@ def _expectation(table: np.ndarray, blocks: Sequence[np.ndarray], zs: np.ndarray
     return out.reshape((len(zs),) + table.shape[len(blocks) :])
 
 
-def _checked_blocks(f: SetFunction, profile: PolicyProfile) -> tuple[np.ndarray, ...]:
-    profile.validate()
-    if profile.sizes != f.partition.sizes:
+def _checked(f: SetFunction, profile: PolicyProfile) -> tuple[np.ndarray, ...]:
+    if profile.partition != f.partition:
         raise ValueError(f"profile sizes {profile.sizes} differ from {f.partition.sizes}")
+    if profile.row.ndim != 1:
+        raise ValueError("the exact layer takes a single policy row, not a stack")
     return profile.blocks
 
 
@@ -252,7 +254,7 @@ def _gains_at_nodes(
     tensor at the agent's slots minus at its idle entry, contracted with
     every other agent's outcome probabilities.
     """
-    blocks = _checked_blocks(f, profile)
+    blocks = _checked(f, profile)
     f.partition.check_agent(agent)
     table = np.moveaxis(f.outcome_values, agent, -1)
     gains = table[..., 1:] - table[..., :1]
@@ -264,7 +266,7 @@ def exact_extension(f: SetFunction, profile: PolicyProfile) -> float:
     agent's outcome probabilities (1 - sum pi_i, pi_i).  The tensor is
     guarded by :meth:`Partition.check_enumerable` on prod_i (size_i + 1).
     """
-    return float(_expectation(f.outcome_values, _checked_blocks(f, profile), _UNSCALED)[0])
+    return float(_expectation(f.outcome_values, _checked(f, profile), _UNSCALED)[0])
 
 
 def exact_gradient_block(f: SetFunction, profile: PolicyProfile, agent: int) -> np.ndarray:
@@ -272,9 +274,9 @@ def exact_gradient_block(f: SetFunction, profile: PolicyProfile, agent: int) -> 
     return _gains_at_nodes(f, profile, agent, _UNSCALED)[0]
 
 
-def exact_gradient(f: SetFunction, profile: PolicyProfile) -> list[np.ndarray]:
-    """Exact full gradient of F, one block per agent."""
-    return [exact_gradient_block(f, profile, i) for i in range(profile.n_agents)]
+def exact_gradient(f: SetFunction, profile: PolicyProfile) -> np.ndarray:
+    """Exact full gradient of F as a flat row in the profile's order."""
+    return np.concatenate([exact_gradient_block(f, profile, i) for i in range(profile.n_agents)])
 
 
 def exact_surrogate_gradient_block(
@@ -304,12 +306,11 @@ def exact_surrogate_gradient(
     profile: PolicyProfile,
     scheme: SurrogateScheme,
     nodes: int = QUADRATURE_NODES,
-) -> list[np.ndarray]:
-    """Full reweighted gradient, one block per agent (see the block variant)."""
-    return [
-        exact_surrogate_gradient_block(f, profile, scheme, i, nodes)
-        for i in range(profile.n_agents)
-    ]
+) -> np.ndarray:
+    """Full reweighted gradient as a flat row (see the block variant)."""
+    return np.concatenate(
+        [exact_surrogate_gradient_block(f, profile, scheme, i, nodes) for i in range(profile.n_agents)]
+    )
 
 
 def exact_surrogate_value(
@@ -328,10 +329,10 @@ def exact_surrogate_value(
     normalized objective.  Gauss-Legendre nodes avoid the endpoint.
     """
     zs, ws = _gauss_legendre_01(nodes)
-    values = _expectation(f.outcome_values, _checked_blocks(f, profile), zs)
+    values = _expectation(f.outcome_values, _checked(f, profile), zs)
     total = float((ws * scheme.weight(zs) / zs) @ values)
     if scheme.adds_min_gain:
-        total += math.exp(-1.0) * float(np.dot(f.min_gains, profile.flat()))
+        total += math.exp(-1.0) * float(np.dot(f.min_gains, profile.row))
     return total
 
 
@@ -349,24 +350,36 @@ def _sampled_gains(
     budget: Optional[MarginalBudget],
     scheme: Optional[SurrogateScheme] = None,
 ) -> np.ndarray:
-    """Agent's marginal gains against ``samples`` sampled contexts, one row each.
+    """Agent's marginal gains against ``samples`` sampled contexts per
+    profile row, as ``(m, samples, k_agent)`` for m rows (m = 1 for a
+    single row).
 
-    Row l of ``rng.random((samples, n))`` rounds the profile; with a scheme,
-    row l of ``rng.random((samples, n + 1))`` draws z from its column 0 and
-    rounds the z-scaled profile with the rest.  The whole ``(samples, n)``
-    slot matrix goes to one :func:`local_marginal_block` call, which ignores
-    the agent's own (drawn) column and charges one query per slot per row.
+    Row l of ``rng.random((m * samples, n))`` rounds profile row
+    ``l // samples``; with a scheme, row l of ``rng.random((m * samples,
+    n + 1))`` draws z from its column 0 and rounds that profile row scaled
+    by z with the rest.  The whole slot matrix goes to one
+    :func:`local_marginal_block` call, which ignores the agent's own
+    (drawn) column and charges one query per slot per row.
     """
     f.partition.check_agent(agent)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    rows = profile.row.reshape(-1, profile.partition.total)
+    draws = len(rows) * samples
     if scheme is None:
-        u, z = rng.random((samples, profile.n_agents)), None
+        u = rng.random((draws, profile.n_agents))
     else:
-        u = rng.random((samples, profile.n_agents + 1))
+        u = rng.random((draws, profile.n_agents + 1))
         z = np.array([sample_z(scheme, x) for x in u[:, 0].tolist()])
-        u = u[:, 1:]
-    return local_marginal_block(f, agent, sample_choices(profile, u, z), budget)
+        rows, u = np.repeat(rows, samples, axis=0) * z[:, None], u[:, 1:]
+    gains = local_marginal_block(f, agent, sample_rows(profile.partition, rows, u), budget)
+    return gains.reshape(-1, samples, gains.shape[1])
+
+
+def _per_row(profile: PolicyProfile, values: np.ndarray) -> np.ndarray:
+    """Means over the sample axis: ``(k,)`` for a row, ``(m, k)`` for a stack."""
+    means = values.mean(axis=1)
+    return means if profile.row.ndim == 2 else means[0]
 
 
 def estimate_gradient(
@@ -378,8 +391,10 @@ def estimate_gradient(
     samples: int = 1,
 ) -> np.ndarray:
     """Unbiased estimate of agent's gradient block of F: the mean of its own
-    marginal gains against ``samples`` independent roundings of the others."""
-    return _sampled_gains(f, profile, agent, rng, samples, budget).mean(axis=0)
+    marginal gains against ``samples`` independent roundings of the others.
+    A stacked profile gives one estimate per row, ``(m, k_agent)``, from one
+    draw and one oracle call."""
+    return _per_row(profile, _sampled_gains(f, profile, agent, rng, samples, budget))
 
 
 def estimate_surrogate_gradient(
@@ -392,7 +407,8 @@ def estimate_surrogate_gradient(
     min_gain: Optional[np.ndarray] = None,
     samples: int = 1,
 ) -> np.ndarray:
-    """Unbiased estimate of the reweighted gradient block, a mean over samples.
+    """Unbiased estimate of the reweighted gradient block, a mean over samples
+    (per row of a stacked profile, as in :func:`estimate_gradient`).
 
     Each sample draws z from the normalized weight density, rounds the
     z-scaled profile, and rescales the observed gains by int_0^1 w.  With the
@@ -406,4 +422,4 @@ def estimate_surrogate_gradient(
         if min_gain is None:
             min_gain = min_gain_vector(f, agent, budget)
         values = values + math.exp(-1.0) * min_gain
-    return values.mean(axis=0)
+    return _per_row(profile, values)

@@ -1,4 +1,4 @@
-"""Capped-simplex geometry: projection, normalization, vertex profiles.
+"""Capped-simplex geometry: projection and normalization.
 
 The feasible region of one agent's block is the capped simplex
 ``{x >= 0, sum(x) <= 1}``; a policy profile lives in the product of these.
@@ -8,55 +8,47 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extension import PolicyProfile
-from .ground import FeasibleSet, Partition
+from .ground import Partition
 
 NORMALIZE_FLOOR = 1e-12
 
 
 def project_capped_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) <= 1}.
+    """Euclidean projection of every row (last axis) onto {x >= 0, sum(x) <= 1}.
 
-    Clips negatives first; if the clipped point still carries more than unit
-    mass, the projection lies on the sum-one face and reduces to the standard
-    sort-and-threshold simplex projection.  O(k log k).
+    Sort and threshold: with s the row sorted in decreasing order, the
+    simplex threshold is theta = max_j (s_1 + ... + s_j - 1) / j, and the
+    answer is ``max(y - max(theta, 0), 0)``.  theta > 0 exactly when the
+    clipped row carries more than unit mass, and the projection then lies on
+    the sum-one face; otherwise the row is only clipped.  Zeros appended to
+    a row neither raise theta nor decide its sign, and project to 0, so
+    blocks of unequal sizes can be projected together zero-padded to a
+    common length.  O(k log k) per row.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("expected a nonempty 1-d vector")
-    if not np.all(np.isfinite(y)):
+    if y.ndim == 0 or y.shape[-1] == 0:
+        raise ValueError("expected rows with a nonempty last axis")
+    if not np.isfinite(y).all():
         raise ValueError("cannot project non-finite input")
-    clipped = np.maximum(y, 0.0)
-    if clipped.sum() <= 1.0:
-        return clipped
-    # Projection onto the face sum(x) = 1, x >= 0.
-    s = np.sort(y)[::-1]
-    csum = np.cumsum(s) - 1.0
-    idx = np.arange(1, y.size + 1)
-    rho = int(np.max(idx[s - csum / idx > 0.0]))
-    theta = csum[rho - 1] / rho
-    return np.maximum(y - theta, 0.0)
+    s = np.sort(y, axis=-1)[..., ::-1]
+    theta = ((np.cumsum(s, axis=-1) - 1.0) / np.arange(1, y.shape[-1] + 1)).max(
+        axis=-1, keepdims=True
+    )
+    return np.maximum(y - np.maximum(theta, 0.0), 0.0)
 
 
-def normalize_policy(x: np.ndarray) -> np.ndarray:
-    """Scale a nonnegative block to sum one; uniform fallback for ~zero mass."""
-    x = np.asarray(x, dtype=np.float64)
-    total = float(x.sum())
-    if total <= NORMALIZE_FLOOR:
-        return np.full(x.size, 1.0 / x.size)
-    return x / total
+def project_blocks(partition: Partition, rows: np.ndarray) -> np.ndarray:
+    """Project every agent's block of ``(..., |V|)`` flat rows onto its
+    capped simplex: all blocks zero-padded (:meth:`Partition.pad`) into one
+    :func:`project_capped_simplex` call."""
+    return partition.unpad(project_capped_simplex(partition.pad(rows)))
 
 
-def indicator_profile(selection: FeasibleSet, partition: Partition) -> PolicyProfile:
-    """Deterministic profile putting mass 1 on each selected action."""
-    if len(selection.choice) != partition.n_agents:
-        raise ValueError("selection and partition disagree on the number of agents")
-    blocks = []
-    for i, slot in enumerate(selection.choice):
-        b = np.zeros(partition.sizes[i])
-        if slot is not None:
-            if not (0 <= slot < partition.sizes[i]):
-                raise ValueError(f"slot {slot} out of range for agent {i}")
-            b[slot] = 1.0
-        blocks.append(b)
-    return PolicyProfile(tuple(blocks))
+def normalize_policy(partition: Partition, row: np.ndarray) -> np.ndarray:
+    """Scale every nonnegative block of a flat row to sum one; a block with
+    about zero mass becomes uniform."""
+    blocks = partition.pad(np.asarray(row, dtype=np.float64))
+    totals = blocks.sum(axis=-1, keepdims=True)
+    empty = totals <= NORMALIZE_FLOOR
+    uniform = 1.0 / np.array(partition.sizes)[:, None]
+    return partition.unpad(np.where(empty, uniform, blocks / np.where(empty, 1.0, totals)))

@@ -7,12 +7,17 @@ forms only:
 
 * a slot matrix, ``(L, n)`` ints, one selection per row with entry ``[l, i]``
   agent i's chosen slot or -1 for idle -- at most one action per agent, the
-  form of samples, contexts and the outcome tensor;
+  form of a round's selection (one ``(n,)`` row), samples, contexts and the
+  outcome tensor;
 * membership rows, ``(L, |V|)`` bools, one arbitrary subset of V per row in
   flat order -- the form :meth:`SetFunction.value` evaluates, since the
   min-gain vector and the structure ratios need subsets holding several
   actions of one agent.  :meth:`Partition.members` converts the first form to
   the second.
+
+Policies use the same flat order: one float row of length |V| (see
+``extension.PolicyProfile``); :meth:`Partition.pad` lays the agents' blocks
+out as a zero-padded ``(n, k_max)`` matrix for per-block vector operations.
 
 Objectives are monotone normalized set functions exposed to learners only
 through marginal gains on their own actions.
@@ -30,6 +35,7 @@ import numpy as np
 from .errors import InvalidActionError, ScaleError
 
 EXACT_ENUMERATION_LIMIT = 1_000_000
+OUTCOME_BLOCK = 1 << 14  # joint outcomes per value() call while building T
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,10 @@ class Partition:
         # array forms for the per-call checks and conversions
         object.__setattr__(self, "_sizes", np.array(sizes))
         object.__setattr__(self, "_starts", np.array(offsets[:-1]))
+        # the padded block layout: flat positions of the real entries in the
+        # (n, k_max) matrix, None when every block has k_max entries
+        real = np.arange(max(sizes)) < np.array(sizes)[:, None]
+        object.__setattr__(self, "_pad_index", None if real.all() else np.flatnonzero(real))
 
     @property
     def n_agents(self) -> int:
@@ -111,19 +121,26 @@ class Partition:
         out[np.nonzero(present)[0], (choices + self._starts)[present]] = True
         return out
 
+    def outcomes(self, index: np.ndarray) -> np.ndarray:
+        """Slot rows of the joint outcomes at flat C-order positions ``index``
+        of :attr:`outcome_shape`: position 0 is all idle, and the last
+        agent's slot runs fastest."""
+        return np.stack(np.unravel_index(index, self.outcome_shape), axis=1) - 1
 
-@dataclass(frozen=True)
-class FeasibleSet:
-    """At most one chosen slot per agent; ``None`` marks an agent that sits out."""
+    def pad(self, rows: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """``(..., |V|)`` rows as ``(..., n, k_max)`` blocks, each agent's
+        block padded with ``fill`` past its own k_j entries."""
+        blocks = rows.shape[:-1] + (self.n_agents, max(self.sizes))
+        if self._pad_index is None:
+            return rows.reshape(blocks)
+        out = np.full(rows.shape[:-1] + (math.prod(blocks[-2:]),), fill)
+        out[..., self._pad_index] = rows
+        return out.reshape(blocks)
 
-    choice: tuple[Optional[int], ...]
-
-    @staticmethod
-    def empty(n_agents: int) -> "FeasibleSet":
-        return FeasibleSet((None,) * n_agents)
-
-    def size(self) -> int:
-        return sum(1 for m in self.choice if m is not None)
+    def unpad(self, blocks: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`pad`: the ``(..., |V|)`` rows of padded blocks."""
+        rows = blocks.reshape(blocks.shape[:-2] + (-1,))
+        return rows if self._pad_index is None else rows[..., self._pad_index]
 
 
 class SetFunction:
@@ -194,10 +211,14 @@ class SetFunction:
         call over every outcome, and the size guard runs before it.
         """
         if self._outcome_values is None:
-            self.partition.check_enumerable()
-            shape = self.partition.outcome_shape
-            choices = np.indices(shape).reshape(len(shape), -1).T - 1
-            values = self.value(self.partition.members(choices)).reshape(shape)
+            partition = self.partition
+            partition.check_enumerable()
+            values = np.empty(math.prod(partition.outcome_shape))
+            for lo in range(0, values.size, OUTCOME_BLOCK):
+                hi = min(lo + OUTCOME_BLOCK, values.size)
+                rows = partition.members(partition.outcomes(np.arange(lo, hi)))
+                values[lo:hi] = self.value(rows)
+            values = values.reshape(partition.outcome_shape)
             values.flags.writeable = False
             self._outcome_values = values
         return self._outcome_values

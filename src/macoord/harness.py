@@ -90,12 +90,12 @@ class RunConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
             return RunConfig(
-                environment=dict(doc["environment"]),
-                graph=dict(doc.get("graph", {"kind": "complete"})),
-                learner=dict(doc["learner"]),
+                environment=_object(doc, "environment"),
+                graph=_object(doc, "graph", {"kind": "complete"}),
+                learner=_object(doc, "learner"),
                 horizon=int(doc["horizon"]),
                 seed=int(doc.get("seed", 0)),
-                oracle_regret=bool(doc.get("oracle_regret", False)),
+                oracle_regret=_flag(doc, "oracle_regret"),
                 rho=float(doc.get("rho", 1.0)),
                 out=doc.get("out"),
             )
@@ -103,6 +103,24 @@ class RunConfig:
             raise ConfigError(f"missing config field: {exc.args[0]}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _object(doc: dict, key: str, default: Optional[dict] = None) -> dict:
+    """A copy of a JSON object field; an array of pairs, which ``dict()``
+    would read as one, or any other value is refused."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return dict(value)
+
+
+def _flag(doc: dict, key: str) -> bool:
+    """A JSON boolean field, false when absent; any other value is refused
+    rather than read by truthiness (``"no"`` would be true)."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def scheme_from_dict(doc: Optional[dict]) -> SurrogateScheme:
@@ -149,7 +167,7 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
                 seed=cfg.seed,
                 eta0=float(doc.get("eta0", 1.0)),
                 batch=int(doc.get("batch", 10)),
-                exact_gradient=bool(doc.get("exact_gradient", False)),
+                exact_gradient=_flag(doc, "exact_gradient"),
                 step_size=doc.get("step_size"),
             )
         if kind == "ma-mpl":
@@ -193,8 +211,7 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
     for t in range(1, cfg.horizon + 1):
         f = env.begin_round(t)
         chosen = learner.round(f, t)
-        slots = np.array([[-1 if m is None else m for m in chosen.choice]])
-        utility = float(f.value(partition.members(slots))[0])
+        utility = float(f.value(partition.members(chosen[None]))[0])
         opt: Optional[float] = None
         regret: Optional[float] = None
         if cfg.oracle_regret:
@@ -226,12 +243,6 @@ def compute_rho_regret(logs: Sequence[RoundLog], rho: float) -> float:
     )
 
 
-def running_average(values: Sequence[float]) -> np.ndarray:
-    """Prefix means: out[t] = mean(values[: t + 1])."""
-    v = np.asarray(values, dtype=np.float64)
-    return np.cumsum(v) / np.arange(1, v.size + 1)
-
-
 CSV_COLUMNS = ("t", "utility", "opt", "cum_regret", "disagreement", "queries")
 
 
@@ -261,12 +272,6 @@ def export_json(logs: Sequence[RoundLog], path: "Path | str") -> Path:
         json.dump([asdict(log) for log in logs], fh, indent=2)
         fh.write("\n")
     return path
-
-
-def load_json_logs(path: "Path | str") -> list[RoundLog]:
-    with Path(path).open() as fh:
-        rows = json.load(fh)
-    return [RoundLog(**row) for row in rows]
 
 
 def write_world_trace(rows: Sequence[tuple], path: "Path | str") -> Path:

@@ -4,7 +4,9 @@ Both coordination learners hold one ``(n, |V|)`` matrix: row i is agent i's
 estimate of the whole joint policy, with columns in the partition's flat
 order, so agent j's block is the column range of its actions.  Agents talk
 only to graph neighbors once per round (or once per inner step) and query
-the objective only through marginal gains of their own actions.
+the objective only through marginal gains of their own actions.  Every
+learner returns a round's selection as an ``(n,)`` int slot row, -1 for an
+idle agent.
 
 * :class:`PolicyConsensusLearner` — single projected-ascent step per round on
   a reweighted stochastic gradient, after mixing the rows through the
@@ -12,8 +14,9 @@ the objective only through marginal gains of their own actions.
   supported on the graph).
 * :class:`MetaConditionalGradientLearner` — per-round K-step conditional
   gradient whose ascent directions come from K persistent online linear
-  maximizers; each row spreads by max-consensus, the coordinate-wise max
-  over the agent's closed neighborhood.
+  maximizers, held as one ``(K, |V|)`` iterate matrix; each row spreads by
+  max-consensus, the coordinate-wise max over the agent's closed
+  neighborhood.
 """
 
 from __future__ import annotations
@@ -30,11 +33,10 @@ from .extension import (
     estimate_gradient,
     estimate_surrogate_gradient,
     exact_surrogate_gradient_block,
-    sample_distribution_slot,
+    sample_rows,
 )
-from .geometry import normalize_policy, project_capped_simplex
+from .geometry import normalize_policy, project_blocks
 from .ground import (
-    FeasibleSet,
     MarginalBudget,
     Partition,
     SetFunction,
@@ -77,34 +79,18 @@ def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> float:
     return step
 
 
-def _blocks(partition: Partition, row: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Cut one flat estimate row into per-agent policy blocks."""
-    return tuple(np.split(row, partition.offsets[1:-1]))
+def _own_columns(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Index of every agent's own block in an ``(n, |V|)`` matrix: row i at
+    the columns of agent i's actions, in flat order."""
+    return np.repeat(np.arange(partition.n_agents), partition.sizes), np.arange(partition.total)
 
 
-class OnlineGradientAscentOracle:
-    """Online linear maximizer over one capped simplex.
-
-    Holds an iterate (initialized uniform, hence on the sum-one face), returns
-    it as the next direction, and moves it by a projected gradient step on
-    each observed linear reward.  Nonnegative rewards keep the iterate on the
-    face, since the projection of a superunit nonnegative point lands there.
-    """
-
-    def __init__(self, dim: int, step: float):
-        if dim < 1 or not 0.0 < step < math.inf:
-            raise ConfigError("oracle needs dim >= 1 and a finite positive step")
-        self.step = float(step)
-        self.iterate = np.full(dim, 1.0 / dim)
-
-    def direction(self) -> np.ndarray:
-        return self.iterate.copy()
-
-    def update(self, reward: np.ndarray) -> None:
-        reward = np.asarray(reward, dtype=np.float64)
-        if reward.shape != self.iterate.shape:
-            raise ValueError("reward dimension mismatch")
-        self.iterate = project_capped_simplex(self.iterate + self.step * reward)
+def _play(partition: Partition, own: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each agent samples its own normalized block at its uniform ``u[i]``:
+    the slot row of one rounding of the normalized own row.  Round-off that
+    leaves a block's total below its uniform gives the block's last slot."""
+    slots = sample_rows(partition, normalize_policy(partition, own), u[None])[0]
+    return np.where(slots < 0, np.array(partition.sizes) - 1, slots)
 
 
 class PolicyConsensusLearner:
@@ -162,39 +148,31 @@ class PolicyConsensusLearner:
         self.batch = int(batch)
         self.exact_gradient = bool(exact_gradient)
         self.step_size = _step_size(eta0, horizon, step_size)
-        self._ranges = list(zip(partition.offsets[:-1], partition.offsets[1:]))
+        self._own = _own_columns(partition)
         # each agent starts uniform on its own block and empty elsewhere
         self.policies = np.zeros((partition.n_agents, partition.total))
-        for i, (lo, hi) in enumerate(self._ranges):
-            self.policies[i, lo:hi] = 1.0 / (hi - lo)
+        self.policies[self._own] = PolicyProfile.uniform(partition).row
         self.budget = MarginalBudget(partition.n_agents)
 
     def set_start(self, profile: PolicyProfile) -> None:
         """Reset every agent's estimates to a common profile (diagnostics)."""
-        if profile.sizes != self.partition.sizes:
+        if profile.partition != self.partition or profile.row.ndim != 1:
             raise ConfigError("profile does not match the partition")
-        row = np.concatenate(profile.blocks)
-        self.policies = np.tile(row, (self.partition.n_agents, 1))
+        self.policies = np.tile(profile.row, (self.partition.n_agents, 1))
 
     def local_profile(self, agent: int) -> PolicyProfile:
-        return PolicyProfile(_blocks(self.partition, self.policies[agent]))
+        return PolicyProfile(self.partition, self.policies[agent])
 
     def played_profile(self) -> PolicyProfile:
         """Own blocks only — the joint policy actually being sampled from."""
-        return PolicyProfile(
-            tuple(self.policies[i, lo:hi] for i, (lo, hi) in enumerate(self._ranges))
-        )
+        return PolicyProfile(self.partition, self.policies[self._own])
 
-    def round(self, f: SetFunction, t: int) -> FeasibleSet:
+    def round(self, f: SetFunction, t: int) -> np.ndarray:
         self.budget.reset()
         n = self.partition.n_agents
         streams = [agent_stream(self.seed, t, i) for i in range(n)]
-
-        # play: each agent samples from its own normalized block
-        chosen = []
-        for i, (lo, hi) in enumerate(self._ranges):
-            p = normalize_policy(self.policies[i, lo:hi])
-            chosen.append(sample_distribution_slot(p, streams[i].random()))
+        u = np.array([stream.random() for stream in streams])
+        chosen = _play(self.partition, self.policies[self._own], u)
 
         # local reweighted-gradient estimates at each agent's current view
         grads = []
@@ -215,14 +193,13 @@ class PolicyConsensusLearner:
                 )
             )
 
-        # consensus averaging of every copy; ascent step on the own block
+        # consensus averaging of every copy; ascent step on the own blocks
         mixed = self.weights @ self.policies
-        for i, (lo, hi) in enumerate(self._ranges):
-            mixed[i, lo:hi] = project_capped_simplex(
-                mixed[i, lo:hi] + self.step_size * grads[i]
-            )
+        mixed[self._own] = project_blocks(
+            self.partition, mixed[self._own] + self.step_size * np.concatenate(grads)
+        )
         self.policies = mixed
-        return FeasibleSet(tuple(chosen))
+        return chosen
 
     def disagreement(self) -> float:
         """Total L2 spread of the agents' estimates around their mean."""
@@ -241,6 +218,11 @@ class MetaConditionalGradientLearner:
     round, so the max is the freshest copy).  After playing, each inner-step
     estimate is scored by an L-sample mean of marginal gains and fed back to
     the matching maximizer.
+
+    The maximizers are online gradient ascent on the capped simplex: row k of
+    ``iterates`` holds every agent's k-th iterate on its own block, starts
+    uniform (hence on the sum-one face), is the k-th direction, and moves by
+    a projected gradient step on each observed linear reward (:meth:`update`).
     """
 
     kind = "ma-mpl"
@@ -267,20 +249,29 @@ class MetaConditionalGradientLearner:
         self.seed = int(seed)
         self.inner_steps = int(inner_steps)
         self.sample_batch = int(sample_batch)
-        step = _step_size(eta0, horizon, step_size)
+        self.step_size = _step_size(eta0, horizon, step_size)
         n = partition.n_agents
-        self.oracles = [
-            [OnlineGradientAscentOracle(partition.sizes[i], step) for _ in range(inner_steps)]
-            for i in range(n)
-        ]
+        self.iterates = np.tile(PolicyProfile.uniform(partition).row, (self.inner_steps, 1))
         self.budget = MarginalBudget(n)
+        self._own = _own_columns(partition)
         self._ranges = list(zip(partition.offsets[:-1], partition.offsets[1:]))
         self._hoods = _closed_neighborhoods(graph)
         self.estimates = np.zeros((n, partition.total))
         self.last_inner_disagreement: list[list[float]] = []
 
     def local_profile(self, agent: int) -> PolicyProfile:
-        return PolicyProfile(_blocks(self.partition, self.estimates[agent]))
+        return PolicyProfile(self.partition, self.estimates[agent])
+
+    def update(self, rewards: np.ndarray) -> None:
+        """Move every maximizer by a projected gradient step on its linear
+        reward, a ``(K, |V|)`` matrix laid out like ``iterates``, in one
+        projection.  Nonnegative rewards keep every block on the sum-one
+        face, since the projection of a superunit nonnegative point lands
+        there."""
+        rewards = np.asarray(rewards, dtype=np.float64)
+        if rewards.shape != self.iterates.shape:
+            raise ValueError("reward dimension mismatch")
+        self.iterates = project_blocks(self.partition, self.iterates + self.step_size * rewards)
 
     def _inner_disagreement(self) -> list[float]:
         """Per-agent (1/n) <1, own-blocks - estimates>; see the path-graph bound.
@@ -293,58 +284,51 @@ class MetaConditionalGradientLearner:
 
     def round(
         self, f: SetFunction, t: int, record_inner: bool = False
-    ) -> FeasibleSet:
+    ) -> np.ndarray:
         self.budget.reset()
         n = self.partition.n_agents
         self.estimates = np.zeros((n, self.partition.total))
         self.last_inner_disagreement = []
-        steps: list[np.ndarray] = []
+        steps = np.empty((self.inner_steps, n, self.partition.total))
 
         for k in range(self.inner_steps):
             y = self.estimates.copy()
-            for i, (lo, hi) in enumerate(self._ranges):
-                y[i, lo:hi] += self.oracles[i][k].direction() / self.inner_steps
+            y[self._own] += self.iterates[k] / self.inner_steps
             self.estimates = np.stack([y[hood].max(axis=0) for hood in self._hoods])
-            steps.append(self.estimates)
+            steps[k] = self.estimates
             if record_inner:
                 self.last_inner_disagreement.append(self._inner_disagreement())
 
         streams = [agent_stream(self.seed, t, i) for i in range(n)]
-        chosen = []
-        for i, (lo, hi) in enumerate(self._ranges):
-            p = normalize_policy(self.estimates[i, lo:hi])
-            chosen.append(sample_distribution_slot(p, streams[i].random()))
+        u = np.array([stream.random() for stream in streams])
+        chosen = _play(self.partition, self.estimates[self._own], u)
 
-        # score every inner estimate and teach the matching oracle
-        for i in range(n):
-            for k, estimates in enumerate(steps):
-                profile = PolicyProfile(_blocks(self.partition, estimates[i]))
-                self.oracles[i][k].update(
-                    estimate_gradient(
-                        f, profile, i, streams[i], self.budget, samples=self.sample_batch
-                    )
-                )
-        return FeasibleSet(tuple(chosen))
+        # score agent i's K inner estimates in one draw and one oracle call,
+        # then teach every maximizer at once
+        rewards = np.empty_like(self.iterates)
+        for i, (lo, hi) in enumerate(self._ranges):
+            rewards[:, lo:hi] = estimate_gradient(
+                f, PolicyProfile(self.partition, steps[:, i]), i, streams[i], self.budget,
+                samples=self.sample_batch,
+            )
+        self.update(rewards)
+        return chosen
 
     def disagreement(self) -> float:
         """Worst per-agent estimate gap at the final inner step of the round."""
         return max(self._inner_disagreement())
 
 
-def random_baseline_round(
-    partition: Partition, rng: np.random.Generator
-) -> FeasibleSet:
+def random_baseline_round(partition: Partition, rng: np.random.Generator) -> np.ndarray:
     """Every agent plays a uniformly random own action."""
-    return FeasibleSet(
-        tuple(int(rng.integers(k)) for k in partition.sizes)
-    )
+    return np.array([int(rng.integers(k)) for k in partition.sizes])
 
 
 def sequential_greedy_round(
     f: SetFunction,
     partition: Partition,
     budget: Optional[MarginalBudget] = None,
-) -> FeasibleSet:
+) -> np.ndarray:
     """Agents in index order each take their best action given predecessors.
 
     Ties break to the lowest slot (argmax returns the first maximizer).
@@ -352,7 +336,7 @@ def sequential_greedy_round(
     chosen = np.full((1, partition.n_agents), -1, dtype=np.int64)
     for i in range(partition.n_agents):
         chosen[0, i] = np.argmax(local_marginal_block(f, i, chosen, budget)[0])
-    return FeasibleSet(tuple(chosen[0].tolist()))
+    return chosen[0]
 
 
 class RandomLearner:
@@ -363,7 +347,7 @@ class RandomLearner:
         self.seed = int(seed)
         self.budget = MarginalBudget(partition.n_agents)
 
-    def round(self, f: SetFunction, t: int) -> FeasibleSet:
+    def round(self, f: SetFunction, t: int) -> np.ndarray:
         self.budget.reset()
         return random_baseline_round(
             self.partition, agent_stream(self.seed, t, _RANDOM_TAG)
@@ -380,7 +364,7 @@ class GreedyLearner:
         self.partition = partition
         self.budget = MarginalBudget(partition.n_agents)
 
-    def round(self, f: SetFunction, t: int) -> FeasibleSet:
+    def round(self, f: SetFunction, t: int) -> np.ndarray:
         self.budget.reset()
         return sequential_greedy_round(f, self.partition, self.budget)
 

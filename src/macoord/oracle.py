@@ -9,10 +9,9 @@ certificates, and approximation-floor audits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from .extension import (
     exact_gradient,
     exact_surrogate_gradient,
 )
-from .geometry import project_capped_simplex
-from .ground import FeasibleSet, Partition, SetFunction
+from .geometry import project_blocks
+from .ground import Partition, SetFunction
 
 RATIO_MAX_ACTIONS = 12
 STATIONARITY_TOL = 1e-6
@@ -36,16 +35,16 @@ ASCENT_MAX_ITERS = 100_000
 OBJECTIVES = ("extension", "surrogate", "surrogate+min-gain")
 
 
-def feasible_sets(partition: Partition) -> Iterator[FeasibleSet]:
-    """All selections with at most one action per agent, lexicographic order
-    (None before slot 0 before slot 1, agents nested left to right)."""
+def feasible_sets(partition: Partition) -> np.ndarray:
+    """Slot rows of all selections with at most one action per agent, in
+    lexicographic order (idle before slot 0 before slot 1, agents nested
+    left to right): the C order of the outcome tensor."""
     partition.check_enumerable()
-    for choice in itertools.product(*([None, *range(k)] for k in partition.sizes)):
-        yield FeasibleSet(choice)
+    return partition.outcomes(np.arange(math.prod(partition.outcome_shape)))
 
 
-def brute_force_opt(f: SetFunction, partition: Partition) -> tuple[FeasibleSet, float]:
-    """Best feasible selection: the argmax of ``f.outcome_values``.
+def brute_force_opt(f: SetFunction, partition: Partition) -> tuple[np.ndarray, float]:
+    """Best feasible selection as a slot row: the argmax of ``f.outcome_values``.
 
     ``partition`` must be f's own.  Ties go to the first maximum in C order,
     which is the order of :func:`feasible_sets`.
@@ -53,9 +52,8 @@ def brute_force_opt(f: SetFunction, partition: Partition) -> tuple[FeasibleSet, 
     if partition != f.partition:
         raise ValueError(f"partition {partition.sizes} is not the objective's {f.partition.sizes}")
     values = f.outcome_values
-    best = np.unravel_index(int(np.argmax(values)), values.shape)
-    choice = tuple(None if s == 0 else int(s) - 1 for s in best)
-    return FeasibleSet(choice), float(values[best])
+    best = int(np.argmax(values))
+    return partition.outcomes(np.array([best]))[0], float(values.flat[best])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,7 @@ def _objective_gradient(
     profile: PolicyProfile,
     objective: str,
     scheme: Optional[SurrogateScheme],
-) -> list[np.ndarray]:
+) -> np.ndarray:
     if objective == "extension":
         return exact_gradient(f, profile)
     if objective in ("surrogate", "surrogate+min-gain"):
@@ -211,7 +209,7 @@ class StationarityReport:
     improvement: float  # max_{y feasible} <y - pi, grad>
     stationary: bool
     tolerance: float
-    gradient: tuple[np.ndarray, ...] = field(repr=False)
+    gradient: np.ndarray = field(repr=False)  # flat, in the profile's order
 
 
 def check_stationarity(
@@ -225,18 +223,17 @@ def check_stationarity(
 
     The maximum separates per block: the best y places unit mass on the
     largest strictly positive coordinate (or no mass at all), so the
-    improvement is sum_i [max(0, max_m grad_im) - <pi_i, grad_i>].
+    improvement is sum_i max(0, max_m grad_im) - <pi, grad>.
     """
     grad = _objective_gradient(f, profile, objective, scheme)
-    improvement = 0.0
-    for g, b in zip(grad, profile.blocks):
-        improvement += max(0.0, float(g.max())) - float(np.dot(g, b))
+    best = np.maximum(profile.partition.pad(grad).max(axis=-1), 0.0)  # padding is 0 too
+    improvement = float(best.sum() - np.dot(grad, profile.row))
     return StationarityReport(
         objective=objective,
-        improvement=float(improvement),
+        improvement=improvement,
         stationary=improvement <= tol,
         tolerance=tol,
-        gradient=tuple(grad),
+        gradient=grad,
     )
 
 
@@ -252,7 +249,7 @@ def stationary_point_floor(
     For the plain extension with a DR ratio, two floor variants are in
     circulation (alpha^2/(1+alpha^2) and alpha^2/(1+alpha)); we audit against
     the weaker alpha^2/(1+alpha), which is the one the detailed derivation
-    actually supports.  See also :func:`floor_variants`.
+    actually supports.
     """
     if objective == "extension":
         if curvature is not None:
@@ -276,24 +273,11 @@ def stationary_point_floor(
     raise ValueError(f"no floor for objective {objective!r} with given ratios")
 
 
-def floor_variants(dr_ratio: float) -> dict[str, float]:
-    """Both published stationary-point floors for the DR-ratio case.
-
-    The headline statement reads alpha^2/(1+alpha^2); the proof supplies
-    alpha^2/(1+alpha) (weaker on (0,1)).  Audits use the proof-backed value;
-    this helper exposes both so reports can flag the discrepancy.
-    """
-    return {
-        "stated": dr_ratio**2 / (1.0 + dr_ratio**2),
-        "proof": dr_ratio**2 / (1.0 + dr_ratio),
-    }
-
-
 @dataclass(frozen=True)
 class AuditReport:
     extension_value: float
     opt_value: float
-    opt_set: FeasibleSet
+    opt_set: np.ndarray  # slot row of an optimal selection
     ratio: float
     floor: float
     clears: bool
@@ -335,21 +319,13 @@ def projected_ascent(
     moves less than ``move_tol`` in L2 or after ``max_iters`` steps.
     """
     profile = start if start is not None else PolicyProfile(
-        tuple(np.full(k, 0.5 / k) for k in partition.sizes)
+        partition, np.repeat(0.5 / np.array(partition.sizes), partition.sizes)
     )
     for _ in range(max_iters):
         grad = _objective_gradient(f, profile, objective, scheme)
-        new_blocks = tuple(
-            project_capped_simplex(b + step * g)
-            for b, g in zip(profile.blocks, grad)
-        )
-        move = math.sqrt(
-            sum(
-                float(np.sum((nb - b) ** 2))
-                for nb, b in zip(new_blocks, profile.blocks)
-            )
-        )
-        profile = PolicyProfile(new_blocks)
+        row = project_blocks(partition, profile.row + step * grad)
+        move = float(np.linalg.norm(row - profile.row))
+        profile = PolicyProfile(partition, row)
         if move < move_tol:
             break
     return profile

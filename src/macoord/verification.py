@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .envs import coverage_instance, synthetic_setfn
+from .envs import ModularFunction, coverage_instance, synthetic_setfn
 from .extension import (
     PolicyProfile,
     SurrogateScheme,
@@ -26,8 +26,7 @@ from .extension import (
     sample_choices,
     sample_z,
 )
-from .geometry import indicator_profile, project_capped_simplex
-from .ground import FeasibleSet
+from .ground import Partition
 from .harness import RunConfig, export_csv, run_experiment
 from .learners import MetaConditionalGradientLearner, PolicyConsensusLearner
 from .network import CommGraph, diameter, erdos_renyi, metropolis_weights, spectral_gap
@@ -36,6 +35,7 @@ from .oracle import (
     brute_force_opt,
     check_stationarity,
     estimate_ratios,
+    feasible_sets,
     projected_ascent,
     stationary_point_floor,
 )
@@ -53,13 +53,13 @@ class CheckResult:
         object.__setattr__(self, "passed", bool(self.passed))
 
 
-def _random_profile(sizes, rng, interior: bool = False) -> PolicyProfile:
+def _random_profile(partition: Partition, rng, interior: bool = False) -> PolicyProfile:
     blocks = []
-    for k in sizes:
+    for k in partition.sizes:
         x = rng.random(k)
         x /= x.sum() + rng.random() + (0.5 if interior else 0.0)
         blocks.append(np.clip(x, 1e-3 if interior else 0.0, None))
-    return PolicyProfile(tuple(blocks))
+    return PolicyProfile(partition, np.concatenate(blocks))
 
 
 def _check_lossless_rounding(seed: int) -> CheckResult:
@@ -67,7 +67,7 @@ def _check_lossless_rounding(seed: int) -> CheckResult:
     worst = 0.0
     for trial in range(5):
         f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
-        profile = _random_profile(f.partition.sizes, rng)
+        profile = _random_profile(f.partition, rng)
         exact = exact_extension(f, profile)
         u = rng.random((f.partition.n_agents, 40_000)).T  # agent-major draw order
         draws = f.outcome_values[tuple((sample_choices(profile, u) + 1).T)]
@@ -86,12 +86,12 @@ def _check_gradient_fd(seed: int) -> CheckResult:
     f = synthetic_setfn("coverage-random", (2, 1, 2), rng)
     worst = 0.0
     for _ in range(10):
-        profile = _random_profile(f.partition.sizes, rng, interior=True)
+        profile = _random_profile(f.partition, rng, interior=True)
         agent, h = int(rng.integers(3)), 1e-5
-        step = np.zeros(profile.sizes[agent])
-        step[0] = h  # along the agent's slot 0
-        up = profile.with_block(agent, profile.blocks[agent] + step)
-        dn = profile.with_block(agent, profile.blocks[agent] - step)
+        step = np.zeros(f.partition.total)
+        step[f.partition.offsets[agent]] = h  # along the agent's slot 0
+        up = PolicyProfile(f.partition, profile.row + step)
+        dn = PolicyProfile(f.partition, profile.row - step)
         fd = (exact_extension(f, up) - exact_extension(f, dn)) / (2 * h)
         ex = exact_gradient_block(f, profile, agent)[0]
         worst = max(worst, abs(fd - ex) / max(abs(ex), 1e-12))
@@ -107,15 +107,14 @@ def _check_key_inequalities(seed: int) -> CheckResult:
     f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
     ratios = estimate_ratios(f)
     g, b = ratios.lower_ratio, ratios.upper_ratio
-    shape = f.partition.outcome_shape
     # every feasible selection, in the C order of the outcome tensor
-    members = f.partition.members(np.indices(shape).reshape(len(shape), -1).T - 1)
+    members = f.partition.members(feasible_sets(f.partition))
     fs = f.outcome_values.ravel()
     worst = math.inf
     for _ in range(10):
-        profile = _random_profile(f.partition.sizes, rng)
+        profile = _random_profile(f.partition, rng)
         value = exact_extension(f, profile)
-        picked = members @ np.concatenate(exact_gradient(f, profile))
+        picked = members @ exact_gradient(f, profile)
         slack_dr = picked - ratios.dr_ratio * (fs - value)
         slack_ws = picked - (g**2 * fs - (b * (1 - g) + g**2) * value)
         worst = min(worst, float(slack_dr.min()), float(slack_ws.min()))
@@ -150,7 +149,7 @@ def _check_stationary_floors(seed: int) -> CheckResult:
 
 def _check_tightness_instance(seed: int) -> CheckResult:
     f = coverage_instance(3, 0.1, 1)
-    trap = indicator_profile(FeasibleSet((0, 0, 0)), f.partition)
+    trap = PolicyProfile(f.partition, f.partition.members(np.zeros((1, 3), dtype=np.int64))[0])
     plain = check_stationarity(f, trap, "extension", tol=1e-9)
     boosted = check_stationarity(
         f, trap, "surrogate+min-gain", SurrogateScheme.submodular(), tol=1e-9
@@ -167,9 +166,6 @@ def _check_tightness_instance(seed: int) -> CheckResult:
 
 
 def _check_ratio_sanity(seed: int) -> CheckResult:
-    from .envs import ModularFunction
-    from .ground import Partition
-
     f = ModularFunction(Partition((2, 2)), np.array([0.5, 1.25, 0.75, 2.0]))
     r = estimate_ratios(f)
     modular_ok = (

@@ -27,8 +27,7 @@ from macoord.extension import (
     exact_gradient_block,
     sample_choices,
 )
-from macoord.geometry import indicator_profile
-from macoord.ground import FeasibleSet, Partition
+from macoord.ground import Partition
 from macoord.harness import (
     RunConfig,
     resolve_preset,
@@ -71,12 +70,12 @@ def _random_profile(sizes, rng):
         if total > 0:
             raw = raw * (rng.random() / total)  # total mass uniform in [0, 1)
         blocks.append(raw)
-    return PolicyProfile(tuple(blocks))
+    return PolicyProfile(Partition(sizes), np.concatenate(blocks))
 
 
 def _interior_profile(sizes, rng):
     return PolicyProfile(
-        tuple(rng.uniform(0.05, 0.45 / k, k) + 0.05 for k in sizes)
+        Partition(sizes), np.concatenate([rng.uniform(0.05, 0.45 / k, k) + 0.05 for k in sizes])
     )
 
 
@@ -122,15 +121,13 @@ def test_02_gradient_formula():
         profile = _interior_profile(f.partition.sizes, rng)
         for i, k in enumerate(profile.sizes):
             for m in range(k):
-                up = list(profile.blocks)
-                down = list(profile.blocks)
-                up[i] = up[i].copy()
-                down[i] = down[i].copy()
-                up[i][m] += h
-                down[i][m] -= h
+                up = profile.row.copy()
+                down = profile.row.copy()
+                up[f.partition.offsets[i] + m] += h
+                down[f.partition.offsets[i] + m] -= h
                 fd = (
-                    exact_extension(f, PolicyProfile(tuple(up)))
-                    - exact_extension(f, PolicyProfile(tuple(down)))
+                    exact_extension(f, PolicyProfile(f.partition, up))
+                    - exact_extension(f, PolicyProfile(f.partition, down))
                 ) / (2 * h)
                 g = exact_gradient_block(f, profile, i)[m]
                 worst = max(worst, abs(fd - g) / max(abs(g), 1e-9))
@@ -157,7 +154,7 @@ def test_03_key_inequalities():
     for f in instances:
         r = estimate_ratios(f)
         alpha, gamma, beta = r.dr_ratio, r.lower_ratio, r.upper_ratio
-        sets = list(feasible_sets(f.partition))
+        sets = feasible_sets(f.partition)
         for _ in range(50):
             profile = _random_profile(f.partition.sizes, rng)
             value = exact_extension(f, profile)
@@ -165,9 +162,9 @@ def test_03_key_inequalities():
             # the outcome tensor holds f at every feasible set, in their order
             for s, fs in zip(sets, f.outcome_values.ravel()):
                 picked = sum(
-                    float(grad[i][slot])
-                    for i, slot in enumerate(s.choice)
-                    if slot is not None
+                    float(grad[f.partition.offsets[i] + slot])
+                    for i, slot in enumerate(s.tolist())
+                    if slot >= 0
                 )
                 slack_dr = picked - alpha * (fs - value)
                 slack_ws = picked - (
@@ -240,7 +237,7 @@ def test_04_stationary_point_floors():
 def test_05_tightness_instance_and_escape():
     started = time.monotonic()
     f = coverage_instance(3, 0.1, 1)
-    trap = indicator_profile(FeasibleSet((0, 0, 0)), f.partition)
+    trap = PolicyProfile(f.partition, f.partition.members(np.zeros((1, 3), dtype=np.int64))[0])
     plain = check_stationarity(f, trap, "extension", tol=1e-9)
     audit = approx_ratio_audit(
         f, trap, stationary_point_floor("extension", curvature=1.0)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import macoord.envs as envs
 from macoord.envs import (
     ADVERSARIAL_TRIGGER_RADIUS,
     DEFAULT_HEADINGS,
@@ -41,14 +42,14 @@ from macoord.envs import (
     synthetic_setfn,
 )
 from macoord.errors import ConfigError, ScaleError
-from macoord.ground import FeasibleSet, Partition, SetFunction
+from macoord.ground import Partition, SetFunction
 from macoord.harness import resolve_preset
 from macoord.oracle import brute_force_opt, estimate_ratios
 
 
 def _value(f, *actions):
     """f at one set of (agent, slot) pairs through one membership row; a
-    ``None`` slot (an idle agent of a FeasibleSet) is skipped."""
+    ``None`` slot (an idle agent) is skipped."""
     row = np.zeros((1, f.partition.total), dtype=bool)
     for agent, slot in actions:
         if slot is not None:
@@ -103,14 +104,12 @@ def test_coverage_instance_values():
     n, eps, k = 3, 0.1, 1
     f = coverage_instance(n, eps, k)
     assert f.partition.sizes == (2,) * n
-    all_zero = FeasibleSet((0,) * n)
-    all_one = FeasibleSet((1,) * n)
-    zero_value, one_value = f.value(f.partition.members(np.array([all_zero.choice, all_one.choice])))
+    zero_value, one_value = f.value(f.partition.members(np.array([[0] * n, [1] * n])))
     assert zero_value == pytest.approx((1 + eps) * (n - 1), abs=1e-12)
     assert one_value == pytest.approx(2 * n - k - 1, abs=1e-12)
     opt_set, opt = brute_force_opt(f, f.partition)
     assert opt == pytest.approx(2 * n - k - 1, abs=1e-12)
-    assert opt_set == all_one
+    assert opt_set.tolist() == [1] * n
 
 
 def test_coverage_instance_parameter_guards():
@@ -161,7 +160,7 @@ def test_tracking_world_moves():
     cand = world.candidate_positions()
     assert cand.shape == (8, 2)
     np.testing.assert_allclose(cand[:4], grid.displacements(), atol=1e-12)
-    world.apply_moves(FeasibleSet((0, None)))
+    world.apply_moves(np.array([0, -1]))
     np.testing.assert_allclose(world.agents[0], grid.displacements()[0], atol=1e-12)
     np.testing.assert_allclose(world.agents[1], [0.0, 0.0], atol=0)
 
@@ -366,7 +365,7 @@ def test_facility_min_gains_match_generic_path(preset, seeds):
         for t in range(1, 4):
             f = env.begin_round(t)
             _assert_min_gains_match_reference(f)
-            moves = FeasibleSet(tuple(int(rng.integers(k)) for k in f.partition.sizes))
+            moves = np.array([int(rng.integers(k)) for k in f.partition.sizes])
             env.finish_round(t, moves)
 
 
@@ -375,7 +374,7 @@ def test_orbiting_min_gains_match_generic_path():
         env = OrbitingTargetsEnvironment(dict(config, horizon=40), seed=3)
         for t in range(1, 41):
             _assert_min_gains_match_reference(env.begin_round(t))
-            env.finish_round(t, FeasibleSet.empty(env.partition.n_agents))
+            env.finish_round(t, np.full(env.partition.n_agents, -1))
 
 
 def test_facility_min_gains_ties_and_single_action():
@@ -619,6 +618,18 @@ def test_tracking_gain_marginals_match_value_differences():
     assert own_set.tolist() == f.agent_marginals(1, np.array([[-1, -1]] * 2)).tolist()
 
 
+def test_tracking_gain_marginals_in_row_blocks_equal_one_block(monkeypatch):
+    # rows are independent, so splitting a batch into blocks changes no bit
+    rng = np.random.default_rng(17)
+    p = Partition((4, 3, 5))
+    f = TrackingGainObjective(p, rng.normal(0, 5, (p.total, 2)), rng.normal(0, 5, (3, 2)))
+    choices = np.stack([rng.integers(-1, k, 23) for k in p.sizes], axis=1)
+    whole = [f.agent_marginals(i, choices) for i in range(3)]
+    monkeypatch.setattr(envs, "MARGINAL_BLOCK", 200)  # 4 rows per block for agent 0
+    for i in range(3):
+        np.testing.assert_array_equal(f.agent_marginals(i, choices), whole[i])
+
+
 def test_tracking_gain_single_bearing_falls_off_with_range():
     # the same bearing taken farther away pins the target less
     p = Partition((3,))
@@ -676,7 +687,7 @@ def test_environment_world_is_seeded():
     c = make_environment(spec, seed=6)
     np.testing.assert_array_equal(a.world.agents, b.world.agents)
     assert not np.array_equal(a.world.agents, c.world.agents)
-    chosen = FeasibleSet((0, 1, 2))
+    chosen = np.array([0, 1, 2])
     a.finish_round(1, chosen)
     b.finish_round(1, chosen)
     np.testing.assert_array_equal(a.world.target_positions(), b.world.target_positions())
@@ -708,7 +719,7 @@ def test_environment_world_trace():
     )
     for t in range(1, 5):
         env.begin_round(t)
-        env.finish_round(t, FeasibleSet((0, 0)))
+        env.finish_round(t, np.array([0, 0]))
     rows = env.trajectory_rows()
     assert len(rows) == (2 + 3) * 5  # initial snapshot plus one per tick
     tick, entity, x, y, kind = rows[0]
@@ -733,7 +744,7 @@ def test_orbiting_environment_geometry():
     assert env.partition.sizes == (2, 2, 2)
     assert np.linalg.norm(env.sites, axis=1) == pytest.approx(4.0, abs=1e-12)
     f0 = env.begin_round(1)
-    env.finish_round(1, FeasibleSet((0, 0, 0)))
+    env.finish_round(1, np.array([0, 0, 0]))
     f1 = env.begin_round(2)
     # targets moved, so the reward table changed but stayed bounded
     assert not np.array_equal(f0.reward, f1.reward)

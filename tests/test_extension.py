@@ -26,12 +26,9 @@ from macoord.extension import (
     exact_surrogate_gradient_block,
     exact_surrogate_value,
     sample_choices,
-    sample_distribution_slot,
     sample_z,
 )
-from macoord.geometry import indicator_profile
 from macoord.ground import (
-    FeasibleSet,
     MarginalBudget,
     Partition,
     local_marginal_block,
@@ -40,15 +37,19 @@ from macoord.ground import (
 from macoord.oracle import feasible_sets
 
 
-def selection_value(f, choice):
-    """f at one selection, given as a choice tuple (None idle)."""
-    slots = np.array([[-1 if s is None else s for s in choice]])
-    return float(f.value(f.partition.members(slots))[0])
+def selection_value(f, row):
+    """f at one selection, given as a slot row (-1 idle)."""
+    return float(f.value(f.partition.members(np.array([row])))[0])
 
 
-def all_slots(partition):
-    """Every action as an (agent, slot) pair, in flat order."""
-    return [(i, m) for i, k in enumerate(partition.sizes) for m in range(k)]
+def profile_of(blocks):
+    """A profile from per-agent blocks, on the partition of their sizes."""
+    return PolicyProfile(Partition(tuple(len(b) for b in blocks)), np.concatenate(blocks))
+
+
+def indicator(p, row):
+    """The deterministic profile of one selection: its membership row."""
+    return PolicyProfile(p, p.members(np.array([row]))[0])
 
 
 def random_profile(sizes, rng, lo=0.05, hi=0.95):
@@ -57,7 +58,7 @@ def random_profile(sizes, rng, lo=0.05, hi=0.95):
         b = rng.uniform(lo, hi, k)
         b = b / b.sum() * rng.uniform(0.3, 0.95)
         blocks.append(b)
-    return PolicyProfile(tuple(blocks))
+    return profile_of(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -73,24 +74,38 @@ def test_profile_construction_and_immutability():
     np.testing.assert_allclose(prof.blocks[1], np.full(3, 1 / 3))
     with pytest.raises(ValueError):
         prof.blocks[0][0] = 0.9  # blocks are read-only
-    assert PolicyProfile.zeros(p).flat().tolist() == [0.0] * 5
+    with pytest.raises(ValueError):
+        prof.row[0] = 0.9
+    assert PolicyProfile.zeros(p).row.tolist() == [0.0] * 5
+    # the row is copied on construction: later writes to the source do not leak
+    source = np.array([0.2, 0.6, 0.1, 0.1, 0.1])
+    copied = PolicyProfile(p, source)
+    source[0] = 0.0
+    assert copied.row[0] == 0.2
 
 
 def test_profile_validate():
-    PolicyProfile((np.array([0.5, 0.5]),)).validate()
-    with pytest.raises(ValueError):
-        PolicyProfile((np.array([-0.1, 0.5]),)).validate()
-    with pytest.raises(ValueError):
-        PolicyProfile((np.array([0.7, 0.7]),)).validate()
-    with pytest.raises(ValueError):
-        PolicyProfile((np.array([np.inf, 0.0]),)).validate()
+    # built profiles are validated once, at construction
+    p = Partition((2,))
+    PolicyProfile(p, np.array([0.5, 0.5]))
+    PolicyProfile(p, np.array([0.5, 0.5 + 5e-10]))  # round-off within tolerance
+    for bad in ([-0.1, 0.5], [0.7, 0.7], [np.inf, 0.0], [np.nan, 0.0], [[0.5, 0.5], [0.7, 0.7]]):
+        with pytest.raises(ValueError):
+            PolicyProfile(p, np.array(bad))
+    for shape in ((3,), (2, 3), (1, 1, 2), (), (0, 2)):
+        with pytest.raises(ValueError):
+            PolicyProfile(p, np.zeros(shape))
 
 
-def test_profile_with_block():
-    prof = PolicyProfile((np.array([0.2, 0.6]), np.array([1.0])))
-    swapped = prof.with_block(1, np.array([0.25]))
-    assert swapped.blocks[1][0] == 0.25
-    assert prof.blocks[1][0] == 1.0  # original untouched
+def test_profile_blocks_are_views_on_the_row():
+    p = Partition((2, 1))
+    prof = PolicyProfile(p, np.array([0.2, 0.6, 1.0]))
+    assert [b.tolist() for b in prof.blocks] == [[0.2, 0.6], [1.0]]
+    assert all(np.shares_memory(b, prof.row) for b in prof.blocks)
+    # a stack of m rows has (m, k_j) blocks, one column range per agent
+    stack = PolicyProfile(p, np.array([[0.2, 0.6, 1.0], [0.0, 0.5, 0.25]]))
+    assert [b.shape for b in stack.blocks] == [(2, 2), (2, 1)]
+    assert stack.blocks[1][:, 0].tolist() == [1.0, 0.25]
 
 
 def test_scheme_rates_and_validation():
@@ -171,15 +186,17 @@ def test_sample_choices_match_scalar_reference():
             else:
                 b = rng.random(k) * rng.random() / k
             blocks.append(b)
-        prof = PolicyProfile(tuple(blocks))
+        prof = profile_of(blocks)
         u = rng.random((25, len(sizes)))
         # uniforms on the interval boundaries themselves
         u[0] = 0.0
         u[1] = [np.cumsum(b)[0] for b in prof.blocks]
         scale = rng.random(25)
         scale[:3] = (0.0, 1.0, 0.5)
-        for z in (None, scale):
-            got = sample_choices(prof, u, z)
+        # a stack of 25 scaled rows: uniform row l rounds scaled row l
+        stack = PolicyProfile(prof.partition, np.multiply.outer(scale, prof.row))
+        for z, profile in ((None, prof), (scale, stack)):
+            got = sample_choices(profile, u)
             assert got.shape == u.shape and got.dtype == np.int64
             for l in range(u.shape[0]):
                 for j, b in enumerate(prof.blocks):
@@ -187,13 +204,16 @@ def test_sample_choices_match_scalar_reference():
                     assert got[l, j] == reference_slot(block, u[l, j])
 
 
-def reference_sample_choices(prof, u, scale=None):
-    """Per-agent loop: one cumulative search of each block in turn."""
+def reference_sample_choices(prof, u):
+    """Per-agent loop: one cumulative search of each block in turn; row l of
+    a stack rounds the l-th group of len(u) / m uniform rows."""
+    rows = prof.row.reshape(-1, prof.partition.total)
+    per_row = len(u) // len(rows)
     choices = np.empty(u.shape, dtype=np.int64)
-    for j, block in enumerate(prof.blocks):
-        rows = block if scale is None else np.multiply.outer(scale, block)
-        idx = np.count_nonzero(np.cumsum(rows, axis=-1) <= u[:, j, None], axis=-1)
-        choices[:, j] = np.where(idx < block.size, idx, -1)
+    for j, (lo, hi) in enumerate(zip(prof.partition.offsets[:-1], prof.partition.offsets[1:])):
+        block = np.repeat(rows[:, lo:hi], per_row, axis=0)
+        idx = np.count_nonzero(np.cumsum(block, axis=-1) <= u[:, j, None], axis=-1)
+        choices[:, j] = np.where(idx < hi - lo, idx, -1)
     return choices
 
 
@@ -223,35 +243,39 @@ def profiles_and_uniforms(draw):
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     kinds = draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=len(sizes), max_size=len(sizes)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    prof = PolicyProfile(tuple(make_block(kind, k, rng) for kind, k in zip(kinds, sizes)))
+    prof = profile_of([make_block(kind, k, rng) for kind, k in zip(kinds, sizes)])
     u = rng.random((draw(st.integers(0, 30)), len(sizes)))
     if len(u) >= 2:
         u[0] = 0.0  # uniforms on the interval boundaries themselves
         u[1] = [np.cumsum(b)[rng.integers(b.size)] for b in prof.blocks]
     scale = rng.random(len(u))
     scale[: min(3, len(u))] = (0.0, 1.0, 0.5)[: min(3, len(u))]
-    return prof, u, scale
+    # stacks: one scaled row per uniform row, and two rows for halves of u
+    stacks = [PolicyProfile(prof.partition, np.multiply.outer(scale, prof.row))] if len(u) else []
+    if len(u) % 2 == 0:
+        stacks.append(PolicyProfile(prof.partition, np.stack([prof.row, 0.5 * prof.row])))
+    return prof, u, stacks
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(profiles_and_uniforms())
 def test_sample_choices_equal_per_agent_loop(case):
-    prof, u, scale = case
-    for z in (None, scale):
-        got = sample_choices(prof, u, z)
+    prof, u, stacks = case
+    for profile in [prof, *stacks]:
+        got = sample_choices(profile, u)
         assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, reference_sample_choices(prof, u, z))
+        np.testing.assert_array_equal(got, reference_sample_choices(profile, u))
 
 
 def test_sample_choices_on_indicator_is_deterministic():
     p = Partition((2, 3, 2))
-    prof = indicator_profile(FeasibleSet((1, None, 0)), p)
+    prof = indicator(p, [1, -1, 0])
     choices = sample_choices(prof, np.random.default_rng(0).random((20, 3)))
     assert (choices == [1, -1, 0]).all()
 
 
 def test_sample_choices_frequencies():
-    prof = PolicyProfile((np.array([0.3, 0.5]),))  # leftover 0.2 idles
+    prof = PolicyProfile(Partition((2,)), np.array([0.3, 0.5]))  # leftover 0.2 idles
     n = 20_000
     slots = sample_choices(prof, np.random.default_rng(42).random((n, 1)))[:, 0]
     for key, p_true in ((0, 0.3), (1, 0.5), (-1, 0.2)):
@@ -260,19 +284,16 @@ def test_sample_choices_frequencies():
 
 
 def test_sample_choices_shape_guard():
-    prof = PolicyProfile.uniform(Partition((2, 2)))
+    p = Partition((2, 2))
+    prof = PolicyProfile.uniform(p)
     for bad in (np.zeros((4, 3)), np.zeros(2)):
         with pytest.raises(ValueError):
             sample_choices(prof, bad)
-
-
-def test_sample_distribution_slot_hits_last_slot_on_tail():
-    w = np.array([0.5, 0.5])
-    assert sample_distribution_slot(w, 0.999999999999999) == 1
-    assert sample_distribution_slot(w, 0.2) == 0
-    assert sample_distribution_slot(w, 0.5) == 1  # half-open intervals
-    # round-off leaves the cumulative mass below u: the last slot takes it
-    assert sample_distribution_slot(np.array([0.3, 0.3, 0.3]), 0.95) == 2
+    # a stack of 3 rows needs a multiple of 3 uniform rows
+    stack = PolicyProfile(p, np.tile(prof.row, (3, 1)))
+    assert sample_choices(stack, np.zeros((6, 2))).shape == (6, 2)
+    with pytest.raises(ValueError):
+        sample_choices(stack, np.zeros((4, 2)))
 
 
 def test_estimators_exclude_own_agent():
@@ -280,7 +301,7 @@ def test_estimators_exclude_own_agent():
     weights = np.arange(1.0, 7.0)
     f = ModularFunction(p, weights)
     # the agent's own block always samples slot 1; gains must ignore it
-    prof = PolicyProfile((np.array([0.5, 0.5]), np.array([0.0, 1.0]), np.array([0.2, 0.3])))
+    prof = PolicyProfile(p, np.array([0.5, 0.5, 0.0, 1.0, 0.2, 0.3]))
     rng = np.random.default_rng(3)
     np.testing.assert_array_equal(estimate_gradient(f, prof, 1, rng, samples=50), [3.0, 4.0])
     scheme = SurrogateScheme.weak_dr(0.5)
@@ -311,11 +332,9 @@ def test_sample_z_cdf():
 def test_extension_at_indicator_equals_set_value():
     rng = np.random.default_rng(9)
     f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
-    for sel in (FeasibleSet((0, 1, None)), FeasibleSet((None, None, None))):
-        prof = indicator_profile(sel, f.partition)
-        assert exact_extension(f, prof) == pytest.approx(
-            selection_value(f, sel.choice), abs=1e-12
-        )
+    for sel in ([0, 1, -1], [-1, -1, -1]):
+        prof = indicator(f.partition, sel)
+        assert exact_extension(f, prof) == pytest.approx(selection_value(f, sel), abs=1e-12)
 
 
 def test_extension_of_modular_is_linear():
@@ -325,7 +344,7 @@ def test_extension_of_modular_is_linear():
     rng = np.random.default_rng(17)
     prof = random_profile(p.sizes, rng)
     assert exact_extension(f, prof) == pytest.approx(
-        float(np.dot(w, prof.flat())), abs=1e-12
+        float(np.dot(w, prof.row)), abs=1e-12
     )
 
 
@@ -335,9 +354,9 @@ def test_multilinearity_in_each_coordinate():
     base = random_profile(f.partition.sizes, rng, hi=0.4)
     vals = []
     for s in (0.0, 0.1, 0.2):
-        block = base.blocks[0].copy()
-        block[1] += s
-        vals.append(exact_extension(f, base.with_block(0, block)))
+        row = base.row.copy()
+        row[1] += s  # agent 0, slot 1
+        vals.append(exact_extension(f, PolicyProfile(f.partition, row)))
     # linear in one coordinate: equal successive differences
     assert (vals[1] - vals[0]) == pytest.approx(vals[2] - vals[1], abs=1e-12)
 
@@ -349,16 +368,14 @@ def test_exact_gradient_matches_finite_differences():
     for _ in range(10):
         prof = random_profile(f.partition.sizes, rng, lo=0.1, hi=0.5)
         grad = exact_gradient(f, prof)
-        for agent, slot in all_slots(f.partition):
-            up = prof.blocks[agent].copy()
-            up[slot] += h
-            dn = prof.blocks[agent].copy()
-            dn[slot] -= h
+        for idx in range(f.partition.total):
+            step = np.zeros(f.partition.total)
+            step[idx] = h
             fd = (
-                exact_extension(f, prof.with_block(agent, up))
-                - exact_extension(f, prof.with_block(agent, dn))
+                exact_extension(f, PolicyProfile(f.partition, prof.row + step))
+                - exact_extension(f, PolicyProfile(f.partition, prof.row - step))
             ) / (2 * h)
-            assert grad[agent][slot] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            assert grad[idx] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_gradient_of_monotone_objective_is_nonnegative():
@@ -366,8 +383,7 @@ def test_gradient_of_monotone_objective_is_nonnegative():
     for kind in ("modular", "coverage-random", "concave-of-modular"):
         f = synthetic_setfn(kind, (2, 2), rng)
         prof = random_profile(f.partition.sizes, rng)
-        for block in exact_gradient(f, prof):
-            assert block.min() >= -1e-12
+        assert exact_gradient(f, prof).min() >= -1e-12
 
 
 def test_enumeration_guard():
@@ -388,7 +404,7 @@ def dense_surrogate_gradient(f, prof, scheme, agent, steps=2000):
     vals = np.stack(
         [
             scheme.weight(float(z))
-            * exact_gradient_block(f, PolicyProfile(tuple(z * b for b in prof.blocks)), agent)
+            * exact_gradient_block(f, PolicyProfile(prof.partition, z * prof.row), agent)
             for z in zs
         ]
     )
@@ -425,16 +441,14 @@ def test_surrogate_value_gradient_consistency():
     prof = random_profile(f.partition.sizes, rng, lo=0.1, hi=0.4)
     grad = exact_surrogate_gradient(f, prof, scheme)
     h = 1e-5
-    for agent, slot in all_slots(f.partition):
-        up = prof.blocks[agent].copy()
-        up[slot] += h
-        dn = prof.blocks[agent].copy()
-        dn[slot] -= h
+    for idx in range(f.partition.total):
+        step = np.zeros(f.partition.total)
+        step[idx] = h
         fd = (
-            exact_surrogate_value(f, prof.with_block(agent, up), scheme)
-            - exact_surrogate_value(f, prof.with_block(agent, dn), scheme)
+            exact_surrogate_value(f, PolicyProfile(f.partition, prof.row + step), scheme)
+            - exact_surrogate_value(f, PolicyProfile(f.partition, prof.row - step), scheme)
         ) / (2 * h)
-        assert grad[agent][slot] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +457,7 @@ def test_surrogate_value_gradient_consistency():
 
 
 def enumerated_values(f):
-    return {s.choice: selection_value(f, s.choice) for s in feasible_sets(f.partition)}
+    return {tuple(s): selection_value(f, s) for s in feasible_sets(f.partition).tolist()}
 
 
 def outcome_prob(blocks, choice, skip=None):
@@ -451,7 +465,7 @@ def outcome_prob(blocks, choice, skip=None):
     prob = 1.0
     for j, (b, slot) in enumerate(zip(blocks, choice)):
         if j != skip:
-            prob *= max(1.0 - float(b.sum()), 0.0) if slot is None else max(float(b[slot]), 0.0)
+            prob *= max(1.0 - float(b.sum()), 0.0) if slot < 0 else max(float(b[slot]), 0.0)
     return prob
 
 
@@ -462,7 +476,7 @@ def enumerated_extension(values, blocks):
 def enumerated_gradient(values, blocks, agent):
     grad = np.zeros(blocks[agent].size)
     for c, v in values.items():
-        if c[agent] is None:
+        if c[agent] < 0:
             prob = outcome_prob(blocks, c, skip=agent)
             for m in range(grad.size):
                 grad[m] += prob * (values[c[:agent] + (m,) + c[agent + 1 :]] - v)
@@ -523,7 +537,8 @@ def exact_cases(draw):
     n = f.partition.n_agents
     kinds = draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=n, max_size=n))
     blocks = tuple(make_block(kind, k, rng) for kind, k in zip(kinds, f.partition.sizes))
-    return f, PolicyProfile(blocks), draw(st.integers(0, n - 1)), draw(st.sampled_from(SCHEMES))
+    prof = PolicyProfile(f.partition, np.concatenate(blocks))
+    return f, prof, draw(st.integers(0, n - 1)), draw(st.sampled_from(SCHEMES))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -554,8 +569,10 @@ def test_exact_layer_rejects_mismatched_profiles():
     f = synthetic_setfn("coverage-random", (2, 2), np.random.default_rng(3))
     scheme = SurrogateScheme.submodular()
     wrong = PolicyProfile.uniform(Partition((2, 3)))
-    bad = PolicyProfile((np.array([0.7, 0.7]), np.zeros(2)))
-    for prof in (wrong, bad):
+    stacked = PolicyProfile(f.partition, np.full((2, 4), 0.25))
+    with pytest.raises(ValueError):
+        PolicyProfile(f.partition, np.array([0.7, 0.7, 0.0, 0.0]))  # never built
+    for prof in (wrong, stacked):
         for call in (
             lambda: exact_extension(f, prof),
             lambda: exact_gradient_block(f, prof, 0),
@@ -650,6 +667,32 @@ def test_estimators_match_scalar_reference():
                 f, prof, agent, scheme, np.random.default_rng(seed), samples=samples
             )
             np.testing.assert_array_equal(got, expect)
+
+
+def test_stacked_estimates_equal_row_by_row_draws():
+    """m rows in one call: one (m * L, n) draw equals m successive (L, n)
+    draws from the same generator, so every row's estimate and the charge
+    are those of m single-row calls."""
+    rng = np.random.default_rng(31)
+    f = synthetic_setfn("coverage-random", (2, 3, 2), rng)
+    rows = [random_profile(f.partition.sizes, rng) for _ in range(4)]
+    stack = PolicyProfile(f.partition, np.stack([r.row for r in rows]))
+    for scheme in (None, SurrogateScheme.submodular(), SurrogateScheme.weak_dr(0.3)):
+        budgets = MarginalBudget(3), MarginalBudget(3)
+        if scheme is None:
+            def estimate(prof, gen, budget):
+                return estimate_gradient(f, prof, 1, gen, budget, samples=5)
+        else:
+            def estimate(prof, gen, budget):
+                return estimate_surrogate_gradient(f, prof, 1, scheme, gen, budget, samples=5)
+        got = estimate(stack, np.random.default_rng(8), budgets[0])
+        gen = np.random.default_rng(8)
+        expect = np.stack([estimate(r, gen, budgets[1]) for r in rows])
+        assert got.shape == (4, 3)
+        np.testing.assert_array_equal(got, expect)
+        # the stacked call reads the min-gain bonus once, not once per row
+        bonus = 3 * 3 if scheme is not None and scheme.adds_min_gain else 0
+        assert budgets[0].total() == budgets[1].total() - bonus == 4 * 5 * 3 + bonus / 3
 
 
 @pytest.mark.parametrize("agent", [-1, 3])

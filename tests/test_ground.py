@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macoord.envs import (
     ModularFunction,
@@ -11,7 +13,6 @@ from macoord.envs import (
 )
 from macoord.errors import InvalidActionError
 from macoord.ground import (
-    FeasibleSet,
     MarginalBudget,
     Partition,
     SetFunction,
@@ -72,12 +73,71 @@ def test_agent_actions():
 
 
 def test_feasible_set_basics():
+    # a selection is an (n,) slot row, -1 for an idle agent
     p = Partition((2, 2, 2))
-    s = FeasibleSet((1, None, 0))
-    row = p.members(np.array([[-1 if m is None else m for m in s.choice]]))[0]
+    row = p.members(np.array([[1, -1, 0]]))[0]
     assert np.flatnonzero(row).tolist() == [1, 4]
-    assert s.size() == 2
-    assert FeasibleSet.empty(3).size() == 0
+    assert row.sum() == 2
+    assert not p.members(np.full((1, 3), -1)).any()
+
+
+@st.composite
+def _partitions_and_slot_rows(draw):
+    p = Partition(tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))))
+    rows = draw(
+        st.lists(
+            st.tuples(*(st.integers(-1, k - 1) for k in p.sizes)), min_size=0, max_size=8
+        )
+    )
+    return p, np.array(rows, dtype=np.int64).reshape(len(rows), p.n_agents)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_partitions_and_slot_rows(), st.data())
+def test_slot_rows_round_trip_through_members(case, data):
+    p, choices = case
+    members = p.members(choices)
+    assert members.shape == (len(choices), p.total)
+    # back from the membership rows: each agent's set bit, or idle
+    back = np.full(choices.shape, -1)
+    for l, row in enumerate(members):
+        for idx in np.flatnonzero(row):
+            agent = int(np.searchsorted(p.offsets, idx, side="right")) - 1
+            assert back[l, agent] == -1  # at most one action per agent
+            back[l, agent] = idx - p.offsets[agent]
+    np.testing.assert_array_equal(back, choices)
+    # any entry outside [-1, k_j) is refused, wherever it sits
+    if len(choices):
+        l = data.draw(st.integers(0, len(choices) - 1))
+        j = data.draw(st.integers(0, p.n_agents - 1))
+        bad = choices.copy()
+        bad[l, j] = data.draw(
+            st.one_of(st.integers(-(2**40), -2), st.integers(p.sizes[j], 2**40))
+        )
+        with pytest.raises(InvalidActionError):
+            p.check_choices(bad)
+        with pytest.raises(InvalidActionError):
+            p.members(bad)
+
+
+def test_outcomes_enumerate_slot_rows_in_c_order():
+    p = Partition((2, 1))
+    rows = p.outcomes(np.arange(6))
+    assert rows.tolist() == [[-1, -1], [-1, 0], [0, -1], [0, 0], [1, -1], [1, 0]]
+    assert p.outcomes(np.array([5, 0])).tolist() == [[1, 0], [-1, -1]]
+
+
+def test_pad_and_unpad_blocks():
+    p = Partition((2, 1, 3))
+    rows = np.arange(12.0).reshape(2, 6) + 1
+    padded = p.pad(rows)
+    assert padded.shape == (2, 3, 3)
+    assert padded[0].tolist() == [[1, 2, 0], [3, 0, 0], [4, 5, 6]]
+    np.testing.assert_array_equal(p.unpad(padded), rows)
+    np.testing.assert_array_equal(p.unpad(p.pad(rows[0])), rows[0])
+    # equal blocks need no padding
+    q = Partition((2, 2))
+    assert q.pad(np.arange(4.0)).tolist() == [[0, 1], [2, 3]]
 
 
 def test_default_marginal_is_value_difference():

@@ -15,13 +15,14 @@ from macoord.envs import (
 )
 from macoord.errors import ConfigError
 from macoord.extension import PolicyProfile, SurrogateScheme, exact_extension
-from macoord.ground import FeasibleSet, Partition
+from macoord.geometry import normalize_policy
+from macoord.ground import Partition
 from macoord.learners import (
     GreedyLearner,
     MetaConditionalGradientLearner,
-    OnlineGradientAscentOracle,
     PolicyConsensusLearner,
     RandomLearner,
+    _play,
     agent_stream,
     random_baseline_round,
     sequential_greedy_round,
@@ -45,45 +46,66 @@ def test_agent_stream_determinism():
 
 
 # ---------------------------------------------------------------------------
-# online gradient-ascent linear maximizer
+# online gradient-ascent linear maximizers: the (K, |V|) iterate matrix
 # ---------------------------------------------------------------------------
 
 
+def _maximizers(sizes, step, inner_steps=3):
+    p = Partition(sizes)
+    return MetaConditionalGradientLearner(
+        p, CommGraph.complete(p.n_agents), horizon=10, seed=0,
+        inner_steps=inner_steps, step_size=step,
+    )
+
+
 def test_oga_oracle_initial_direction_is_uniform():
-    o = OnlineGradientAscentOracle(4, 0.1)
-    np.testing.assert_allclose(o.direction(), np.full(4, 0.25), atol=0)
-    # mutating the returned direction must not corrupt the iterate
-    o.direction()[:] = 99.0
-    np.testing.assert_allclose(o.direction(), np.full(4, 0.25), atol=0)
+    learner = _maximizers((4, 2), 0.1)
+    # every maximizer of every agent starts uniform on the agent's own block
+    assert learner.iterates.shape == (3, 6)
+    np.testing.assert_array_equal(learner.iterates, [[0.25] * 4 + [0.5] * 2] * 3)
 
 
 def test_oga_oracle_validation():
-    with pytest.raises(ConfigError):
-        OnlineGradientAscentOracle(0, 0.1)
     for step in (0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
-            OnlineGradientAscentOracle(3, step)
-    o = OnlineGradientAscentOracle(3, 0.1)
-    with pytest.raises(ValueError):
-        o.update(np.ones(2))
+            _maximizers((3,), step)
+    learner = _maximizers((3, 2), 0.1)
+    for bad in (np.ones((3, 4)), np.ones((2, 5)), np.ones(5)):
+        with pytest.raises(ValueError):
+            learner.update(bad)
 
 
 def test_oga_oracle_stays_on_face_under_nonnegative_rewards():
     rng = np.random.default_rng(0)
-    o = OnlineGradientAscentOracle(5, 0.3)
+    learner = _maximizers((5, 1, 3), 0.3, inner_steps=4)
+    p = learner.partition
     for _ in range(200):
-        o.update(rng.random(5))
-        it = o.iterate
+        learner.update(rng.random((4, p.total)))
+        it = learner.iterates
         assert it.min() >= -1e-12
-        assert it.sum() == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(p.pad(it).sum(axis=-1), 1.0, rtol=0, atol=1e-9)
 
 
 def test_oga_oracle_converges_to_argmax_vertex():
-    o = OnlineGradientAscentOracle(3, 0.2)
-    reward = np.array([0.1, 0.9, 0.3])
+    learner = _maximizers((3, 2), 0.2)
+    reward = np.tile([0.1, 0.9, 0.3, 0.2, 0.6], (3, 1))
     for _ in range(100):
-        o.update(reward)
-    np.testing.assert_allclose(o.direction(), [0.0, 1.0, 0.0], atol=1e-9)
+        learner.update(reward)
+    np.testing.assert_allclose(learner.iterates, np.tile([0.0, 1.0, 0.0, 0.0, 1.0], (3, 1)), atol=1e-9)
+
+
+def test_play_clamps_round_off_to_last_slot():
+    p = Partition((2,))
+    half = np.array([0.5, 0.5])
+    assert _play(p, half, np.array([0.999999999999999])).tolist() == [1]
+    assert _play(p, half, np.array([0.2])).tolist() == [0]
+    assert _play(p, half, np.array([0.5])).tolist() == [1]  # half-open intervals
+    # round-off leaves the normalized block's total below u: the last slot takes it
+    q = Partition((2, 5))
+    own = np.array([0.0, 0.0] + [0.3] * 5)  # agent 0 has no mass: uniform
+    total = np.cumsum(normalize_policy(q, own)[2:])[-1]
+    assert total < 1.0
+    assert _play(q, own, np.array([0.75, total])).tolist() == [1, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +185,7 @@ def test_spl_single_agent_exact_gradient_finds_modular_argmax():
         learner.round(f, t)
     np.testing.assert_allclose(learner.played_profile().blocks[0], [0.0, 1.0], atol=1e-9)
     # an indicator policy plays its slot with certainty
-    assert learner.round(f, 99) == FeasibleSet((1,))
+    assert learner.round(f, 99).tolist() == [1]
 
 
 def test_spl_one_round_consensus_arithmetic():
@@ -221,9 +243,10 @@ def test_spl_iterates_stay_feasible():
     learner = _spl(f.partition, CommGraph.cycle(3), batch=2)
     for t in range(1, 31):
         chosen = learner.round(f, t)
-        assert chosen.size() <= 3
+        assert chosen.shape == (3,)
+        f.partition.check_choices(chosen[None])
     for i in range(3):
-        learner.local_profile(i).validate()
+        learner.local_profile(i)  # building the profile validates it
 
 
 def test_spl_query_budget_accounting():
@@ -317,17 +340,12 @@ def test_mpl_oracles_learn_across_rounds():
         inner_steps=3, sample_batch=2, step_size=0.5,
     )
     learner.round(f, 1)
-    moved = any(
-        not np.allclose(learner.oracles[i][k].iterate, 0.5)
-        for i in range(2)
-        for k in range(3)
-    )
-    assert moved
+    assert not np.allclose(learner.iterates, 0.5)
     # played selections stay feasible and policies sum to at most one
     chosen = learner.round(f, 2)
-    assert chosen.size() == 2
+    assert (chosen >= 0).all() and chosen.shape == (2,)
     for i in range(2):
-        learner.local_profile(i).validate()
+        learner.local_profile(i)  # building the profile validates it
 
 
 def test_mpl_estimates_reset_each_round():
@@ -356,8 +374,8 @@ def test_random_baseline_uniform_and_total():
     counts = np.zeros(4)
     for t in range(1, 4001):
         s = random_baseline_round(p, agent_stream(0, t, 99))
-        assert s.size() == 2  # never abstains
-        counts[s.choice[0]] += 1
+        assert (s >= 0).all() and s.shape == (2,)  # never abstains
+        counts[s[0]] += 1
     expect, sigma = 1000.0, np.sqrt(4000 * 0.25 * 0.75)
     assert np.all(np.abs(counts - expect) < 4 * sigma)
 
@@ -365,14 +383,14 @@ def test_random_baseline_uniform_and_total():
 def test_sequential_greedy_escapes_coverage_trap():
     f = coverage_instance(3, 0.1, 1)
     s = sequential_greedy_round(f, f.partition)
-    assert s == FeasibleSet((1, 1, 1))
-    assert f.value(f.partition.members(np.array([s.choice])))[0] == pytest.approx(4.0, abs=1e-12)
+    assert s.tolist() == [1, 1, 1]
+    assert f.value(f.partition.members(s[None]))[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_sequential_greedy_tie_breaks_to_lowest_slot():
     p = Partition((3, 2))
     f = ModularFunction(p, np.array([2.0, 2.0, 2.0, 1.0, 1.0]))
-    assert sequential_greedy_round(f, p) == FeasibleSet((0, 0))
+    assert sequential_greedy_round(f, p).tolist() == [0, 0]
 
 
 def test_sequential_greedy_curvature_guarantee():
@@ -381,7 +399,7 @@ def test_sequential_greedy_curvature_guarantee():
     for _ in range(20):
         f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
         greedy = sequential_greedy_round(f, f.partition)
-        greedy_val = f.value(f.partition.members(np.array([greedy.choice])))[0]
+        greedy_val = f.value(f.partition.members(greedy[None]))[0]
         opt = brute_force_opt(f, f.partition)[1]
         c = estimate_ratios(f).curvature
         assert greedy_val >= opt / (1.0 + c) - 1e-9
@@ -392,9 +410,9 @@ def test_learner_wrappers():
     f = ModularFunction(p, np.arange(6, dtype=float))
     rand = RandomLearner(p, seed=1)
     s1, s2 = rand.round(f, 1), rand.round(f, 1)
-    assert s1 == s2  # same round, same seed, same draw
+    np.testing.assert_array_equal(s1, s2)  # same round, same seed, same draw
     assert rand.disagreement() == 0.0
     greedy = GreedyLearner(p)
-    assert greedy.round(f, 1) == sequential_greedy_round(f, p)
+    np.testing.assert_array_equal(greedy.round(f, 1), sequential_greedy_round(f, p))
     assert greedy.disagreement() == 0.0
     assert greedy.budget.per_agent().tolist() == [3, 3]

@@ -11,9 +11,13 @@ import math
 import numpy as np
 import pytest
 
+import macoord.ground as ground
 from macoord.envs import (
+    FacilityObjective,
     ModularFunction,
     SqrtModularFunction,
+    TrackingGainObjective,
+    WeightedCoverage,
     coverage_instance,
     synthetic_setfn,
 )
@@ -24,24 +28,26 @@ from macoord.extension import (
     exact_extension,
     sample_choices,
 )
-from macoord.geometry import indicator_profile
-from macoord.ground import FeasibleSet, Partition
+from macoord.ground import Partition
 from macoord.oracle import (
     approx_ratio_audit,
     brute_force_opt,
     check_stationarity,
     estimate_ratios,
     feasible_sets,
-    floor_variants,
     projected_ascent,
     stationary_point_floor,
 )
 
 
-def _value(f, choice):
-    """f at one selection, given as a choice tuple (None idle)."""
-    slots = np.array([[-1 if s is None else s for s in choice]])
-    return float(f.value(f.partition.members(slots))[0])
+def _value(f, row):
+    """f at one selection, given as a slot row (-1 idle)."""
+    return float(f.value(f.partition.members(np.array([row])))[0])
+
+
+def _indicator(p, row):
+    """The deterministic profile of one selection: its membership row."""
+    return PolicyProfile(p, p.members(np.array([row]))[0])
 
 
 def _mask_value(f, mask):
@@ -57,14 +63,14 @@ def _mask_value(f, mask):
 
 def test_feasible_sets_count_and_order():
     p = Partition((2, 2, 2))
-    sets = list(feasible_sets(p))
-    assert len(sets) == 27  # (k_i + 1) choices per agent
-    assert sets[0].choice == (None, None, None)
-    assert sets[1].choice == (None, None, 0)
-    assert sets[2].choice == (None, None, 1)
-    assert sets[3].choice == (None, 0, None)
-    assert sets[-1].choice == (1, 1, 1)
-    assert len({s.choice for s in sets}) == 27
+    sets = feasible_sets(p)
+    assert sets.shape == (27, 3)  # (k_i + 1) choices per agent
+    assert sets[0].tolist() == [-1, -1, -1]
+    assert sets[1].tolist() == [-1, -1, 0]
+    assert sets[2].tolist() == [-1, -1, 1]
+    assert sets[3].tolist() == [-1, 0, -1]
+    assert sets[-1].tolist() == [1, 1, 1]
+    assert len({tuple(s) for s in sets.tolist()}) == 27
 
 
 def test_feasible_sets_scale_guard():
@@ -80,13 +86,13 @@ def test_brute_force_opt_matches_itertools_oracle():
             (
                 _value(f, choice)
                 for choice in itertools.product(
-                    (None, 0, 1), (None, 0, 1, 2)
+                    (-1, 0, 1), (-1, 0, 1, 2)
                 )
             ),
         )
         opt_set, opt = brute_force_opt(f, f.partition)
         assert opt == pytest.approx(best, abs=1e-12)
-        assert _value(f, opt_set.choice) == opt
+        assert _value(f, opt_set) == opt
 
 
 def test_brute_force_opt_tie_breaks_lexicographically():
@@ -94,13 +100,13 @@ def test_brute_force_opt_tie_breaks_lexicographically():
     f = ModularFunction(p, np.zeros(4))
     opt_set, opt = brute_force_opt(f, p)
     assert opt == 0.0
-    assert opt_set.choice == (None, None)
+    assert opt_set.tolist() == [-1, -1]
 
 
 def test_brute_force_opt_ties_away_from_empty_set():
     p = Partition((2, 2))
     opt_set, opt = brute_force_opt(ModularFunction(p, np.array([1.0, 1.0, 0.5, 0.5])), p)
-    assert (opt_set.choice, opt) == ((0, 0), 1.5)
+    assert (opt_set.tolist(), opt) == ([0, 0], 1.5)
     # against the first strict improvement in enumeration order, on
     # 0/1 weights, where many selections tie
     rng = np.random.default_rng(12)
@@ -110,10 +116,11 @@ def test_brute_force_opt_ties_away_from_empty_set():
         f = ModularFunction(part, rng.integers(0, 2, part.total).astype(float))
         best_set, best = None, -math.inf
         for s in feasible_sets(part):
-            v = _value(f, s.choice)
+            v = _value(f, s)
             if v > best:
                 best_set, best = s, v
-        assert brute_force_opt(f, part) == (best_set, best)
+        got_set, got = brute_force_opt(f, part)
+        assert (got_set.tolist(), got) == (best_set.tolist(), best)
 
 
 def test_brute_force_opt_rejects_foreign_partition():
@@ -224,15 +231,15 @@ def test_check_stationarity_hand_values():
     p = Partition((2,))
     f = ModularFunction(p, np.array([1.0, 2.0]))
     # at the argmax vertex nothing improves
-    at_top = check_stationarity(f, indicator_profile(FeasibleSet((1,)), p))
+    at_top = check_stationarity(f, _indicator(p, [1]))
     assert at_top.stationary
     assert at_top.improvement == pytest.approx(0.0, abs=1e-12)
     # at uniform, moving half the mass to slot 1 gains exactly 0.5
-    mid = PolicyProfile((np.array([0.5, 0.5]),))
+    mid = PolicyProfile(p, np.array([0.5, 0.5]))
     rep = check_stationarity(f, mid)
     assert not rep.stationary
     assert rep.improvement == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(rep.gradient[0], [1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(rep.gradient, [1.0, 2.0], atol=1e-12)
 
 
 def test_check_stationarity_objective_scheme_guards():
@@ -286,14 +293,6 @@ def test_stationary_point_floor_missing_args_raise():
         stationary_point_floor("spectral", curvature=0.5)
 
 
-def test_floor_variants_ordering():
-    for a in (0.1, 0.3, 0.5, 0.9, 1.0):
-        v = floor_variants(a)
-        assert v["proof"] == pytest.approx(a**2 / (1 + a))
-        assert v["stated"] == pytest.approx(a**2 / (1 + a**2))
-        assert v["stated"] >= v["proof"] - 1e-15  # proof-backed one is weaker
-
-
 # ---------------------------------------------------------------------------
 # audits and reference ascent
 # ---------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def test_floor_variants_ordering():
 
 def test_approx_ratio_audit_on_coverage_trap():
     f = coverage_instance(3, 0.1, 1)
-    trap = indicator_profile(FeasibleSet((0, 0, 0)), f.partition)
+    trap = _indicator(f.partition, [0, 0, 0])
     floor = stationary_point_floor("extension", curvature=1.0)
     rep = approx_ratio_audit(f, trap, floor)
     assert rep.opt_value == pytest.approx(4.0, abs=1e-12)
@@ -328,7 +327,7 @@ def test_projected_ascent_on_modular_reaches_argmax():
 def test_projected_ascent_respects_start_and_iteration_cap():
     p = Partition((2,))
     f = ModularFunction(p, np.array([0.0, 1.0]))
-    start = indicator_profile(FeasibleSet((0,)), p)
+    start = _indicator(p, [0])
     frozen = projected_ascent(f, p, start=start, max_iters=0)
     np.testing.assert_allclose(frozen.blocks[0], start.blocks[0], atol=0)
 
@@ -337,7 +336,7 @@ def test_projected_ascent_stays_at_trap_vertex():
     # the all-slot-0 vertex of the trap instance is a stationary point of the
     # plain extension: ascent launched exactly there must not move
     f = coverage_instance(3, 0.1, 1)
-    trap = indicator_profile(FeasibleSet((0, 0, 0)), f.partition)
+    trap = _indicator(f.partition, [0, 0, 0])
     assert check_stationarity(f, trap, tol=1e-9).stationary
     stuck = projected_ascent(f, f.partition, start=trap, max_iters=200)
     for b, tb in zip(stuck.blocks, trap.blocks):
@@ -357,7 +356,26 @@ def test_outcome_values_match_direct_queries():
     assert not table.flags.writeable
     assert f.outcome_values is table  # computed once per objective
     for s, value in zip(feasible_sets(f.partition), table.ravel()):
-        assert value == _value(f, s.choice)
+        assert value == _value(f, s)
+
+
+@pytest.mark.parametrize("kind", ["modular", "coverage", "facility", "tracking", "sqrt"])
+def test_outcome_values_in_blocks_equal_one_shot_value(kind, monkeypatch):
+    rng = np.random.default_rng(21)
+    p = Partition((3, 2, 4))  # 60 joint outcomes
+    if kind == "modular":
+        f = ModularFunction(p, rng.random(p.total))
+    elif kind == "sqrt":
+        f = SqrtModularFunction(p, rng.random(p.total))
+    elif kind == "coverage":
+        f = WeightedCoverage(p, rng.random((p.total, 7)) < 0.4, rng.random(7))
+    elif kind == "facility":
+        f = FacilityObjective(p, rng.uniform(-5, 5, (p.total, 2)), rng.uniform(-5, 5, (3, 2)))
+    else:
+        f = TrackingGainObjective(p, rng.uniform(-5, 5, (p.total, 2)), rng.uniform(-5, 5, (3, 2)))
+    one_shot = f.value(p.members(feasible_sets(p)))
+    monkeypatch.setattr(ground, "OUTCOME_BLOCK", 7)  # nine blocks, the last one short
+    np.testing.assert_array_equal(f.outcome_values.ravel(), one_shot)
 
 
 class _CountingModular(ModularFunction):
@@ -391,14 +409,14 @@ def test_slot_rows_index_outcome_values():
 def test_outcome_values_at_indicator_draws_are_constant():
     p = Partition((2, 3))
     f = ModularFunction(p, np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
-    prof = indicator_profile(FeasibleSet((1, 2)), p)
+    prof = _indicator(p, [1, 2])
     choices = sample_choices(prof, np.random.default_rng(5).random((64, 2)))
     assert np.all(f.outcome_values[tuple((choices + 1).T)] == 2.0 + 16.0)
 
 
 def test_outcome_values_at_draws_reproduce_extension():
     p = Partition((2,))
-    prof = PolicyProfile((np.array([0.3, 0.4]),))  # leftover 0.3 idles
+    prof = PolicyProfile(p, np.array([0.3, 0.4]))  # leftover 0.3 idles
     f = ModularFunction(p, np.array([1.0, 2.0]))
     trials = 20_000
     choices = sample_choices(prof, np.random.default_rng(6).random((trials, 1)))
