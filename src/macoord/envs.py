@@ -21,7 +21,7 @@ random-coverage, and square-root-of-modular objectives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ EVADE_SPEED = 15.0
 EVADE_CANDIDATE_HEADINGS = 16
 SYNTHETIC_MAX_ACTIONS = 12
 VALUE_BLOCK = 1 << 20  # floats per masked block of FacilityObjective.value
-MARGINAL_BLOCK = 1 << 14  # floats per stacked block of TrackingGainObjective.agent_marginals
 
 DEFAULT_HEADINGS = 8
 FACILITY_SPEEDS = (5.0, 10.0, 15.0)
@@ -378,6 +377,11 @@ class TrackingGainObjective(SetFunction):
     every bearing adds little next to the prior and the gain is close to
     modular; at close range a bearing can be worth more once a slightly
     turned one has been taken, so the gain is not submodular.
+
+    Marginals use Sherman-Morrison: with B the prior plus the context's
+    information, adding u u^T lowers tr(B^-1) by u^T B^-2 u / (1 + u^T B^-1 u).
+    Every temporary stays at (L, k) or (L, targets, 4) size for L rows: larger
+    stacks cost more in fresh pages than in arithmetic.
     """
 
     def __init__(
@@ -397,34 +401,37 @@ class TrackingGainObjective(SetFunction):
         z_perp = np.stack([-z[..., 1], z[..., 0]], axis=-1)
         outer = z_perp[..., :, None] * z_perp[..., None, :]  # (actions, targets, 2, 2)
         self.info = outer / (noise_var * r[..., None, None] ** 4)
-
-    @staticmethod
-    def _inv_trace(m: np.ndarray) -> np.ndarray:
-        """Trace of the inverse of a stack of 2x2 SPD matrices."""
-        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        return (m[..., 0, 0] + m[..., 1, 1]) / det
+        # (xx, xy, yy, 1) as (4, targets, actions), plus an all-zero action -1 for absent entries
+        terms = [self.info[..., i, j].T for i, j in ((0, 0), (0, 1), (1, 1))]
+        self.comps = np.pad(np.stack(terms + [np.ones_like(terms[0])]), ((0, 0), (0, 0), (0, 1)))
 
     def value(self, members: np.ndarray) -> np.ndarray:
         n_targets = self.info.shape[1]
         gathered = (members @ self.info.reshape(len(self.info), -1)).reshape(-1, n_targets, 2, 2)
-        posterior = self._inv_trace(self.prior_info + gathered).sum(axis=1)
+        m = self.prior_info + gathered
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        posterior = ((m[..., 0, 0] + m[..., 1, 1]) / det).sum(axis=1)
         return n_targets - posterior / self.prior_trace
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
         lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
-        own = self.info[lo:hi]
-        # rows go in blocks that keep each stack of own info under MARGINAL_BLOCK
-        # floats: large batches otherwise spend more on fresh pages than on math
-        out = np.empty((len(choices), hi - lo))
-        step = max(1, MARGINAL_BLOCK // own.size)
-        for start in range(0, len(choices), step):
-            block = choices[start : start + step]
-            idx, present = self.partition.context_index(block, agent)
-            gathered = self.info[idx] * present[:, :, None, None, None]  # (B, n, targets, 2, 2)
-            base = self.prior_info + gathered.sum(axis=1)  # (B, targets, 2, 2)
-            base_trace = self._inv_trace(base).sum(axis=1)
-            stacked = base[:, None] + own  # (B, k, targets, 2, 2)
-            out[start : start + step] = base_trace[:, None] - self._inv_trace(stacked).sum(axis=2)
+        idx, present = self.partition.context_index(choices, agent)
+        idx[~present] = -1
+        ctx = np.zeros((3, self.comps.shape[1], len(choices)))  # (3, targets, L)
+        for col in range(idx.shape[1]):
+            if col != agent:
+                ctx += self.comps[:3].take(idx[:, col], axis=2)
+        a, b, d = ctx + self.prior_info[[0, 0, 1], [0, 1, 1]][:, None, None]  # B
+        bb, m2b = b * b, -2.0 * b
+        det = a * d - bb  # (targets, L)
+        # the gain is u^T A^2 u / det / (det + u^T A u) with A = adj(B) = det B^-1:
+        # (xx, 2xy, yy) rows of A^2 / det and (A, det) rows dot own (xx, xy, yy, 1)
+        num = np.stack([d * d + bb, m2b * (a + d), a * a + bb], axis=-1) / det[..., None]
+        den = np.stack([d, m2b, a, det], axis=-1)
+        out = np.zeros((len(choices), hi - lo))
+        for t in range(len(num)):
+            own = self.comps[:, t, lo:hi]  # (4, k)
+            out += (num[t] @ own[:3]) / (den[t] @ own)
         return out / self.prior_trace
 
 

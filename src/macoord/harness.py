@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -90,37 +91,29 @@ class RunConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
             return RunConfig(
-                environment=_object(doc, "environment"),
-                graph=_object(doc, "graph", {"kind": "complete"}),
-                learner=_object(doc, "learner"),
-                horizon=int(doc["horizon"]),
-                seed=int(doc.get("seed", 0)),
-                oracle_regret=_flag(doc, "oracle_regret"),
-                rho=float(doc.get("rho", 1.0)),
+                environment=_field(doc, "environment", dict),
+                graph=_field(doc, "graph", dict, {"kind": "complete"}),
+                learner=_field(doc, "learner", dict),
+                horizon=_field(doc, "horizon", int),
+                seed=_field(doc, "seed", int, 0),
+                oracle_regret=_field(doc, "oracle_regret", bool, False),
+                rho=_field(doc, "rho", float, 1.0),
                 out=doc.get("out"),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc.args[0]}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
 
 
-def _object(doc: dict, key: str, default: Optional[dict] = None) -> dict:
-    """A copy of a JSON object field; an array of pairs, which ``dict()``
-    would read as one, or any other value is refused."""
+def _field(doc: dict, key: str, kind: type, default=None):
+    """A JSON field of one kind, refused rather than coerced (``dict()`` reads
+    pairs, ``bool("no")`` is true, ``int()`` takes "5" and 2.7).  A bool is no
+    number, an int is a float, and a missing field without default is a KeyError."""
     value = doc[key] if default is None else doc.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be an object, got {value!r}")
-    return dict(value)
-
-
-def _flag(doc: dict, key: str) -> bool:
-    """A JSON boolean field, false when absent; any other value is refused
-    rather than read by truthiness (``"no"`` would be true)."""
-    value = doc.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+    allowed = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        what = {dict: "an object", bool: "true or false", int: "an integer", float: "a number"}
+        raise ConfigError(f"{key} must be {what[kind]}, got {value!r}")
+    return kind(value)
 
 
 def scheme_from_dict(doc: Optional[dict]) -> SurrogateScheme:
@@ -132,9 +125,9 @@ def scheme_from_dict(doc: Optional[dict]) -> SurrogateScheme:
         if kind == "submodular":
             return SurrogateScheme.submodular()
         if kind == "weak-dr":
-            return SurrogateScheme.weak_dr(float(doc["alpha"]))
+            return SurrogateScheme.weak_dr(_field(doc, "alpha", float))
         if kind == "weak-sub":
-            return SurrogateScheme.weak_sub(float(doc["gamma"]), float(doc["beta"]))
+            return SurrogateScheme.weak_sub(_field(doc, "gamma", float), _field(doc, "beta", float))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad surrogate scheme {doc}: {exc}") from exc
     raise ConfigError(f"unknown surrogate scheme kind {kind!r}")
@@ -165,9 +158,9 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
                 scheme_from_dict(doc.get("scheme")),
                 horizon=cfg.horizon,
                 seed=cfg.seed,
-                eta0=float(doc.get("eta0", 1.0)),
-                batch=int(doc.get("batch", 10)),
-                exact_gradient=_flag(doc, "exact_gradient"),
+                eta0=_field(doc, "eta0", float, 1.0),
+                batch=_field(doc, "batch", int, 10),
+                exact_gradient=_field(doc, "exact_gradient", bool, False),
                 step_size=doc.get("step_size"),
             )
         if kind == "ma-mpl":
@@ -176,9 +169,9 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
                 graph,
                 horizon=cfg.horizon,
                 seed=cfg.seed,
-                inner_steps=int(doc.get("K", 15)),
-                sample_batch=int(doc.get("L", 10)),
-                eta0=float(doc.get("eta0", 1.0)),
+                inner_steps=_field(doc, "K", int, 15),
+                sample_batch=_field(doc, "L", int, 10),
+                eta0=_field(doc, "eta0", float, 1.0),
                 step_size=doc.get("step_size"),
             )
         if kind == "random":

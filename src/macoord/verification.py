@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .extension import (
     sample_z,
 )
 from .ground import Partition
-from .harness import RunConfig, export_csv, run_experiment
-from .learners import MetaConditionalGradientLearner, PolicyConsensusLearner
+from .harness import RunConfig, run_experiment
+from .learners import MetaConditionalGradientLearner
 from .network import CommGraph, diameter, erdos_renyi, metropolis_weights, spectral_gap
 from .oracle import (
     approx_ratio_audit,

@@ -7,13 +7,13 @@ behavior.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import macoord.envs as envs
 from macoord.envs import (
     ADVERSARIAL_TRIGGER_RADIUS,
     DEFAULT_HEADINGS,
@@ -618,16 +618,95 @@ def test_tracking_gain_marginals_match_value_differences():
     assert own_set.tolist() == f.agent_marginals(1, np.array([[-1, -1]] * 2)).tolist()
 
 
-def test_tracking_gain_marginals_in_row_blocks_equal_one_block(monkeypatch):
-    # rows are independent, so splitting a batch into blocks changes no bit
-    rng = np.random.default_rng(17)
-    p = Partition((4, 3, 5))
-    f = TrackingGainObjective(p, rng.normal(0, 5, (p.total, 2)), rng.normal(0, 5, (3, 2)))
-    choices = np.stack([rng.integers(-1, k, 23) for k in p.sizes], axis=1)
-    whole = [f.agent_marginals(i, choices) for i in range(3)]
-    monkeypatch.setattr(envs, "MARGINAL_BLOCK", 200)  # 4 rows per block for agent 0
-    for i in range(3):
-        np.testing.assert_array_equal(f.agent_marginals(i, choices), whole[i])
+@st.composite
+def _tracking_cases(draw):
+    """A tracking objective, an agent and a slot matrix whose rows include
+    every degenerate shape: sites on or under the floor from a target, sites
+    on one line through a target (collinear bearings), all-idle rows and a
+    one-agent partition.  The agent's own column is always set."""
+    def points(n):
+        return np.array(draw(st.lists(st.tuples(_COORD, _COORD), min_size=n, max_size=n)))
+
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    targets = points(draw(st.integers(1, 3)))
+    sites = points(sum(sizes))
+    if draw(st.booleans()):  # collinear: every site on the vertical through target 0
+        sites[:, 0] = targets[0, 0]
+    agent = draw(st.integers(0, len(sizes) - 1))
+    row = st.tuples(*(st.integers(-1, k - 1) for k in sizes))
+    choices = np.array(draw(st.lists(row, min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        choices[0] = -1
+    choices[:, agent] = draw(st.integers(0, sizes[agent] - 1))
+    return TrackingGainObjective(Partition(sizes), sites, targets), agent, choices
+
+
+class _ExactTrackingValue(SetFunction):
+    """The tracking gain's value in exact rational arithmetic on the same
+    float64 information terms.  Through it, the generic path of SetFunction
+    is exact: in float64 a difference of two values of size f(V) loses up to
+    about 2e-12 f(V) when sites sit under the distance floor, far more than
+    the closed form's own error."""
+
+    def __init__(self, f):
+        self.partition = f.partition
+        self.prior = Fraction(f.prior_info[0, 0])
+        self.prior_trace = Fraction(f.prior_trace)
+        self.terms = [[(Fraction(m[0, 0]), Fraction(m[0, 1]), Fraction(m[1, 1])) for m in action]
+                      for action in f.info]
+
+    def value(self, members):
+        out = []
+        for row in members:
+            acts = np.flatnonzero(row)
+            total = Fraction(0)
+            for t in range(len(self.terms[0])):
+                a, b, d = self.prior, Fraction(0), self.prior
+                for v in acts:
+                    xx, xy, yy = self.terms[v][t]
+                    a, b, d = a + xx, b + xy, d + yy
+                total += 1 - (a + d) / (a * d - b * b) / self.prior_trace
+            out.append(total)
+        return np.array(out, dtype=object)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tracking_cases())
+@example(  # a site exactly on the target, one under the floor, an all-idle row
+    (
+        TrackingGainObjective(
+            Partition((2, 1)),
+            np.array([[0.0, 0.0], [DISTANCE_FLOOR / 2, 0.0], [1.0, -2.5]]),
+            np.zeros((1, 2)),
+        ),
+        0,
+        np.array([[1, -1], [0, 0], [1, 0]]),
+    )
+)
+@example(  # a one-agent partition: every context is empty
+    (TrackingGainObjective(Partition((3,)), np.eye(3, 2), np.ones((2, 2))), 0, np.array([[2]]))
+)
+@example(  # collinear bearings at close range on both sides of the target
+    (
+        TrackingGainObjective(
+            Partition((1, 1, 2)),
+            np.array([[0.0, 0.01], [0.0, -0.02], [0.0, 0.03], [0.01, 0.0]]),
+            np.zeros((1, 2)),
+        ),
+        2,
+        np.array([[0, 0, 1], [-1, 0, 0], [-1, -1, 1]]),
+    )
+)
+def test_tracking_gain_marginals_property(case):
+    """The Sherman-Morrison marginals are nonnegative and match the generic
+    path of SetFunction (two value queries per slot per row), taken exactly."""
+    f, agent, choices = case
+    got = f.agent_marginals(agent, choices)
+    reference = SetFunction.agent_marginals(_ExactTrackingValue(f), agent, choices)
+    assert got.shape == (len(choices), f.partition.sizes[agent])
+    assert got.min() >= 0.0
+    scale = _full_value(f)
+    np.testing.assert_allclose(got, reference.astype(float), rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_tracking_gain_single_bearing_falls_off_with_range():

@@ -87,6 +87,14 @@ def test_run_config_defaults():
     assert cfg.rho == 1.0
 
 
+def test_run_config_number_types():
+    # an int is a number, and numpy integers are integers; test_cli_config_errors_exit_one
+    # has the values that are refused
+    cfg = tiny_config(horizon=3, seed=np.int64(2), rho=1)
+    assert (cfg.horizon, cfg.seed, cfg.rho) == (3, 2, 1.0)
+    assert type(cfg.seed) is int and type(cfg.rho) is float
+
+
 def test_scheme_from_dict():
     assert scheme_from_dict(None).kind == "submodular"
     assert scheme_from_dict({"kind": "weak-dr", "alpha": 0.3}).alpha == 0.3
@@ -452,6 +460,21 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
         "exact_gradient_str": dict(CLI_DOC, learner={"kind": "ma-spl", "exact_gradient": "no"}),
         "environment_pairs": dict(CLI_DOC, environment=[["kind", "synthetic"], ["sizes", [2, 2]]]),
         "graph_pairs": dict(CLI_DOC, graph=[["kind", "complete"]]),
+        "horizon_str": dict(CLI_DOC, horizon="5"),
+        "horizon_fraction": dict(CLI_DOC, horizon=2.7),
+        "horizon_float": dict(CLI_DOC, horizon=5.0),
+        "horizon_bool": dict(CLI_DOC, horizon=True),
+        "seed_bool": dict(CLI_DOC, seed=True),
+        "seed_str": dict(CLI_DOC, seed="0"),
+        "seed_null": dict(CLI_DOC, seed=None),
+        "rho_str": dict(CLI_DOC, rho="0.5"),
+        "rho_bool": dict(CLI_DOC, rho=False),
+        "batch_str": dict(CLI_DOC, learner={"kind": "ma-spl", "batch": "5"}),
+        "batch_fraction": dict(CLI_DOC, learner={"kind": "ma-spl", "batch": 2.5}),
+        "eta0_str": dict(CLI_DOC, learner={"kind": "ma-spl", "eta0": "1"}),
+        "alpha_str": dict(
+            CLI_DOC, learner={"kind": "ma-spl", "scheme": {"kind": "weak-dr", "alpha": "1"}}
+        ),
     }
     for name, doc in malformed.items():
         path = _write_config(tmp_path, doc, f"{name}.json")
