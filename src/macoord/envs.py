@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ScaleError
+from .errors import ConfigError, ScaleError, config_field, config_value
 from .ground import Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
@@ -477,13 +477,13 @@ class _MovingTargetEnvironment:
     target_kinds: Sequence[str]
 
     def __init__(self, config: dict, seed: int):
-        self.horizon = int(config.get("horizon", 300))
-        n_agents = int(config.get("agents", 6))
-        n_targets = int(config.get("targets", 8))
+        self.horizon = config_field(config, "horizon", int, 300)
+        n_agents = config_field(config, "agents", int, 6)
+        n_targets = config_field(config, "targets", int, 8)
         if n_agents < 1 or n_targets < 1:
             raise ConfigError("need at least one agent and one target")
-        speeds = config.get("speeds", list(self.speeds))
-        headings = int(config.get("headings", DEFAULT_HEADINGS))
+        speeds = [config_value("speeds", v, float) for v in config.get("speeds", self.speeds)]
+        headings = config_field(config, "headings", int, DEFAULT_HEADINGS)
         motion = MotionGrid(headings, speeds)
         self._rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x656E76)))
         mix = config.get("target_mix") or _default_mix(n_targets, self.target_kinds)
@@ -500,7 +500,7 @@ class _MovingTargetEnvironment:
         agents = _spawn_disk(self._rng, n_agents)
         self.world = TrackingWorld(agents, targets, motion, self.horizon)
         self.partition = self.world.partition()
-        self.record_world = bool(config.get("record_world", False))
+        self.record_world = config_field(config, "record_world", bool, False)
         self._trace: list[tuple] = []
         if self.record_world:
             self._record()
@@ -583,13 +583,13 @@ class OrbitingTargetsEnvironment:
     """
 
     def __init__(self, config: dict, seed: int):
-        n_agents = int(config.get("agents", 3))
-        slots = int(config.get("slots", 2))
-        n_targets = int(config.get("targets", 2))
-        self.horizon = int(config.get("horizon", 500))
-        self.cycles = float(config.get("drift_cycles", 1.0))
-        self.radius = float(config.get("radius", 4.0))
-        self.target_radius = float(config.get("target_radius", 0.625 * self.radius))
+        n_agents = config_field(config, "agents", int, 3)
+        slots = config_field(config, "slots", int, 2)
+        n_targets = config_field(config, "targets", int, 2)
+        self.horizon = config_field(config, "horizon", int, 500)
+        self.cycles = config_field(config, "drift_cycles", float, 1.0)
+        self.radius = config_field(config, "radius", float, 4.0)
+        self.target_radius = config_field(config, "target_radius", float, 0.625 * self.radius)
         for name, x in (
             ("drift_cycles", self.cycles),
             ("radius", self.radius),
@@ -630,19 +630,19 @@ def make_environment(spec: dict, seed: int):
         return OrbitingTargetsEnvironment(spec, seed)
     if kind == "coverage":
         f = coverage_instance(
-            int(spec.get("agents", 3)),
-            float(spec.get("epsilon", 0.1)),
-            int(spec.get("k", 1)),
+            config_field(spec, "agents", int, 3),
+            config_field(spec, "epsilon", float, 0.1),
+            config_field(spec, "k", int, 1),
         )
-        return StaticEnvironment(f, int(spec.get("horizon", 500)))
+        return StaticEnvironment(f, config_field(spec, "horizon", int, 500))
     if kind == "synthetic":
         rng = np.random.default_rng(
             np.random.SeedSequence((int(seed), 0x73796E74))
         )
         f = synthetic_setfn(
             spec.get("objective", "coverage-random"),
-            tuple(spec.get("sizes", (2, 2, 2))),
+            tuple(config_value("sizes", k, int) for k in spec.get("sizes", (2, 2, 2))),
             rng,
         )
-        return StaticEnvironment(f, int(spec.get("horizon", 300)))
+        return StaticEnvironment(f, config_field(spec, "horizon", int, 300))
     raise ConfigError(f"unknown environment kind {kind!r}")

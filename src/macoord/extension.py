@@ -341,7 +341,69 @@ def exact_surrogate_value(
 # ---------------------------------------------------------------------------
 
 
-def _sampled_gains(
+def sample_slots(
+    profile: PolicyProfile,
+    rngs: Sequence[np.random.Generator],
+    samples: int,
+    scheme: Optional[SurrogateScheme] = None,
+) -> np.ndarray:
+    """Round ``samples`` contexts per profile row for every generator, as one
+    ``(len(rngs), m * samples, n)`` slot tensor from one :func:`sample_rows`.
+
+    The profile's rows split into ``len(rngs)`` equal consecutive groups of
+    m, and generator g draws for group g alone: row l of ``g.random((m *
+    samples, n))`` rounds the group's row ``l // samples``.  With a scheme,
+    row l of ``g.random((m * samples, n + 1))`` draws z from its column 0
+    (:func:`sample_z`, one ``math.log1p`` per draw) and rounds that row
+    scaled by z with the rest.
+    """
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    n = profile.n_agents
+    rows = profile.row.reshape(-1, profile.partition.total)
+    if len(rows) % len(rngs):
+        raise ValueError(f"{len(rows)} profile rows do not split among {len(rngs)} generators")
+    draws = len(rows) // len(rngs) * samples
+    width = n if scheme is None else n + 1
+    u = np.stack([rng.random((draws, width)) for rng in rngs])
+    if scheme is not None:
+        z = np.array([sample_z(scheme, x) for x in u[..., 0].ravel().tolist()])
+        rows, u = np.repeat(rows, samples, axis=0) * z[:, None], u[..., 1:]
+    slots = sample_rows(profile.partition, rows, u.reshape(-1, n))
+    return slots.reshape(len(rngs), draws, n)
+
+
+def sampled_gradient(
+    f: SetFunction,
+    agent: int,
+    slots: np.ndarray,
+    samples: int,
+    budget: Optional[MarginalBudget] = None,
+    scheme: Optional[SurrogateScheme] = None,
+    min_gain: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Score an ``(m * samples, n)`` slot matrix for one agent: ``(m,
+    k_agent)`` means of its marginal gains over each ``samples`` consecutive
+    rows, from one :func:`local_marginal_block` call, which ignores the
+    agent's own (drawn) column and charges one query per slot per row.
+
+    With a scheme every gain is rescaled by int_0^1 w, and the submodular
+    scheme adds the (policy-independent) min-gain bonus; pass ``min_gain`` if
+    the agent already paid for it, otherwise it is read once through
+    :func:`min_gain_vector`, which charges one query per slot.
+    """
+    gains = local_marginal_block(f, agent, slots, budget)
+    values = gains.reshape(-1, samples, gains.shape[1])
+    if scheme is not None:
+        values = scheme.weight_integral * values
+        if scheme.adds_min_gain:
+            if min_gain is None:
+                min_gain = min_gain_vector(f, agent, budget)
+            values = values + math.exp(-1.0) * min_gain
+    return values.mean(axis=1)
+
+
+def _estimate(
     f: SetFunction,
     profile: PolicyProfile,
     agent: int,
@@ -349,36 +411,13 @@ def _sampled_gains(
     samples: int,
     budget: Optional[MarginalBudget],
     scheme: Optional[SurrogateScheme] = None,
+    min_gain: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Agent's marginal gains against ``samples`` sampled contexts per
-    profile row, as ``(m, samples, k_agent)`` for m rows (m = 1 for a
-    single row).
-
-    Row l of ``rng.random((m * samples, n))`` rounds profile row
-    ``l // samples``; with a scheme, row l of ``rng.random((m * samples,
-    n + 1))`` draws z from its column 0 and rounds that profile row scaled
-    by z with the rest.  The whole slot matrix goes to one
-    :func:`local_marginal_block` call, which ignores the agent's own
-    (drawn) column and charges one query per slot per row.
-    """
+    """One generator's case of :func:`sample_slots` and
+    :func:`sampled_gradient`: ``(k,)`` for a row, ``(m, k)`` for a stack."""
     f.partition.check_agent(agent)
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    rows = profile.row.reshape(-1, profile.partition.total)
-    draws = len(rows) * samples
-    if scheme is None:
-        u = rng.random((draws, profile.n_agents))
-    else:
-        u = rng.random((draws, profile.n_agents + 1))
-        z = np.array([sample_z(scheme, x) for x in u[:, 0].tolist()])
-        rows, u = np.repeat(rows, samples, axis=0) * z[:, None], u[:, 1:]
-    gains = local_marginal_block(f, agent, sample_rows(profile.partition, rows, u), budget)
-    return gains.reshape(-1, samples, gains.shape[1])
-
-
-def _per_row(profile: PolicyProfile, values: np.ndarray) -> np.ndarray:
-    """Means over the sample axis: ``(k,)`` for a row, ``(m, k)`` for a stack."""
-    means = values.mean(axis=1)
+    slots = sample_slots(profile, [rng], samples, scheme)[0]
+    means = sampled_gradient(f, agent, slots, samples, budget, scheme, min_gain)
     return means if profile.row.ndim == 2 else means[0]
 
 
@@ -394,7 +433,7 @@ def estimate_gradient(
     marginal gains against ``samples`` independent roundings of the others.
     A stacked profile gives one estimate per row, ``(m, k_agent)``, from one
     draw and one oracle call."""
-    return _per_row(profile, _sampled_gains(f, profile, agent, rng, samples, budget))
+    return _estimate(f, profile, agent, rng, samples, budget)
 
 
 def estimate_surrogate_gradient(
@@ -411,15 +450,7 @@ def estimate_surrogate_gradient(
     (per row of a stacked profile, as in :func:`estimate_gradient`).
 
     Each sample draws z from the normalized weight density, rounds the
-    z-scaled profile, and rescales the observed gains by int_0^1 w.  With the
-    submodular scheme the (policy-independent) min-gain bonus is added; pass
-    ``min_gain`` if the agent already paid for it, otherwise it is read once
-    through :func:`min_gain_vector`, which charges one query per slot.
+    z-scaled profile, and rescales the observed gains by int_0^1 w; the
+    min-gain bonus is as in :func:`sampled_gradient`.
     """
-    gains = _sampled_gains(f, profile, agent, rng, samples, budget, scheme)
-    values = scheme.weight_integral * gains
-    if scheme.adds_min_gain:
-        if min_gain is None:
-            min_gain = min_gain_vector(f, agent, budget)
-        values = values + math.exp(-1.0) * min_gain
-    return _per_row(profile, values)
+    return _estimate(f, profile, agent, rng, samples, budget, scheme, min_gain)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -22,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MacoordError
+from .errors import ConfigError, DataError, MacoordError, config_field
 from .extension import SurrogateScheme
 from .ground import EXACT_ENUMERATION_LIMIT, Partition
 from .learners import (
@@ -91,29 +90,17 @@ class RunConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
             return RunConfig(
-                environment=_field(doc, "environment", dict),
-                graph=_field(doc, "graph", dict, {"kind": "complete"}),
-                learner=_field(doc, "learner", dict),
-                horizon=_field(doc, "horizon", int),
-                seed=_field(doc, "seed", int, 0),
-                oracle_regret=_field(doc, "oracle_regret", bool, False),
-                rho=_field(doc, "rho", float, 1.0),
+                environment=config_field(doc, "environment", dict),
+                graph=config_field(doc, "graph", dict, {"kind": "complete"}),
+                learner=config_field(doc, "learner", dict),
+                horizon=config_field(doc, "horizon", int),
+                seed=config_field(doc, "seed", int, 0),
+                oracle_regret=config_field(doc, "oracle_regret", bool, False),
+                rho=config_field(doc, "rho", float, 1.0),
                 out=doc.get("out"),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc.args[0]}") from exc
-
-
-def _field(doc: dict, key: str, kind: type, default=None):
-    """A JSON field of one kind, refused rather than coerced (``dict()`` reads
-    pairs, ``bool("no")`` is true, ``int()`` takes "5" and 2.7).  A bool is no
-    number, an int is a float, and a missing field without default is a KeyError."""
-    value = doc[key] if default is None else doc.get(key, default)
-    allowed = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-        what = {dict: "an object", bool: "true or false", int: "an integer", float: "a number"}
-        raise ConfigError(f"{key} must be {what[kind]}, got {value!r}")
-    return kind(value)
 
 
 def scheme_from_dict(doc: Optional[dict]) -> SurrogateScheme:
@@ -125,9 +112,11 @@ def scheme_from_dict(doc: Optional[dict]) -> SurrogateScheme:
         if kind == "submodular":
             return SurrogateScheme.submodular()
         if kind == "weak-dr":
-            return SurrogateScheme.weak_dr(_field(doc, "alpha", float))
+            return SurrogateScheme.weak_dr(config_field(doc, "alpha", float))
         if kind == "weak-sub":
-            return SurrogateScheme.weak_sub(_field(doc, "gamma", float), _field(doc, "beta", float))
+            return SurrogateScheme.weak_sub(
+                config_field(doc, "gamma", float), config_field(doc, "beta", float)
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad surrogate scheme {doc}: {exc}") from exc
     raise ConfigError(f"unknown surrogate scheme kind {kind!r}")
@@ -158,9 +147,9 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
                 scheme_from_dict(doc.get("scheme")),
                 horizon=cfg.horizon,
                 seed=cfg.seed,
-                eta0=_field(doc, "eta0", float, 1.0),
-                batch=_field(doc, "batch", int, 10),
-                exact_gradient=_field(doc, "exact_gradient", bool, False),
+                eta0=config_field(doc, "eta0", float, 1.0),
+                batch=config_field(doc, "batch", int, 10),
+                exact_gradient=config_field(doc, "exact_gradient", bool, False),
                 step_size=doc.get("step_size"),
             )
         if kind == "ma-mpl":
@@ -169,9 +158,9 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
                 graph,
                 horizon=cfg.horizon,
                 seed=cfg.seed,
-                inner_steps=_field(doc, "K", int, 15),
-                sample_batch=_field(doc, "L", int, 10),
-                eta0=_field(doc, "eta0", float, 1.0),
+                inner_steps=config_field(doc, "K", int, 15),
+                sample_batch=config_field(doc, "L", int, 10),
+                eta0=config_field(doc, "eta0", float, 1.0),
                 step_size=doc.get("step_size"),
             )
         if kind == "random":

@@ -15,8 +15,11 @@ idle agent.
 * :class:`MetaConditionalGradientLearner` — per-round K-step conditional
   gradient whose ascent directions come from K persistent online linear
   maximizers, held as one ``(K, |V|)`` iterate matrix; each row spreads by
-  max-consensus, the coordinate-wise max over the agent's closed
-  neighborhood.
+  max-consensus, a delay line: a block reaches an agent one inner step
+  late per hop beyond the first.
+
+Both learners round every agent's own-stream draws in one call, then make
+one marginal-oracle call per agent.
 """
 
 from __future__ import annotations
@@ -26,24 +29,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_value
 from .extension import (
     PolicyProfile,
     SurrogateScheme,
-    estimate_gradient,
-    estimate_surrogate_gradient,
     exact_surrogate_gradient_block,
     sample_rows,
+    sample_slots,
+    sampled_gradient,
 )
 from .geometry import normalize_policy, project_blocks
-from .ground import (
-    MarginalBudget,
-    Partition,
-    SetFunction,
-    local_marginal_block,
-    min_gain_vector,
-)
-from .network import CommGraph
+from .ground import MarginalBudget, Partition, SetFunction, local_marginal_block
+from .network import UNREACHABLE, CommGraph, hop_distances
 
 _RANDOM_TAG = 0x72616E64
 
@@ -51,10 +48,6 @@ _RANDOM_TAG = 0x72616E64
 def agent_stream(seed: int, t: int, agent: int) -> np.random.Generator:
     """Independent per-(round, agent) generator; order-insensitive across agents."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(t), int(agent))))
-
-
-def _closed_neighborhoods(graph: CommGraph) -> list[list[int]]:
-    return [list(graph.neighbors(i) + (i,)) for i in range(graph.n)]
 
 
 def _check_consensus_matrix(w: np.ndarray, graph: CommGraph, atol: float = 1e-9) -> None:
@@ -65,15 +58,16 @@ def _check_consensus_matrix(w: np.ndarray, graph: CommGraph, atol: float = 1e-9)
         raise ConfigError("consensus matrix must be symmetric")
     if not np.allclose(w.sum(axis=1), 1.0, atol=atol) or w.min() < -atol:
         raise ConfigError("consensus matrix must be doubly stochastic")
-    allowed = np.zeros((n, n), dtype=bool)
-    for i, hood in enumerate(_closed_neighborhoods(graph)):
-        allowed[i, hood] = True
+    allowed = np.isin(hop_distances(graph), (0, 1))
     if np.abs(w[~allowed]).max(initial=0.0) > atol:
         raise ConfigError("consensus matrix puts weight between non-neighbors")
 
 
 def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> float:
-    step = float(step_size) if step_size is not None else eta0 / math.sqrt(horizon)
+    if step_size is None:
+        step = eta0 / math.sqrt(horizon)
+    else:
+        step = config_value("step_size", step_size, float)
     if not 0.0 < step < math.inf:
         raise ConfigError(f"step size must be finite and positive, got {step}")
     return step
@@ -174,24 +168,20 @@ class PolicyConsensusLearner:
         u = np.array([stream.random() for stream in streams])
         chosen = _play(self.partition, self.policies[self._own], u)
 
-        # local reweighted-gradient estimates at each agent's current view
-        grads = []
-        for i in range(n):
-            profile = self.local_profile(i)
-            if self.exact_gradient:
-                grads.append(
-                    exact_surrogate_gradient_block(f, profile, self.scheme, i)
-                )
-                continue
-            min_gain = (
-                min_gain_vector(f, i, self.budget) if self.scheme.adds_min_gain else None
-            )
-            grads.append(
-                estimate_surrogate_gradient(
-                    f, profile, i, self.scheme, streams[i], self.budget, min_gain,
-                    samples=self.batch,
-                )
-            )
+        # local reweighted-gradient estimates at each agent's current view:
+        # every agent's z-scaled views rounded at once, one oracle call each
+        if self.exact_gradient:
+            grads = [
+                exact_surrogate_gradient_block(f, self.local_profile(i), self.scheme, i)
+                for i in range(n)
+            ]
+        else:
+            views = PolicyProfile(self.partition, self.policies)
+            slots = sample_slots(views, streams, self.batch, self.scheme)
+            grads = [
+                sampled_gradient(f, i, slots[i], self.batch, self.budget, self.scheme)[0]
+                for i in range(n)
+            ]
 
         # consensus averaging of every copy; ascent step on the own blocks
         mixed = self.weights @ self.policies
@@ -214,10 +204,16 @@ class MetaConditionalGradientLearner:
     Every round rebuilds the joint policy from zero in K inner steps: each
     agent adds one K-th of a direction proposed by its k-th online linear
     maximizer to its own block, then keeps the coordinate-wise max over its
-    closed neighborhood (estimates of any block only ever grow within a
-    round, so the max is the freshest copy).  After playing, each inner-step
-    estimate is scored by an L-sample mean of marginal gains and fed back to
-    the matching maximizer.
+    closed neighborhood.  Estimates of any block only ever grow within a
+    round, so the max is the freshest copy, and it is one hop fresher than
+    the neighbors' own: agent i's copy of block j after step k is block j's
+    running sum ``C_j[k - max(hop(i, j) - 1, 0)]``, with ``C = cumsum(iterates
+    / K)`` from a zero row, and zero for a block i cannot reach.  Each round
+    is that delay line, one cumulative sum and one gather through a lag
+    table built from the graph's hop distances.  After playing, each
+    inner-step estimate is scored by an L-sample mean of marginal gains (all
+    agents' n K L draws rounded at once, one oracle call per agent) and fed
+    back to the matching maximizer.
 
     The maximizers are online gradient ascent on the capped simplex: row k of
     ``iterates`` holds every agent's k-th iterate on its own block, starts
@@ -254,8 +250,12 @@ class MetaConditionalGradientLearner:
         self.iterates = np.tile(PolicyProfile.uniform(partition).row, (self.inner_steps, 1))
         self.budget = MarginalBudget(n)
         self._own = _own_columns(partition)
-        self._ranges = list(zip(partition.offsets[:-1], partition.offsets[1:]))
-        self._hoods = _closed_neighborhoods(graph)
+        # (K, n, |V|) flat index into the (K + 1, |V|) running sums: row
+        # k + 1 - lag, lag = max(hop - 1, 0), clipped at the zero row 0
+        hops = np.repeat(hop_distances(graph), partition.sizes, axis=1)
+        rows = np.arange(1, self.inner_steps + 1)[:, None, None] - np.maximum(hops - 1, 0)
+        rows = np.where(hops == UNREACHABLE, 0, np.maximum(rows, 0))
+        self._lag = rows * partition.total + np.arange(partition.total)
         self.estimates = np.zeros((n, partition.total))
         self.last_inner_disagreement: list[list[float]] = []
 
@@ -273,50 +273,46 @@ class MetaConditionalGradientLearner:
             raise ValueError("reward dimension mismatch")
         self.iterates = project_blocks(self.partition, self.iterates + self.step_size * rewards)
 
-    def _inner_disagreement(self) -> list[float]:
-        """Per-agent (1/n) <1, own-blocks - estimates>; see the path-graph bound.
+    def _inner_disagreement(self, estimates: np.ndarray) -> np.ndarray:
+        """Per-agent (1/n) <1, own-blocks - estimates> of ``(..., n, |V|)``
+        estimates; see the path-graph bound.
 
         Own and estimated block masses come from one reduction, so each gap
         is exactly nonnegative: an estimate never exceeds the own block.
         """
-        mass = np.add.reduceat(self.estimates, self.partition.offsets[:-1], axis=1)
-        return ((np.diag(mass) - mass).sum(axis=1) / self.partition.n_agents).tolist()
+        mass = np.add.reduceat(estimates, self.partition.offsets[:-1], axis=-1)
+        own = np.diagonal(mass, axis1=-2, axis2=-1)[..., None, :]
+        return (own - mass).sum(axis=-1) / self.partition.n_agents
 
     def round(
         self, f: SetFunction, t: int, record_inner: bool = False
     ) -> np.ndarray:
         self.budget.reset()
-        n = self.partition.n_agents
-        self.estimates = np.zeros((n, self.partition.total))
-        self.last_inner_disagreement = []
-        steps = np.empty((self.inner_steps, n, self.partition.total))
-
-        for k in range(self.inner_steps):
-            y = self.estimates.copy()
-            y[self._own] += self.iterates[k] / self.inner_steps
-            self.estimates = np.stack([y[hood].max(axis=0) for hood in self._hoods])
-            steps[k] = self.estimates
-            if record_inner:
-                self.last_inner_disagreement.append(self._inner_disagreement())
+        n, total = self.partition.n_agents, self.partition.total
+        running = np.cumsum(
+            np.concatenate((np.zeros((1, total)), self.iterates / self.inner_steps)), axis=0
+        )
+        steps = running.take(self._lag)  # (K, n, |V|): every agent after every inner step
+        self.estimates = steps[-1]
+        self.last_inner_disagreement = (
+            self._inner_disagreement(steps).tolist() if record_inner else []
+        )
 
         streams = [agent_stream(self.seed, t, i) for i in range(n)]
         u = np.array([stream.random() for stream in streams])
         chosen = _play(self.partition, self.estimates[self._own], u)
 
-        # score agent i's K inner estimates in one draw and one oracle call,
-        # then teach every maximizer at once
-        rewards = np.empty_like(self.iterates)
-        for i, (lo, hi) in enumerate(self._ranges):
-            rewards[:, lo:hi] = estimate_gradient(
-                f, PolicyProfile(self.partition, steps[:, i]), i, streams[i], self.budget,
-                samples=self.sample_batch,
-            )
-        self.update(rewards)
+        # score every agent's K inner estimates: one rounding of all n K L
+        # draws, one oracle call per agent, then teach every maximizer at once
+        views = PolicyProfile(self.partition, steps.swapaxes(0, 1).reshape(-1, total))
+        slots = sample_slots(views, streams, self.sample_batch)
+        gains = [sampled_gradient(f, i, slots[i], self.sample_batch, self.budget) for i in range(n)]
+        self.update(np.concatenate(gains, axis=1))
         return chosen
 
     def disagreement(self) -> float:
         """Worst per-agent estimate gap at the final inner step of the round."""
-        return max(self._inner_disagreement())
+        return float(self._inner_disagreement(self.estimates).max())
 
 
 def random_baseline_round(partition: Partition, rng: np.random.Generator) -> np.ndarray:

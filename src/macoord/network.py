@@ -8,14 +8,14 @@ here by connectivity plus Metropolis weights).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TopologyError
+from .errors import TopologyError, config_field, config_value
 
 ERDOS_RENYI_MAX_RETRIES = 1000
+UNREACHABLE = -1  # hop distance between nodes in different components
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,25 @@ class CommGraph:
         return len(self._adj[i])
 
     def is_connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
+        return bool((hop_distances(self) != UNREACHABLE).all())
+
+
+def hop_distances(g: CommGraph) -> np.ndarray:
+    """``(n, n)`` int matrix of shortest-path hop counts, :data:`UNREACHABLE`
+    between components; one breadth-first sweep from every node at once,
+    each hop one boolean product with the adjacency."""
+    adj = np.eye(g.n, dtype=bool)
+    adj[tuple(np.array(g.edges, dtype=int).reshape(-1, 2).T)] = True
+    adj |= adj.T
+    dist = np.where(adj, 1, UNREACHABLE) - np.eye(g.n, dtype=int)
+    reached = adj
+    for hops in range(2, g.n):
+        grown = reached @ adj
+        if (grown == reached).all():
+            break
+        dist[grown & ~reached] = hops
+        reached = grown
+    return dist
 
 
 def metropolis_weights(g: CommGraph) -> np.ndarray:
@@ -107,21 +117,11 @@ def spectral_gap(w: np.ndarray) -> float:
 
 
 def diameter(g: CommGraph) -> int:
-    """Longest shortest path, by BFS from every node."""
-    if not g.is_connected():
+    """Longest shortest path: the largest of :func:`hop_distances`."""
+    dist = hop_distances(g)
+    if (dist == UNREACHABLE).any():
         raise TopologyError("diameter of a disconnected graph is infinite")
-    best = 0
-    for src in range(g.n):
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        best = max(best, max(dist.values()))
-    return best
+    return int(dist.max())
 
 
 def erdos_renyi(
@@ -154,11 +154,12 @@ def graph_from_spec(spec: dict, n: int) -> CommGraph:
     if kind == "complete":
         return CommGraph.complete(n)
     if kind == "erdos_renyi":
-        seed = spec.get("seed", 0)
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6E6574)))
-        return erdos_renyi(n, float(spec.get("avg_degree", 4)), rng)
+        seed = config_field(spec, "seed", int, 0)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E6574)))
+        return erdos_renyi(n, config_field(spec, "avg_degree", float, 4.0), rng)
     if kind == "explicit":
-        g = CommGraph(n, [(int(u), int(v)) for u, v in spec["edges"]])
+        pairs = [(u, v) for u, v in spec["edges"]]
+        g = CommGraph(n, [tuple(config_value("edges", x, int) for x in e) for e in pairs])
         if not g.is_connected():
             raise TopologyError("explicit graph is disconnected")
         return g

@@ -484,6 +484,34 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc",
+    [
+        dict(CLI_DOC, learner={"kind": "ma-spl", "step_size": True}),
+        dict(CLI_DOC, learner={"kind": "ma-mpl", "step_size": "0.1"}),
+        dict(CLI_DOC, environment={"kind": "facility", "agents": 2.7, "targets": 2}),
+        dict(CLI_DOC, environment={"kind": "orbiting-targets", "radius": "4"}),
+        dict(CLI_DOC, environment={"kind": "coverage", "agents": 3.0}),
+        dict(CLI_DOC, environment={"kind": "tracking-gain", "agents": 2, "record_world": 1}),
+        dict(CLI_DOC, environment=dict(TINY_ENV, sizes=[2.7, 2])),
+        dict(CLI_DOC, environment={"kind": "facility", "agents": 2, "speeds": [True, 2]}),
+        dict(CLI_DOC, graph={"kind": "erdos_renyi", "avg_degree": "4"}),
+        dict(CLI_DOC, graph={"kind": "erdos_renyi", "seed": 1.5}),
+        dict(CLI_DOC, graph={"kind": "explicit", "edges": [[0, 1.0]]}),
+    ],
+    ids=["step-size-bool", "step-size-str", "agents-fraction", "radius-str",
+         "coverage-agents-float", "record-world-int", "sizes-fraction", "speeds-bool",
+         "avg-degree-str", "graph-seed-fraction", "edge-float"],
+)
+def test_cli_refuses_coerced_spec_numbers(tmp_path, capsys, doc):
+    # each of these used to be read through int() / float() / bool() and run
+    path = _write_config(tmp_path, doc)
+    assert main(["run-spl" if doc["learner"]["kind"] == "ma-spl" else "run-mpl",
+                 "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
     "environment",
     [
         {"kind": "orbiting-targets", "radius": float("nan")},

@@ -7,6 +7,8 @@ enumerable.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macoord.envs import (
     ModularFunction,
@@ -14,9 +16,15 @@ from macoord.envs import (
     synthetic_setfn,
 )
 from macoord.errors import ConfigError
-from macoord.extension import PolicyProfile, SurrogateScheme, exact_extension
-from macoord.geometry import normalize_policy
-from macoord.ground import Partition
+from macoord.extension import (
+    PolicyProfile,
+    SurrogateScheme,
+    estimate_gradient,
+    estimate_surrogate_gradient,
+    exact_extension,
+)
+from macoord.geometry import normalize_policy, project_blocks
+from macoord.ground import Partition, min_gain_vector
 from macoord.learners import (
     GreedyLearner,
     MetaConditionalGradientLearner,
@@ -27,7 +35,7 @@ from macoord.learners import (
     random_baseline_round,
     sequential_greedy_round,
 )
-from macoord.network import CommGraph, metropolis_weights
+from macoord.network import CommGraph, erdos_renyi, metropolis_weights
 from macoord.oracle import brute_force_opt, estimate_ratios
 
 
@@ -416,3 +424,153 @@ def test_learner_wrappers():
     np.testing.assert_array_equal(greedy.round(f, 1), sequential_greedy_round(f, p))
     assert greedy.disagreement() == 0.0
     assert greedy.budget.per_agent().tolist() == [3, 3]
+
+
+# ---------------------------------------------------------------------------
+# loop-free rounds against their loop references
+# ---------------------------------------------------------------------------
+#
+# The references are the learners' rounds as Python loops: K inner steps of
+# the coordinate-wise max over every closed neighborhood, and one profile,
+# draw and rounding per agent through the one-agent estimators.  The
+# closed-form delay line and the stacked rounding must reproduce them bit for
+# bit: selections, state, charges and disagreement.
+
+
+def _reference_inner_disagreement(partition, estimates):
+    mass = np.add.reduceat(estimates, partition.offsets[:-1], axis=1)
+    return ((np.diag(mass) - mass).sum(axis=1) / partition.n_agents).tolist()
+
+
+def _reference_mpl_round(learner, f, t, record_inner):
+    p, k_steps = learner.partition, learner.inner_steps
+    n = p.n_agents
+    own = (np.repeat(np.arange(n), p.sizes), np.arange(p.total))
+    hoods = [list(learner.graph.neighbors(i) + (i,)) for i in range(n)]
+    learner.budget.reset()
+    estimates = np.zeros((n, p.total))
+    steps = np.empty((k_steps, n, p.total))
+    inner = []
+    for k in range(k_steps):
+        y = estimates.copy()
+        y[own] += learner.iterates[k] / k_steps
+        estimates = np.stack([y[hood].max(axis=0) for hood in hoods])
+        steps[k] = estimates
+        if record_inner:
+            inner.append(_reference_inner_disagreement(p, estimates))
+    learner.estimates, learner.last_inner_disagreement = estimates, inner
+    streams = [agent_stream(learner.seed, t, i) for i in range(n)]
+    chosen = _play(p, estimates[own], np.array([s.random() for s in streams]))
+    rewards = np.empty_like(learner.iterates)
+    for i, (lo, hi) in enumerate(zip(p.offsets[:-1], p.offsets[1:])):
+        rewards[:, lo:hi] = estimate_gradient(
+            f, PolicyProfile(p, steps[:, i]), i, streams[i], learner.budget,
+            samples=learner.sample_batch,
+        )
+    learner.update(rewards)
+    return chosen, max(_reference_inner_disagreement(p, estimates))
+
+
+def _reference_spl_round(learner, f, t):
+    p, scheme = learner.partition, learner.scheme
+    n = p.n_agents
+    own = (np.repeat(np.arange(n), p.sizes), np.arange(p.total))
+    learner.budget.reset()
+    streams = [agent_stream(learner.seed, t, i) for i in range(n)]
+    chosen = _play(p, learner.policies[own], np.array([s.random() for s in streams]))
+    grads = []
+    for i in range(n):
+        min_gain = min_gain_vector(f, i, learner.budget) if scheme.adds_min_gain else None
+        grads.append(estimate_surrogate_gradient(
+            f, PolicyProfile(p, learner.policies[i]), i, scheme, streams[i], learner.budget,
+            min_gain, samples=learner.batch,
+        ))
+    mixed = learner.weights @ learner.policies
+    mixed[own] = project_blocks(p, mixed[own] + learner.step_size * np.concatenate(grads))
+    learner.policies = mixed
+    return chosen
+
+
+def _metropolis_any(g):
+    """Metropolis weights without the connectivity check: per component."""
+    w = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        w[u, v] = w[v, u] = 1.0 / (1.0 + max(g.degree(u), g.degree(v)))
+    return w + np.diag(1.0 - w.sum(axis=1))
+
+
+GRAPH_KINDS = ("path", "cycle", "star", "complete", "erdos-renyi", "split")
+
+
+@st.composite
+def _rounds_cases(draw, kind):
+    n = draw(st.integers(3 if kind in ("cycle", "split") else 1, 6))
+    if kind == "path":
+        g = CommGraph.path(n)
+    elif kind == "cycle":
+        g = CommGraph.cycle(n)
+    elif kind == "star":
+        g = CommGraph(n, [(0, i) for i in range(1, n)])
+    elif kind == "complete":
+        g = CommGraph.complete(n)
+    elif kind == "erdos-renyi":
+        n = max(n, 2)
+        g = erdos_renyi(n, min(1.5, n - 1), np.random.default_rng(draw(st.integers(0, 99))))
+    else:  # two components, built directly: blocks across the cut stay zero
+        cut = draw(st.integers(1, n - 1))
+        g = CommGraph(n, [(i, i + 1) for i in range(n - 1) if i + 1 != cut])
+    # unequal blocks, within the synthetic objectives' 12 actions
+    sizes = draw(st.lists(st.integers(1, min(4, 12 // n)), min_size=n, max_size=n))
+    if n > 1 and len(set(sizes)) == 1:
+        sizes[-1] = 1 if sizes[0] > 1 else 2
+    return dict(
+        graph=g,
+        sizes=tuple(sizes),
+        k_steps=draw(st.integers(3, 8)),
+        batch=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**16)),
+        scheme=draw(st.sampled_from(
+            [SurrogateScheme.submodular(), SurrogateScheme.weak_dr(0.4)]
+        )),
+    )
+
+
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_loop_free_rounds_equal_loop_references(kind, data):
+    case = data.draw(_rounds_cases(kind))
+    g, sizes = case["graph"], case["sizes"]
+    p = Partition(sizes)
+    f = synthetic_setfn("coverage-random", sizes, np.random.default_rng(case["seed"]))
+    mpl = [
+        MetaConditionalGradientLearner(
+            p, g, horizon=10, seed=case["seed"], inner_steps=case["k_steps"],
+            sample_batch=case["batch"], step_size=0.3,
+        )
+        for _ in range(2)
+    ]
+    spl = [
+        PolicyConsensusLearner(
+            p, g, _metropolis_any(g), case["scheme"], horizon=10, seed=case["seed"],
+            batch=case["batch"], step_size=0.3,
+        )
+        for _ in range(2)
+    ]
+    for t in (1, 2, 3):
+        record = t != 2
+        got = mpl[0].round(f, t, record_inner=record)
+        expect, worst = _reference_mpl_round(mpl[1], f, t, record)
+        np.testing.assert_array_equal(got, expect)
+        for name in ("iterates", "estimates"):
+            a, b = getattr(mpl[0], name), getattr(mpl[1], name)
+            assert a.tobytes() == b.tobytes(), name
+        assert mpl[0].last_inner_disagreement == mpl[1].last_inner_disagreement
+        assert len(mpl[0].last_inner_disagreement) == (case["k_steps"] if record else 0)
+        assert mpl[0].disagreement() == worst
+        np.testing.assert_array_equal(mpl[0].budget.per_agent(), mpl[1].budget.per_agent())
+
+        np.testing.assert_array_equal(spl[0].round(f, t), _reference_spl_round(spl[1], f, t))
+        assert spl[0].policies.tobytes() == spl[1].policies.tobytes()
+        assert spl[0].disagreement() == spl[1].disagreement()
+        np.testing.assert_array_equal(spl[0].budget.per_agent(), spl[1].budget.per_agent())

@@ -7,10 +7,12 @@ import pytest
 
 from macoord.errors import TopologyError
 from macoord.network import (
+    UNREACHABLE,
     CommGraph,
     diameter,
     erdos_renyi,
     graph_from_spec,
+    hop_distances,
     metropolis_weights,
     spectral_gap,
 )
@@ -41,6 +43,41 @@ def test_standard_topologies():
     assert not CommGraph(3, frozenset({(0, 1)})).is_connected()
     with pytest.raises(TopologyError):
         CommGraph.cycle(2)
+
+
+def _star(n):
+    return CommGraph(n, [(0, i) for i in range(1, n)])
+
+
+@pytest.mark.parametrize(
+    "g, expect",
+    [
+        (CommGraph.path(4), [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]),
+        (CommGraph.cycle(5), [[min(abs(i - j), 5 - abs(i - j)) for j in range(5)] for i in range(5)]),
+        (_star(4), [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]),
+        (CommGraph.complete(4), 1 - np.eye(4, dtype=int)),
+        (CommGraph(1, ()), [[0]]),
+        (
+            CommGraph(5, [(0, 1), (2, 3), (3, 4)]),
+            [[0, 1, -1, -1, -1], [1, 0, -1, -1, -1], [-1, -1, 0, 1, 2],
+             [-1, -1, 1, 0, 1], [-1, -1, 2, 1, 0]],
+        ),
+        (CommGraph(3, ()), np.where(np.eye(3, dtype=bool), 0, -1)),
+    ],
+    ids=["path", "cycle", "star", "complete", "single", "two-components", "edgeless"],
+)
+def test_hop_distances(g, expect):
+    dist = hop_distances(g)
+    assert UNREACHABLE == -1
+    assert dist.dtype.kind == "i"
+    np.testing.assert_array_equal(dist, expect)
+    connected = (dist != UNREACHABLE).all()
+    assert g.is_connected() == connected
+    if connected:
+        assert diameter(g) == dist.max()
+    else:
+        with pytest.raises(TopologyError):
+            diameter(g)
 
 
 def test_diameter_matches_pairwise_oracle():
