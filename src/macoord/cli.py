@@ -5,7 +5,7 @@ Subcommands
 run-spl       one experiment with the consensus projected-ascent learner
 run-mpl       one experiment with the meta conditional-gradient learner
 run-baseline  one experiment with `--baseline random|greedy`
-verify        execute the oracle/property battery; exit 2 on any failure
+verify        run the verification battery; exit 2 on any failure
 bench         run a preset's learner matrix over several seeds
 
 Configs are single JSON documents; `--preset` supplies a named base config
@@ -24,7 +24,6 @@ from .errors import ConfigError, MacoordError
 from .harness import (
     PRESETS,
     RunConfig,
-    compute_rho_regret,
     export_csv,
     export_json,
     resolve_preset,
@@ -60,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--baseline", choices=("random", "greedy"), default="random"
             )
 
-    p = sub.add_parser("verify", help="run the oracle/property battery")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--out", type=Path, help="where to write verify.json")
 
     p = sub.add_parser("bench", help="preset learner-matrix benchmark")
@@ -106,8 +104,7 @@ def _run_single(args: argparse.Namespace, forced_kind: str | None) -> int:
     mean_utility = sum(log.utility for log in logs) / len(logs)
     line = f"{cfg.learner['kind']}: T={cfg.horizon} mean utility {mean_utility:.6g}"
     if cfg.oracle_regret:
-        regret = compute_rho_regret(logs, cfg.rho)
-        line += f", regret(rho={cfg.rho:.4g}) {regret:.6g}"
+        line += f", regret(rho={cfg.rho:.4g}) {logs[-1].cum_regret:.6g}"
     if cfg.out:
         out = Path(cfg.out)
         export_csv(logs, out / "rounds.csv")
@@ -127,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run-baseline":
             return _run_single(args, args.baseline)
         if args.command == "verify":
-            results = run_verification(args.seed)
+            results = run_verification()
             width = max(len(r.name) for r in results)
             for r in results:
                 mark = "PASS" if r.passed else "FAIL"

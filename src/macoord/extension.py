@@ -191,13 +191,13 @@ def sample_choices(profile: PolicyProfile, u: np.ndarray) -> np.ndarray:
     return sample_rows(profile.partition, profile.row, u)
 
 
-def sample_z(scheme: SurrogateScheme, u: float) -> float:
-    """Map a uniform u to z in [0, 1] with density proportional to w(z).
+def sample_z(scheme: SurrogateScheme, u: np.ndarray) -> np.ndarray:
+    """Map uniforms u to z in [0, 1] with density proportional to w(z).
 
     Inverse transform of the normalized CDF: z = ln(1 + u (e^c - 1)) / c.
     """
     c = scheme.rate
-    return math.log1p(u * math.expm1(c)) / c
+    return np.log1p(u * math.expm1(c)) / c
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,7 @@ def sample_slots(
     m, and generator g draws for group g alone: row l of ``g.random((m *
     samples, n))`` rounds the group's row ``l // samples``.  With a scheme,
     row l of ``g.random((m * samples, n + 1))`` draws z from its column 0
-    (:func:`sample_z`, one ``math.log1p`` per draw) and rounds that row
+    (all draws in one :func:`sample_z` call) and rounds that row
     scaled by z with the rest.
     """
     if samples < 1:
@@ -367,7 +367,7 @@ def sample_slots(
     width = n if scheme is None else n + 1
     u = np.stack([rng.random((draws, width)) for rng in rngs])
     if scheme is not None:
-        z = np.array([sample_z(scheme, x) for x in u[..., 0].ravel().tolist()])
+        z = sample_z(scheme, u[..., 0].ravel())
         rows, u = np.repeat(rows, samples, axis=0) * z[:, None], u[..., 1:]
     slots = sample_rows(profile.partition, rows, u.reshape(-1, n))
     return slots.reshape(len(rngs), draws, n)

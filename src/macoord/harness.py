@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MacoordError, config_field
+from .errors import ConfigError, MacoordError, config_field
 from .extension import SurrogateScheme
 from .ground import EXACT_ENUMERATION_LIMIT, Partition
 from .learners import (
@@ -214,15 +214,6 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
     if getattr(env, "record_world", False) and cfg.out:
         write_world_trace(env.trajectory_rows(), Path(cfg.out) / "world.csv")
     return logs
-
-
-def compute_rho_regret(logs: Sequence[RoundLog], rho: float) -> float:
-    """R(T) = rho * sum_t opt_t - sum_t utility_t over the logged rounds."""
-    if any(log.opt is None for log in logs):
-        raise DataError("regret needs the per-round oracle optimum in every log")
-    return float(
-        rho * sum(log.opt for log in logs) - sum(log.utility for log in logs)
-    )
 
 
 CSV_COLUMNS = ("t", "utility", "opt", "cum_regret", "disagreement", "queries")

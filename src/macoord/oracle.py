@@ -77,96 +77,48 @@ class RatioReport:
     upper_ratio: float
 
 
-def _subset_values(f: SetFunction) -> np.ndarray:
-    """f at every subset of V, indexed by its bitmask over the flat order."""
-    kappa = f.partition.total
-    masks = np.arange(1 << kappa)[:, None] >> np.arange(kappa) & 1
-    return f.value(masks.astype(bool))
-
-
 def estimate_ratios(f: SetFunction, zero_tol: float = 1e-12) -> RatioReport:
     """Exact structure ratios by enumeration over all subset pairs.
 
     Quotients whose denominator is (numerically) zero are skipped: they are
     exactly the pairs where the defining constraint binds vacuously.
-    Exponential in the number of actions; guarded at 12.
+    Exponential in the number of actions; guarded at 12.  Every S subset T
+    pair is one base-3 code (digit 0: v outside T, 1: in T - S, 2: in S), and
+    the sums over T - S add their terms lowest element first.
     """
     kappa = f.partition.total
     if kappa > RATIO_MAX_ACTIONS:
         raise ScaleError(f"ratio estimation is capped at {RATIO_MAX_ACTIONS} actions")
-    values = _subset_values(f)
-    full = (1 << kappa) - 1
+    bits = 1 << np.arange(kappa)
+    subsets = np.arange(1 << kappa)[:, None]
+    values = f.value((subsets & bits) != 0)  # f at every subset, indexed by its bitmask
+    gain = values[subsets | bits] - values[subsets]  # f(v|S) at [S, v]
+    marg_min = np.where(subsets & bits, np.inf, gain).min(axis=0)  # min over S of f(v|S)
+    singleton = gain[0]
+    curved = singleton > zero_tol
+    curvature = np.max(1.0 - marg_min[curved] / singleton[curved], initial=0.0)
 
-    singleton = np.array([values[1 << b] - values[0] for b in range(kappa)])
-    curvature = 0.0
+    codes = np.arange(3**kappa)
+    t = np.zeros_like(codes)
+    s = np.zeros_like(codes)
+    for bit in bits.tolist():
+        codes, digit = np.divmod(codes, 3)
+        t |= np.where(digit > 0, bit, 0)
+        s |= np.where(digit == 2, bit, 0)
     dr_ratio = 1.0
-    # curvature and DR ratio range over marginals of one element v:
-    #   curvature pairs (S, v not in S) against the singleton value;
-    #   dr pairs (S subset T, v not in T), where it suffices to compare each
-    #   marginal against the extremes over supersets/subsets of the chain.
-    marg_min = np.full(kappa, math.inf)  # min over S of f(v|S)
-    for v in range(kappa):
-        bit = 1 << v
-        rest = full & ~bit
-        sub = rest
-        while True:
-            m = values[sub | bit] - values[sub]
-            if m < marg_min[v]:
-                marg_min[v] = m
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-    for v in range(kappa):
-        if singleton[v] > zero_tol:
-            curvature = max(curvature, 1.0 - marg_min[v] / singleton[v])
-    # dr ratio needs ordered pairs S subset T; the binding quotient is
-    # min_S f(v|S) / max_T f(v|T) only when the min sits below the max on a
-    # chain, so enumerate pairs directly (kappa 3^(kappa-1) pairs).
-    for v in range(kappa):
-        bit = 1 << v
-        rest = full & ~bit
-        t = rest
-        while True:
-            ft = values[t | bit] - values[t]
-            if ft > zero_tol:
-                sub = t
-                while True:
-                    ratio = (values[sub | bit] - values[sub]) / ft
-                    if ratio < dr_ratio:
-                        dr_ratio = ratio
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & t
-            if t == 0:
-                break
-            t = (t - 1) & rest
-
-    lower_ratio = 1.0
-    upper_ratio = 1.0
-    t = full
-    while True:
-        if t:
-            sub = (t - 1) & t  # proper subsets of t only
-            while True:
-                gap = values[t] - values[sub]
-                if gap > zero_tol:
-                    fresh = t & ~sub
-                    below = 0.0
-                    above = 0.0
-                    b = fresh
-                    while b:
-                        bit = b & -b
-                        below += values[sub | bit] - values[sub]
-                        above += values[t] - values[t & ~bit]
-                        b &= b - 1
-                    lower_ratio = min(lower_ratio, below / gap)
-                    upper_ratio = max(upper_ratio, above / gap)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & t
-        if t == 0:
-            break
-        t -= 1
+    below = np.zeros(t.size)  # sum_{v in T-S} f(v|S)
+    above = np.zeros(t.size)  # sum_{v in T-S} f(v|T-v)
+    for v, bit in enumerate(bits.tolist()):
+        at_s, at_t = gain[s, v], gain[t, v]
+        binds = (t & bit == 0) & (at_t > zero_tol)
+        dr_ratio = min(dr_ratio, np.min(at_s[binds] / at_t[binds], initial=1.0))
+        fresh = (t & ~s & bit) != 0
+        below += np.where(fresh, at_s, 0.0)
+        above += np.where(fresh, gain[t ^ bit, v], 0.0)
+    gap = values[t] - values[s]
+    proper = (s != t) & (gap > zero_tol)
+    lower_ratio = np.min(below[proper] / gap[proper], initial=1.0)
+    upper_ratio = np.max(above[proper] / gap[proper], initial=1.0)
     return RatioReport(
         curvature=float(curvature),
         dr_ratio=float(dr_ratio),
@@ -205,10 +157,8 @@ def _objective_gradient(
 
 @dataclass(frozen=True)
 class StationarityReport:
-    objective: str
     improvement: float  # max_{y feasible} <y - pi, grad>
     stationary: bool
-    tolerance: float
     gradient: np.ndarray = field(repr=False)  # flat, in the profile's order
 
 
@@ -229,10 +179,8 @@ def check_stationarity(
     best = np.maximum(profile.partition.pad(grad).max(axis=-1), 0.0)  # padding is 0 too
     improvement = float(best.sum() - np.dot(grad, profile.row))
     return StationarityReport(
-        objective=objective,
         improvement=improvement,
         stationary=improvement <= tol,
-        tolerance=tol,
         gradient=grad,
     )
 
@@ -275,9 +223,7 @@ def stationary_point_floor(
 
 @dataclass(frozen=True)
 class AuditReport:
-    extension_value: float
     opt_value: float
-    opt_set: np.ndarray  # slot row of an optimal selection
     ratio: float
     floor: float
     clears: bool
@@ -288,14 +234,12 @@ def approx_ratio_audit(
 ) -> AuditReport:
     """Compare F(pi) / OPT against a theoretical floor (OPT by brute force)."""
     value = exact_extension(f, profile)
-    opt_set, opt = brute_force_opt(f, f.partition)
+    opt = brute_force_opt(f, f.partition)[1]
     if opt <= 0:
         raise DataError("audit needs a strictly positive optimum")
     ratio = value / opt
     return AuditReport(
-        extension_value=float(value),
         opt_value=float(opt),
-        opt_set=opt_set,
         ratio=float(ratio),
         floor=float(floor),
         clears=ratio >= floor - slack,

@@ -26,7 +26,6 @@ from macoord.extension import (
     exact_surrogate_gradient_block,
     exact_surrogate_value,
     sample_choices,
-    sample_z,
 )
 from macoord.ground import (
     MarginalBudget,
@@ -35,6 +34,7 @@ from macoord.ground import (
     min_gain_vector,
 )
 from macoord.oracle import feasible_sets
+from macoord.verification import z_sampler_cdf
 
 
 def selection_value(f, row):
@@ -313,15 +313,8 @@ def test_estimators_exclude_own_agent():
 
 
 def test_sample_z_cdf():
-    scheme = SurrogateScheme.weak_dr(0.7)
-    rng = np.random.default_rng(5)
-    n = 20_000
-    draws = np.sort([sample_z(scheme, u) for u in rng.random(n)])
-    assert 0.0 <= draws[0] and draws[-1] <= 1.0
-    c = scheme.rate
-    cdf = (np.exp(c * draws) - 1.0) / (math.exp(c) - 1.0)
-    empirical = np.arange(1, n + 1) / n
-    assert np.max(np.abs(cdf - empirical)) < 2.0 / math.sqrt(n)
+    result = z_sampler_cdf()
+    assert result.passed, result.detail
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from macoord.extension import (
 )
 from macoord.ground import Partition
 from macoord.oracle import (
+    RatioReport,
     approx_ratio_audit,
     brute_force_opt,
     check_stationarity,
@@ -38,6 +39,7 @@ from macoord.oracle import (
     projected_ascent,
     stationary_point_floor,
 )
+from macoord.verification import NONSUB_TRACKING
 
 
 def _value(f, row):
@@ -155,6 +157,109 @@ def _dr_ratio_oracle(f, tol=1e-12):
                     break
                 s_mask = (s_mask - 1) & t_mask
     return best
+
+
+def _loop_ratios(f, zero_tol=1e-12):
+    """The bit-loop form of ``estimate_ratios``: Python loops over submasks,
+    the reference its array form must match float for float."""
+    kappa = f.partition.total
+    masks = np.arange(1 << kappa)[:, None] >> np.arange(kappa) & 1
+    values = f.value(masks.astype(bool))
+    full = (1 << kappa) - 1
+
+    singleton = np.array([values[1 << b] - values[0] for b in range(kappa)])
+    curvature = 0.0
+    dr_ratio = 1.0
+    # curvature and DR ratio range over marginals of one element v:
+    #   curvature pairs (S, v not in S) against the singleton value;
+    #   dr pairs (S subset T, v not in T), where it suffices to compare each
+    #   marginal against the extremes over supersets/subsets of the chain.
+    marg_min = np.full(kappa, math.inf)  # min over S of f(v|S)
+    for v in range(kappa):
+        bit = 1 << v
+        rest = full & ~bit
+        sub = rest
+        while True:
+            m = values[sub | bit] - values[sub]
+            if m < marg_min[v]:
+                marg_min[v] = m
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+    for v in range(kappa):
+        if singleton[v] > zero_tol:
+            curvature = max(curvature, 1.0 - marg_min[v] / singleton[v])
+    # dr ratio needs ordered pairs S subset T; the binding quotient is
+    # min_S f(v|S) / max_T f(v|T) only when the min sits below the max on a
+    # chain, so enumerate pairs directly (kappa 3^(kappa-1) pairs).
+    for v in range(kappa):
+        bit = 1 << v
+        rest = full & ~bit
+        t = rest
+        while True:
+            ft = values[t | bit] - values[t]
+            if ft > zero_tol:
+                sub = t
+                while True:
+                    ratio = (values[sub | bit] - values[sub]) / ft
+                    if ratio < dr_ratio:
+                        dr_ratio = ratio
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & t
+            if t == 0:
+                break
+            t = (t - 1) & rest
+
+    lower_ratio = 1.0
+    upper_ratio = 1.0
+    t = full
+    while True:
+        if t:
+            sub = (t - 1) & t  # proper subsets of t only
+            while True:
+                gap = values[t] - values[sub]
+                if gap > zero_tol:
+                    fresh = t & ~sub
+                    below = 0.0
+                    above = 0.0
+                    b = fresh
+                    while b:
+                        bit = b & -b
+                        below += values[sub | bit] - values[sub]
+                        above += values[t] - values[t & ~bit]
+                        b &= b - 1
+                    lower_ratio = min(lower_ratio, below / gap)
+                    upper_ratio = max(upper_ratio, above / gap)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & t
+        if t == 0:
+            break
+        t -= 1
+    return RatioReport(
+        curvature=float(curvature),
+        dr_ratio=float(dr_ratio),
+        lower_ratio=float(lower_ratio),
+        upper_ratio=float(upper_ratio),
+    )
+
+
+@pytest.mark.parametrize("kind", ["modular", "coverage-random", "concave-of-modular"])
+def test_estimate_ratios_equals_loop_reference(kind):
+    # every float equal, not close: test_09 reads exact 0s and 1s off them
+    rng = np.random.default_rng(len(kind))
+    for sizes in [(1, 2), (2, 2, 1), (3, 2, 2), (3, 3, 3)] * 2:
+        f = synthetic_setfn(kind, sizes, rng)
+        assert estimate_ratios(f) == _loop_ratios(f)
+    if kind == "coverage-random":  # the size cap, once: the loop takes seconds
+        f = synthetic_setfn(kind, (4, 4, 4), rng)
+        assert estimate_ratios(f) == _loop_ratios(f)
+
+
+def test_estimate_ratios_equals_loop_reference_on_trap_and_tracking():
+    for f in (coverage_instance(3, 0.1, 1), NONSUB_TRACKING):
+        assert estimate_ratios(f) == _loop_ratios(f)
 
 
 def test_ratios_of_modular_function_are_exact():
