@@ -10,7 +10,7 @@ bench         run a preset's learner matrix over several seeds
 
 Configs are single JSON documents; `--preset` supplies a named base config
 and `--config`, `--seed`, `--out` override it.  Exit codes: 0 success,
-1 configuration error, 2 verification failure.
+1 usage or configuration error (one line), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from .harness import (
 from .verification import run_verification, write_report
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line and exit 1; exit 2 means a failed battery
+        self.exit(1, f"usage error: {self.prog}: {message}\n")
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON config file")
     p.add_argument("--preset", choices=sorted(PRESETS), help="named base config")
@@ -41,7 +46,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="macoord",
         description="decentralized coordination experiments on set objectives",
     )

@@ -203,16 +203,17 @@ class MotionGrid:
         if not np.all(np.isfinite(self.speeds)):
             raise ConfigError(f"speeds must be finite, got {list(speeds)}")
         self.dt = dt
+        dirs = np.stack([np.cos(self.headings), np.sin(self.headings)], axis=1)
+        self._moves = (dirs[:, None, :] * self.speeds[None, :, None] * dt).reshape(-1, 2)
+        self._moves.flags.writeable = False
 
     @property
     def n_moves(self) -> int:
         return self.headings.size * self.speeds.size
 
     def displacements(self) -> np.ndarray:
-        """(n_moves, 2) array; slot = heading_index * n_speeds + speed_index."""
-        dirs = np.stack([np.cos(self.headings), np.sin(self.headings)], axis=1)
-        out = dirs[:, None, :] * self.speeds[None, :, None] * self.dt
-        return out.reshape(-1, 2)
+        """Read-only (n_moves, 2) table; slot = heading_index * n_speeds + speed_index."""
+        return self._moves
 
 
 class TrackingWorld:
@@ -329,10 +330,11 @@ class FacilityObjective(SetFunction):
         floor: float = DISTANCE_FLOOR,
     ):
         self.partition = partition
-        dists = np.linalg.norm(
-            candidate_positions[:, None, :] - target_positions[None, :, :], axis=2
-        )
-        self.reward = 1.0 / np.maximum(dists, floor)  # (actions, targets)
+        dx = candidate_positions[:, None, 0] - target_positions[None, :, 0]
+        dy = candidate_positions[:, None, 1] - target_positions[None, :, 1]
+        self._rewards = np.zeros((len(dx) + 1, dx.shape[1]))  # a zero row -1 for absent entries
+        dists = np.sqrt(dx * dx + dy * dy)
+        self.reward = np.divide(1.0, np.maximum(dists, floor), out=self._rewards[:-1])
 
     def value(self, members: np.ndarray) -> np.ndarray:
         # rewards are positive, so a non-member's zero is the empty max; the
@@ -350,6 +352,14 @@ class FacilityObjective(SetFunction):
         best = np.where(present[:, :, None], self.reward[idx], 0.0).max(axis=1)
         lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
         return np.maximum(self.reward[lo:hi] - best[:, None, :], 0.0).sum(axis=2)
+
+    def marginal_rows(self, slots: np.ndarray) -> np.ndarray:
+        """Every agent's :meth:`agent_marginals` in one pass, to the bit."""
+        idx, present = self.partition.context_index(slots)
+        idx[~present] = -1  # the zero row: the empty max
+        best = self._rewards[idx.transpose(2, 0, 1)].max(axis=0)  # (n, L, targets)
+        mine = best.swapaxes(0, 1).take(self.partition.owners, axis=1)  # (L, |V|, targets)
+        return np.maximum(np.subtract(self.reward, mine, out=mine), 0.0, out=mine).sum(axis=2)
 
     def compute_min_gains(self) -> np.ndarray:
         """Closed form: removing v lowers target j only if v is its unique
@@ -396,19 +406,20 @@ class TrackingGainObjective(SetFunction):
         p = process_scale**2
         self.prior_info = np.eye(2) / p  # I_j = P^{-1}, identical for all targets
         self.prior_trace = 2.0 * p
-        z = candidate_positions[:, None, :] - target_positions[None, :, :]
-        r = np.maximum(np.linalg.norm(z, axis=2), DISTANCE_FLOOR)  # (actions, targets)
-        z_perp = np.stack([-z[..., 1], z[..., 0]], axis=-1)
-        outer = z_perp[..., :, None] * z_perp[..., None, :]  # (actions, targets, 2, 2)
-        self.info = outer / (noise_var * r[..., None, None] ** 4)
+        # z from target to position, as (targets, actions); z_perp = (-dy, dx)
+        dx = candidate_positions[:, 0] - target_positions[:, 0, None]
+        dy = candidate_positions[:, 1] - target_positions[:, 1, None]
+        scale = noise_var * np.maximum(np.sqrt(dx * dx + dy * dy), DISTANCE_FLOOR) ** 4
         # (xx, xy, yy, 1) as (4, targets, actions), plus an all-zero action -1 for absent entries
-        terms = [self.info[..., i, j].T for i, j in ((0, 0), (0, 1), (1, 1))]
-        self.comps = np.pad(np.stack(terms + [np.ones_like(terms[0])]), ((0, 0), (0, 0), (0, 1)))
+        self.comps = np.zeros((4, len(dx), dx.shape[1] + 1))
+        self.comps[:3, :, :-1] = np.stack([dy * dy, -dy * dx, dx * dx]) / scale
+        self.comps[3, :, :-1] = 1.0
 
     def value(self, members: np.ndarray) -> np.ndarray:
-        n_targets = self.info.shape[1]
-        gathered = (members @ self.info.reshape(len(self.info), -1)).reshape(-1, n_targets, 2, 2)
-        m = self.prior_info + gathered
+        n_targets = self.comps.shape[1]
+        # every action's 2x2 information (xx, xy, xy, yy) per target, as one matrix
+        terms = np.ascontiguousarray(self.comps[[0, 1, 1, 2], :, :-1].transpose(2, 1, 0))
+        m = (members @ terms.reshape(len(terms), -1)).reshape(-1, n_targets, 2, 2) + self.prior_info
         det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
         posterior = ((m[..., 0, 0] + m[..., 1, 1]) / det).sum(axis=1)
         return n_targets - posterior / self.prior_trace

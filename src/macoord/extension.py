@@ -31,6 +31,7 @@ from .ground import (
     Partition,
     SetFunction,
     local_marginal_block,
+    local_marginal_rows,
     min_gain_vector,
 )
 
@@ -373,34 +374,38 @@ def sample_slots(
     return slots.reshape(len(rngs), draws, n)
 
 
-def sampled_gradient(
-    f: SetFunction,
-    agent: int,
-    slots: np.ndarray,
-    samples: int,
-    budget: Optional[MarginalBudget] = None,
-    scheme: Optional[SurrogateScheme] = None,
-    min_gain: Optional[np.ndarray] = None,
+def _means(
+    gains: np.ndarray, samples: int, scheme: Optional[SurrogateScheme], min_gain
 ) -> np.ndarray:
-    """Score an ``(m * samples, n)`` slot matrix for one agent: ``(m,
-    k_agent)`` means of its marginal gains over each ``samples`` consecutive
-    rows, from one :func:`local_marginal_block` call, which ignores the
-    agent's own (drawn) column and charges one query per slot per row.
-
-    With a scheme every gain is rescaled by int_0^1 w, and the submodular
-    scheme adds the (policy-independent) min-gain bonus; pass ``min_gain`` if
-    the agent already paid for it, otherwise it is read once through
-    :func:`min_gain_vector`, which charges one query per slot.
-    """
-    gains = local_marginal_block(f, agent, slots, budget)
+    """Means of ``(m * samples, width)`` gains over each ``samples``
+    consecutive rows, rescaled and given the min-gain bonus as the scheme asks."""
     values = gains.reshape(-1, samples, gains.shape[1])
     if scheme is not None:
         values = scheme.weight_integral * values
         if scheme.adds_min_gain:
-            if min_gain is None:
-                min_gain = min_gain_vector(f, agent, budget)
             values = values + math.exp(-1.0) * min_gain
     return values.mean(axis=1)
+
+
+def sampled_gradients(
+    f: SetFunction,
+    slots: np.ndarray,
+    samples: int,
+    budget: Optional[MarginalBudget] = None,
+    scheme: Optional[SurrogateScheme] = None,
+) -> np.ndarray:
+    """Score an ``(n, m * samples, n)`` slot tensor, block i agent i's draws,
+    from one :func:`local_marginal_rows` call: ``(m, |V|)`` flat rows of each
+    agent's mean gains over each ``samples`` consecutive rows of its block.
+    With a scheme every gain is rescaled by int_0^1 w; the submodular scheme
+    adds e^{-1} ``f.min_gains``, charging every agent one query per slot."""
+    gains = local_marginal_rows(f, slots, budget)
+    min_gain = None
+    if scheme is not None and scheme.adds_min_gain:
+        min_gain = f.min_gains
+        if budget is not None:
+            budget.charge(slice(None), f.partition.sizes)
+    return _means(gains, samples, scheme, min_gain)
 
 
 def _estimate(
@@ -413,11 +418,14 @@ def _estimate(
     scheme: Optional[SurrogateScheme] = None,
     min_gain: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One generator's case of :func:`sample_slots` and
-    :func:`sampled_gradient`: ``(k,)`` for a row, ``(m, k)`` for a stack."""
+    """One agent's :func:`sampled_gradients` block from one generator, one
+    oracle call: ``(k,)`` for a row, ``(m, k)`` for a stack."""
     f.partition.check_agent(agent)
     slots = sample_slots(profile, [rng], samples, scheme)[0]
-    means = sampled_gradient(f, agent, slots, samples, budget, scheme, min_gain)
+    gains = local_marginal_block(f, agent, slots, budget)
+    if scheme is not None and scheme.adds_min_gain and min_gain is None:
+        min_gain = min_gain_vector(f, agent, budget)
+    means = _means(gains, samples, scheme, min_gain)
     return means if profile.row.ndim == 2 else means[0]
 
 
@@ -450,7 +458,8 @@ def estimate_surrogate_gradient(
     (per row of a stacked profile, as in :func:`estimate_gradient`).
 
     Each sample draws z from the normalized weight density, rounds the
-    z-scaled profile, and rescales the observed gains by int_0^1 w; the
-    min-gain bonus is as in :func:`sampled_gradient`.
+    z-scaled profile, and rescales the observed gains by int_0^1 w; pass
+    ``min_gain`` if the agent already paid for its bonus, else
+    :func:`min_gain_vector` reads it and charges one query per slot.
     """
     return _estimate(f, profile, agent, rng, samples, budget, scheme, min_gain)

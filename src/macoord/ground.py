@@ -56,6 +56,9 @@ class Partition:
         # array forms for the per-call checks and conversions
         object.__setattr__(self, "_sizes", np.array(sizes))
         object.__setattr__(self, "_starts", np.array(offsets[:-1]))
+        # read-only owning agent of every flat index
+        object.__setattr__(self, "owners", np.repeat(np.arange(len(sizes)), sizes))
+        self.owners.flags.writeable = False
         # the padded block layout: flat positions of the real entries in the
         # (n, k_max) matrix, None when every block has k_max entries
         real = np.arange(max(sizes)) < np.array(sizes)[:, None]
@@ -104,12 +107,12 @@ class Partition:
         if choices.size and ((choices < -1) | (choices >= self._sizes)).any():
             raise InvalidActionError(f"slot matrix entry outside [-1, k) for sizes {self.sizes}")
 
-    def context_index(self, choices: np.ndarray, agent: int) -> tuple[np.ndarray, np.ndarray]:
+    def context_index(self, choices: np.ndarray, agent=None) -> tuple[np.ndarray, np.ndarray]:
         """Flat action index of every slot-matrix entry, and whether it is in
-        the row's context (chosen, and not in ``agent``'s own column).  An
-        absent entry's index is a valid placeholder, 0."""
-        present = choices >= 0
-        present[:, agent] = False
+        the row's context (chosen, and not in ``agent``'s own column; with no
+        agent, not block i's column i of a slot tensor).  Absent entries get 0."""
+        own = np.eye(self.n_agents, dtype=bool)[slice(None) if agent is None else agent]
+        present = (choices >= 0) & ~own[..., None, :]
         return np.where(present, choices + self._starts, 0), present
 
     def members(self, choices: np.ndarray) -> np.ndarray:
@@ -158,11 +161,11 @@ class SetFunction:
     The marginal oracle is :meth:`agent_marginals`: it takes an ``(L, n)``
     int slot matrix, one context per row, where the querying agent's own
     column is ignored, and returns the ``(L, k_agent)`` gains of every one of
-    the agent's actions against every row.  Callers go through
-    :func:`local_marginal_block`, which validates the matrix and charges the
-    queries.  The generic :meth:`agent_marginals` and
-    :meth:`compute_min_gains` (one ``value`` call each) are the tested
-    references; objectives may override them with direct batched forms.
+    the agent's actions against every row; :meth:`marginal_rows` answers all
+    agents' rows at once.  Callers go through :func:`local_marginal_block`
+    and :func:`local_marginal_rows`, which validate the slots and charge the
+    queries.  The generic methods are the tested references; objectives may
+    override them with direct batched forms.
     The exact (enumeration-scale) layer reads :attr:`outcome_values`.
     """
 
@@ -185,6 +188,11 @@ class SetFunction:
         added[np.arange(len(added)), np.tile(np.arange(lo, hi), len(rows))] = True
         values = self.value(np.concatenate((rows, added)))
         return values[len(rows) :].reshape(len(rows), hi - lo) - values[: len(rows), None]
+
+    def marginal_rows(self, slots: np.ndarray) -> np.ndarray:
+        """Column block i of the ``(L, |V|)`` result: agent i's gains against
+        the rows of ``slots[i]``, one :meth:`agent_marginals` call each."""
+        return np.concatenate([self.agent_marginals(i, s) for i, s in enumerate(slots)], axis=1)
 
     @property
     def min_gains(self) -> np.ndarray:
@@ -237,8 +245,9 @@ class MarginalBudget:
     def __init__(self, n_agents: int):
         self._counts = np.zeros(n_agents, dtype=np.int64)
 
-    def charge(self, agent: int, count: int = 1) -> None:
-        if count < 0:
+    def charge(self, agent, count=1) -> None:
+        """``count`` queries to ``agent``, or one count each to a slice of agents."""
+        if np.min(count) < 0:
             raise ValueError("cannot uncharge a query budget")
         self._counts[agent] += count
 
@@ -270,6 +279,22 @@ def local_marginal_block(
     if budget is not None:
         budget.charge(agent, len(choices) * f.partition.sizes[agent])
     return f.agent_marginals(agent, choices)
+
+
+def local_marginal_rows(
+    f: SetFunction, slots: np.ndarray, budget: Optional[MarginalBudget] = None
+) -> np.ndarray:
+    """Every agent's :func:`local_marginal_block` in one call: column block
+    i of the ``(L, |V|)`` result answers block i of an ``(n, L, n)`` slot
+    tensor.  The tensor is checked once, before agent i is charged L * k_i."""
+    p = f.partition
+    n = p.n_agents
+    if not (isinstance(slots, np.ndarray) and slots.ndim == 3 and slots.shape[::2] == (n, n)):
+        raise InvalidActionError(f"expected an int slot tensor of shape ({n}, L, {n})")
+    p.check_choices(slots.reshape(-1, n))
+    if budget is not None:
+        budget.charge(slice(None), slots.shape[1] * p._sizes)
+    return f.marginal_rows(slots)
 
 
 def min_gain_vector(

@@ -19,7 +19,7 @@ idle agent.
   late per hop beyond the first.
 
 Both learners round every agent's own-stream draws in one call, then make
-one marginal-oracle call per agent.
+one marginal-oracle call for all agents (``extension.sampled_gradients``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .extension import (
     exact_surrogate_gradient_block,
     sample_rows,
     sample_slots,
-    sampled_gradient,
+    sampled_gradients,
 )
 from .geometry import normalize_policy, project_blocks
 from .ground import MarginalBudget, Partition, SetFunction, local_marginal_block
@@ -71,12 +71,6 @@ def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> float:
     if not 0.0 < step < math.inf:
         raise ConfigError(f"step size must be finite and positive, got {step}")
     return step
-
-
-def _own_columns(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Index of every agent's own block in an ``(n, |V|)`` matrix: row i at
-    the columns of agent i's actions, in flat order."""
-    return np.repeat(np.arange(partition.n_agents), partition.sizes), np.arange(partition.total)
 
 
 def _play(partition: Partition, own: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -142,7 +136,7 @@ class PolicyConsensusLearner:
         self.batch = int(batch)
         self.exact_gradient = bool(exact_gradient)
         self.step_size = _step_size(eta0, horizon, step_size)
-        self._own = _own_columns(partition)
+        self._own = (partition.owners, np.arange(partition.total))  # row i at agent i's columns
         # each agent starts uniform on its own block and empty elsewhere
         self.policies = np.zeros((partition.n_agents, partition.total))
         self.policies[self._own] = PolicyProfile.uniform(partition).row
@@ -169,24 +163,21 @@ class PolicyConsensusLearner:
         chosen = _play(self.partition, self.policies[self._own], u)
 
         # local reweighted-gradient estimates at each agent's current view:
-        # every agent's z-scaled views rounded at once, one oracle call each
+        # every agent's z-scaled views rounded at once, one oracle call for all
         if self.exact_gradient:
-            grads = [
+            grad = np.concatenate([
                 exact_surrogate_gradient_block(f, self.local_profile(i), self.scheme, i)
                 for i in range(n)
-            ]
+            ])
         else:
             views = PolicyProfile(self.partition, self.policies)
             slots = sample_slots(views, streams, self.batch, self.scheme)
-            grads = [
-                sampled_gradient(f, i, slots[i], self.batch, self.budget, self.scheme)[0]
-                for i in range(n)
-            ]
+            grad = sampled_gradients(f, slots, self.batch, self.budget, self.scheme)[0]
 
         # consensus averaging of every copy; ascent step on the own blocks
         mixed = self.weights @ self.policies
         mixed[self._own] = project_blocks(
-            self.partition, mixed[self._own] + self.step_size * np.concatenate(grads)
+            self.partition, mixed[self._own] + self.step_size * grad
         )
         self.policies = mixed
         return chosen
@@ -212,7 +203,7 @@ class MetaConditionalGradientLearner:
     is that delay line, one cumulative sum and one gather through a lag
     table built from the graph's hop distances.  After playing, each
     inner-step estimate is scored by an L-sample mean of marginal gains (all
-    agents' n K L draws rounded at once, one oracle call per agent) and fed
+    agents' n K L draws rounded at once, one oracle call for all) and fed
     back to the matching maximizer.
 
     The maximizers are online gradient ascent on the capped simplex: row k of
@@ -249,7 +240,7 @@ class MetaConditionalGradientLearner:
         n = partition.n_agents
         self.iterates = np.tile(PolicyProfile.uniform(partition).row, (self.inner_steps, 1))
         self.budget = MarginalBudget(n)
-        self._own = _own_columns(partition)
+        self._own = (partition.owners, np.arange(partition.total))  # row i at agent i's columns
         # (K, n, |V|) flat index into the (K + 1, |V|) running sums: row
         # k + 1 - lag, lag = max(hop - 1, 0), clipped at the zero row 0
         hops = np.repeat(hop_distances(graph), partition.sizes, axis=1)
@@ -303,11 +294,10 @@ class MetaConditionalGradientLearner:
         chosen = _play(self.partition, self.estimates[self._own], u)
 
         # score every agent's K inner estimates: one rounding of all n K L
-        # draws, one oracle call per agent, then teach every maximizer at once
+        # draws, one oracle call for all, then teach every maximizer at once
         views = PolicyProfile(self.partition, steps.swapaxes(0, 1).reshape(-1, total))
         slots = sample_slots(views, streams, self.sample_batch)
-        gains = [sampled_gradient(f, i, slots[i], self.sample_batch, self.budget) for i in range(n)]
-        self.update(np.concatenate(gains, axis=1))
+        self.update(sampled_gradients(f, slots, self.sample_batch, self.budget))
         return chosen
 
     def disagreement(self) -> float:

@@ -42,7 +42,13 @@ from macoord.envs import (
     synthetic_setfn,
 )
 from macoord.errors import ConfigError, ScaleError
-from macoord.ground import Partition, SetFunction
+from macoord.ground import (
+    MarginalBudget,
+    Partition,
+    SetFunction,
+    local_marginal_block,
+    local_marginal_rows,
+)
 from macoord.harness import resolve_preset
 from macoord.oracle import brute_force_opt, estimate_ratios
 
@@ -59,6 +65,17 @@ def _value(f, *actions):
 
 def _full_value(f):
     return float(f.value(np.ones((1, f.partition.total), dtype=bool))[0])
+
+
+def _tracking_info(sites, targets, noise_var=EKF_NOISE_VAR):
+    """``(sites, targets, 2, 2)`` bearing information of every site about
+    every target, from the model in TrackingGainObjective's docstring:
+    z_perp z_perp^T / (sigma^2 r^4) with z from target to site, z_perp =
+    (-z_y, z_x) and r = max(||z||, DISTANCE_FLOOR)."""
+    z = sites[:, None, :] - targets[None, :, :]
+    r = np.maximum(np.sqrt((z * z).sum(axis=2)), DISTANCE_FLOOR)
+    z_perp = np.stack([-z[..., 1], z[..., 0]], axis=-1)
+    return z_perp[..., :, None] * z_perp[..., None, :] / (noise_var * r[..., None, None] ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +168,20 @@ def test_motion_grid_layout():
             np.testing.assert_allclose(moves[h * 2 + s], expect, atol=1e-12)
     with pytest.raises(ConfigError):
         MotionGrid(0, (5.0,))
+
+
+def test_motion_grid_table_is_read_only():
+    # the table is built once and shared by every round's moves
+    grid = MotionGrid(4, (5.0, 10.0))
+    moves = grid.displacements()
+    before = moves.copy()
+    assert grid.displacements() is moves
+    with pytest.raises(ValueError):
+        moves[0, 0] = 1.0
+    world = TrackingWorld(np.zeros((2, 2)), [], grid, horizon=3)
+    world.apply_moves(np.array([1, 0]))
+    world.candidate_positions()[:] = 0.0
+    np.testing.assert_array_equal(grid.displacements(), before)
 
 
 def test_tracking_world_moves():
@@ -425,17 +456,19 @@ def test_facility_min_gains_property(instance):
 
 
 def _marginal_objective(kind, sizes, rng):
+    """An objective of the kind, and for the tracking gain its sites'
+    information (:func:`_tracking_info`), else None."""
     partition = Partition(sizes)
     if kind == "coverage":
         n = len(sizes) + 1
-        return coverage_instance(n, float(rng.uniform(0.01, 1.0)), int(rng.integers(1, n)))
+        return coverage_instance(n, float(rng.uniform(0.01, 1.0)), int(rng.integers(1, n))), None
     if kind == "facility":
         sites, targets = rng.normal(0, 5, (partition.total, 2)), rng.normal(0, 5, (3, 2))
-        return FacilityObjective(partition, sites, targets)
+        return FacilityObjective(partition, sites, targets), None
     if kind == "tracking":
         sites, targets = rng.normal(0, 5, (partition.total, 2)), rng.normal(0, 5, (3, 2))
-        return TrackingGainObjective(partition, sites, targets)
-    return synthetic_setfn(kind, sizes, rng)
+        return TrackingGainObjective(partition, sites, targets), _tracking_info(sites, targets)
+    return synthetic_setfn(kind, sizes, rng), None
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -456,7 +489,7 @@ def test_batched_marginals_match_reference(kind, sizes, rows, seed):
     A gain is a difference of two values of size f(V), so the tolerance is
     relative to f(V) as well as to the entry."""
     rng = np.random.default_rng(seed)
-    f = _marginal_objective(kind, sizes, rng)
+    f, _ = _marginal_objective(kind, sizes, rng)
     p = f.partition
     agent = int(rng.integers(p.n_agents))
     choices = rng.integers(-1, p.sizes, size=(rows, p.n_agents))
@@ -470,14 +503,49 @@ def test_batched_marginals_match_reference(kind, sizes, rows, seed):
     np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12 * scale)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(
+        ["modular", "coverage-random", "concave-of-modular", "coverage", "facility", "tracking"]
+    ),
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+    rows=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="facility", sizes=(3, 1, 2), rows=9, seed=2)
+def test_marginal_rows_match_per_agent_calls(kind, sizes, rows, seed):
+    """One local_marginal_rows call against n local_marginal_block calls,
+    one per block of the slot tensor: the same gains in flat policy order
+    (facility's vectorized pass to the bit, as a C-contiguous array) and the
+    same charges per agent."""
+    if len(sizes) > 1 and len(set(sizes)) == 1:  # unequal blocks
+        sizes = sizes[:-1] + (1 if sizes[0] > 1 else 2,)
+    rng = np.random.default_rng(seed)
+    f, _ = _marginal_objective(kind, sizes, rng)
+    p = f.partition
+    slots = rng.integers(-1, p.sizes, size=(p.n_agents, rows, p.n_agents))
+    one, each = MarginalBudget(p.n_agents), MarginalBudget(p.n_agents)
+    got = local_marginal_rows(f, slots, one)
+    blocks = [local_marginal_block(f, i, slots[i], each) for i in range(p.n_agents)]
+    expect = np.concatenate(blocks, axis=1)
+    assert got.shape == (rows, p.total)
+    np.testing.assert_array_equal(one.per_agent(), each.per_agent())
+    if kind == "facility":
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expect.tobytes()
+    else:
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * _full_value(f))
+
+
 # ---------------------------------------------------------------------------
 # batched value against the per-set formulas
 # ---------------------------------------------------------------------------
 
 
-def _reference_value(f, actions):
+def _reference_value(f, actions, info=None):
     """f at one set, given as flat action indices, by its class's formula
-    applied to that set alone (a loop over the set for the tracking gain)."""
+    applied to that set alone (for the tracking gain, a loop over the set's
+    ``info`` terms)."""
     if isinstance(f, ModularFunction):
         return float(f.weights[actions].sum())
     if isinstance(f, SqrtModularFunction):
@@ -486,10 +554,10 @@ def _reference_value(f, actions):
         return float(f.element_weights[f.masks[actions].any(axis=0)].sum())
     if isinstance(f, FacilityObjective):
         return float(f.reward[actions].max(axis=0, initial=0.0).sum())
-    n_targets = f.info.shape[1]
+    n_targets = info.shape[1]
     total = np.broadcast_to(f.prior_info, (n_targets, 2, 2)).copy()
     for a in actions:
-        total += f.info[a]
+        total += info[a]
     return n_targets - np.trace(np.linalg.inv(total), axis1=1, axis2=2).sum() / f.prior_trace
 
 
@@ -511,7 +579,7 @@ def test_batched_value_matches_per_set_formulas(kind, sizes, rows, seed):
     gain is n_targets minus a posterior share of similar size, so its error
     scale is n_targets; every other value is at most f(V)."""
     rng = np.random.default_rng(seed)
-    f = _marginal_objective(kind, sizes, rng)
+    f, info = _marginal_objective(kind, sizes, rng)
     p = f.partition
     crowded = np.zeros(p.total, dtype=bool)
     big = int(np.argmax(p.sizes))
@@ -526,12 +594,14 @@ def test_batched_value_matches_per_set_formulas(kind, sizes, rows, seed):
     )
     got = f.value(members)
     assert got.dtype == np.float64 and got.shape == (len(members),)
-    reference = [_reference_value(f, np.flatnonzero(row)) for row in members]
-    scale = f.info.shape[1] if kind == "tracking" else reference[1]
+    reference = [_reference_value(f, np.flatnonzero(row), info) for row in members]
+    scale = info.shape[1] if kind == "tracking" else reference[1]
     np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12 * scale)
     # the outcome tensor, built in one value call, against a per-outcome loop
     per_outcome = [
-        _reference_value(f, np.array([p.offsets[j] + s for j, s in enumerate(row) if s >= 0], int))
+        _reference_value(
+            f, np.array([p.offsets[j] + s for j, s in enumerate(row) if s >= 0], int), info
+        )
         for row in itertools.product(*(range(-1, k) for k in p.sizes))
     ]
     np.testing.assert_allclose(
@@ -620,10 +690,11 @@ def test_tracking_gain_marginals_match_value_differences():
 
 @st.composite
 def _tracking_cases(draw):
-    """A tracking objective, an agent and a slot matrix whose rows include
-    every degenerate shape: sites on or under the floor from a target, sites
-    on one line through a target (collinear bearings), all-idle rows and a
-    one-agent partition.  The agent's own column is always set."""
+    """A tracking instance (sizes, sites, targets), an agent and a slot
+    matrix whose rows include every degenerate shape: sites on or under the
+    floor from a target, sites on one line through a target (collinear
+    bearings), all-idle rows and a one-agent partition.  The agent's own
+    column is always set."""
     def points(n):
         return np.array(draw(st.lists(st.tuples(_COORD, _COORD), min_size=n, max_size=n)))
 
@@ -638,22 +709,22 @@ def _tracking_cases(draw):
     if draw(st.booleans()):
         choices[0] = -1
     choices[:, agent] = draw(st.integers(0, sizes[agent] - 1))
-    return TrackingGainObjective(Partition(sizes), sites, targets), agent, choices
+    return sizes, sites, targets, agent, choices
 
 
 class _ExactTrackingValue(SetFunction):
-    """The tracking gain's value in exact rational arithmetic on the same
-    float64 information terms.  Through it, the generic path of SetFunction
-    is exact: in float64 a difference of two values of size f(V) loses up to
-    about 2e-12 f(V) when sites sit under the distance floor, far more than
-    the closed form's own error."""
+    """The tracking gain's value in exact rational arithmetic on the float64
+    information terms of :func:`_tracking_info`.  Through it, the generic
+    path of SetFunction is exact: in float64 a difference of two values of
+    size f(V) loses up to about 2e-12 f(V) when sites sit under the distance
+    floor, far more than the closed form's own error."""
 
-    def __init__(self, f):
+    def __init__(self, f, info):
         self.partition = f.partition
         self.prior = Fraction(f.prior_info[0, 0])
         self.prior_trace = Fraction(f.prior_trace)
         self.terms = [[(Fraction(m[0, 0]), Fraction(m[0, 1]), Fraction(m[1, 1])) for m in action]
-                      for action in f.info]
+                      for action in info]
 
     def value(self, members):
         out = []
@@ -674,25 +745,21 @@ class _ExactTrackingValue(SetFunction):
 @given(_tracking_cases())
 @example(  # a site exactly on the target, one under the floor, an all-idle row
     (
-        TrackingGainObjective(
-            Partition((2, 1)),
-            np.array([[0.0, 0.0], [DISTANCE_FLOOR / 2, 0.0], [1.0, -2.5]]),
-            np.zeros((1, 2)),
-        ),
+        (2, 1),
+        np.array([[0.0, 0.0], [DISTANCE_FLOOR / 2, 0.0], [1.0, -2.5]]),
+        np.zeros((1, 2)),
         0,
         np.array([[1, -1], [0, 0], [1, 0]]),
     )
 )
 @example(  # a one-agent partition: every context is empty
-    (TrackingGainObjective(Partition((3,)), np.eye(3, 2), np.ones((2, 2))), 0, np.array([[2]]))
+    ((3,), np.eye(3, 2), np.ones((2, 2)), 0, np.array([[2]]))
 )
 @example(  # collinear bearings at close range on both sides of the target
     (
-        TrackingGainObjective(
-            Partition((1, 1, 2)),
-            np.array([[0.0, 0.01], [0.0, -0.02], [0.0, 0.03], [0.01, 0.0]]),
-            np.zeros((1, 2)),
-        ),
+        (1, 1, 2),
+        np.array([[0.0, 0.01], [0.0, -0.02], [0.0, 0.03], [0.01, 0.0]]),
+        np.zeros((1, 2)),
         2,
         np.array([[0, 0, 1], [-1, 0, 0], [-1, -1, 1]]),
     )
@@ -700,9 +767,11 @@ class _ExactTrackingValue(SetFunction):
 def test_tracking_gain_marginals_property(case):
     """The Sherman-Morrison marginals are nonnegative and match the generic
     path of SetFunction (two value queries per slot per row), taken exactly."""
-    f, agent, choices = case
+    sizes, sites, targets, agent, choices = case
+    f = TrackingGainObjective(Partition(sizes), sites, targets)
     got = f.agent_marginals(agent, choices)
-    reference = SetFunction.agent_marginals(_ExactTrackingValue(f), agent, choices)
+    exact = _ExactTrackingValue(f, _tracking_info(sites, targets))
+    reference = SetFunction.agent_marginals(exact, agent, choices)
     assert got.shape == (len(choices), f.partition.sizes[agent])
     assert got.min() >= 0.0
     scale = _full_value(f)

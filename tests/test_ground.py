@@ -17,6 +17,7 @@ from macoord.ground import (
     Partition,
     SetFunction,
     local_marginal_block,
+    local_marginal_rows,
     min_gain_vector,
 )
 from macoord.extension import SurrogateScheme
@@ -210,6 +211,43 @@ def test_local_marginal_block_rejects_bad_slot_matrix_before_charge(choices):
     budget = MarginalBudget(2)
     with pytest.raises(InvalidActionError):
         local_marginal_block(f, 1, choices, budget)
+    assert budget.total() == 0
+
+
+def test_local_marginal_rows_charges_every_agent():
+    p = Partition((2, 3))
+    f = ModularFunction(p, np.arange(1.0, 6.0))
+    budget = MarginalBudget(2)
+    slots = np.array([[[1, 0], [-1, 2], [0, -1]], [[-1, -1], [1, 0], [0, 2]]])
+    gains = local_marginal_rows(f, slots, budget)
+    # column block i answers block i's rows: modular gains are the weights
+    assert gains.tolist() == [[1.0, 2.0, 3.0, 4.0, 5.0]] * 3
+    assert budget.per_agent().tolist() == [3 * 2, 3 * 3]
+    with pytest.raises(ValueError):
+        budget.charge(slice(None), np.array([1, -1]))
+    assert budget.per_agent().tolist() == [6, 9]
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [
+        np.zeros((1, 2), dtype=np.int64),  # a slot matrix, not a tensor
+        np.zeros((2, 1, 2, 1), dtype=np.int64),  # rank 4
+        np.zeros((3, 1, 2), dtype=np.int64),  # a block too many
+        np.zeros((2, 1, 3), dtype=np.int64),  # a column too many
+        np.zeros((2, 1, 2), dtype=np.float64),  # not integer
+        [[[0, 0]], [[0, 0]]],  # not an array
+        np.array([[[0, 0]], [[0, 3]]]),  # past agent 1's last slot
+        np.array([[[0, 0]], [[-2, 0]]]),  # below idle
+    ],
+    ids=["matrix", "rank-4", "blocks", "columns", "float", "list", "slot-past-k", "below-idle"],
+)
+def test_local_marginal_rows_rejects_bad_slot_tensor_before_charge(slots):
+    p = Partition((2, 3))
+    f = ModularFunction(p, np.arange(1.0, 6.0))
+    budget = MarginalBudget(2)
+    with pytest.raises(InvalidActionError):
+        local_marginal_rows(f, slots, budget)
     assert budget.total() == 0
 
 

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+import macoord.cli as cli
 from macoord.cli import main
 from macoord.envs import make_environment
 from macoord.errors import ConfigError
@@ -30,6 +31,7 @@ from macoord.harness import (
     write_world_trace,
 )
 from macoord.network import graph_from_spec
+from macoord.verification import CheckResult
 
 TINY_ENV = {"kind": "synthetic", "objective": "coverage-random", "sizes": [2, 2]}
 
@@ -545,6 +547,32 @@ def test_cli_bench_tiny(tmp_path, capsys):
     assert (tmp_path / "bench" / "summary.json").exists()
     saved = json.loads((tmp_path / "bench" / "summary.json").read_text())
     assert saved["seeds"] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "argv", [["run-spl", "--bogus"], ["verify", "--seed", "0"], [], ["run-spl", "--preset", "nope"]]
+)
+def test_cli_usage_errors_exit_one(argv, capsys):
+    # exit 2 is kept for a failed battery, so a bad invocation is told apart
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_cli_help_exits_zero(capsys):
+    for argv in (["--help"], ["run-spl", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--preset" in capsys.readouterr().out
+
+
+def test_cli_failed_battery_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_verification", lambda: [CheckResult("broken", False, "x")])
+    assert main(["verify"]) == 2
+    assert "broken  FAIL  x" in capsys.readouterr().out
 
 
 def test_cli_verify_battery(tmp_path, capsys):

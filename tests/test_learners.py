@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macoord.envs import (
+    FacilityObjective,
     ModularFunction,
+    TrackingGainObjective,
     coverage_instance,
     synthetic_setfn,
 )
@@ -432,9 +434,11 @@ def test_learner_wrappers():
 #
 # The references are the learners' rounds as Python loops: K inner steps of
 # the coordinate-wise max over every closed neighborhood, and one profile,
-# draw and rounding per agent through the one-agent estimators.  The
-# closed-form delay line and the stacked rounding must reproduce them bit for
-# bit: selections, state, charges and disagreement.
+# draw, rounding and oracle call per agent through the one-agent estimators.
+# The closed-form delay line, the stacked rounding and the one oracle call
+# for all agents must reproduce them bit for bit, on a synthetic coverage,
+# a facility and a tracking objective: selections, state, charges and
+# disagreement.
 
 
 def _reference_inner_disagreement(partition, estimates):
@@ -532,7 +536,21 @@ def _rounds_cases(draw, kind):
         scheme=draw(st.sampled_from(
             [SurrogateScheme.submodular(), SurrogateScheme.weak_dr(0.4)]
         )),
+        objective=draw(st.sampled_from(ROUND_OBJECTIVES)),
     )
+
+
+ROUND_OBJECTIVES = ("coverage-random", "facility", "tracking")
+
+
+def _round_objective(kind, sizes, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "coverage-random":
+        return synthetic_setfn(kind, sizes, rng)
+    p = Partition(sizes)
+    sites, targets = rng.normal(0, 5, (p.total, 2)), rng.normal(0, 5, (3, 2))
+    cls = FacilityObjective if kind == "facility" else TrackingGainObjective
+    return cls(p, sites, targets)
 
 
 @pytest.mark.parametrize("kind", GRAPH_KINDS)
@@ -542,7 +560,7 @@ def test_loop_free_rounds_equal_loop_references(kind, data):
     case = data.draw(_rounds_cases(kind))
     g, sizes = case["graph"], case["sizes"]
     p = Partition(sizes)
-    f = synthetic_setfn("coverage-random", sizes, np.random.default_rng(case["seed"]))
+    f = _round_objective(case["objective"], sizes, case["seed"])
     mpl = [
         MetaConditionalGradientLearner(
             p, g, horizon=10, seed=case["seed"], inner_steps=case["k_steps"],
