@@ -9,7 +9,9 @@ verify        run the verification battery; exit 2 on any failure
 bench         run a preset's learner matrix over several seeds
 
 Configs are single JSON documents; `--preset` supplies a named base config
-and `--config`, `--seed`, `--out` override it.  Exit codes: 0 success,
+and `--config`, `--seed`, `--out` override it.  A run subcommand sets the
+learner kind and drops a learner spec that names another kind.  Every spec
+section refuses a field its reader does not take.  Exit codes: 0 success,
 1 usage or configuration error (one line), 2 verification failure.
 """
 
@@ -95,6 +97,8 @@ def _load_run_config(args: argparse.Namespace, forced_kind: str | None) -> RunCo
         learner = doc.get("learner", {})
         if not isinstance(learner, dict):
             raise ConfigError(f"learner must be an object, got {learner!r}")
+        if learner.get("kind", forced_kind) != forced_kind:
+            learner = {}  # settings of another learner kind
         doc["learner"] = {**learner, "kind": forced_kind}
     if args.seed is not None:
         doc["seed"] = args.seed

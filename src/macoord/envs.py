@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ScaleError, config_field, config_value
+from .errors import ConfigError, ScaleError, check_fields, config_field, config_value
 from .ground import Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
@@ -488,6 +488,10 @@ class _MovingTargetEnvironment:
     target_kinds: Sequence[str]
 
     def __init__(self, config: dict, seed: int):
+        check_fields("environment", config, (
+            "kind", "horizon", "agents", "targets", "speeds", "headings", "target_mix",
+            "record_world",
+        ))
         self.horizon = config_field(config, "horizon", int, 300)
         n_agents = config_field(config, "agents", int, 6)
         n_targets = config_field(config, "targets", int, 8)
@@ -594,6 +598,10 @@ class OrbitingTargetsEnvironment:
     """
 
     def __init__(self, config: dict, seed: int):
+        check_fields("environment", config, (
+            "kind", "horizon", "agents", "slots", "targets", "drift_cycles", "radius",
+            "target_radius",
+        ))
         n_agents = config_field(config, "agents", int, 3)
         slots = config_field(config, "slots", int, 2)
         n_targets = config_field(config, "targets", int, 2)
@@ -640,6 +648,7 @@ def make_environment(spec: dict, seed: int):
     if kind == "orbiting-targets":
         return OrbitingTargetsEnvironment(spec, seed)
     if kind == "coverage":
+        check_fields("environment", spec, ("kind", "horizon", "agents", "epsilon", "k"))
         f = coverage_instance(
             config_field(spec, "agents", int, 3),
             config_field(spec, "epsilon", float, 0.1),
@@ -647,6 +656,7 @@ def make_environment(spec: dict, seed: int):
         )
         return StaticEnvironment(f, config_field(spec, "horizon", int, 500))
     if kind == "synthetic":
+        check_fields("environment", spec, ("kind", "horizon", "objective", "sizes"))
         rng = np.random.default_rng(
             np.random.SeedSequence((int(seed), 0x73796E74))
         )

@@ -1,4 +1,4 @@
-"""Exception types, and the typed config-field reader, shared across the package."""
+"""Exception types, and the config-field readers, shared across the package."""
 
 import numbers
 
@@ -45,3 +45,10 @@ def config_field(doc: dict, key: str, kind: type, default=None):
     """``doc[key]`` through :func:`config_value`; a missing field without
     default is a KeyError."""
     return config_value(key, doc[key] if default is None else doc.get(key, default), kind)
+
+
+def check_fields(section: str, doc: dict, fields: tuple) -> None:
+    """Refuse a field of ``doc`` that its reader, which takes ``fields``, would ignore."""
+    unknown = [key for key in doc if key not in fields]
+    if unknown:
+        raise ConfigError(f"unknown {section} field {unknown[0]!r}; accepted: {', '.join(fields)}")

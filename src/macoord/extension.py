@@ -46,9 +46,10 @@ class PolicyProfile:
     Agent j's sub-distribution is ``row[offsets[j]:offsets[j + 1]]``.
     ``row`` may instead be an ``(m, |V|)`` stack of m such rows, which
     :func:`sample_choices` and the Monte-Carlo estimators take at once; the
-    exact layer takes a single row.  The row is copied, made read-only and
-    validated once, here: finite, no entry below ``-PROFILE_ATOL`` and no
-    block carrying more than ``1 + PROFILE_ATOL``.
+    exact layer takes a single row, and its gradients also one row per agent.
+    The row is copied, made read-only and validated once, here: finite, no
+    entry below ``-PROFILE_ATOL`` and no block carrying more than
+    ``1 + PROFILE_ATOL``.
     """
 
     partition: Partition
@@ -218,48 +219,56 @@ def _gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 _UNSCALED = np.ones(1)  # the single node z = 1: the profile itself
 
 
-def _expectation(table: np.ndarray, blocks: Sequence[np.ndarray], zs: np.ndarray) -> np.ndarray:
-    """Contract the leading axes of ``table``, one per block in order, with
-    the outcome probabilities (idle, then the slots) of ``z * block``.
+def _outcome_weights(partition: Partition, rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """``(len(zs), *rows.shape[:-1], n, k_max + 1)`` outcome probabilities
+    (idle, then the slots) of every block of ``z * rows``, in one pass over
+    the padded blocks.  Negative round-off mass counts as zero."""
+    scaled = np.multiply.outer(zs, partition.pad(rows))
+    idle = 1.0 - scaled.sum(axis=-1, keepdims=True)
+    return np.maximum(np.concatenate((idle, scaled), axis=-1), 0.0)
 
-    Returns ``(len(zs), *trailing axes)``: row q is the expectation of
-    ``table`` when agent j rounds ``zs[q] * blocks[j]``.  Negative round-off
-    mass within :data:`PROFILE_ATOL` counts as zero.
-    The first step holds ``len(zs)`` times ``table.size / table.shape[0]``
-    entries, the largest intermediate.
-    """
+
+def _expectation(table: np.ndarray, w: np.ndarray, agents: Sequence[int]) -> np.ndarray:
+    """Contract the leading axes of ``table``, one per agent in ``agents`` in
+    order, with its outcome probabilities in ``w`` (``(nodes, n, k_max + 1)``),
+    to ``(nodes, *trailing axes)``: row q is the expectation at node q.  The
+    first step holds ``nodes`` times ``table.size / table.shape[0]`` entries,
+    the largest intermediate."""
     out = table.reshape(1, -1)
-    for block in blocks:
-        scaled = np.multiply.outer(zs, block)
-        idle = 1.0 - scaled.sum(axis=1, keepdims=True)
-        w = np.maximum(np.concatenate((idle, scaled), axis=1), 0.0)  # (len(zs), k + 1)
-        out = np.matmul(w[:, None, :], out.reshape(len(out), w.shape[1], -1))[:, 0]
-    out = np.broadcast_to(out, (len(zs), out.shape[1]))
-    return out.reshape((len(zs),) + table.shape[len(blocks) :])
+    for axis, j in enumerate(agents):
+        wj = w[:, j, : table.shape[axis]]
+        out = np.matmul(wj[:, None, :], out.reshape(len(out), wj.shape[1], -1))[:, 0]
+    out = np.broadcast_to(out, (len(w), out.shape[1]))
+    return out.reshape((len(w),) + table.shape[len(agents) :])
 
 
-def _checked(f: SetFunction, profile: PolicyProfile) -> tuple[np.ndarray, ...]:
+def _row(f: SetFunction, profile: PolicyProfile, stack: bool = False) -> np.ndarray:
+    """The profile's single row; with ``stack`` also one row per agent."""
     if profile.partition != f.partition:
         raise ValueError(f"profile sizes {profile.sizes} differ from {f.partition.sizes}")
-    if profile.row.ndim != 1:
-        raise ValueError("the exact layer takes a single policy row, not a stack")
-    return profile.blocks
+    if profile.row.ndim != 1 and not (stack and len(profile.row) == profile.n_agents):
+        raise ValueError(f"need one policy row, or n rows for a gradient; got {profile.row.shape}")
+    return profile.row
 
 
-def _gains_at_nodes(
-    f: SetFunction, profile: PolicyProfile, agent: int, zs: np.ndarray
-) -> np.ndarray:
-    """``(len(zs), k_agent)`` exact partials of F at every ``z * profile``.
+def _gradient(f: SetFunction, profile: PolicyProfile, zs: np.ndarray, ws=None) -> np.ndarray:
+    """Flat gradient, block i at agent i's view (the row, or row i of a
+    stack): agent i's :attr:`SetFunction.slot_gains` against the other
+    blocks' outcome probabilities at every node, summed against ``ws``."""
+    p, n = f.partition, f.partition.n_agents
+    w = _outcome_weights(p, np.broadcast_to(_row(f, profile, stack=True), (n, p.total)), zs)
+    grad = np.empty(p.total)
+    for i, gains in enumerate(f.slot_gains):
+        g = _expectation(gains, w[:, i], [j for j in range(n) if j != i])
+        grad[p.offsets[i] : p.offsets[i + 1]] = g[0] if ws is None else ws @ g
+    return grad
 
-    dF/dpi_{agent,m} = E[ f(v_{agent,m} | others' samples) ]: the outcome
-    tensor at the agent's slots minus at its idle entry, contracted with
-    every other agent's outcome probabilities.
-    """
-    blocks = _checked(f, profile)
+
+def _block(f: SetFunction, profile: PolicyProfile, agent: int) -> slice:
+    """The agent's flat columns, after checking that the profile is one row."""
+    _row(f, profile)
     f.partition.check_agent(agent)
-    table = np.moveaxis(f.outcome_values, agent, -1)
-    gains = table[..., 1:] - table[..., :1]
-    return _expectation(gains, blocks[:agent] + blocks[agent + 1 :], zs)
+    return slice(f.partition.offsets[agent], f.partition.offsets[agent + 1])
 
 
 def exact_extension(f: SetFunction, profile: PolicyProfile) -> float:
@@ -267,17 +276,42 @@ def exact_extension(f: SetFunction, profile: PolicyProfile) -> float:
     agent's outcome probabilities (1 - sum pi_i, pi_i).  The tensor is
     guarded by :meth:`Partition.check_enumerable` on prod_i (size_i + 1).
     """
-    return float(_expectation(f.outcome_values, _checked(f, profile), _UNSCALED)[0])
-
-
-def exact_gradient_block(f: SetFunction, profile: PolicyProfile, agent: int) -> np.ndarray:
-    """Exact partial derivatives of F for one agent's block."""
-    return _gains_at_nodes(f, profile, agent, _UNSCALED)[0]
+    w = _outcome_weights(f.partition, _row(f, profile), _UNSCALED)
+    return float(_expectation(f.outcome_values, w, range(f.partition.n_agents))[0])
 
 
 def exact_gradient(f: SetFunction, profile: PolicyProfile) -> np.ndarray:
-    """Exact full gradient of F as a flat row in the profile's order."""
-    return np.concatenate([exact_gradient_block(f, profile, i) for i in range(profile.n_agents)])
+    """Exact gradient of F as a flat row, every agent's block in one call.
+    ``profile`` is one row, or an ``(n, |V|)`` stack of the agents' views,
+    block i taken at row i."""
+    return _gradient(f, profile, _UNSCALED)
+
+
+def exact_gradient_block(f: SetFunction, profile: PolicyProfile, agent: int) -> np.ndarray:
+    """Exact partial derivatives of F for one agent's block of a single row."""
+    return exact_gradient(f, profile)[_block(f, profile, agent)]
+
+
+def exact_surrogate_gradient(
+    f: SetFunction,
+    profile: PolicyProfile,
+    scheme: SurrogateScheme,
+    nodes: int = QUADRATURE_NODES,
+) -> np.ndarray:
+    """Quadrature evaluation of the reweighted gradient as a flat row, on a
+    row or a stack of views as in :func:`exact_gradient`.
+
+    Gauss-Legendre on [0, 1], every node in one contraction; the integrand
+    is smooth (a polynomial in z of degree < |V| times an exponential
+    weight), so 64 nodes are far beyond the accuracy needed at desk scale.
+    For the submodular scheme the min-gain bonus e^{-1} f(v | V - {v}) is
+    added to every coordinate.
+    """
+    zs, ws = _gauss_legendre_01(nodes)
+    grad = _gradient(f, profile, zs, ws * scheme.weight(zs))
+    if scheme.adds_min_gain:
+        grad += math.exp(-1.0) * f.min_gains
+    return grad
 
 
 def exact_surrogate_gradient_block(
@@ -287,31 +321,8 @@ def exact_surrogate_gradient_block(
     agent: int,
     nodes: int = QUADRATURE_NODES,
 ) -> np.ndarray:
-    """Quadrature evaluation of one agent's block of the reweighted gradient.
-
-    Gauss-Legendre on [0, 1], every node in one contraction; the integrand
-    is smooth (a polynomial in z of degree < |V| times an exponential
-    weight), so 64 nodes are far beyond the accuracy needed at desk scale.
-    For the submodular scheme the min-gain bonus e^{-1} f(v | V - {v}) is
-    added to every coordinate.
-    """
-    zs, ws = _gauss_legendre_01(nodes)
-    grad = (ws * scheme.weight(zs)) @ _gains_at_nodes(f, profile, agent, zs)
-    if scheme.adds_min_gain:
-        grad += math.exp(-1.0) * min_gain_vector(f, agent)
-    return grad
-
-
-def exact_surrogate_gradient(
-    f: SetFunction,
-    profile: PolicyProfile,
-    scheme: SurrogateScheme,
-    nodes: int = QUADRATURE_NODES,
-) -> np.ndarray:
-    """Full reweighted gradient as a flat row (see the block variant)."""
-    return np.concatenate(
-        [exact_surrogate_gradient_block(f, profile, scheme, i, nodes) for i in range(profile.n_agents)]
-    )
+    """One agent's block of :func:`exact_surrogate_gradient` on a single row."""
+    return exact_surrogate_gradient(f, profile, scheme, nodes)[_block(f, profile, agent)]
 
 
 def exact_surrogate_value(
@@ -330,7 +341,8 @@ def exact_surrogate_value(
     normalized objective.  Gauss-Legendre nodes avoid the endpoint.
     """
     zs, ws = _gauss_legendre_01(nodes)
-    values = _expectation(f.outcome_values, _checked(f, profile), zs)
+    w = _outcome_weights(f.partition, _row(f, profile), zs)
+    values = _expectation(f.outcome_values, w, range(f.partition.n_agents))
     total = float((ws * scheme.weight(zs) / zs) @ values)
     if scheme.adds_min_gain:
         total += math.exp(-1.0) * float(np.dot(f.min_gains, profile.row))

@@ -25,6 +25,7 @@ through marginal gains on their own actions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -170,8 +171,6 @@ class SetFunction:
     """
 
     partition: Partition
-    _min_gains: Optional[np.ndarray] = None
-    _outcome_values: Optional[np.ndarray] = None
 
     def value(self, members: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -194,20 +193,18 @@ class SetFunction:
         the rows of ``slots[i]``, one :meth:`agent_marginals` call each."""
         return np.concatenate([self.agent_marginals(i, s) for i, s in enumerate(slots)], axis=1)
 
-    @property
+    @functools.cached_property
     def min_gains(self) -> np.ndarray:
         """Read-only flat vector of f(v | V - {v}) over all |V| actions.
 
         It depends on f alone (not on any policy), so it is computed on first
         use and kept for the life of the objective.
         """
-        if self._min_gains is None:
-            gains = np.array(self.compute_min_gains(), dtype=np.float64)
-            gains.flags.writeable = False
-            self._min_gains = gains
-        return self._min_gains
+        gains = np.array(self.compute_min_gains(), dtype=np.float64)
+        gains.flags.writeable = False
+        return gains
 
-    @property
+    @functools.cached_property
     def outcome_values(self) -> np.ndarray:
         """Read-only tensor T of f over every joint outcome, of shape
         ``partition.outcome_shape``.
@@ -215,21 +212,29 @@ class SetFunction:
         Index 0 on agent i's axis is idle and index m + 1 its slot m, so the
         rows of a slot matrix read ``T[tuple((choices + 1).T)]``, and C order
         runs through the selections in ``oracle.feasible_sets`` order.  Like
-        :attr:`min_gains` it is computed on first use, in one :meth:`value`
-        call over every outcome, and the size guard runs before it.
+        :attr:`min_gains` it is computed on first use, in :meth:`value` calls
+        of :data:`OUTCOME_BLOCK` outcomes, and the size guard runs before it.
         """
-        if self._outcome_values is None:
-            partition = self.partition
-            partition.check_enumerable()
-            values = np.empty(math.prod(partition.outcome_shape))
-            for lo in range(0, values.size, OUTCOME_BLOCK):
-                hi = min(lo + OUTCOME_BLOCK, values.size)
-                rows = partition.members(partition.outcomes(np.arange(lo, hi)))
-                values[lo:hi] = self.value(rows)
-            values = values.reshape(partition.outcome_shape)
-            values.flags.writeable = False
-            self._outcome_values = values
-        return self._outcome_values
+        partition = self.partition
+        partition.check_enumerable()
+        values = np.empty(math.prod(partition.outcome_shape))
+        for lo in range(0, values.size, OUTCOME_BLOCK):
+            hi = min(lo + OUTCOME_BLOCK, values.size)
+            rows = partition.members(partition.outcomes(np.arange(lo, hi)))
+            values[lo:hi] = self.value(rows)
+        values = values.reshape(partition.outcome_shape)
+        values.flags.writeable = False
+        return values
+
+    @functools.cached_property
+    def slot_gains(self) -> tuple[np.ndarray, ...]:
+        """Read-only table per agent i, built on first use: :attr:`outcome_values`
+        with axis i moved last, each slot's entry minus the idle one."""
+        tables = [np.moveaxis(self.outcome_values, i, -1) for i in range(self.partition.n_agents)]
+        gains = tuple(t[..., 1:] - t[..., :1] for t in tables)
+        for table in gains:
+            table.flags.writeable = False
+        return gains
 
     def compute_min_gains(self) -> np.ndarray:
         """Reference path for :attr:`min_gains`: f(V) minus f(V - {v}) for

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MacoordError, config_field
+from .errors import ConfigError, MacoordError, check_fields, config_field
 from .extension import SurrogateScheme
 from .ground import EXACT_ENUMERATION_LIMIT, Partition
 from .learners import (
@@ -61,6 +61,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if not isinstance(self.environment, dict) or "kind" not in self.environment:
             raise ConfigError("environment spec needs a 'kind'")
         if not isinstance(self.graph, dict) or "kind" not in self.graph:
@@ -75,19 +77,11 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
-        known = {
-            "environment",
-            "graph",
-            "learner",
-            "horizon",
-            "seed",
-            "oracle_regret",
-            "rho",
-            "out",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        check_fields(
+            "config",
+            doc,
+            ("environment", "graph", "learner", "horizon", "seed", "oracle_regret", "rho", "out"),
+        )
         try:
             return RunConfig(
                 environment=config_field(doc, "environment", dict),
@@ -110,10 +104,13 @@ def scheme_from_dict(doc: Optional[dict]) -> SurrogateScheme:
     kind = doc.get("kind")
     try:
         if kind == "submodular":
+            check_fields("scheme", doc, ("kind",))
             return SurrogateScheme.submodular()
         if kind == "weak-dr":
+            check_fields("scheme", doc, ("kind", "alpha"))
             return SurrogateScheme.weak_dr(config_field(doc, "alpha", float))
         if kind == "weak-sub":
+            check_fields("scheme", doc, ("kind", "gamma", "beta"))
             return SurrogateScheme.weak_sub(
                 config_field(doc, "gamma", float), config_field(doc, "beta", float)
             )
@@ -140,6 +137,9 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
     kind = doc["kind"]
     with _spec_errors("learner", doc):
         if kind == "ma-spl":
+            check_fields(
+                "learner", doc, ("kind", "scheme", "eta0", "batch", "exact_gradient", "step_size")
+            )
             return PolicyConsensusLearner(
                 partition,
                 graph,
@@ -153,6 +153,7 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
                 step_size=doc.get("step_size"),
             )
         if kind == "ma-mpl":
+            check_fields("learner", doc, ("kind", "K", "L", "eta0", "step_size"))
             return MetaConditionalGradientLearner(
                 partition,
                 graph,
@@ -163,6 +164,7 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
                 eta0=config_field(doc, "eta0", float, 1.0),
                 step_size=doc.get("step_size"),
             )
+        check_fields("learner", doc, ("kind",))
         if kind == "random":
             return RandomLearner(partition, cfg.seed)
         if kind == "greedy":

@@ -33,7 +33,7 @@ from .errors import ConfigError, config_value
 from .extension import (
     PolicyProfile,
     SurrogateScheme,
-    exact_surrogate_gradient_block,
+    exact_surrogate_gradient,
     sample_rows,
     sample_slots,
     sampled_gradients,
@@ -103,8 +103,9 @@ class PolicyConsensusLearner:
     batch : int
         Single-sample estimates averaged per round and agent.
     exact_gradient : bool
-        Replace the Monte-Carlo estimate with the quadrature-exact block
-        (only possible at enumeration scale; no marginal queries charged).
+        Replace the Monte-Carlo estimates with the quadrature-exact gradient,
+        every agent's block at its own view in one call (only possible at
+        enumeration scale; no marginal queries charged).
     """
 
     kind = "ma-spl"
@@ -162,15 +163,13 @@ class PolicyConsensusLearner:
         u = np.array([stream.random() for stream in streams])
         chosen = _play(self.partition, self.policies[self._own], u)
 
-        # local reweighted-gradient estimates at each agent's current view:
-        # every agent's z-scaled views rounded at once, one oracle call for all
+        # local reweighted gradients at each agent's current view: one exact
+        # contraction of all views, or every agent's z-scaled views rounded at
+        # once and one oracle call for all
+        views = PolicyProfile(self.partition, self.policies)
         if self.exact_gradient:
-            grad = np.concatenate([
-                exact_surrogate_gradient_block(f, self.local_profile(i), self.scheme, i)
-                for i in range(n)
-            ])
+            grad = exact_surrogate_gradient(f, views, self.scheme)
         else:
-            views = PolicyProfile(self.partition, self.policies)
             slots = sample_slots(views, streams, self.batch, self.scheme)
             grad = sampled_gradients(f, slots, self.batch, self.budget, self.scheme)[0]
 

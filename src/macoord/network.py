@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TopologyError, config_field, config_value
+from .errors import TopologyError, check_fields, config_field, config_value
 
 ERDOS_RENYI_MAX_RETRIES = 1000
 UNREACHABLE = -1  # hop distance between nodes in different components
@@ -152,12 +152,15 @@ def graph_from_spec(spec: dict, n: int) -> CommGraph:
     """
     kind = spec.get("kind")
     if kind == "complete":
+        check_fields("graph", spec, ("kind",))
         return CommGraph.complete(n)
     if kind == "erdos_renyi":
+        check_fields("graph", spec, ("kind", "avg_degree", "seed"))
         seed = config_field(spec, "seed", int, 0)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E6574)))
         return erdos_renyi(n, config_field(spec, "avg_degree", float, 4.0), rng)
     if kind == "explicit":
+        check_fields("graph", spec, ("kind", "edges"))
         pairs = [(u, v) for u, v in spec["edges"]]
         g = CommGraph(n, [tuple(config_value("edges", x, int) for x in e) for e in pairs])
         if not g.is_connected():

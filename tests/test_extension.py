@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macoord.envs import FacilityObjective, ModularFunction, coverage_instance, synthetic_setfn
+from macoord.envs import (
+    FacilityObjective,
+    ModularFunction,
+    WeightedCoverage,
+    coverage_instance,
+    synthetic_setfn,
+)
 from macoord.errors import InvalidActionError, ScaleError
 from macoord.extension import (
     PolicyProfile,
@@ -576,6 +582,86 @@ def test_exact_layer_rejects_mismatched_profiles():
                 call()
     with pytest.raises(InvalidActionError):
         exact_gradient_block(f, PolicyProfile.uniform(f.partition), 2)
+
+
+def _per_agent_expectation(table, blocks, zs):
+    """The per-agent contraction: the leading axes of ``table`` against each
+    block's outcome probabilities at every node, weights built per block."""
+    out = table.reshape(1, -1)
+    for block in blocks:
+        scaled = np.multiply.outer(zs, block)
+        idle = 1.0 - scaled.sum(axis=1, keepdims=True)
+        w = np.maximum(np.concatenate((idle, scaled), axis=1), 0.0)
+        out = np.matmul(w[:, None, :], out.reshape(len(out), w.shape[1], -1))[:, 0]
+    out = np.broadcast_to(out, (len(zs), out.shape[1]))
+    return out.reshape((len(zs),) + table.shape[len(blocks) :])
+
+
+def _loop_gradient(f, views, zs, node_weights=None):
+    """The per-agent form of the exact gradients, the reference the batched
+    contraction must match bit for bit: block i rebuilds agent i's slot-gain
+    table and contracts it with the other blocks of view i, one call each."""
+    grad = []
+    for i, view in enumerate(views):
+        blocks = np.split(view, f.partition.offsets[1:-1])
+        table = np.moveaxis(f.outcome_values, i, -1)
+        gains = table[..., 1:] - table[..., :1]
+        g = _per_agent_expectation(gains, blocks[:i] + blocks[i + 1 :], zs)
+        grad.append(g[0] if node_weights is None else node_weights @ g)
+    return np.concatenate(grad)
+
+
+@st.composite
+def view_cases(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = Partition(sizes)
+    if draw(st.booleans()):
+        f = WeightedCoverage(p, rng.random((p.total, 6)) < 0.4, rng.uniform(0.1, 1.0, 6))
+    else:
+        f = FacilityObjective(p, rng.uniform(-5, 5, (p.total, 2)), rng.uniform(-5, 5, (3, 2)))
+    views = [
+        np.concatenate([make_block(draw(st.sampled_from(BLOCK_KINDS)), k, rng) for k in sizes])
+        for _ in sizes
+    ]
+    stacked = draw(st.booleans())
+    return f, np.array(views) if stacked else views[0], draw(st.sampled_from(SCHEMES))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(view_cases(), st.sampled_from((1, 64)))
+def test_exact_gradients_equal_per_agent_reference(case, nodes):
+    f, row, scheme = case
+    prof = PolicyProfile(f.partition, row)
+    views = np.broadcast_to(prof.row, (f.partition.n_agents, f.partition.total))
+    assert exact_gradient(f, prof).tobytes() == _loop_gradient(f, views, np.ones(1)).tobytes()
+    zs, ws = gauss_legendre_01(nodes)
+    expect = _loop_gradient(f, views, zs, ws * scheme.weight(zs))
+    if scheme.adds_min_gain:
+        expect += math.exp(-1.0) * f.min_gains
+    got = exact_surrogate_gradient(f, prof, scheme, nodes)
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_exact_gradients_refuse_stacks_of_other_heights():
+    f = synthetic_setfn("coverage-random", (2, 1, 3), np.random.default_rng(5))
+    for m in (2, 4):
+        prof = PolicyProfile(f.partition, np.full((m, f.partition.total), 0.2))
+        with pytest.raises(ValueError):
+            exact_gradient(f, prof)
+        with pytest.raises(ValueError):
+            exact_surrogate_gradient(f, prof, SurrogateScheme.submodular())
+
+
+def test_slot_gain_tables_are_cached_read_only():
+    f = synthetic_setfn("coverage-random", (2, 1, 3), np.random.default_rng(6))
+    tables = f.slot_gains
+    assert f.slot_gains is tables
+    for i, gains in enumerate(tables):
+        k = f.partition.sizes[i]
+        assert gains.shape[-1] == k and not gains.flags.writeable
+        with pytest.raises(ValueError):
+            gains[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,54 @@ def test_cli_refuses_coerced_spec_numbers(tmp_path, capsys, doc):
     assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
+_FACILITY = {"kind": "facility", "agents": 2, "targets": 2}
+
+
+@pytest.mark.parametrize(
+    "doc, field, section",
+    [
+        (dict(CLI_DOC, environment=dict(_FACILITY, agnets=6)), "agnets", "environment"),
+        (dict(CLI_DOC, learner={"kind": "ma-spl", "bacth": 3}), "bacth", "learner"),
+        (dict(CLI_DOC, graph={"kind": "complete", "extra": 1}), "extra", "graph"),
+        (
+            dict(CLI_DOC, learner={"kind": "ma-spl", "scheme": {"kind": "submodular", "gama": 1}}),
+            "gama",
+            "scheme",
+        ),
+        (dict(CLI_DOC, learner={"kind": "ma-mpl", "batch": 3}), "batch", "learner"),
+        (dict(CLI_DOC, environment=dict(TINY_ENV, agents=2)), "agents", "environment"),
+        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "slot": 2}), "slot", "environment"),
+        (dict(CLI_DOC, graph={"kind": "erdos_renyi", "degree": 3}), "degree", "graph"),
+    ],
+    ids=["environment", "learner", "graph", "scheme", "mpl-learner", "synthetic", "orbit",
+         "erdos-renyi"],
+)
+def test_cli_refuses_unknown_spec_fields(tmp_path, capsys, doc, field, section):
+    # each of these used to be ignored, and the run took the default
+    path = _write_config(tmp_path, doc)
+    command = "run-mpl" if doc["learner"]["kind"] == "ma-mpl" else "run-spl"
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert f"unknown {section} field {field!r}" in err, err
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_preset_runs_under_every_run_command(tmp_path, preset):
+    # a run command replaces a learner spec of another kind, whose fields it would refuse
+    over = _write_config(tmp_path, {"horizon": 1})
+    for command in (["run-spl"], ["run-mpl"], ["run-baseline", "--baseline", "greedy"]):
+        assert main([*command, "--preset", preset, "--config", str(over)]) == 0, command
+
+
+def test_negative_seed_is_refused_as_the_seed(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer, got -1"):
+        tiny_config(seed=-1)
+    assert main(["run-baseline", "--config", str(_write_config(tmp_path, CLI_DOC)),
+                 "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "config error: seed must be a nonnegative integer, got -3\n"
+
+
 @pytest.mark.parametrize(
     "environment",
     [
