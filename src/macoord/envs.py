@@ -31,6 +31,12 @@ from .ground import Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
 DISTANCE_FLOOR = 1e-3
+# Largest magnitude of a world size: a speed, a radius or a drift rate.  An
+# agent moves at most horizon * DT * speed from its spawn disk, so for any
+# horizon below 1e25 ticks every distance stays below 1e76; every distance
+# power the objectives take (up to r^4 in the tracking gain) and every orbit
+# phase then stays finite.
+WORLD_LIMIT = 1e50
 ADVERSARIAL_TRIGGER_RADIUS = 20.0
 EVADE_SPEED = 15.0
 EVADE_CANDIDATE_HEADINGS = 16
@@ -129,9 +135,9 @@ def coverage_instance(n: int, epsilon: float, k: int) -> WeightedCoverage:
         raise ConfigError("coverage instance needs n >= 2 agents")
     if not (1 <= k <= n - 1):
         raise ConfigError(f"coverage instance needs 1 <= k <= n-1, got k={k}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
     n_x, n_y, n_eps = n - 1, n - k, n - 1
+    if not (epsilon > 0 and math.isfinite(n_x + n_y + n_eps * epsilon)):
+        raise ConfigError(f"epsilon must be positive with a finite total weight, got {epsilon}")
     universe = n_x + n_y + n_eps
     x0, y0, e0 = 0, n_x, n_x + n_y
     weights = np.concatenate(
@@ -200,8 +206,10 @@ class MotionGrid:
             [2.0 * math.pi * (h + 1) / n_headings for h in range(n_headings)]
         )
         self.speeds = np.array(list(speeds), dtype=np.float64)
-        if not np.all(np.isfinite(self.speeds)):
-            raise ConfigError(f"speeds must be finite, got {list(speeds)}")
+        if not np.all(np.abs(self.speeds) <= WORLD_LIMIT):
+            raise ConfigError(
+                f"speeds must be finite and at most {WORLD_LIMIT:g} in magnitude, got {list(speeds)}"
+            )
         self.dt = dt
         dirs = np.stack([np.cos(self.headings), np.sin(self.headings)], axis=1)
         self._moves = (dirs[:, None, :] * self.speeds[None, :, None] * dt).reshape(-1, 2)
@@ -507,7 +515,7 @@ class _MovingTargetEnvironment:
         unknown = sorted(set(mix) - set(TARGET_KINDS))
         if unknown:
             raise ConfigError(f"unknown target kinds {unknown}; known: {list(TARGET_KINDS)}")
-        if any(not isinstance(c, int) or c < 0 for c in mix.values()):
+        if any(config_value("target_mix", c, int) < 0 for c in mix.values()):
             raise ConfigError(f"target_mix counts must be nonnegative integers, got {mix}")
         if sum(mix.values()) != n_targets:
             raise ConfigError("target_mix must sum to the number of targets")
@@ -614,8 +622,11 @@ class OrbitingTargetsEnvironment:
             ("radius", self.radius),
             ("target_radius", self.target_radius),
         ):
-            if not math.isfinite(x):
-                raise ConfigError(f"orbiting-targets {name} must be finite, got {x}")
+            if not abs(x) <= WORLD_LIMIT:
+                raise ConfigError(
+                    f"orbiting-targets {name} must be finite and at most {WORLD_LIMIT:g} "
+                    f"in magnitude, got {x}"
+                )
         self.partition = Partition((slots,) * n_agents)
         total = self.partition.total
         angles = 2.0 * math.pi * np.arange(total) / total

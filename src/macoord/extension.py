@@ -26,14 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ground import (
-    MarginalBudget,
-    Partition,
-    SetFunction,
-    local_marginal_block,
-    local_marginal_rows,
-    min_gain_vector,
-)
+from .ground import MarginalBudget, Partition, SetFunction, local_marginal_rows
 
 QUADRATURE_NODES = 64
 PROFILE_ATOL = 1e-9  # round-off a profile's masses may carry past [0, 1]
@@ -264,13 +257,6 @@ def _gradient(f: SetFunction, profile: PolicyProfile, zs: np.ndarray, ws=None) -
     return grad
 
 
-def _block(f: SetFunction, profile: PolicyProfile, agent: int) -> slice:
-    """The agent's flat columns, after checking that the profile is one row."""
-    _row(f, profile)
-    f.partition.check_agent(agent)
-    return slice(f.partition.offsets[agent], f.partition.offsets[agent + 1])
-
-
 def exact_extension(f: SetFunction, profile: PolicyProfile) -> float:
     """F(pi): :attr:`SetFunction.outcome_values` contracted with every
     agent's outcome probabilities (1 - sum pi_i, pi_i).  The tensor is
@@ -285,11 +271,6 @@ def exact_gradient(f: SetFunction, profile: PolicyProfile) -> np.ndarray:
     ``profile`` is one row, or an ``(n, |V|)`` stack of the agents' views,
     block i taken at row i."""
     return _gradient(f, profile, _UNSCALED)
-
-
-def exact_gradient_block(f: SetFunction, profile: PolicyProfile, agent: int) -> np.ndarray:
-    """Exact partial derivatives of F for one agent's block of a single row."""
-    return exact_gradient(f, profile)[_block(f, profile, agent)]
 
 
 def exact_surrogate_gradient(
@@ -312,41 +293,6 @@ def exact_surrogate_gradient(
     if scheme.adds_min_gain:
         grad += math.exp(-1.0) * f.min_gains
     return grad
-
-
-def exact_surrogate_gradient_block(
-    f: SetFunction,
-    profile: PolicyProfile,
-    scheme: SurrogateScheme,
-    agent: int,
-    nodes: int = QUADRATURE_NODES,
-) -> np.ndarray:
-    """One agent's block of :func:`exact_surrogate_gradient` on a single row."""
-    return exact_surrogate_gradient(f, profile, scheme, nodes)[_block(f, profile, agent)]
-
-
-def exact_surrogate_value(
-    f: SetFunction,
-    profile: PolicyProfile,
-    scheme: SurrogateScheme,
-    nodes: int = QUADRATURE_NODES,
-) -> float:
-    """Quadrature evaluation of the surrogate potential.
-
-    The potential whose gradient is ``exact_surrogate_gradient`` is
-
-        F^s(pi) = int_0^1 (w(z) / z) F(z * pi) dz   (+ linear min-gain bonus),
-
-    which is well defined since F(z * pi) vanishes linearly at z = 0 for a
-    normalized objective.  Gauss-Legendre nodes avoid the endpoint.
-    """
-    zs, ws = _gauss_legendre_01(nodes)
-    w = _outcome_weights(f.partition, _row(f, profile), zs)
-    values = _expectation(f.outcome_values, w, range(f.partition.n_agents))
-    total = float((ws * scheme.weight(zs) / zs) @ values)
-    if scheme.adds_min_gain:
-        total += math.exp(-1.0) * float(np.dot(f.min_gains, profile.row))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +332,6 @@ def sample_slots(
     return slots.reshape(len(rngs), draws, n)
 
 
-def _means(
-    gains: np.ndarray, samples: int, scheme: Optional[SurrogateScheme], min_gain
-) -> np.ndarray:
-    """Means of ``(m * samples, width)`` gains over each ``samples``
-    consecutive rows, rescaled and given the min-gain bonus as the scheme asks."""
-    values = gains.reshape(-1, samples, gains.shape[1])
-    if scheme is not None:
-        values = scheme.weight_integral * values
-        if scheme.adds_min_gain:
-            values = values + math.exp(-1.0) * min_gain
-    return values.mean(axis=1)
-
-
 def sampled_gradients(
     f: SetFunction,
     slots: np.ndarray,
@@ -412,66 +345,11 @@ def sampled_gradients(
     With a scheme every gain is rescaled by int_0^1 w; the submodular scheme
     adds e^{-1} ``f.min_gains``, charging every agent one query per slot."""
     gains = local_marginal_rows(f, slots, budget)
-    min_gain = None
-    if scheme is not None and scheme.adds_min_gain:
-        min_gain = f.min_gains
-        if budget is not None:
-            budget.charge(slice(None), f.partition.sizes)
-    return _means(gains, samples, scheme, min_gain)
-
-
-def _estimate(
-    f: SetFunction,
-    profile: PolicyProfile,
-    agent: int,
-    rng: np.random.Generator,
-    samples: int,
-    budget: Optional[MarginalBudget],
-    scheme: Optional[SurrogateScheme] = None,
-    min_gain: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One agent's :func:`sampled_gradients` block from one generator, one
-    oracle call: ``(k,)`` for a row, ``(m, k)`` for a stack."""
-    f.partition.check_agent(agent)
-    slots = sample_slots(profile, [rng], samples, scheme)[0]
-    gains = local_marginal_block(f, agent, slots, budget)
-    if scheme is not None and scheme.adds_min_gain and min_gain is None:
-        min_gain = min_gain_vector(f, agent, budget)
-    means = _means(gains, samples, scheme, min_gain)
-    return means if profile.row.ndim == 2 else means[0]
-
-
-def estimate_gradient(
-    f: SetFunction,
-    profile: PolicyProfile,
-    agent: int,
-    rng: np.random.Generator,
-    budget: Optional[MarginalBudget] = None,
-    samples: int = 1,
-) -> np.ndarray:
-    """Unbiased estimate of agent's gradient block of F: the mean of its own
-    marginal gains against ``samples`` independent roundings of the others.
-    A stacked profile gives one estimate per row, ``(m, k_agent)``, from one
-    draw and one oracle call."""
-    return _estimate(f, profile, agent, rng, samples, budget)
-
-
-def estimate_surrogate_gradient(
-    f: SetFunction,
-    profile: PolicyProfile,
-    agent: int,
-    scheme: SurrogateScheme,
-    rng: np.random.Generator,
-    budget: Optional[MarginalBudget] = None,
-    min_gain: Optional[np.ndarray] = None,
-    samples: int = 1,
-) -> np.ndarray:
-    """Unbiased estimate of the reweighted gradient block, a mean over samples
-    (per row of a stacked profile, as in :func:`estimate_gradient`).
-
-    Each sample draws z from the normalized weight density, rounds the
-    z-scaled profile, and rescales the observed gains by int_0^1 w; pass
-    ``min_gain`` if the agent already paid for its bonus, else
-    :func:`min_gain_vector` reads it and charges one query per slot.
-    """
-    return _estimate(f, profile, agent, rng, samples, budget, scheme, min_gain)
+    values = gains.reshape(-1, samples, gains.shape[1])
+    if scheme is not None:
+        values = scheme.weight_integral * values
+        if scheme.adds_min_gain:
+            values = values + math.exp(-1.0) * f.min_gains
+            if budget is not None:
+                budget.charge(slice(None), f.partition.sizes)
+    return values.mean(axis=1)

@@ -301,18 +301,3 @@ def local_marginal_rows(
         budget.charge(slice(None), slots.shape[1] * p._sizes)
     return f.marginal_rows(slots)
 
-
-def min_gain_vector(
-    f: SetFunction, agent: int, budget: Optional[MarginalBudget] = None
-) -> np.ndarray:
-    """Smallest-context-complement gains f(v | V - {v}) for agent's actions.
-
-    Returns the agent's read-only slice of ``f.min_gains``, which is computed
-    once per objective.  Every call still charges the agent one query per
-    slot, since each agent learns its own gains through its own oracle.
-    """
-    f.partition.check_agent(agent)
-    if budget is not None:
-        budget.charge(agent, f.partition.sizes[agent])
-    lo, hi = f.partition.offsets[agent], f.partition.offsets[agent + 1]
-    return f.min_gains[lo:hi]

@@ -73,6 +73,23 @@ def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> float:
     return step
 
 
+def _ascend(
+    partition: Partition, rows: np.ndarray, step: float, grad: np.ndarray
+) -> np.ndarray:
+    """Project ``rows + step * grad`` onto every block's capped simplex.  A
+    step that overflows leaves a row non-finite, which the projection
+    refuses; that refusal is reported as a config error on the step size."""
+    with np.errstate(over="ignore"):
+        ascent = rows + step * grad
+    try:
+        return project_blocks(partition, ascent)
+    except ValueError as exc:
+        raise ConfigError(
+            f"step_size {step:g} times gradients of magnitude up to {np.abs(grad).max():g} "
+            "is not finite"
+        ) from exc
+
+
 def _play(partition: Partition, own: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Each agent samples its own normalized block at its uniform ``u[i]``:
     the slot row of one rounding of the normalized own row.  Round-off that
@@ -149,9 +166,6 @@ class PolicyConsensusLearner:
             raise ConfigError("profile does not match the partition")
         self.policies = np.tile(profile.row, (self.partition.n_agents, 1))
 
-    def local_profile(self, agent: int) -> PolicyProfile:
-        return PolicyProfile(self.partition, self.policies[agent])
-
     def played_profile(self) -> PolicyProfile:
         """Own blocks only — the joint policy actually being sampled from."""
         return PolicyProfile(self.partition, self.policies[self._own])
@@ -175,9 +189,7 @@ class PolicyConsensusLearner:
 
         # consensus averaging of every copy; ascent step on the own blocks
         mixed = self.weights @ self.policies
-        mixed[self._own] = project_blocks(
-            self.partition, mixed[self._own] + self.step_size * grad
-        )
+        mixed[self._own] = _ascend(self.partition, mixed[self._own], self.step_size, grad)
         self.policies = mixed
         return chosen
 
@@ -249,9 +261,6 @@ class MetaConditionalGradientLearner:
         self.estimates = np.zeros((n, partition.total))
         self.last_inner_disagreement: list[list[float]] = []
 
-    def local_profile(self, agent: int) -> PolicyProfile:
-        return PolicyProfile(self.partition, self.estimates[agent])
-
     def update(self, rewards: np.ndarray) -> None:
         """Move every maximizer by a projected gradient step on its linear
         reward, a ``(K, |V|)`` matrix laid out like ``iterates``, in one
@@ -261,7 +270,7 @@ class MetaConditionalGradientLearner:
         rewards = np.asarray(rewards, dtype=np.float64)
         if rewards.shape != self.iterates.shape:
             raise ValueError("reward dimension mismatch")
-        self.iterates = project_blocks(self.partition, self.iterates + self.step_size * rewards)
+        self.iterates = _ascend(self.partition, self.iterates, self.step_size, rewards)
 
     def _inner_disagreement(self, estimates: np.ndarray) -> np.ndarray:
         """Per-agent (1/n) <1, own-blocks - estimates> of ``(..., n, |V|)``

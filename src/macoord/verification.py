@@ -36,7 +36,7 @@ from .extension import (
 from .ground import Partition
 from .harness import RunConfig, run_experiment
 from .learners import MetaConditionalGradientLearner, PolicyConsensusLearner
-from .network import CommGraph, erdos_renyi, metropolis_weights, spectral_gap
+from .network import CommGraph, diameter, erdos_renyi, metropolis_weights, spectral_gap
 from .oracle import (
     approx_ratio_audit,
     brute_force_opt,
@@ -291,15 +291,16 @@ def inner_loop_lag_bound() -> CheckResult:
     """ACCEPTANCE 6: ma-mpl estimates lag by at most diameter / K."""
     f = coverage_instance(6, 0.1, 1)
     k_steps = 15
+    graph = CommGraph.path(6)
     learner = MetaConditionalGradientLearner(
         f.partition,
-        CommGraph.path(6),
+        graph,
         horizon=100,
         seed=0,
         inner_steps=k_steps,
         sample_batch=1,
     )
-    bound = 5.0 / k_steps  # graph diameter over inner steps
+    bound = diameter(graph) / k_steps
     lo, hi = math.inf, -math.inf
     for t in range(1, 101):
         learner.round(f, t, record_inner=True)

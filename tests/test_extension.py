@@ -23,22 +23,14 @@ from macoord.errors import InvalidActionError, ScaleError
 from macoord.extension import (
     PolicyProfile,
     SurrogateScheme,
-    estimate_gradient,
-    estimate_surrogate_gradient,
     exact_extension,
     exact_gradient,
-    exact_gradient_block,
     exact_surrogate_gradient,
-    exact_surrogate_gradient_block,
-    exact_surrogate_value,
     sample_choices,
+    sample_slots,
+    sampled_gradients,
 )
-from macoord.ground import (
-    MarginalBudget,
-    Partition,
-    local_marginal_block,
-    min_gain_vector,
-)
+from macoord.ground import MarginalBudget, Partition, local_marginal_block
 from macoord.oracle import feasible_sets
 from macoord.verification import z_sampler_cdf
 
@@ -56,6 +48,20 @@ def profile_of(blocks):
 def indicator(p, row):
     """The deterministic profile of one selection: its membership row."""
     return PolicyProfile(p, p.members(np.array([row]))[0])
+
+
+def columns(p, agent):
+    """The agent's block of a flat row."""
+    return slice(p.offsets[agent], p.offsets[agent + 1])
+
+
+def estimate(f, prof, agent, rng, samples=1, scheme=None, budget=None):
+    """The agent's block of the learners' sampled gradients when every agent
+    scores the same draws from ``rng``: ``(k,)`` for a row, ``(m, k)`` for a
+    stack of m rows."""
+    slots = np.repeat(sample_slots(prof, [rng], samples, scheme), prof.n_agents, axis=0)
+    block = sampled_gradients(f, slots, samples, budget, scheme)[:, columns(f.partition, agent)]
+    return block if prof.row.ndim == 2 else block[0]
 
 
 def random_profile(sizes, rng, lo=0.05, hi=0.95):
@@ -170,7 +176,7 @@ def reference_surrogate_sample(f, prof, agent, scheme, rng):
     z = reference_z(scheme, rng)
     values = scheme.weight_integral * reference_gains(f, prof, agent, rng, z)
     if scheme.adds_min_gain:
-        values = values + math.exp(-1.0) * min_gain_vector(f, agent)
+        values = values + math.exp(-1.0) * f.min_gains[columns(f.partition, agent)]
     return values
 
 
@@ -309,10 +315,10 @@ def test_estimators_exclude_own_agent():
     # the agent's own block always samples slot 1; gains must ignore it
     prof = PolicyProfile(p, np.array([0.5, 0.5, 0.0, 1.0, 0.2, 0.3]))
     rng = np.random.default_rng(3)
-    np.testing.assert_array_equal(estimate_gradient(f, prof, 1, rng, samples=50), [3.0, 4.0])
+    np.testing.assert_array_equal(estimate(f, prof, 1, rng, samples=50), [3.0, 4.0])
     scheme = SurrogateScheme.weak_dr(0.5)
     np.testing.assert_allclose(
-        estimate_surrogate_gradient(f, prof, 1, scheme, rng, samples=50),
+        estimate(f, prof, 1, rng, samples=50, scheme=scheme),
         scheme.weight_integral * np.array([3.0, 4.0]),
         rtol=1e-12,
     )
@@ -399,17 +405,18 @@ def test_enumeration_guard():
 
 def dense_surrogate_gradient(f, prof, scheme, agent, steps=2000):
     """Trapezoid z-integration oracle, independent of the quadrature path."""
+    block = columns(prof.partition, agent)
     zs = np.linspace(0.0, 1.0, steps + 1)
     vals = np.stack(
         [
             scheme.weight(float(z))
-            * exact_gradient_block(f, PolicyProfile(prof.partition, z * prof.row), agent)
+            * exact_gradient(f, PolicyProfile(prof.partition, z * prof.row))[block]
             for z in zs
         ]
     )
     out = np.trapezoid(vals, zs, axis=0)
     if scheme.adds_min_gain:
-        out = out + math.exp(-1.0) * min_gain_vector(f, agent)
+        out = out + math.exp(-1.0) * f.min_gains[block]
     return out
 
 
@@ -427,9 +434,31 @@ def test_surrogate_gradient_quadrature_vs_dense_grid(scheme):
     f = synthetic_setfn("coverage-random", (2, 2), rng)
     prof = random_profile(f.partition.sizes, rng)
     for agent in range(2):
-        quad = exact_surrogate_gradient_block(f, prof, scheme, agent)
+        quad = exact_surrogate_gradient(f, prof, scheme)[columns(f.partition, agent)]
         dense = dense_surrogate_gradient(f, prof, scheme, agent)
         np.testing.assert_allclose(quad, dense, rtol=1e-7, atol=1e-9)
+
+
+def gauss_legendre_01(nodes=64):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def exact_surrogate_value(f, profile, scheme, nodes=64):
+    """Quadrature evaluation of the surrogate potential, whose gradient
+    :func:`exact_surrogate_gradient` must be:
+
+        F^s(pi) = int_0^1 (w(z) / z) F(z * pi) dz   (+ linear min-gain bonus),
+
+    which is well defined since F(z * pi) vanishes linearly at z = 0 for a
+    normalized objective.  Gauss-Legendre nodes avoid the endpoint.
+    """
+    zs, ws = gauss_legendre_01(nodes)
+    values = [exact_extension(f, PolicyProfile(profile.partition, z * profile.row)) for z in zs]
+    total = float((ws * scheme.weight(zs) / zs) @ values)
+    if scheme.adds_min_gain:
+        total += math.exp(-1.0) * float(np.dot(f.min_gains, profile.row))
+    return total
 
 
 def test_surrogate_value_gradient_consistency():
@@ -482,18 +511,13 @@ def enumerated_gradient(values, blocks, agent):
     return grad
 
 
-def gauss_legendre_01(nodes=64):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def enumerated_surrogate_gradient(f, values, blocks, scheme, agent):
     grad = np.zeros(blocks[agent].size)
     for z, wq in zip(*gauss_legendre_01()):
         scaled = [z * b for b in blocks]
         grad += wq * math.exp(scheme.rate * (z - 1.0)) * enumerated_gradient(values, scaled, agent)
     if scheme.adds_min_gain:
-        grad += math.exp(-1.0) * min_gain_vector(f, agent)
+        grad += math.exp(-1.0) * f.min_gains[columns(f.partition, agent)]
     return grad
 
 
@@ -504,7 +528,7 @@ def enumerated_surrogate_value(f, values, blocks, scheme):
         total += wq * math.exp(scheme.rate * (z - 1.0)) / z * enumerated_extension(values, scaled)
     if scheme.adds_min_gain:
         for i, b in enumerate(blocks):
-            total += math.exp(-1.0) * float(np.dot(min_gain_vector(f, i), b))
+            total += math.exp(-1.0) * float(np.dot(f.min_gains[columns(f.partition, i)], b))
     return total
 
 
@@ -553,9 +577,10 @@ def test_contraction_matches_enumeration(case):
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * scale)
 
     close(exact_extension(f, prof), enumerated_extension(values, prof.blocks))
-    close(exact_gradient_block(f, prof, agent), enumerated_gradient(values, prof.blocks, agent))
+    block = columns(f.partition, agent)
+    close(exact_gradient(f, prof)[block], enumerated_gradient(values, prof.blocks, agent))
     close(
-        exact_surrogate_gradient_block(f, prof, scheme, agent),
+        exact_surrogate_gradient(f, prof, scheme)[block],
         enumerated_surrogate_gradient(f, values, prof.blocks, scheme, agent),
     )
     close(
@@ -571,17 +596,18 @@ def test_exact_layer_rejects_mismatched_profiles():
     stacked = PolicyProfile(f.partition, np.full((2, 4), 0.25))
     with pytest.raises(ValueError):
         PolicyProfile(f.partition, np.array([0.7, 0.7, 0.0, 0.0]))  # never built
-    for prof in (wrong, stacked):
-        for call in (
-            lambda: exact_extension(f, prof),
-            lambda: exact_gradient_block(f, prof, 0),
-            lambda: exact_surrogate_gradient_block(f, prof, scheme, 0),
-            lambda: exact_surrogate_value(f, prof, scheme),
-        ):
-            with pytest.raises(ValueError):
-                call()
-    with pytest.raises(InvalidActionError):
-        exact_gradient_block(f, PolicyProfile.uniform(f.partition), 2)
+    # the gradients take an n-row stack of views; other heights are refused
+    # in test_exact_gradients_refuse_stacks_of_other_heights
+    for call in (
+        lambda: exact_extension(f, wrong),
+        lambda: exact_gradient(f, wrong),
+        lambda: exact_surrogate_gradient(f, wrong, scheme),
+        lambda: exact_surrogate_value(f, wrong, scheme),
+        lambda: exact_extension(f, stacked),
+        lambda: exact_surrogate_value(f, stacked, scheme),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def _per_agent_expectation(table, blocks, zs):
@@ -674,10 +700,10 @@ def test_estimate_gradient_is_unbiased():
     f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
     prof = random_profile(f.partition.sizes, rng)
     agent = 1
-    exact = exact_gradient_block(f, prof, agent)
+    exact = exact_gradient(f, prof)[columns(f.partition, agent)]
     n = 4000
     draws = np.stack(
-        [estimate_gradient(f, prof, agent, rng) for _ in range(n)]
+        [estimate(f, prof, agent, rng) for _ in range(n)]
     )
     mean = draws.mean(axis=0)
     sem = draws.std(axis=0, ddof=1) / math.sqrt(n)
@@ -690,33 +716,17 @@ def test_estimate_surrogate_gradient_is_unbiased():
     scheme = SurrogateScheme.submodular()
     prof = random_profile(f.partition.sizes, rng)
     agent = 0
-    exact = exact_surrogate_gradient_block(f, prof, scheme, agent)
+    exact = exact_surrogate_gradient(f, prof, scheme)[columns(f.partition, agent)]
     n = 6000
     draws = np.stack(
         [
-            estimate_surrogate_gradient(f, prof, agent, scheme, rng)
+            estimate(f, prof, agent, rng, scheme=scheme)
             for _ in range(n)
         ]
     )
     mean = draws.mean(axis=0)
     sem = draws.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(mean - exact) <= 5.0 * sem + 1e-12)
-
-
-def test_estimate_surrogate_gradient_uses_cached_min_gain():
-    rng = np.random.default_rng(2)
-    f = synthetic_setfn("coverage-random", (2, 2), rng)
-    scheme = SurrogateScheme.submodular()
-    prof = random_profile(f.partition.sizes, rng)
-    cached = min_gain_vector(f, 0)
-    budget = MarginalBudget(2)
-    estimate_surrogate_gradient(f, prof, 0, scheme, rng, budget, cached)
-    # only the context gains are charged when the bonus is supplied
-    assert budget.per_agent()[0] == 2
-    budget.reset()
-    estimate_surrogate_gradient(f, prof, 0, scheme, rng, budget, samples=3)
-    # otherwise the bonus is read, and charged, once per call
-    assert budget.per_agent()[0] == 3 * 2 + 2
 
 
 def test_estimators_match_scalar_reference():
@@ -731,7 +741,7 @@ def test_estimators_match_scalar_reference():
         expect = np.mean(
             [reference_gains(f, prof, agent, ref_rng) for _ in range(samples)], axis=0
         )
-        got = estimate_gradient(f, prof, agent, np.random.default_rng(seed), samples=samples)
+        got = estimate(f, prof, agent, np.random.default_rng(seed), samples)
         np.testing.assert_array_equal(got, expect)
         for scheme in (SurrogateScheme.submodular(), SurrogateScheme.weak_dr(0.3)):
             ref_rng = np.random.default_rng(seed)
@@ -742,9 +752,7 @@ def test_estimators_match_scalar_reference():
                 ],
                 axis=0,
             )
-            got = estimate_surrogate_gradient(
-                f, prof, agent, scheme, np.random.default_rng(seed), samples=samples
-            )
+            got = estimate(f, prof, agent, np.random.default_rng(seed), samples, scheme)
             np.testing.assert_array_equal(got, expect)
 
 
@@ -758,41 +766,25 @@ def test_stacked_estimates_equal_row_by_row_draws():
     stack = PolicyProfile(f.partition, np.stack([r.row for r in rows]))
     for scheme in (None, SurrogateScheme.submodular(), SurrogateScheme.weak_dr(0.3)):
         budgets = MarginalBudget(3), MarginalBudget(3)
-        if scheme is None:
-            def estimate(prof, gen, budget):
-                return estimate_gradient(f, prof, 1, gen, budget, samples=5)
-        else:
-            def estimate(prof, gen, budget):
-                return estimate_surrogate_gradient(f, prof, 1, scheme, gen, budget, samples=5)
-        got = estimate(stack, np.random.default_rng(8), budgets[0])
+        got = estimate(f, stack, 1, np.random.default_rng(8), 5, scheme, budgets[0])
         gen = np.random.default_rng(8)
-        expect = np.stack([estimate(r, gen, budgets[1]) for r in rows])
+        expect = np.stack([estimate(f, r, 1, gen, 5, scheme, budgets[1]) for r in rows])
         assert got.shape == (4, 3)
         np.testing.assert_array_equal(got, expect)
         # the stacked call reads the min-gain bonus once, not once per row
         bonus = 3 * 3 if scheme is not None and scheme.adds_min_gain else 0
-        assert budgets[0].total() == budgets[1].total() - bonus == 4 * 5 * 3 + bonus / 3
+        charged = [b.per_agent()[1] for b in budgets]
+        assert charged[0] == charged[1] - bonus == 4 * 5 * 3 + bonus / 3
 
 
 @pytest.mark.parametrize("agent", [-1, 3])
 def test_bad_agent_raises_before_any_charge(agent):
     rng = np.random.default_rng(8)
     f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
-    prof = random_profile(f.partition.sizes, rng)
     budget = MarginalBudget(3)
-    state = rng.bit_generator.state
-    calls = (
-        lambda: local_marginal_block(f, agent, np.full((1, 3), -1), budget),
-        lambda: estimate_gradient(f, prof, agent, rng, budget),
-        lambda: estimate_surrogate_gradient(
-            f, prof, agent, SurrogateScheme.submodular(), rng, budget
-        ),
-    )
-    for call in calls:
-        with pytest.raises(InvalidActionError):
-            call()
+    with pytest.raises(InvalidActionError):
+        local_marginal_block(f, agent, np.full((1, 3), -1), budget)
     assert budget.total() == 0
-    assert rng.bit_generator.state == state
 
 
 def test_estimators_need_a_sample():
@@ -800,9 +792,9 @@ def test_estimators_need_a_sample():
     f = synthetic_setfn("coverage-random", (2, 2), rng)
     prof = random_profile(f.partition.sizes, rng)
     with pytest.raises(ValueError):
-        estimate_gradient(f, prof, 0, rng, samples=0)
+        sample_slots(prof, [rng], 0)
     with pytest.raises(ValueError):
-        estimate_surrogate_gradient(f, prof, 0, SurrogateScheme.weak_dr(1.0), rng, samples=0)
+        sample_slots(prof, [rng], 0, SurrogateScheme.weak_dr(1.0))
 
 
 def test_lossless_rounding_small():

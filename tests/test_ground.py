@@ -18,7 +18,6 @@ from macoord.ground import (
     SetFunction,
     local_marginal_block,
     local_marginal_rows,
-    min_gain_vector,
 )
 from macoord.extension import SurrogateScheme
 from macoord.learners import PolicyConsensusLearner
@@ -255,7 +254,7 @@ def test_min_gain_vector():
     p = Partition((2, 2))
     f = ModularFunction(p, np.array([0.5, 1.25, 0.75, 2.0]))
     # modular: the gain against everything else is just the weight
-    assert min_gain_vector(f, 0).tolist() == [0.5, 1.25]
+    assert f.min_gains[:2].tolist() == [0.5, 1.25]
 
     # coverage with one shared element: the shared covers gain nothing
     masks = np.array(
@@ -267,9 +266,7 @@ def test_min_gain_vector():
         ]
     )
     g = WeightedCoverage(p, masks, np.array([1.0, 3.0]))
-    budget = MarginalBudget(2)
-    assert min_gain_vector(g, 0, budget).tolist() == [0.0, 3.0]
-    assert budget.per_agent().tolist() == [2, 0]
+    assert g.min_gains[:2].tolist() == [0.0, 3.0]
 
 
 class _CountingCoverage(WeightedCoverage):
@@ -297,15 +294,11 @@ def test_min_gain_vector_computed_once_per_objective():
         p, graph, metropolis_weights(graph), SurrogateScheme.submodular(),
         horizon=3, seed=0, batch=2,
     )
-    budget = MarginalBudget(p.n_agents)
     for t in range(1, 4):
         g = env.begin_round(t)
-        budget.reset()
-        got = [min_gain_vector(g, i, budget) for i in range(p.n_agents)]
-        assert np.concatenate(got).tolist() == reference
-        # every agent pays for its own slots on every call
-        assert budget.per_agent().tolist() == list(p.sizes)
+        assert g.min_gains.tolist() == reference
         learner.round(g, t)
+        # two samples plus the bonus: three queries per slot and round
         assert learner.budget.per_agent().tolist() == [3 * k for k in p.sizes]
     # one generic pass (one value call: V and every V - {v}) over three rounds
     assert f.value_calls == 1

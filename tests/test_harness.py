@@ -6,6 +6,7 @@ full-scale benchmark claims live in the acceptance suite.
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -556,6 +557,36 @@ def test_cli_rejects_non_finite_environment_values(tmp_path, capsys, environment
     assert main(["run-spl", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (dict(CLI_DOC, environment=dict(_FACILITY, target_mix={"random": True, "polyline": 1})),
+         "target_mix"),
+        (dict(CLI_DOC, environment=dict(_FACILITY, speeds=[1e308])), "speeds"),
+        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "drift_cycles": 1e308}),
+         "drift_cycles"),
+        (dict(CLI_DOC, environment={"kind": "coverage"},
+              learner={"kind": "ma-spl", "step_size": 1e308}), "step_size"),
+        (dict(CLI_DOC, environment={"kind": "coverage"},
+              learner={"kind": "ma-mpl", "step_size": 1e308}), "step_size"),
+        (dict(CLI_DOC, environment={"kind": "coverage", "epsilon": 1e308}), "epsilon"),
+    ],
+    ids=["mix-bool", "speeds-huge", "cycles-huge", "spl-step-huge", "mpl-step-huge",
+         "epsilon-huge"],
+)
+def test_cli_refuses_values_that_break_the_run(tmp_path, capsys, doc, field):
+    # each of these used to run on (a bool count, utility 0.0 after an
+    # overflow) or end in a traceback from the projection
+    path = _write_config(tmp_path, doc)
+    command = "run-mpl" if doc["learner"]["kind"] == "ma-mpl" else "run-spl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert field in err, err
 
 
 def test_cli_preset_with_config_override(tmp_path, capsys):

@@ -5,6 +5,8 @@ hand derivations; convergence claims use tiny instances where the optimum is
 enumerable.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,12 +23,11 @@ from macoord.errors import ConfigError
 from macoord.extension import (
     PolicyProfile,
     SurrogateScheme,
-    estimate_gradient,
-    estimate_surrogate_gradient,
     exact_extension,
+    sample_slots,
 )
 from macoord.geometry import normalize_policy, project_blocks
-from macoord.ground import Partition, min_gain_vector
+from macoord.ground import Partition, local_marginal_block
 from macoord.learners import (
     GreedyLearner,
     MetaConditionalGradientLearner,
@@ -167,8 +168,9 @@ def test_spl_constructor_validations():
 def test_spl_initial_state_and_set_start():
     p = Partition((2, 3))
     learner = _spl(p, CommGraph.complete(2))
-    np.testing.assert_allclose(learner.local_profile(0).blocks[0], [0.5, 0.5], atol=0)
-    np.testing.assert_allclose(learner.local_profile(0).blocks[1], np.zeros(3), atol=0)
+    blocks = PolicyProfile(p, learner.policies[0]).blocks
+    np.testing.assert_allclose(blocks[0], [0.5, 0.5], atol=0)
+    np.testing.assert_allclose(blocks[1], np.zeros(3), atol=0)
     assert learner.disagreement() > 0.0
     start = PolicyProfile.uniform(p)
     learner.set_start(start)
@@ -207,7 +209,7 @@ def test_spl_one_round_consensus_arithmetic():
     learner.policies = np.array([[0.2, 0.1, 0.6, 0.2], [0.4, 0.3, 0.0, 0.4]])
     learner.round(f, 1)
     # Metropolis on a 2-path averages the two copies of every block
-    blocks = [learner.local_profile(i).blocks for i in range(2)]
+    blocks = [PolicyProfile(p, learner.policies[i]).blocks for i in range(2)]
     np.testing.assert_allclose(blocks[0][0], [0.3, 0.2], atol=1e-12)
     np.testing.assert_allclose(blocks[0][1], [0.3, 0.3], atol=1e-12)
     np.testing.assert_allclose(blocks[1][0], [0.3, 0.2], atol=1e-12)
@@ -237,7 +239,7 @@ def test_spl_one_round_consensus_arithmetic():
         [0.2, 0.2, 0.7],  # 1/3 * (0.6, 0.6, 0.3) + 2/3 * (0.0, 0.0, 0.9)
     ]
     for i in range(3):
-        sums = [b.sum() for b in learner.local_profile(i).blocks]
+        sums = [b.sum() for b in PolicyProfile(p, learner.policies[i]).blocks]
         np.testing.assert_allclose(sums, expected_sums[i], atol=1e-12)
     # the own blocks are feasible already, so the zero-gradient step keeps them
     np.testing.assert_allclose(
@@ -256,7 +258,7 @@ def test_spl_iterates_stay_feasible():
         assert chosen.shape == (3,)
         f.partition.check_choices(chosen[None])
     for i in range(3):
-        learner.local_profile(i)  # building the profile validates it
+        PolicyProfile(f.partition, learner.policies[i])  # building the profile validates it
 
 
 def test_spl_query_budget_accounting():
@@ -355,7 +357,7 @@ def test_mpl_oracles_learn_across_rounds():
     chosen = learner.round(f, 2)
     assert (chosen >= 0).all() and chosen.shape == (2,)
     for i in range(2):
-        learner.local_profile(i)  # building the profile validates it
+        PolicyProfile(f.partition, learner.estimates[i])  # building the profile validates it
 
 
 def test_mpl_estimates_reset_each_round():
@@ -365,12 +367,12 @@ def test_mpl_estimates_reset_each_round():
         inner_steps=3, sample_batch=1,
     )
     learner.round(f, 1)
-    first = learner.local_profile(0).blocks
+    first = PolicyProfile(f.partition, learner.estimates[0]).blocks
     learner.round(f, 2)
     # the build-from-zero loop caps every block's mass at one per round
     for i in range(3):
         for j in range(3):
-            assert learner.local_profile(i).blocks[j].sum() <= 1.0 + 1e-9
+            assert PolicyProfile(f.partition, learner.estimates[i]).blocks[j].sum() <= 1.0 + 1e-9
     assert all(b.sum() <= 1.0 + 1e-9 for b in first)
 
 
@@ -434,7 +436,7 @@ def test_learner_wrappers():
 #
 # The references are the learners' rounds as Python loops: K inner steps of
 # the coordinate-wise max over every closed neighborhood, and one profile,
-# draw, rounding and oracle call per agent through the one-agent estimators.
+# draw, rounding and one-agent oracle call per agent, from its own stream.
 # The closed-form delay line, the stacked rounding and the one oracle call
 # for all agents must reproduce them bit for bit, on a synthetic coverage,
 # a facility and a tracking objective: selections, state, charges and
@@ -467,10 +469,10 @@ def _reference_mpl_round(learner, f, t, record_inner):
     chosen = _play(p, estimates[own], np.array([s.random() for s in streams]))
     rewards = np.empty_like(learner.iterates)
     for i, (lo, hi) in enumerate(zip(p.offsets[:-1], p.offsets[1:])):
-        rewards[:, lo:hi] = estimate_gradient(
-            f, PolicyProfile(p, steps[:, i]), i, streams[i], learner.budget,
-            samples=learner.sample_batch,
-        )
+        batch = learner.sample_batch
+        slots = sample_slots(PolicyProfile(p, steps[:, i]), [streams[i]], batch)[0]
+        gains = local_marginal_block(f, i, slots, learner.budget)
+        rewards[:, lo:hi] = gains.reshape(k_steps, batch, hi - lo).mean(axis=1)
     learner.update(rewards)
     return chosen, max(_reference_inner_disagreement(p, estimates))
 
@@ -483,12 +485,14 @@ def _reference_spl_round(learner, f, t):
     streams = [agent_stream(learner.seed, t, i) for i in range(n)]
     chosen = _play(p, learner.policies[own], np.array([s.random() for s in streams]))
     grads = []
-    for i in range(n):
-        min_gain = min_gain_vector(f, i, learner.budget) if scheme.adds_min_gain else None
-        grads.append(estimate_surrogate_gradient(
-            f, PolicyProfile(p, learner.policies[i]), i, scheme, streams[i], learner.budget,
-            min_gain, samples=learner.batch,
-        ))
+    for i, (lo, hi) in enumerate(zip(p.offsets[:-1], p.offsets[1:])):
+        profile = PolicyProfile(p, learner.policies[i])
+        slots = sample_slots(profile, [streams[i]], learner.batch, scheme)[0]
+        values = scheme.weight_integral * local_marginal_block(f, i, slots, learner.budget)
+        if scheme.adds_min_gain:
+            values = values + math.exp(-1.0) * f.min_gains[lo:hi]
+            learner.budget.charge(i, hi - lo)
+        grads.append(values.mean(axis=0))
     mixed = learner.weights @ learner.policies
     mixed[own] = project_blocks(p, mixed[own] + learner.step_size * np.concatenate(grads))
     learner.policies = mixed
