@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="preset learner-matrix benchmark")
     p.add_argument("--preset", required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds (0..n-1)")
+    p.add_argument("--seeds", type=int, default=5, help="number of seeds, at least 1 (0..n-1)")
     return parser
 
 
@@ -124,7 +124,10 @@ def _run_single(args: argparse.Namespace, forced_kind: str | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "bench" and args.seeds < 1:
+        parser.error(f"argument --seeds: need at least one seed, got {args.seeds}")
     try:
         if args.command == "run-spl":
             return _run_single(args, "ma-spl")

@@ -31,11 +31,14 @@ from .ground import Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
 DISTANCE_FLOOR = 1e-3
+SPAWN_RADIUS = 20.0  # agents and targets start uniform on a disk of this radius
 # Largest magnitude of a world size: a speed, a radius or a drift rate.  An
 # agent moves at most horizon * DT * speed from its spawn disk, so for any
 # horizon below 1e25 ticks every distance stays below 1e76; every distance
 # power the objectives take (up to r^4 in the tracking gain) and every orbit
-# phase then stays finite.
+# phase then stays finite.  It also caps the coverage instance's ``epsilon``:
+# a gain is then at most 1e50 times the number of agents, and any batch of
+# gains sums to a finite float, so every batch mean stays finite.
 WORLD_LIMIT = 1e50
 ADVERSARIAL_TRIGGER_RADIUS = 20.0
 EVADE_SPEED = 15.0
@@ -136,8 +139,8 @@ def coverage_instance(n: int, epsilon: float, k: int) -> WeightedCoverage:
     if not (1 <= k <= n - 1):
         raise ConfigError(f"coverage instance needs 1 <= k <= n-1, got k={k}")
     n_x, n_y, n_eps = n - 1, n - k, n - 1
-    if not (epsilon > 0 and math.isfinite(n_x + n_y + n_eps * epsilon)):
-        raise ConfigError(f"epsilon must be positive with a finite total weight, got {epsilon}")
+    if not 0 < epsilon <= WORLD_LIMIT:
+        raise ConfigError(f"epsilon must be positive and at most {WORLD_LIMIT:g}, got {epsilon}")
     universe = n_x + n_y + n_eps
     x0, y0, e0 = 0, n_x, n_x + n_y
     weights = np.concatenate(
@@ -199,7 +202,7 @@ class Target:
 class MotionGrid:
     """Per-tick displacement options: headings pi/4 .. 2pi crossed with speeds."""
 
-    def __init__(self, n_headings: int, speeds: Sequence[float], dt: float = DT):
+    def __init__(self, n_headings: int, speeds: Sequence[float]):
         if n_headings < 1 or len(speeds) < 1:
             raise ConfigError("need at least one heading and one speed")
         self.headings = np.array(
@@ -210,9 +213,8 @@ class MotionGrid:
             raise ConfigError(
                 f"speeds must be finite and at most {WORLD_LIMIT:g} in magnitude, got {list(speeds)}"
             )
-        self.dt = dt
         dirs = np.stack([np.cos(self.headings), np.sin(self.headings)], axis=1)
-        self._moves = (dirs[:, None, :] * self.speeds[None, :, None] * dt).reshape(-1, 2)
+        self._moves = (dirs[:, None, :] * self.speeds[None, :, None] * DT).reshape(-1, 2)
         self._moves.flags.writeable = False
 
     @property
@@ -293,29 +295,28 @@ def step_targets(world: TrackingWorld, rng: np.random.Generator) -> None:
       moves like a random target;
     * brownian: position increment 0.02 * N(0, I).
     """
-    dt = world.motion.dt
     for t in world.targets:
         if t.kind == "random":
             t.velocity = _random_walk_velocity(rng)
-            t.pos = t.pos + t.velocity * dt
+            t.pos = t.pos + t.velocity * DT
         elif t.kind == "polyline":
             segment = max(1, world.horizon // max(1, t.segment_count))
             if world.tick % segment == 0 or t.velocity is None:
                 t.velocity = _random_walk_velocity(rng)
-            t.pos = t.pos + t.velocity * dt
+            t.pos = t.pos + t.velocity * DT
         elif t.kind == "adversarial":
             if t.evade_ticks > 0:
-                t.pos = t.pos + t.evade_velocity * dt
+                t.pos = t.pos + t.evade_velocity * DT
                 t.evade_ticks -= 1
             else:
                 nearest = float(np.linalg.norm(world.agents - t.pos, axis=1).min())
                 if nearest <= ADVERSARIAL_TRIGGER_RADIUS:
                     t.evade_velocity = EVADE_SPEED * _evade_direction(t.pos, world.agents)
-                    t.evade_ticks = max(1, round(1.0 / dt)) - 1
-                    t.pos = t.pos + t.evade_velocity * dt
+                    t.evade_ticks = max(1, round(1.0 / DT)) - 1
+                    t.pos = t.pos + t.evade_velocity * DT
                 else:
                     t.velocity = _random_walk_velocity(rng)
-                    t.pos = t.pos + t.velocity * dt
+                    t.pos = t.pos + t.velocity * DT
         elif t.kind == "brownian":
             t.pos = t.pos + EKF_PROCESS_SCALE * rng.standard_normal(2)
         else:
@@ -326,8 +327,8 @@ def step_targets(world: TrackingWorld, rng: np.random.Generator) -> None:
 class FacilityObjective(SetFunction):
     """Inverse-distance proximity coverage of targets by selected positions.
 
-    f(S) = sum_j max_{a in S} 1 / max(||pos_a - target_j||, floor), with the
-    empty max equal to zero.  Monotone submodular (a weighted max-coverage).
+    f(S) = sum_j max_{a in S} 1 / max(||pos_a - target_j||, DISTANCE_FLOOR),
+    with the empty max equal to zero.  Monotone submodular (a weighted max-coverage).
     """
 
     def __init__(
@@ -335,14 +336,13 @@ class FacilityObjective(SetFunction):
         partition: Partition,
         candidate_positions: np.ndarray,
         target_positions: np.ndarray,
-        floor: float = DISTANCE_FLOOR,
     ):
         self.partition = partition
         dx = candidate_positions[:, None, 0] - target_positions[None, :, 0]
         dy = candidate_positions[:, None, 1] - target_positions[None, :, 1]
         self._rewards = np.zeros((len(dx) + 1, dx.shape[1]))  # a zero row -1 for absent entries
         dists = np.sqrt(dx * dx + dy * dy)
-        self.reward = np.divide(1.0, np.maximum(dists, floor), out=self._rewards[:-1])
+        self.reward = np.divide(1.0, np.maximum(dists, DISTANCE_FLOOR), out=self._rewards[:-1])
 
     def value(self, members: np.ndarray) -> np.ndarray:
         # rewards are positive, so a non-member's zero is the empty max; the
@@ -407,17 +407,15 @@ class TrackingGainObjective(SetFunction):
         partition: Partition,
         candidate_positions: np.ndarray,
         target_positions: np.ndarray,
-        process_scale: float = EKF_PROCESS_SCALE,
-        noise_var: float = EKF_NOISE_VAR,
     ):
         self.partition = partition
-        p = process_scale**2
+        p = EKF_PROCESS_SCALE**2
         self.prior_info = np.eye(2) / p  # I_j = P^{-1}, identical for all targets
         self.prior_trace = 2.0 * p
         # z from target to position, as (targets, actions); z_perp = (-dy, dx)
         dx = candidate_positions[:, 0] - target_positions[:, 0, None]
         dy = candidate_positions[:, 1] - target_positions[:, 1, None]
-        scale = noise_var * np.maximum(np.sqrt(dx * dx + dy * dy), DISTANCE_FLOOR) ** 4
+        scale = EKF_NOISE_VAR * np.maximum(np.sqrt(dx * dx + dy * dy), DISTANCE_FLOOR) ** 4
         # (xx, xy, yy, 1) as (4, targets, actions), plus an all-zero action -1 for absent entries
         self.comps = np.zeros((4, len(dx), dx.shape[1] + 1))
         self.comps[:3, :, :-1] = np.stack([dy * dy, -dy * dx, dx * dx]) / scale
@@ -459,15 +457,13 @@ class TrackingGainObjective(SetFunction):
 # ---------------------------------------------------------------------------
 
 
-def _spawn_disk(rng: np.random.Generator, count: int, radius: float = 20.0) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(count))
+def _spawn_disk(rng: np.random.Generator, count: int) -> np.ndarray:
+    r = SPAWN_RADIUS * np.sqrt(rng.random(count))
     theta = rng.uniform(0.0, 2.0 * math.pi, count)
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
 
 
-def _build_targets(
-    mix: dict[str, int], rng: np.random.Generator, horizon: int
-) -> list[Target]:
+def _build_targets(mix: dict[str, int], rng: np.random.Generator) -> list[Target]:
     positions_needed = sum(mix.values())
     spots = _spawn_disk(rng, positions_needed)
     targets = []
@@ -519,7 +515,7 @@ class _MovingTargetEnvironment:
             raise ConfigError(f"target_mix counts must be nonnegative integers, got {mix}")
         if sum(mix.values()) != n_targets:
             raise ConfigError("target_mix must sum to the number of targets")
-        targets = _build_targets(mix, self._rng, self.horizon)
+        targets = _build_targets(mix, self._rng)
         agents = _spawn_disk(self._rng, n_agents)
         self.world = TrackingWorld(agents, targets, motion, self.horizon)
         self.partition = self.world.partition()
@@ -531,10 +527,10 @@ class _MovingTargetEnvironment:
     def _objective(self) -> SetFunction:
         raise NotImplementedError
 
-    def begin_round(self, t: int) -> SetFunction:
+    def begin_round(self) -> SetFunction:
         return self._objective()
 
-    def finish_round(self, t: int, chosen: np.ndarray) -> None:
+    def finish_round(self, chosen: np.ndarray) -> None:
         self.world.apply_moves(chosen)
         step_targets(self.world, self._rng)
         if self.record_world:
@@ -585,10 +581,10 @@ class StaticEnvironment:
         self.partition = f.partition
         self.horizon = int(horizon)
 
-    def begin_round(self, t: int) -> SetFunction:
+    def begin_round(self) -> SetFunction:
         return self.f
 
-    def finish_round(self, t: int, chosen: np.ndarray) -> None:
+    def finish_round(self, chosen: np.ndarray) -> None:
         pass
 
     def trajectory_rows(self) -> list[tuple]:
@@ -639,10 +635,10 @@ class OrbitingTargetsEnvironment:
         angle = self.phases + 2.0 * math.pi * self.cycles * self.tick / self.horizon
         return self.target_radius * np.stack([np.cos(angle), np.sin(angle)], axis=1)
 
-    def begin_round(self, t: int) -> SetFunction:
+    def begin_round(self) -> SetFunction:
         return FacilityObjective(self.partition, self.sites, self._target_positions())
 
-    def finish_round(self, t: int, chosen: np.ndarray) -> None:
+    def finish_round(self, chosen: np.ndarray) -> None:
         self.tick += 1
 
     def trajectory_rows(self) -> list[tuple]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,6 +31,9 @@ from .ground import MarginalBudget, Partition, SetFunction, local_marginal_rows
 
 QUADRATURE_NODES = 64
 PROFILE_ATOL = 1e-9  # round-off a profile's masses may carry past [0, 1]
+# Largest weight rate: sample_z takes expm1(rate), which overflows a float
+# beyond ln of the largest one.
+MAX_RATE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,8 @@ class SurrogateScheme:
         e^{-1} times the min-gain vector (gain against everything else).
       * ``"weak-dr"``      -- rate ``alpha`` in (0, 1], the lower DR ratio.
       * ``"weak-sub"``     -- rate ``beta * (1 - gamma) + gamma**2`` built from
-        the two-sided submodularity ratios ``gamma`` in (0, 1], ``beta`` >= 1.
+        the two-sided submodularity ratios ``gamma`` in (0, 1] and a finite
+        ``beta`` >= 1, with the rate at most :data:`MAX_RATE`.
     """
 
     kind: str
@@ -114,8 +119,10 @@ class SurrogateScheme:
         elif self.kind == "weak-sub":
             if self.gamma is None or not (0.0 < self.gamma <= 1.0):
                 raise ValueError(f"weak-sub scheme needs gamma in (0, 1], got {self.gamma}")
-            if self.beta is None or self.beta < 1.0:
-                raise ValueError(f"weak-sub scheme needs beta >= 1, got {self.beta}")
+            if self.beta is None or not 1.0 <= self.beta < math.inf:
+                raise ValueError(f"weak-sub scheme needs a finite beta >= 1, got {self.beta}")
+            if self.rate > MAX_RATE:
+                raise ValueError(f"weak-sub rate {self.rate:g} of gamma, beta exceeds {MAX_RATE:g}")
         else:
             raise ValueError(f"unknown surrogate scheme kind {self.kind!r}")
 

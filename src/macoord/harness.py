@@ -30,7 +30,7 @@ from .learners import (
     PolicyConsensusLearner,
     RandomLearner,
 )
-from .network import CommGraph, graph_from_spec, metropolis_weights
+from .network import CommGraph, graph_from_spec
 from .envs import make_environment
 from .oracle import brute_force_opt
 
@@ -143,7 +143,6 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
             return PolicyConsensusLearner(
                 partition,
                 graph,
-                metropolis_weights(graph),
                 scheme_from_dict(doc.get("scheme")),
                 horizon=cfg.horizon,
                 seed=cfg.seed,
@@ -168,7 +167,7 @@ def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
         if kind == "random":
             return RandomLearner(partition, cfg.seed)
         if kind == "greedy":
-            return GreedyLearner(partition, cfg.seed)
+            return GreedyLearner(partition)
     raise ConfigError(f"unknown learner kind {kind!r}")
 
 
@@ -193,13 +192,13 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
     logs: list[RoundLog] = []
     cum_regret = 0.0
     for t in range(1, cfg.horizon + 1):
-        f = env.begin_round(t)
+        f = env.begin_round()
         chosen = learner.round(f, t)
         utility = float(f.value(partition.members(chosen[None]))[0])
         opt: Optional[float] = None
         regret: Optional[float] = None
         if cfg.oracle_regret:
-            _, opt = brute_force_opt(f, partition)
+            _, opt = brute_force_opt(f)
             cum_regret += cfg.rho * opt - utility
             regret = cum_regret
         logs.append(
@@ -212,7 +211,7 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
                 queries=learner.budget.total(),
             )
         )
-        env.finish_round(t, chosen)
+        env.finish_round(chosen)
     if getattr(env, "record_world", False) and cfg.out:
         write_world_trace(env.trajectory_rows(), Path(cfg.out) / "world.csv")
     return logs

@@ -10,8 +10,7 @@ idle agent.
 
 * :class:`PolicyConsensusLearner` — single projected-ascent step per round on
   a reweighted stochastic gradient, after mixing the rows through the
-  consensus matrix, ``W @ X`` (W must be symmetric doubly stochastic and
-  supported on the graph).
+  graph's Metropolis weights, ``W @ X``.
 * :class:`MetaConditionalGradientLearner` — per-round K-step conditional
   gradient whose ascent directions come from K persistent online linear
   maximizers, held as one ``(K, |V|)`` iterate matrix; each row spreads by
@@ -40,7 +39,7 @@ from .extension import (
 )
 from .geometry import normalize_policy, project_blocks
 from .ground import MarginalBudget, Partition, SetFunction, local_marginal_block
-from .network import UNREACHABLE, CommGraph, hop_distances
+from .network import UNREACHABLE, CommGraph, hop_distances, metropolis_weights
 
 _RANDOM_TAG = 0x72616E64
 
@@ -48,19 +47,6 @@ _RANDOM_TAG = 0x72616E64
 def agent_stream(seed: int, t: int, agent: int) -> np.random.Generator:
     """Independent per-(round, agent) generator; order-insensitive across agents."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(t), int(agent))))
-
-
-def _check_consensus_matrix(w: np.ndarray, graph: CommGraph, atol: float = 1e-9) -> None:
-    n = graph.n
-    if w.shape != (n, n):
-        raise ConfigError("consensus matrix has wrong shape")
-    if not np.allclose(w, w.T, atol=atol):
-        raise ConfigError("consensus matrix must be symmetric")
-    if not np.allclose(w.sum(axis=1), 1.0, atol=atol) or w.min() < -atol:
-        raise ConfigError("consensus matrix must be doubly stochastic")
-    allowed = np.isin(hop_distances(graph), (0, 1))
-    if np.abs(w[~allowed]).max(initial=0.0) > atol:
-        raise ConfigError("consensus matrix puts weight between non-neighbors")
 
 
 def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> float:
@@ -106,9 +92,8 @@ class PolicyConsensusLearner:
     partition : Partition
         Per-agent action-set sizes.
     graph : CommGraph
-        Communication topology; must match ``weights``.
-    weights : ndarray
-        Symmetric doubly-stochastic consensus matrix supported on the graph.
+        Connected communication topology; its Metropolis weights
+        (:func:`network.metropolis_weights`) are the consensus matrix.
     scheme : SurrogateScheme
         Gradient reweighting; the submodular scheme also adds the min-gain
         bonus, which the objective computes once; each agent is charged its
@@ -131,7 +116,6 @@ class PolicyConsensusLearner:
         self,
         partition: Partition,
         graph: CommGraph,
-        weights: np.ndarray,
         scheme: SurrogateScheme,
         horizon: int,
         seed: int,
@@ -142,13 +126,11 @@ class PolicyConsensusLearner:
     ):
         if graph.n != partition.n_agents:
             raise ConfigError("graph and partition disagree on the number of agents")
-        weights = np.asarray(weights, dtype=np.float64)
-        _check_consensus_matrix(weights, graph)
         if batch < 1:
             raise ConfigError("batch must be >= 1")
         self.partition = partition
         self.graph = graph
-        self.weights = weights
+        self.weights = metropolis_weights(graph)
         self.scheme = scheme
         self.seed = int(seed)
         self.batch = int(batch)
@@ -319,16 +301,14 @@ def random_baseline_round(partition: Partition, rng: np.random.Generator) -> np.
 
 
 def sequential_greedy_round(
-    f: SetFunction,
-    partition: Partition,
-    budget: Optional[MarginalBudget] = None,
+    f: SetFunction, budget: Optional[MarginalBudget] = None
 ) -> np.ndarray:
     """Agents in index order each take their best action given predecessors.
 
     Ties break to the lowest slot (argmax returns the first maximizer).
     """
-    chosen = np.full((1, partition.n_agents), -1, dtype=np.int64)
-    for i in range(partition.n_agents):
+    chosen = np.full((1, f.partition.n_agents), -1, dtype=np.int64)
+    for i in range(chosen.shape[1]):
         chosen[0, i] = np.argmax(local_marginal_block(f, i, chosen, budget)[0])
     return chosen[0]
 
@@ -354,13 +334,12 @@ class RandomLearner:
 class GreedyLearner:
     kind = "greedy"
 
-    def __init__(self, partition: Partition, seed: int = 0):
-        self.partition = partition
+    def __init__(self, partition: Partition):
         self.budget = MarginalBudget(partition.n_agents)
 
     def round(self, f: SetFunction, t: int) -> np.ndarray:
         self.budget.reset()
-        return sequential_greedy_round(f, self.partition, self.budget)
+        return sequential_greedy_round(f, self.budget)
 
     def disagreement(self) -> float:
         return 0.0

@@ -124,9 +124,7 @@ def diameter(g: CommGraph) -> int:
     return int(dist.max())
 
 
-def erdos_renyi(
-    n: int, avg_degree: float, rng: np.random.Generator, max_retries: int = ERDOS_RENYI_MAX_RETRIES
-) -> CommGraph:
+def erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> CommGraph:
     """Connected G(n, p) sample with p = avg_degree / (n - 1); resamples until
     connected (bounded retries)."""
     if n < 2:
@@ -134,13 +132,13 @@ def erdos_renyi(
     p = avg_degree / (n - 1)
     if not (0.0 < p <= 1.0):
         raise TopologyError(f"average degree {avg_degree} infeasible for n={n}")
-    for _ in range(max_retries):
+    for _ in range(ERDOS_RENYI_MAX_RETRIES):
         mask = rng.random((n, n)) < p
         g = CommGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]])
         if g.is_connected():
             return g
     raise TopologyError(
-        f"no connected sample in {max_retries} tries (n={n}, avg_degree={avg_degree})"
+        f"no connected sample in {ERDOS_RENYI_MAX_RETRIES} tries (n={n}, avg_degree={avg_degree})"
     )
 
 

@@ -27,6 +27,7 @@ from .geometry import project_blocks
 from .ground import Partition, SetFunction
 
 RATIO_MAX_ACTIONS = 12
+RATIO_ZERO_TOL = 1e-12  # a ratio's denominator at or below this counts as zero
 STATIONARITY_TOL = 1e-6
 ASCENT_STEP = 0.1
 ASCENT_MOVE_TOL = 1e-10
@@ -43,17 +44,15 @@ def feasible_sets(partition: Partition) -> np.ndarray:
     return partition.outcomes(np.arange(math.prod(partition.outcome_shape)))
 
 
-def brute_force_opt(f: SetFunction, partition: Partition) -> tuple[np.ndarray, float]:
+def brute_force_opt(f: SetFunction) -> tuple[np.ndarray, float]:
     """Best feasible selection as a slot row: the argmax of ``f.outcome_values``.
 
-    ``partition`` must be f's own.  Ties go to the first maximum in C order,
-    which is the order of :func:`feasible_sets`.
+    Ties go to the first maximum in C order, which is the order of
+    :func:`feasible_sets`.
     """
-    if partition != f.partition:
-        raise ValueError(f"partition {partition.sizes} is not the objective's {f.partition.sizes}")
     values = f.outcome_values
     best = int(np.argmax(values))
-    return partition.outcomes(np.array([best]))[0], float(values.flat[best])
+    return f.partition.outcomes(np.array([best]))[0], float(values.flat[best])
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +76,12 @@ class RatioReport:
     upper_ratio: float
 
 
-def estimate_ratios(f: SetFunction, zero_tol: float = 1e-12) -> RatioReport:
+def estimate_ratios(f: SetFunction) -> RatioReport:
     """Exact structure ratios by enumeration over all subset pairs.
 
-    Quotients whose denominator is (numerically) zero are skipped: they are
-    exactly the pairs where the defining constraint binds vacuously.
+    Quotients whose denominator is at most :data:`RATIO_ZERO_TOL` are
+    skipped: they are exactly the pairs where the defining constraint binds
+    vacuously.
     Exponential in the number of actions; guarded at 12.  Every S subset T
     pair is one base-3 code (digit 0: v outside T, 1: in T - S, 2: in S), and
     the sums over T - S add their terms lowest element first.
@@ -95,7 +95,7 @@ def estimate_ratios(f: SetFunction, zero_tol: float = 1e-12) -> RatioReport:
     gain = values[subsets | bits] - values[subsets]  # f(v|S) at [S, v]
     marg_min = np.where(subsets & bits, np.inf, gain).min(axis=0)  # min over S of f(v|S)
     singleton = gain[0]
-    curved = singleton > zero_tol
+    curved = singleton > RATIO_ZERO_TOL
     curvature = np.max(1.0 - marg_min[curved] / singleton[curved], initial=0.0)
 
     codes = np.arange(3**kappa)
@@ -110,13 +110,13 @@ def estimate_ratios(f: SetFunction, zero_tol: float = 1e-12) -> RatioReport:
     above = np.zeros(t.size)  # sum_{v in T-S} f(v|T-v)
     for v, bit in enumerate(bits.tolist()):
         at_s, at_t = gain[s, v], gain[t, v]
-        binds = (t & bit == 0) & (at_t > zero_tol)
+        binds = (t & bit == 0) & (at_t > RATIO_ZERO_TOL)
         dr_ratio = min(dr_ratio, np.min(at_s[binds] / at_t[binds], initial=1.0))
         fresh = (t & ~s & bit) != 0
         below += np.where(fresh, at_s, 0.0)
         above += np.where(fresh, gain[t ^ bit, v], 0.0)
     gap = values[t] - values[s]
-    proper = (s != t) & (gap > zero_tol)
+    proper = (s != t) & (gap > RATIO_ZERO_TOL)
     lower_ratio = np.min(below[proper] / gap[proper], initial=1.0)
     upper_ratio = np.max(above[proper] / gap[proper], initial=1.0)
     return RatioReport(
@@ -234,7 +234,7 @@ def approx_ratio_audit(
 ) -> AuditReport:
     """Compare F(pi) / OPT against a theoretical floor (OPT by brute force)."""
     value = exact_extension(f, profile)
-    opt = brute_force_opt(f, f.partition)[1]
+    opt = brute_force_opt(f)[1]
     if opt <= 0:
         raise DataError("audit needs a strictly positive optimum")
     ratio = value / opt
@@ -248,20 +248,19 @@ def approx_ratio_audit(
 
 def projected_ascent(
     f: SetFunction,
-    partition: Partition,
     objective: str = "extension",
     scheme: Optional[SurrogateScheme] = None,
     start: Optional[PolicyProfile] = None,
     step: float = ASCENT_STEP,
-    move_tol: float = ASCENT_MOVE_TOL,
     max_iters: int = ASCENT_MAX_ITERS,
 ) -> PolicyProfile:
     """Run exact projected gradient ascent to (numerical) convergence.
 
     Centralized reference dynamics: full exact gradient, simultaneous
     projected step on every block, fixed step size; stops when the iterate
-    moves less than ``move_tol`` in L2 or after ``max_iters`` steps.
+    moves less than :data:`ASCENT_MOVE_TOL` in L2 or after ``max_iters`` steps.
     """
+    partition = f.partition
     profile = start if start is not None else PolicyProfile(
         partition, np.repeat(0.5 / np.array(partition.sizes), partition.sizes)
     )
@@ -270,6 +269,6 @@ def projected_ascent(
         row = project_blocks(partition, profile.row + step * grad)
         move = float(np.linalg.norm(row - profile.row))
         profile = PolicyProfile(partition, row)
-        if move < move_tol:
+        if move < ASCENT_MOVE_TOL:
             break
     return profile

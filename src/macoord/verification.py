@@ -201,13 +201,11 @@ def stationary_point_floors() -> CheckResult:
     residuals = []
     for f in instances:
         c = estimate_ratios(f).curvature
-        prof_ext = projected_ascent(f, f.partition, "extension")
+        prof_ext = projected_ascent(f, "extension")
         prof_surr = projected_ascent(
-            f, f.partition, "surrogate", scheme=plain_scheme, step=0.3, max_iters=400
+            f, "surrogate", scheme=plain_scheme, step=0.3, max_iters=400
         )
-        prof_boost = projected_ascent(
-            f, f.partition, "surrogate+min-gain", step=0.3, max_iters=400
-        )
+        prof_boost = projected_ascent(f, "surrogate+min-gain", step=0.3, max_iters=400)
         residuals.append(
             check_stationarity(f, prof_ext, "extension").improvement
         )
@@ -253,14 +251,13 @@ def tightness_instance_escape() -> CheckResult:
     learner = PolicyConsensusLearner(
         f.partition,
         graph,
-        metropolis_weights(graph),
         SurrogateScheme.submodular(),
         horizon=500,
         seed=0,
         exact_gradient=True,
     )
     learner.set_start(trap)
-    opt = brute_force_opt(f, f.partition)[1]
+    opt = brute_force_opt(f)[1]
     escaped_value, escaped_at = -math.inf, None
     for t in range(1, 501):
         learner.round(f, t)

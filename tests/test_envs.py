@@ -124,7 +124,7 @@ def test_coverage_instance_values():
     zero_value, one_value = f.value(f.partition.members(np.array([[0] * n, [1] * n])))
     assert zero_value == pytest.approx((1 + eps) * (n - 1), abs=1e-12)
     assert one_value == pytest.approx(2 * n - k - 1, abs=1e-12)
-    opt_set, opt = brute_force_opt(f, f.partition)
+    opt_set, opt = brute_force_opt(f)
     assert opt == pytest.approx(2 * n - k - 1, abs=1e-12)
     assert opt_set.tolist() == [1] * n
 
@@ -137,7 +137,7 @@ def test_coverage_instance_parameter_guards():
     with pytest.raises(ConfigError):
         coverage_instance(3, 0.0, 1)
     f = coverage_instance(4, 0.25, 2)
-    assert brute_force_opt(f, f.partition)[1] == pytest.approx(2 * 4 - 2 - 1, abs=1e-12)
+    assert brute_force_opt(f)[1] == pytest.approx(2 * 4 - 2 - 1, abs=1e-12)
 
 
 def test_synthetic_setfn_kinds_and_guards():
@@ -394,18 +394,18 @@ def test_facility_min_gains_match_generic_path(preset, seeds):
         env = make_environment(dict(spec, horizon=10), seed)
         rng = np.random.default_rng(seed)
         for t in range(1, 4):
-            f = env.begin_round(t)
+            f = env.begin_round()
             _assert_min_gains_match_reference(f)
             moves = np.array([int(rng.integers(k)) for k in f.partition.sizes])
-            env.finish_round(t, moves)
+            env.finish_round(moves)
 
 
 def test_orbiting_min_gains_match_generic_path():
     for config in ({}, {"agents": 4, "slots": 3, "targets": 5}):
         env = OrbitingTargetsEnvironment(dict(config, horizon=40), seed=3)
         for t in range(1, 41):
-            _assert_min_gains_match_reference(env.begin_round(t))
-            env.finish_round(t, np.full(env.partition.n_agents, -1))
+            _assert_min_gains_match_reference(env.begin_round())
+            env.finish_round(np.full(env.partition.n_agents, -1))
 
 
 def test_facility_min_gains_ties_and_single_action():
@@ -824,7 +824,7 @@ def test_tracking_environment_defaults():
     env = make_environment({"kind": "tracking-gain", "agents": 4, "targets": 5}, seed=0)
     assert env.partition.sizes == (DEFAULT_HEADINGS * len(EKF_SPEEDS),) * 4
     assert all(t.kind == "brownian" for t in env.world.targets)
-    f = env.begin_round(1)
+    f = env.begin_round()
     assert isinstance(f, TrackingGainObjective)
 
 
@@ -836,8 +836,8 @@ def test_environment_world_is_seeded():
     np.testing.assert_array_equal(a.world.agents, b.world.agents)
     assert not np.array_equal(a.world.agents, c.world.agents)
     chosen = np.array([0, 1, 2])
-    a.finish_round(1, chosen)
-    b.finish_round(1, chosen)
+    a.finish_round(chosen)
+    b.finish_round(chosen)
     np.testing.assert_array_equal(a.world.target_positions(), b.world.target_positions())
 
 
@@ -866,8 +866,8 @@ def test_environment_world_trace():
         seed=0,
     )
     for t in range(1, 5):
-        env.begin_round(t)
-        env.finish_round(t, np.array([0, 0]))
+        env.begin_round()
+        env.finish_round(np.array([0, 0]))
     rows = env.trajectory_rows()
     assert len(rows) == (2 + 3) * 5  # initial snapshot plus one per tick
     tick, entity, x, y, kind = rows[0]
@@ -880,7 +880,7 @@ def test_static_environment_passthrough():
     env = make_environment({"kind": "coverage", "agents": 3, "epsilon": 0.1, "k": 1}, 0)
     assert isinstance(env, StaticEnvironment)
     rows = f.partition.members(np.array([[1, 1, 1]]))
-    assert env.begin_round(1).value(rows) == f.value(rows)
+    assert env.begin_round().value(rows) == f.value(rows)
 
 
 def test_orbiting_environment_geometry():
@@ -891,9 +891,9 @@ def test_orbiting_environment_geometry():
     assert isinstance(env, OrbitingTargetsEnvironment)
     assert env.partition.sizes == (2, 2, 2)
     assert np.linalg.norm(env.sites, axis=1) == pytest.approx(4.0, abs=1e-12)
-    f0 = env.begin_round(1)
-    env.finish_round(1, np.array([0, 0, 0]))
-    f1 = env.begin_round(2)
+    f0 = env.begin_round()
+    env.finish_round(np.array([0, 0, 0]))
+    f1 = env.begin_round()
     # targets moved, so the reward table changed but stayed bounded
     assert not np.array_equal(f0.reward, f1.reward)
     # deterministic in the seed
@@ -901,7 +901,7 @@ def test_orbiting_environment_geometry():
         {"kind": "orbiting-targets", "agents": 3, "slots": 2, "targets": 2, "horizon": 8},
         seed=1,
     )
-    np.testing.assert_array_equal(env2.begin_round(1).reward, f0.reward)
+    np.testing.assert_array_equal(env2.begin_round().reward, f0.reward)
 
 
 def test_make_environment_unknown_kind():

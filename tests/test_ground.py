@@ -21,7 +21,7 @@ from macoord.ground import (
 )
 from macoord.extension import SurrogateScheme
 from macoord.learners import PolicyConsensusLearner
-from macoord.network import CommGraph, metropolis_weights
+from macoord.network import CommGraph
 
 
 def test_partition_validation():
@@ -291,11 +291,10 @@ def test_min_gain_vector_computed_once_per_objective():
     env = StaticEnvironment(f, horizon=3)
     graph = CommGraph.complete(p.n_agents)
     learner = PolicyConsensusLearner(
-        p, graph, metropolis_weights(graph), SurrogateScheme.submodular(),
-        horizon=3, seed=0, batch=2,
+        p, graph, SurrogateScheme.submodular(), horizon=3, seed=0, batch=2,
     )
     for t in range(1, 4):
-        g = env.begin_round(t)
+        g = env.begin_round()
         assert g.min_gains.tolist() == reference
         learner.round(g, t)
         # two samples plus the bonus: three queries per slot and round

@@ -6,6 +6,7 @@ full-scale benchmark claims live in the acceptance suite.
 
 import csv
 import json
+import math
 import warnings
 
 import numpy as np
@@ -149,7 +150,7 @@ def test_run_experiment_single_round_known_value():
     )
     logs = run_experiment(cfg)
     env = make_environment({**cfg.environment, "horizon": 1}, cfg.seed)
-    f = env.begin_round(1)
+    f = env.begin_round()
     expect = f.value(f.partition.members(np.array([[0, 0]])))[0]
     assert len(logs) == 1
     assert logs[0].t == 1
@@ -339,7 +340,7 @@ def test_tracking_desk_learners_leave_their_uniform_start():
         graph = graph_from_spec(cfg.graph, env.partition.n_agents)
         learner = make_learner(cfg, env.partition, graph)
         for t in range(1, rounds + 1):
-            env.finish_round(t, learner.round(env.begin_round(t), t))
+            env.finish_round(learner.round(env.begin_round(), t))
         # largest relative move of a played probability away from 1/k
         p = env.partition
         played = normalize_policy(p, learner.played_profile().row)
@@ -492,6 +493,10 @@ def test_cli_refuses_coerced_spec_numbers(tmp_path, capsys, doc):
 _FACILITY = {"kind": "facility", "agents": 2, "targets": 2}
 
 
+def _weak_sub(gamma, beta):
+    return {"kind": "ma-spl", "scheme": {"kind": "weak-sub", "gamma": gamma, "beta": beta}}
+
+
 @pytest.mark.parametrize(
     "doc, field, section",
     [
@@ -572,9 +577,15 @@ def test_cli_rejects_non_finite_environment_values(tmp_path, capsys, environment
         (dict(CLI_DOC, environment={"kind": "coverage"},
               learner={"kind": "ma-mpl", "step_size": 1e308}), "step_size"),
         (dict(CLI_DOC, environment={"kind": "coverage", "epsilon": 1e308}), "epsilon"),
+        (dict(CLI_DOC, environment={"kind": "coverage", "agents": 2, "epsilon": 1e308}),
+         "epsilon"),
+        (dict(CLI_DOC, learner=_weak_sub(0.5, math.nan)), "beta"),
+        (dict(CLI_DOC, learner=_weak_sub(1.0, math.inf)), "beta"),
+        (dict(CLI_DOC, learner=_weak_sub(0.5, 1e308)), "beta"),
     ],
     ids=["mix-bool", "speeds-huge", "cycles-huge", "spl-step-huge", "mpl-step-huge",
-         "epsilon-huge"],
+         "epsilon-huge", "two-agent-epsilon-huge", "beta-nan", "beta-inf-rate-nan",
+         "beta-huge-rate"],
 )
 def test_cli_refuses_values_that_break_the_run(tmp_path, capsys, doc, field):
     # each of these used to run on (a bool count, utility 0.0 after an
@@ -629,7 +640,15 @@ def test_cli_bench_tiny(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["run-spl", "--bogus"], ["verify", "--seed", "0"], [], ["run-spl", "--preset", "nope"]]
+    "argv",
+    [
+        ["run-spl", "--bogus"],
+        ["verify", "--seed", "0"],
+        [],
+        ["run-spl", "--preset", "nope"],
+        ["bench", "--preset", "facility-desk", "--out", "b", "--seeds", "0"],
+        ["bench", "--preset", "facility-desk", "--out", "b", "--seeds", "-2"],
+    ],
 )
 def test_cli_usage_errors_exit_one(argv, capsys):
     # exit 2 is kept for a failed battery, so a bad invocation is told apart

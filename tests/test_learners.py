@@ -19,7 +19,7 @@ from macoord.envs import (
     coverage_instance,
     synthetic_setfn,
 )
-from macoord.errors import ConfigError
+from macoord.errors import ConfigError, TopologyError
 from macoord.extension import (
     PolicyProfile,
     SurrogateScheme,
@@ -126,9 +126,7 @@ def test_play_clamps_round_off_to_last_slot():
 
 def _spl(partition, graph, scheme=None, **kw):
     scheme = scheme or SurrogateScheme.submodular()
-    return PolicyConsensusLearner(
-        partition, graph, metropolis_weights(graph), scheme, horizon=100, seed=0, **kw
-    )
+    return PolicyConsensusLearner(partition, graph, scheme, horizon=100, seed=0, **kw)
 
 
 def test_spl_constructor_validations():
@@ -138,31 +136,14 @@ def test_spl_constructor_validations():
         _spl(p, CommGraph.path(3))  # agent-count mismatch
     with pytest.raises(ConfigError):
         _spl(p, g2, batch=0)
+    with pytest.raises(TopologyError):  # Metropolis weights need a connected graph
+        _spl(p, CommGraph(2, []))
     # the step must be finite and positive, whether given or derived from eta0
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             _spl(p, g2, eta0=bad)
         with pytest.raises(ConfigError):
             _spl(p, g2, step_size=bad)
-    w = metropolis_weights(g2)
-    bad_sym = w.copy()
-    bad_sym[0, 1] += 0.2
-    with pytest.raises(ConfigError):
-        PolicyConsensusLearner(p, g2, bad_sym, SurrogateScheme.submodular(), 10, 0)
-    bad_rows = w * 0.9
-    with pytest.raises(ConfigError):
-        PolicyConsensusLearner(p, g2, bad_rows, SurrogateScheme.submodular(), 10, 0)
-    # weight on a non-edge of a 3-path
-    g3 = CommGraph.path(3)
-    w3 = metropolis_weights(g3)
-    w3[0, 2] += 0.1
-    w3[2, 0] += 0.1
-    w3[0, 0] -= 0.1
-    w3[2, 2] -= 0.1
-    with pytest.raises(ConfigError):
-        PolicyConsensusLearner(
-            Partition((2, 2, 2)), g3, w3, SurrogateScheme.submodular(), 10, 0
-        )
 
 
 def test_spl_initial_state_and_set_start():
@@ -186,7 +167,6 @@ def test_spl_single_agent_exact_gradient_finds_modular_argmax():
     learner = PolicyConsensusLearner(
         p,
         g,
-        metropolis_weights(g),
         SurrogateScheme.submodular(),
         horizon=50,
         seed=0,
@@ -287,7 +267,7 @@ def test_spl_improves_on_coverage_trap_instance():
     for t in range(1, 201):
         learner.round(f, t)
     value = exact_extension(f, learner.played_profile())
-    opt = brute_force_opt(f, f.partition)[1]
+    opt = brute_force_opt(f)[1]
     assert value >= 0.9 * opt
 
 
@@ -394,7 +374,7 @@ def test_random_baseline_uniform_and_total():
 
 def test_sequential_greedy_escapes_coverage_trap():
     f = coverage_instance(3, 0.1, 1)
-    s = sequential_greedy_round(f, f.partition)
+    s = sequential_greedy_round(f)
     assert s.tolist() == [1, 1, 1]
     assert f.value(f.partition.members(s[None]))[0] == pytest.approx(4.0, abs=1e-12)
 
@@ -402,7 +382,7 @@ def test_sequential_greedy_escapes_coverage_trap():
 def test_sequential_greedy_tie_breaks_to_lowest_slot():
     p = Partition((3, 2))
     f = ModularFunction(p, np.array([2.0, 2.0, 2.0, 1.0, 1.0]))
-    assert sequential_greedy_round(f, p).tolist() == [0, 0]
+    assert sequential_greedy_round(f).tolist() == [0, 0]
 
 
 def test_sequential_greedy_curvature_guarantee():
@@ -410,9 +390,9 @@ def test_sequential_greedy_curvature_guarantee():
     rng = np.random.default_rng(6)
     for _ in range(20):
         f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
-        greedy = sequential_greedy_round(f, f.partition)
+        greedy = sequential_greedy_round(f)
         greedy_val = f.value(f.partition.members(greedy[None]))[0]
-        opt = brute_force_opt(f, f.partition)[1]
+        opt = brute_force_opt(f)[1]
         c = estimate_ratios(f).curvature
         assert greedy_val >= opt / (1.0 + c) - 1e-9
 
@@ -425,7 +405,7 @@ def test_learner_wrappers():
     np.testing.assert_array_equal(s1, s2)  # same round, same seed, same draw
     assert rand.disagreement() == 0.0
     greedy = GreedyLearner(p)
-    np.testing.assert_array_equal(greedy.round(f, 1), sequential_greedy_round(f, p))
+    np.testing.assert_array_equal(greedy.round(f, 1), sequential_greedy_round(f))
     assert greedy.disagreement() == 0.0
     assert greedy.budget.per_agent().tolist() == [3, 3]
 
@@ -499,14 +479,6 @@ def _reference_spl_round(learner, f, t):
     return chosen
 
 
-def _metropolis_any(g):
-    """Metropolis weights without the connectivity check: per component."""
-    w = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        w[u, v] = w[v, u] = 1.0 / (1.0 + max(g.degree(u), g.degree(v)))
-    return w + np.diag(1.0 - w.sum(axis=1))
-
-
 GRAPH_KINDS = ("path", "cycle", "star", "complete", "erdos-renyi", "split")
 
 
@@ -572,9 +544,10 @@ def test_loop_free_rounds_equal_loop_references(kind, data):
         )
         for _ in range(2)
     ]
-    spl = [
+    # Metropolis weights need a connected graph: the split graph runs MPL alone
+    spl = [] if kind == "split" else [
         PolicyConsensusLearner(
-            p, g, _metropolis_any(g), case["scheme"], horizon=10, seed=case["seed"],
+            p, g, case["scheme"], horizon=10, seed=case["seed"],
             batch=case["batch"], step_size=0.3,
         )
         for _ in range(2)
@@ -592,7 +565,8 @@ def test_loop_free_rounds_equal_loop_references(kind, data):
         assert mpl[0].disagreement() == worst
         np.testing.assert_array_equal(mpl[0].budget.per_agent(), mpl[1].budget.per_agent())
 
-        np.testing.assert_array_equal(spl[0].round(f, t), _reference_spl_round(spl[1], f, t))
-        assert spl[0].policies.tobytes() == spl[1].policies.tobytes()
-        assert spl[0].disagreement() == spl[1].disagreement()
-        np.testing.assert_array_equal(spl[0].budget.per_agent(), spl[1].budget.per_agent())
+        if spl:
+            np.testing.assert_array_equal(spl[0].round(f, t), _reference_spl_round(spl[1], f, t))
+            assert spl[0].policies.tobytes() == spl[1].policies.tobytes()
+            assert spl[0].disagreement() == spl[1].disagreement()
+            np.testing.assert_array_equal(spl[0].budget.per_agent(), spl[1].budget.per_agent())

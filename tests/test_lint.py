@@ -72,3 +72,128 @@ def test_unreferenced_function_scan_finds_planted_names():
 
 def test_no_function_is_only_called_by_tests():
     assert _unreferenced_functions({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def _functions(sources: dict[str, str]):
+    """``(module, class or None, def)`` of every module-level function and
+    every method of the package sources."""
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            body = node.body if isinstance(node, (ast.Module, ast.ClassDef)) else ()
+            for stmt in body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield module, getattr(node, "name", None), stmt
+
+
+def _positional(fn, cls) -> list:
+    """The parameters a call fills by position (a method's ``self``/``cls`` dropped)."""
+    params = fn.args.posonlyargs + fn.args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    return params[1:] if cls is not None and not static else params
+
+
+def _label(module, cls, fn, param) -> str:
+    return f"{module}.{cls + '.' if cls else ''}{fn.name}({param})"
+
+
+def _unread_parameters(sources: dict[str, str]) -> list[str]:
+    """``module.[Class.]function(param)`` of every parameter its body never
+    reads.  A body that only raises NotImplementedError reads nothing by
+    design.  A method is one of a protocol: its parameter counts as read if
+    any same-named method of the package reads it (``round(f, t)``), except
+    ``__init__``, which stands for its own class alone."""
+    params, read = [], set()
+    for module, cls, fn in _functions(sources):
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if len(body) == 1 and isinstance(body[0], ast.Raise):
+            if "NotImplementedError" in ast.unparse(body[0]):
+                continue
+        a = fn.args
+        names = [p.arg for p in _positional(fn, cls) + a.kwonlyargs]
+        names += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        if cls is None:
+            key = (module, fn.name)
+        else:
+            key = (cls, fn.name) if fn.name == "__init__" else fn.name
+        loads = {
+            n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        read.update((key, name) for name in names if name in loads)
+        params.extend((key, name, _label(module, cls, fn, name)) for name in names)
+    return sorted(label for key, name, label in params if (key, name) not in read)
+
+
+def test_unread_parameter_scan_finds_planted_names():
+    sources = {
+        "a": "def f(x, unused, *rest):\n    return x + sum(rest)\n"
+        "class Env:\n    def step(self, t, chosen):\n        return chosen\n"
+        "    def __init__(self, seed):\n        pass\n"
+        "class Static:\n    def step(self, t, chosen):\n        pass\n"
+        "    def __init__(self, seed):\n        self.seed = seed\n"
+        "class Base:\n    def value(self, members):\n        \"\"\"Doc.\"\"\"\n"
+        "        raise NotImplementedError\n",
+    }
+    assert _unread_parameters(sources) == ["a.Env.__init__(seed)", "a.Env.step(t)",
+                                           "a.Static.step(t)", "a.f(unused)"]
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def _unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """``module.[Class.]function(param)`` of every defaulted parameter that no
+    call in the sources passes, by keyword, by position or through ``*`` or
+    ``**``.  Calls match by the function's name, or by the class name for
+    ``__init__``: a name shared by several functions counts every call."""
+    calls: dict[str, list] = {}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module, cls, fn in _functions(sources):
+        positional = _positional(fn, cls)
+        first = len(positional) - len(fn.args.defaults)
+        defaulted = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+        defaulted += [
+            (None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+        ]
+        sites = calls.get(cls if fn.name == "__init__" else fn.name, [])
+        for index, name in defaulted:
+            if not any(
+                any(k.arg in (name, None) for k in call.keywords)
+                or any(isinstance(x, ast.Starred) for x in call.args)
+                or (index is not None and len(call.args) > index)
+                for call in sites
+            ):
+                unpassed.append(_label(module, cls, fn, name))
+    return sorted(unpassed)
+
+
+def test_unpassed_default_scan_finds_planted_names():
+    sources = {
+        "a": "def f(x, by_pos=1, by_kw=2, never=3, *, kw_only=4):\n    pass\n"
+        "def g(x, star=1, double=2):\n    pass\n"
+        "class C:\n    def __init__(self, a=1, b=2):\n        pass\n"
+        "    @staticmethod\n    def make(k=1):\n        pass\n",
+        "b": "f(0, 1, by_kw=2)\ng(*xs)\ng(0, **kw)\nC(5)\nC.make(2)\n",
+    }
+    assert _unpassed_defaults(sources) == ["a.C.__init__(b)", "a.f(kw_only)", "a.f(never)"]
+
+
+# Defaulted parameters that the package never passes, kept on purpose.
+UNPASSED_ALLOWED = {
+    "cli.main(argv)": "tests and the console script pass the arguments",
+    "extension.exact_surrogate_gradient(nodes)": "the quadrature-convergence test varies it",
+    "oracle.projected_ascent(start)": "the trap-start tests launch ascent at a vertex",
+    "oracle.stationary_point_floor(dr_ratio)": "the paper's weak-DR floors, audited in tests",
+    "oracle.stationary_point_floor(lower_ratio)": "the paper's weak-submodular floors, audited",
+    "oracle.stationary_point_floor(upper_ratio)": "the paper's weak-submodular floors, audited",
+}
+
+
+def test_every_default_is_passed_somewhere():
+    unpassed = _unpassed_defaults({p.stem: p.read_text() for p in MODULES})
+    assert unpassed == sorted(UNPASSED_ALLOWED)

@@ -92,7 +92,7 @@ def test_brute_force_opt_matches_itertools_oracle():
                 )
             ),
         )
-        opt_set, opt = brute_force_opt(f, f.partition)
+        opt_set, opt = brute_force_opt(f)
         assert opt == pytest.approx(best, abs=1e-12)
         assert _value(f, opt_set) == opt
 
@@ -100,14 +100,14 @@ def test_brute_force_opt_matches_itertools_oracle():
 def test_brute_force_opt_tie_breaks_lexicographically():
     p = Partition((2, 2))
     f = ModularFunction(p, np.zeros(4))
-    opt_set, opt = brute_force_opt(f, p)
+    opt_set, opt = brute_force_opt(f)
     assert opt == 0.0
     assert opt_set.tolist() == [-1, -1]
 
 
 def test_brute_force_opt_ties_away_from_empty_set():
     p = Partition((2, 2))
-    opt_set, opt = brute_force_opt(ModularFunction(p, np.array([1.0, 1.0, 0.5, 0.5])), p)
+    opt_set, opt = brute_force_opt(ModularFunction(p, np.array([1.0, 1.0, 0.5, 0.5])))
     assert (opt_set.tolist(), opt) == ([0, 0], 1.5)
     # against the first strict improvement in enumeration order, on
     # 0/1 weights, where many selections tie
@@ -121,14 +121,8 @@ def test_brute_force_opt_ties_away_from_empty_set():
             v = _value(f, s)
             if v > best:
                 best_set, best = s, v
-        got_set, got = brute_force_opt(f, part)
+        got_set, got = brute_force_opt(f)
         assert (got_set.tolist(), got) == (best_set.tolist(), best)
-
-
-def test_brute_force_opt_rejects_foreign_partition():
-    f = ModularFunction(Partition((2, 2)), np.ones(4))
-    with pytest.raises(ValueError):
-        brute_force_opt(f, Partition((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +419,7 @@ def test_approx_ratio_audit_needs_positive_opt():
 def test_projected_ascent_on_modular_reaches_argmax():
     p = Partition((3,))
     f = ModularFunction(p, np.array([1.0, 3.0, 2.0]))
-    prof = projected_ascent(f, p)
+    prof = projected_ascent(f)
     np.testing.assert_allclose(prof.blocks[0], [0.0, 1.0, 0.0], atol=1e-8)
 
 
@@ -433,7 +427,7 @@ def test_projected_ascent_respects_start_and_iteration_cap():
     p = Partition((2,))
     f = ModularFunction(p, np.array([0.0, 1.0]))
     start = _indicator(p, [0])
-    frozen = projected_ascent(f, p, start=start, max_iters=0)
+    frozen = projected_ascent(f, start=start, max_iters=0)
     np.testing.assert_allclose(frozen.blocks[0], start.blocks[0], atol=0)
 
 
@@ -443,7 +437,7 @@ def test_projected_ascent_stays_at_trap_vertex():
     f = coverage_instance(3, 0.1, 1)
     trap = _indicator(f.partition, [0, 0, 0])
     assert check_stationarity(f, trap, tol=1e-9).stationary
-    stuck = projected_ascent(f, f.partition, start=trap, max_iters=200)
+    stuck = projected_ascent(f, start=trap, max_iters=200)
     for b, tb in zip(stuck.blocks, trap.blocks):
         np.testing.assert_allclose(b, tb, atol=1e-9)
 
