@@ -14,7 +14,11 @@ F this module provides reweighted ("surrogate") gradients
     int_0^1 w(z) grad F(z * pi) dz,      w(z) = exp(rate * (z - 1)),
 
 whose stationary points carry better worst-case guarantees, plus the
-Monte-Carlo estimators the learners consume.
+Monte-Carlo estimators the learners consume.  With n agents each partial
+derivative of F(z * pi) is a polynomial in z of degree below n, so the
+exact surrogate gradient needs only n quadrature nodes: the Gauss-Legendre
+nodes on [0, 1], weighted to reproduce the 64-node Gauss-Legendre integral
+of w times any such polynomial.
 """
 
 from __future__ import annotations
@@ -184,7 +188,7 @@ def sample_rows(partition: Partition, rows: np.ndarray, u: np.ndarray) -> np.nda
     if u.ndim != 2 or u.shape[1] != n or len(u) % m:
         raise ValueError(f"expected uniforms of shape ({m} * L, {n}), got {u.shape}")
     cumulative = np.cumsum(partition.pad(rows, np.inf), axis=-1).reshape(m, 1, n, -1)
-    idx = np.count_nonzero(cumulative <= u.reshape(m, -1, n, 1), axis=-1).reshape(u.shape)
+    idx = (cumulative <= u.reshape(m, -1, n, 1)).sum(axis=-1).reshape(u.shape)
     return np.where(idx < partition.sizes, idx, -1)
 
 
@@ -216,6 +220,33 @@ def _gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return zs, ws
 
 
+@functools.lru_cache(maxsize=64)
+def _surrogate_rule(n: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes z_q and weights nu_q of the n-node rule for
+    int_0^1 exp(rate (z - 1)) p(z) dz, exact for every p of degree below n.
+
+    The z_q are the n Gauss-Legendre nodes on [0, 1] and nu_q is the
+    :data:`QUADRATURE_NODES`-node Gauss-Legendre sum of w times the Lagrange
+    basis polynomial l_q, so the rule reproduces that sum on such p up to
+    round-off.  Computed once per (n, rate).
+    """
+    zs, _ = _gauss_legendre_01(n)
+    zr, wr = _gauss_legendre_01(QUADRATURE_NODES)
+    basis = np.empty((len(zr), n))  # [r, q] = l_q(z_r)
+    for q in range(n):
+        others = np.delete(zs, q)
+        basis[:, q] = np.prod((zr[:, None] - others) / (zs[q] - others), axis=1)
+    ws = (wr * np.exp(rate * (zr - 1.0))) @ basis
+    ws.flags.writeable = False
+    return zs, ws
+
+
+@functools.cache
+def _others(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per agent i, the other agents in order."""
+    return tuple(tuple(j for j in range(n) if j != i) for i in range(n))
+
+
 _UNSCALED = np.ones(1)  # the single node z = 1: the profile itself
 
 
@@ -231,15 +262,15 @@ def _outcome_weights(partition: Partition, rows: np.ndarray, zs: np.ndarray) -> 
 def _expectation(table: np.ndarray, w: np.ndarray, agents: Sequence[int]) -> np.ndarray:
     """Contract the leading axes of ``table``, one per agent in ``agents`` in
     order, with its outcome probabilities in ``w`` (``(nodes, n, k_max + 1)``),
-    to ``(nodes, *trailing axes)``: row q is the expectation at node q.  The
-    first step holds ``nodes`` times ``table.size / table.shape[0]`` entries,
-    the largest intermediate."""
+    to ``(1 or nodes, trailing size)``: row q is the expectation at node q,
+    one row standing for every node when ``agents`` is empty.  The first
+    step holds ``nodes`` times ``table.size / table.shape[0]`` entries, the
+    largest intermediate."""
     out = table.reshape(1, -1)
     for axis, j in enumerate(agents):
         wj = w[:, j, : table.shape[axis]]
         out = np.matmul(wj[:, None, :], out.reshape(len(out), wj.shape[1], -1))[:, 0]
-    out = np.broadcast_to(out, (len(w), out.shape[1]))
-    return out.reshape((len(w),) + table.shape[len(agents) :])
+    return out
 
 
 def _row(f: SetFunction, profile: PolicyProfile, stack: bool = False) -> np.ndarray:
@@ -255,11 +286,11 @@ def _gradient(f: SetFunction, profile: PolicyProfile, zs: np.ndarray, ws=None) -
     """Flat gradient, block i at agent i's view (the row, or row i of a
     stack): agent i's :attr:`SetFunction.slot_gains` against the other
     blocks' outcome probabilities at every node, summed against ``ws``."""
-    p, n = f.partition, f.partition.n_agents
-    w = _outcome_weights(p, np.broadcast_to(_row(f, profile, stack=True), (n, p.total)), zs)
+    p, rows = f.partition, _row(f, profile, stack=True)
+    w = _outcome_weights(p, rows, zs)
     grad = np.empty(p.total)
-    for i, gains in enumerate(f.slot_gains):
-        g = _expectation(gains, w[:, i], [j for j in range(n) if j != i])
+    for i, (gains, others) in enumerate(zip(f.slot_gains, _others(p.n_agents))):
+        g = _expectation(gains, w[:, i] if rows.ndim == 2 else w, others)
         grad[p.offsets[i] : p.offsets[i + 1]] = g[0] if ws is None else ws @ g
     return grad
 
@@ -270,7 +301,7 @@ def exact_extension(f: SetFunction, profile: PolicyProfile) -> float:
     guarded by :meth:`Partition.check_enumerable` on prod_i (size_i + 1).
     """
     w = _outcome_weights(f.partition, _row(f, profile), _UNSCALED)
-    return float(_expectation(f.outcome_values, w, range(f.partition.n_agents))[0])
+    return float(_expectation(f.outcome_values, w, range(f.partition.n_agents))[0, 0])
 
 
 def exact_gradient(f: SetFunction, profile: PolicyProfile) -> np.ndarray:
@@ -281,22 +312,20 @@ def exact_gradient(f: SetFunction, profile: PolicyProfile) -> np.ndarray:
 
 
 def exact_surrogate_gradient(
-    f: SetFunction,
-    profile: PolicyProfile,
-    scheme: SurrogateScheme,
-    nodes: int = QUADRATURE_NODES,
+    f: SetFunction, profile: PolicyProfile, scheme: SurrogateScheme
 ) -> np.ndarray:
-    """Quadrature evaluation of the reweighted gradient as a flat row, on a
-    row or a stack of views as in :func:`exact_gradient`.
+    """The reweighted gradient int_0^1 w(z) grad F(z pi) dz as a flat row, on
+    a row or a stack of views as in :func:`exact_gradient`.
 
-    Gauss-Legendre on [0, 1], every node in one contraction; the integrand
-    is smooth (a polynomial in z of degree < |V| times an exponential
-    weight), so 64 nodes are far beyond the accuracy needed at desk scale.
-    For the submodular scheme the min-gain bonus e^{-1} f(v | V - {v}) is
-    added to every coordinate.
+    F is multilinear, so each partial derivative at z pi is a polynomial in z
+    of degree below n, the number of agents.  The n-node rule of
+    :func:`_surrogate_rule` integrates w times such a polynomial exactly, all
+    n nodes in one contraction, and so equals the 64-node Gauss-Legendre sum
+    up to round-off.  For the submodular scheme the min-gain bonus
+    e^{-1} f(v | V - {v}) is added to every coordinate.
     """
-    zs, ws = _gauss_legendre_01(nodes)
-    grad = _gradient(f, profile, zs, ws * scheme.weight(zs))
+    zs, ws = _surrogate_rule(f.partition.n_agents, scheme.rate)
+    grad = _gradient(f, profile, zs, ws)
     if scheme.adds_min_gain:
         grad += math.exp(-1.0) * f.min_gains
     return grad

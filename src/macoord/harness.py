@@ -361,6 +361,8 @@ def run_bench(
         raise ConfigError(
             f"preset {preset!r} has no bench matrix; available: {sorted(BENCH_MATRICES)}"
         )
+    if not seeds:
+        raise ConfigError("bench needs at least one seed")
     base = resolve_preset(preset)
     out_dir = Path(out_dir)
     summary: dict = {"preset": preset, "seeds": list(seeds), "learners": {}}

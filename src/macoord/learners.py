@@ -45,8 +45,21 @@ _RANDOM_TAG = 0x72616E64
 
 
 def agent_stream(seed: int, t: int, agent: int) -> np.random.Generator:
-    """Independent per-(round, agent) generator; order-insensitive across agents."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(t), int(agent))))
+    """Independent per-(round, agent) generator; order-insensitive across agents.
+
+    The stream of ``default_rng(SeedSequence((seed, t, agent)))``, seeded from
+    the uint32 words numpy splits that tuple into (each int little-endian, 0
+    as one zero word), which skips its per-element coercion.
+    """
+    words = []
+    for x in (int(seed), int(t), int(agent)):
+        if x < 0:
+            raise ValueError(f"expected non-negative integers, got {(seed, t, agent)}")
+        words.append(x & 0xFFFFFFFF)
+        while x := x >> 32:
+            words.append(x & 0xFFFFFFFF)
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(entropy))
 
 
 def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> float:

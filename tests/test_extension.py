@@ -21,6 +21,7 @@ from macoord.envs import (
 )
 from macoord.errors import InvalidActionError, ScaleError
 from macoord.extension import (
+    MAX_RATE,
     PolicyProfile,
     SurrogateScheme,
     exact_extension,
@@ -29,6 +30,7 @@ from macoord.extension import (
     sample_choices,
     sample_slots,
     sampled_gradients,
+    _surrogate_rule,
 )
 from macoord.ground import MarginalBudget, Partition, local_marginal_block
 from macoord.oracle import feasible_sets
@@ -637,9 +639,15 @@ def _loop_gradient(f, views, zs, node_weights=None):
     return np.concatenate(grad)
 
 
+# the weak-sub rate nearest MAX_RATE that gamma in (0, 1] and beta >= 1 reach
+# here: w(z) = exp(rate (z - 1)) all but vanishes away from z = 1
+STEEP = SurrogateScheme.weak_sub(gamma=1e-3, beta=MAX_RATE)
+
+
 @st.composite
 def view_cases(draw):
-    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    n = draw(st.integers(1, 8))
+    sizes = tuple(draw(st.lists(st.integers(1, 4 if n <= 4 else 2), min_size=n, max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = Partition(sizes)
     if draw(st.booleans()):
@@ -651,22 +659,30 @@ def view_cases(draw):
         for _ in sizes
     ]
     stacked = draw(st.booleans())
-    return f, np.array(views) if stacked else views[0], draw(st.sampled_from(SCHEMES))
+    return f, np.array(views) if stacked else views[0], draw(st.sampled_from(SCHEMES + (STEEP,)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(view_cases(), st.sampled_from((1, 64)))
-def test_exact_gradients_equal_per_agent_reference(case, nodes):
+@given(view_cases())
+def test_exact_gradients_equal_per_agent_reference(case):
+    """The batched contraction is the per-agent one bit for bit, at z = 1 and
+    at the surrogate rule's own nodes and weights; the n-node rule agrees with
+    the 64-node Gauss-Legendre sum to 1e-12 relative."""
     f, row, scheme = case
+    n = f.partition.n_agents
+    assert STEEP.rate > 0.998 * MAX_RATE
     prof = PolicyProfile(f.partition, row)
-    views = np.broadcast_to(prof.row, (f.partition.n_agents, f.partition.total))
+    views = np.broadcast_to(prof.row, (n, f.partition.total))
     assert exact_gradient(f, prof).tobytes() == _loop_gradient(f, views, np.ones(1)).tobytes()
-    zs, ws = gauss_legendre_01(nodes)
-    expect = _loop_gradient(f, views, zs, ws * scheme.weight(zs))
-    if scheme.adds_min_gain:
-        expect += math.exp(-1.0) * f.min_gains
-    got = exact_surrogate_gradient(f, prof, scheme, nodes)
-    assert got.tobytes() == expect.tobytes()
+    bonus = math.exp(-1.0) * f.min_gains if scheme.adds_min_gain else 0.0
+    got = exact_surrogate_gradient(f, prof, scheme)
+    zs, ws = _surrogate_rule(n, scheme.rate)
+    assert len(zs) == n
+    assert got.tobytes() == (_loop_gradient(f, views, zs, ws) + bonus).tobytes()
+    zs, ws = gauss_legendre_01(64)
+    expect = _loop_gradient(f, views, zs, ws * scheme.weight(zs)) + bonus
+    scale = max(np.abs(expect).max(), 1e-300)
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_exact_gradients_refuse_stacks_of_other_heights():

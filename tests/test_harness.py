@@ -323,6 +323,14 @@ def test_run_bench_tiny_matrix(tmp_path):
         run_bench("facility-full", tmp_path)  # no bench matrix for this preset
 
 
+def test_run_bench_refuses_empty_seeds(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="at least one seed"):
+            run_bench("facility-desk", tmp_path / "bench", seeds=())
+    assert not (tmp_path / "bench").exists()
+
+
 def test_tracking_desk_learners_leave_their_uniform_start():
     # the learners step by eta0 / sqrt(T), which is sized for gradients of
     # order one; a reward in units too small for it leaves the played

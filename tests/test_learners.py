@@ -33,6 +33,7 @@ from macoord.learners import (
     MetaConditionalGradientLearner,
     PolicyConsensusLearner,
     RandomLearner,
+    _RANDOM_TAG,
     _play,
     agent_stream,
     random_baseline_round,
@@ -54,6 +55,21 @@ def test_agent_stream_determinism():
     assert not np.array_equal(a, agent_stream(7, 3, 2).random(4))
     assert not np.array_equal(a, agent_stream(7, 4, 1).random(4))
     assert not np.array_equal(a, agent_stream(8, 3, 1).random(4))
+
+
+def test_agent_stream_is_numpys_tuple_seeded_stream():
+    rng = np.random.default_rng(41)
+    triples = [(int(s), int(t), int(a)) for s, t, a in rng.integers(0, 2**16, (150, 3))]
+    triples += [(int(s), 0, int(a)) for s, a in rng.integers(0, 2**63, (30, 2), dtype=np.uint64)]
+    triples += [(2**32 + i, i, _RANDOM_TAG) for i in range(10)]
+    triples += [(s, t, a) for s in (0, 2**32 - 1, 2**32, 2**64 + 3) for t in (0, 1) for a in (0, 5)]
+    triples += [(0, 0, 0), (7, 2**40, 1), (1, 1, _RANDOM_TAG)]
+    assert len(set(triples)) >= 200
+    for seed, t, agent in triples:
+        expect = np.random.default_rng(np.random.SeedSequence((seed, t, agent))).random(3)
+        np.testing.assert_array_equal(agent_stream(seed, t, agent).random(3), expect)
+    with pytest.raises(ValueError):
+        agent_stream(-1, 0, 0)
 
 
 # ---------------------------------------------------------------------------

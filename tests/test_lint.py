@@ -186,7 +186,6 @@ def test_unpassed_default_scan_finds_planted_names():
 # Defaulted parameters that the package never passes, kept on purpose.
 UNPASSED_ALLOWED = {
     "cli.main(argv)": "tests and the console script pass the arguments",
-    "extension.exact_surrogate_gradient(nodes)": "the quadrature-convergence test varies it",
     "oracle.projected_ascent(start)": "the trap-start tests launch ascent at a vertex",
     "oracle.stationary_point_floor(dr_ratio)": "the paper's weak-DR floors, audited in tests",
     "oracle.stationary_point_floor(lower_ratio)": "the paper's weak-submodular floors, audited",
