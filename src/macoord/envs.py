@@ -576,19 +576,15 @@ class TrackingGainEnvironment(_MovingTargetEnvironment):
 class StaticEnvironment:
     """Wraps a fixed set function as a (trivially stationary) environment."""
 
-    def __init__(self, f: SetFunction, horizon: int):
+    def __init__(self, f: SetFunction):
         self.f = f
         self.partition = f.partition
-        self.horizon = int(horizon)
 
     def begin_round(self) -> SetFunction:
         return self.f
 
     def finish_round(self, chosen: np.ndarray) -> None:
         pass
-
-    def trajectory_rows(self) -> list[tuple]:
-        return []
 
 
 class OrbitingTargetsEnvironment:
@@ -641,9 +637,6 @@ class OrbitingTargetsEnvironment:
     def finish_round(self, chosen: np.ndarray) -> None:
         self.tick += 1
 
-    def trajectory_rows(self) -> list[tuple]:
-        return []
-
 
 def make_environment(spec: dict, seed: int):
     """Environment factory keyed on ``spec["kind"]``."""
@@ -661,7 +654,7 @@ def make_environment(spec: dict, seed: int):
             config_field(spec, "epsilon", float, 0.1),
             config_field(spec, "k", int, 1),
         )
-        return StaticEnvironment(f, config_field(spec, "horizon", int, 500))
+        return StaticEnvironment(f)
     if kind == "synthetic":
         check_fields("environment", spec, ("kind", "horizon", "objective", "sizes"))
         rng = np.random.default_rng(
@@ -672,5 +665,5 @@ def make_environment(spec: dict, seed: int):
             tuple(config_value("sizes", k, int) for k in spec.get("sizes", (2, 2, 2))),
             rng,
         )
-        return StaticEnvironment(f, config_field(spec, "horizon", int, 300))
+        return StaticEnvironment(f)
     raise ConfigError(f"unknown environment kind {kind!r}")

@@ -74,10 +74,6 @@ class PolicyProfile:
         object.__setattr__(self, "row", row)
 
     @staticmethod
-    def zeros(partition: Partition) -> "PolicyProfile":
-        return PolicyProfile(partition, np.zeros(partition.total))
-
-    @staticmethod
     def uniform(partition: Partition) -> "PolicyProfile":
         """Uniform distribution on each agent's own actions (no idle mass)."""
         return PolicyProfile(partition, np.repeat(1.0 / np.array(partition.sizes), partition.sizes))
@@ -90,74 +86,49 @@ class PolicyProfile:
     def n_agents(self) -> int:
         return self.partition.n_agents
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """Read-only views of the agents' blocks (columns of a stack)."""
-        return tuple(np.split(self.row, self.partition.offsets[1:-1], axis=-1))
-
 
 @dataclass(frozen=True)
 class SurrogateScheme:
-    """Reweighting scheme for surrogate gradients.
+    """Reweighting of surrogate gradients by w(z) = exp(rate * (z - 1)),
+    0 < rate <= :data:`MAX_RATE`.  Built for the structure it suits:
 
-    kind:
-      * ``"submodular"``   -- rate 1; pairs with a per-coordinate bonus of
-        e^{-1} times the min-gain vector (gain against everything else).
-      * ``"weak-dr"``      -- rate ``alpha`` in (0, 1], the lower DR ratio.
-      * ``"weak-sub"``     -- rate ``beta * (1 - gamma) + gamma**2`` built from
+      * :meth:`submodular` -- rate 1, plus a per-coordinate bonus of e^{-1}
+        times the min-gain vector (gain against everything else);
+      * :meth:`weak_dr` -- rate ``alpha`` in (0, 1], the lower DR ratio;
+      * :meth:`weak_sub` -- rate ``beta * (1 - gamma) + gamma**2`` built from
         the two-sided submodularity ratios ``gamma`` in (0, 1] and a finite
-        ``beta`` >= 1, with the rate at most :data:`MAX_RATE`.
+        ``beta`` >= 1.
+
+    Wherever a scheme is taken, ``None`` selects the plain extension F.
     """
 
-    kind: str
-    alpha: Optional[float] = None
-    gamma: Optional[float] = None
-    beta: Optional[float] = None
+    rate: float
+    adds_min_gain: bool
 
     def __post_init__(self) -> None:
-        if self.kind == "submodular":
-            pass
-        elif self.kind == "weak-dr":
-            if self.alpha is None or not (0.0 < self.alpha <= 1.0):
-                raise ValueError(f"weak-dr scheme needs alpha in (0, 1], got {self.alpha}")
-        elif self.kind == "weak-sub":
-            if self.gamma is None or not (0.0 < self.gamma <= 1.0):
-                raise ValueError(f"weak-sub scheme needs gamma in (0, 1], got {self.gamma}")
-            if self.beta is None or not 1.0 <= self.beta < math.inf:
-                raise ValueError(f"weak-sub scheme needs a finite beta >= 1, got {self.beta}")
-            if self.rate > MAX_RATE:
-                raise ValueError(f"weak-sub rate {self.rate:g} of gamma, beta exceeds {MAX_RATE:g}")
-        else:
-            raise ValueError(f"unknown surrogate scheme kind {self.kind!r}")
+        if not 0.0 < self.rate <= MAX_RATE:
+            raise ValueError(f"surrogate rate must lie in (0, {MAX_RATE:g}], got {self.rate}")
 
     @staticmethod
     def submodular() -> "SurrogateScheme":
-        return SurrogateScheme("submodular")
+        return SurrogateScheme(1.0, True)
 
     @staticmethod
     def weak_dr(alpha: float) -> "SurrogateScheme":
-        return SurrogateScheme("weak-dr", alpha=alpha)
+        if alpha is None or not (0.0 < alpha <= 1.0):
+            raise ValueError(f"weak-dr scheme needs alpha in (0, 1], got {alpha}")
+        return SurrogateScheme(float(alpha), False)
 
     @staticmethod
     def weak_sub(gamma: float, beta: float) -> "SurrogateScheme":
-        return SurrogateScheme("weak-sub", gamma=gamma, beta=beta)
-
-    @property
-    def rate(self) -> float:
-        """Exponent c in the weight w(z) = exp(c * (z - 1))."""
-        if self.kind == "submodular":
-            return 1.0
-        if self.kind == "weak-dr":
-            return float(self.alpha)
-        return float(self.beta * (1.0 - self.gamma) + self.gamma**2)
-
-    @property
-    def adds_min_gain(self) -> bool:
-        return self.kind == "submodular"
-
-    def weight(self, z):
-        """w(z) at a scalar or at every entry of an array of nodes."""
-        return np.exp(self.rate * (z - 1.0))
+        if gamma is None or not (0.0 < gamma <= 1.0):
+            raise ValueError(f"weak-sub scheme needs gamma in (0, 1], got {gamma}")
+        if beta is None or not 1.0 <= beta < math.inf:
+            raise ValueError(f"weak-sub scheme needs a finite beta >= 1, got {beta}")
+        rate = float(beta * (1.0 - gamma) + gamma**2)
+        if rate > MAX_RATE:
+            raise ValueError(f"weak-sub rate {rate:g} of gamma, beta exceeds {MAX_RATE:g}")
+        return SurrogateScheme(rate, False)
 
     @property
     def weight_integral(self) -> float:
@@ -304,18 +275,13 @@ def exact_extension(f: SetFunction, profile: PolicyProfile) -> float:
     return float(_expectation(f.outcome_values, w, range(f.partition.n_agents))[0, 0])
 
 
-def exact_gradient(f: SetFunction, profile: PolicyProfile) -> np.ndarray:
-    """Exact gradient of F as a flat row, every agent's block in one call.
-    ``profile`` is one row, or an ``(n, |V|)`` stack of the agents' views,
-    block i taken at row i."""
-    return _gradient(f, profile, _UNSCALED)
-
-
-def exact_surrogate_gradient(
-    f: SetFunction, profile: PolicyProfile, scheme: SurrogateScheme
+def exact_gradient(
+    f: SetFunction, profile: PolicyProfile, scheme: Optional[SurrogateScheme] = None
 ) -> np.ndarray:
-    """The reweighted gradient int_0^1 w(z) grad F(z pi) dz as a flat row, on
-    a row or a stack of views as in :func:`exact_gradient`.
+    """Exact gradient of F as a flat row, every agent's block in one call;
+    with a scheme the reweighted gradient int_0^1 w(z) grad F(z pi) dz.
+    ``profile`` is one row, or an ``(n, |V|)`` stack of the agents' views,
+    block i taken at row i.
 
     F is multilinear, so each partial derivative at z pi is a polynomial in z
     of degree below n, the number of agents.  The n-node rule of
@@ -324,6 +290,8 @@ def exact_surrogate_gradient(
     up to round-off.  For the submodular scheme the min-gain bonus
     e^{-1} f(v | V - {v}) is added to every coordinate.
     """
+    if scheme is None:
+        return _gradient(f, profile, _UNSCALED)
     zs, ws = _surrogate_rule(f.partition.n_agents, scheme.rate)
     grad = _gradient(f, profile, zs, ws)
     if scheme.adds_min_gain:

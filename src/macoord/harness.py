@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MacoordError, check_fields, config_field
+from .errors import ConfigError, MacoordError, ScaleError, check_fields, config_field
 from .extension import SurrogateScheme
-from .ground import EXACT_ENUMERATION_LIMIT, Partition
+from .ground import Partition
 from .learners import (
     GreedyLearner,
     MetaConditionalGradientLearner,
@@ -179,12 +179,10 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
         env = make_environment(env_spec, cfg.seed)
     partition = env.partition
     if cfg.oracle_regret:
-        count = math.prod(partition.outcome_shape)
-        if count > EXACT_ENUMERATION_LIMIT:
-            raise ConfigError(
-                "oracle regret requested beyond enumeration scale "
-                f"({count} feasible selections)"
-            )
+        try:
+            partition.check_enumerable()
+        except ScaleError as exc:
+            raise ConfigError(f"oracle regret requested beyond enumeration scale: {exc}") from exc
     with _spec_errors("graph", cfg.graph):
         graph = graph_from_spec(cfg.graph, partition.n_agents)
     learner = make_learner(cfg, partition, graph)

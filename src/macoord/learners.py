@@ -32,7 +32,7 @@ from .errors import ConfigError, config_value
 from .extension import (
     PolicyProfile,
     SurrogateScheme,
-    exact_surrogate_gradient,
+    exact_gradient,
     sample_rows,
     sample_slots,
     sampled_gradients,
@@ -177,7 +177,7 @@ class PolicyConsensusLearner:
         # once and one oracle call for all
         views = PolicyProfile(self.partition, self.policies)
         if self.exact_gradient:
-            grad = exact_surrogate_gradient(f, views, self.scheme)
+            grad = exact_gradient(f, views, self.scheme)
         else:
             slots = sample_slots(views, streams, self.batch, self.scheme)
             grad = sampled_gradients(f, slots, self.batch, self.budget, self.scheme)[0]
@@ -253,8 +253,8 @@ class MetaConditionalGradientLearner:
         rows = np.arange(1, self.inner_steps + 1)[:, None, None] - np.maximum(hops - 1, 0)
         rows = np.where(hops == UNREACHABLE, 0, np.maximum(rows, 0))
         self._lag = rows * partition.total + np.arange(partition.total)
-        self.estimates = np.zeros((n, partition.total))
-        self.last_inner_disagreement: list[list[float]] = []
+        self._steps = np.zeros((self.inner_steps, n, partition.total))
+        self.estimates = self._steps[-1]
 
     def update(self, rewards: np.ndarray) -> None:
         """Move every maximizer by a projected gradient step on its linear
@@ -267,7 +267,7 @@ class MetaConditionalGradientLearner:
             raise ValueError("reward dimension mismatch")
         self.iterates = _ascend(self.partition, self.iterates, self.step_size, rewards)
 
-    def _inner_disagreement(self, estimates: np.ndarray) -> np.ndarray:
+    def _gaps(self, estimates: np.ndarray) -> np.ndarray:
         """Per-agent (1/n) <1, own-blocks - estimates> of ``(..., n, |V|)``
         estimates; see the path-graph bound.
 
@@ -278,19 +278,14 @@ class MetaConditionalGradientLearner:
         own = np.diagonal(mass, axis1=-2, axis2=-1)[..., None, :]
         return (own - mass).sum(axis=-1) / self.partition.n_agents
 
-    def round(
-        self, f: SetFunction, t: int, record_inner: bool = False
-    ) -> np.ndarray:
+    def round(self, f: SetFunction, t: int) -> np.ndarray:
         self.budget.reset()
         n, total = self.partition.n_agents, self.partition.total
         running = np.cumsum(
             np.concatenate((np.zeros((1, total)), self.iterates / self.inner_steps)), axis=0
         )
         steps = running.take(self._lag)  # (K, n, |V|): every agent after every inner step
-        self.estimates = steps[-1]
-        self.last_inner_disagreement = (
-            self._inner_disagreement(steps).tolist() if record_inner else []
-        )
+        self._steps, self.estimates = steps, steps[-1]
 
         streams = [agent_stream(self.seed, t, i) for i in range(n)]
         u = np.array([stream.random() for stream in streams])
@@ -303,9 +298,14 @@ class MetaConditionalGradientLearner:
         self.update(sampled_gradients(f, slots, self.sample_batch, self.budget))
         return chosen
 
+    def inner_disagreement(self) -> np.ndarray:
+        """``(K, n)`` per-agent estimate gaps after every inner step of the
+        last round."""
+        return self._gaps(self._steps)
+
     def disagreement(self) -> float:
         """Worst per-agent estimate gap at the final inner step of the round."""
-        return float(self._inner_disagreement(self.estimates).max())
+        return float(self._gaps(self.estimates).max())
 
 
 def random_baseline_round(partition: Partition, rng: np.random.Generator) -> np.ndarray:

@@ -38,11 +38,6 @@ class CommGraph:
                 raise TopologyError(f"edge ({u}, {v}) out of range")
             canon.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
 
     @staticmethod
     def complete(n: int) -> "CommGraph":
@@ -51,18 +46,6 @@ class CommGraph:
     @staticmethod
     def path(n: int) -> "CommGraph":
         return CommGraph(n, [(i, i + 1) for i in range(n - 1)])
-
-    @staticmethod
-    def cycle(n: int) -> "CommGraph":
-        if n < 3:
-            raise TopologyError("cycle needs at least 3 nodes")
-        return CommGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adj[i]
-
-    def degree(self, i: int) -> int:
-        return len(self._adj[i])
 
     def is_connected(self) -> bool:
         return bool((hop_distances(self) != UNREACHABLE).all())
@@ -95,11 +78,11 @@ def metropolis_weights(g: CommGraph) -> np.ndarray:
     """
     if not g.is_connected():
         raise TopologyError("consensus weights need a connected graph")
+    u, v = np.array(g.edges, dtype=int).reshape(-1, 2).T
+    degree = np.bincount(np.concatenate((u, v)), minlength=g.n)
     w = np.zeros((g.n, g.n), dtype=np.float64)
-    for u, v in g.edges:
-        w[u, v] = w[v, u] = 1.0 / (1.0 + max(g.degree(u), g.degree(v)))
-    for u in range(g.n):
-        w[u, u] = 1.0 - w[u].sum()
+    w[u, v] = w[v, u] = 1.0 / (1.0 + np.maximum(degree[u], degree[v]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
 

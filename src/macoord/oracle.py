@@ -16,13 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, ScaleError
-from .extension import (
-    PolicyProfile,
-    SurrogateScheme,
-    exact_extension,
-    exact_gradient,
-    exact_surrogate_gradient,
-)
+from .extension import PolicyProfile, SurrogateScheme, exact_extension, exact_gradient
 from .geometry import project_blocks
 from .ground import Partition, SetFunction
 
@@ -32,8 +26,6 @@ STATIONARITY_TOL = 1e-6
 ASCENT_STEP = 0.1
 ASCENT_MOVE_TOL = 1e-10
 ASCENT_MAX_ITERS = 100_000
-
-OBJECTIVES = ("extension", "surrogate", "surrogate+min-gain")
 
 
 def feasible_sets(partition: Partition) -> np.ndarray:
@@ -132,29 +124,6 @@ def estimate_ratios(f: SetFunction) -> RatioReport:
 # ---------------------------------------------------------------------------
 
 
-def _objective_gradient(
-    f: SetFunction,
-    profile: PolicyProfile,
-    objective: str,
-    scheme: Optional[SurrogateScheme],
-) -> np.ndarray:
-    if objective == "extension":
-        return exact_gradient(f, profile)
-    if objective in ("surrogate", "surrogate+min-gain"):
-        if scheme is None:
-            scheme = (
-                SurrogateScheme.submodular()
-                if objective == "surrogate+min-gain"
-                else SurrogateScheme.weak_dr(1.0)
-            )
-        if objective == "surrogate+min-gain" and not scheme.adds_min_gain:
-            raise ValueError("min-gain variant needs the submodular scheme")
-        if objective == "surrogate" and scheme.adds_min_gain:
-            raise ValueError("plain surrogate must not carry the min-gain bonus")
-        return exact_surrogate_gradient(f, profile, scheme)
-    raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-
-
 @dataclass(frozen=True)
 class StationarityReport:
     improvement: float  # max_{y feasible} <y - pi, grad>
@@ -165,17 +134,17 @@ class StationarityReport:
 def check_stationarity(
     f: SetFunction,
     profile: PolicyProfile,
-    objective: str = "extension",
     scheme: Optional[SurrogateScheme] = None,
     tol: float = STATIONARITY_TOL,
 ) -> StationarityReport:
-    """Certify max_{y in product of capped simplexes} <y - pi, grad> <= tol.
+    """Certify max_{y in product of capped simplexes} <y - pi, grad> <= tol
+    for the gradient of F, or of the scheme's surrogate.
 
     The maximum separates per block: the best y places unit mass on the
     largest strictly positive coordinate (or no mass at all), so the
     improvement is sum_i max(0, max_m grad_im) - <pi, grad>.
     """
-    grad = _objective_gradient(f, profile, objective, scheme)
+    grad = exact_gradient(f, profile, scheme)
     best = np.maximum(profile.partition.pad(grad).max(axis=-1), 0.0)  # padding is 0 too
     improvement = float(best.sum() - np.dot(grad, profile.row))
     return StationarityReport(
@@ -186,20 +155,21 @@ def check_stationarity(
 
 
 def stationary_point_floor(
-    objective: str,
+    scheme: Optional[SurrogateScheme],
     curvature: Optional[float] = None,
     dr_ratio: Optional[float] = None,
     lower_ratio: Optional[float] = None,
     upper_ratio: Optional[float] = None,
 ) -> float:
-    """Worst-case F(pi)/OPT guaranteed at a stationary point of the objective.
+    """Worst-case F(pi)/OPT guaranteed at a stationary point of F (``scheme``
+    None), of the min-gain surrogate (1 - c/e), or of any other surrogate.
 
     For the plain extension with a DR ratio, two floor variants are in
     circulation (alpha^2/(1+alpha^2) and alpha^2/(1+alpha)); we audit against
     the weaker alpha^2/(1+alpha), which is the one the detailed derivation
     actually supports.
     """
-    if objective == "extension":
+    if scheme is None:
         if curvature is not None:
             return 1.0 / (1.0 + curvature)
         if dr_ratio is not None:
@@ -207,18 +177,18 @@ def stationary_point_floor(
         if lower_ratio is not None and upper_ratio is not None:
             g, b = lower_ratio, upper_ratio
             return g**2 / (b + b * (1.0 - g) + g**2)
-    if objective == "surrogate+min-gain":
+    elif scheme.adds_min_gain:
         if curvature is None:
             raise ValueError("min-gain floor needs the curvature")
         return 1.0 - curvature / math.e
-    if objective == "surrogate":
+    else:
         if dr_ratio is not None:
             return 1.0 - math.exp(-dr_ratio)
         if lower_ratio is not None and upper_ratio is not None:
             g, b = lower_ratio, upper_ratio
             phi = b * (1.0 - g) + g**2
             return g**2 * (1.0 - math.exp(-phi)) / phi
-    raise ValueError(f"no floor for objective {objective!r} with given ratios")
+    raise ValueError(f"no floor for scheme {scheme} with given ratios")
 
 
 @dataclass(frozen=True)
@@ -248,7 +218,6 @@ def approx_ratio_audit(
 
 def projected_ascent(
     f: SetFunction,
-    objective: str = "extension",
     scheme: Optional[SurrogateScheme] = None,
     start: Optional[PolicyProfile] = None,
     step: float = ASCENT_STEP,
@@ -256,7 +225,8 @@ def projected_ascent(
 ) -> PolicyProfile:
     """Run exact projected gradient ascent to (numerical) convergence.
 
-    Centralized reference dynamics: full exact gradient, simultaneous
+    Centralized reference dynamics: full exact gradient of F, or of the
+    scheme's surrogate, simultaneous
     projected step on every block, fixed step size; stops when the iterate
     moves less than :data:`ASCENT_MOVE_TOL` in L2 or after ``max_iters`` steps.
     """
@@ -265,7 +235,7 @@ def projected_ascent(
         partition, np.repeat(0.5 / np.array(partition.sizes), partition.sizes)
     )
     for _ in range(max_iters):
-        grad = _objective_gradient(f, profile, objective, scheme)
+        grad = exact_gradient(f, profile, scheme)
         row = project_blocks(partition, profile.row + step * grad)
         move = float(np.linalg.norm(row - profile.row))
         profile = PolicyProfile(partition, row)

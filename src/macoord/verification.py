@@ -197,32 +197,22 @@ def stationary_point_floors() -> CheckResult:
         SqrtModularFunction(Partition((2, 2)), np.array([2.25, 1.0, 4.0, 0.25]))
     )
     plain_scheme = SurrogateScheme.weak_dr(1.0)  # same decay, no min-gain bonus
+    boost_scheme = SurrogateScheme.submodular()
     margins = []
     residuals = []
     for f in instances:
         c = estimate_ratios(f).curvature
-        prof_ext = projected_ascent(f, "extension")
-        prof_surr = projected_ascent(
-            f, "surrogate", scheme=plain_scheme, step=0.3, max_iters=400
-        )
-        prof_boost = projected_ascent(f, "surrogate+min-gain", step=0.3, max_iters=400)
-        residuals.append(
-            check_stationarity(f, prof_ext, "extension").improvement
-        )
-        residuals.append(
-            check_stationarity(f, prof_surr, "surrogate", scheme=plain_scheme).improvement
-        )
-        residuals.append(
-            check_stationarity(f, prof_boost, "surrogate+min-gain").improvement
-        )
+        prof_ext = projected_ascent(f)
+        prof_surr = projected_ascent(f, plain_scheme, step=0.3, max_iters=400)
+        prof_boost = projected_ascent(f, boost_scheme, step=0.3, max_iters=400)
+        residuals.append(check_stationarity(f, prof_ext).improvement)
+        residuals.append(check_stationarity(f, prof_surr, plain_scheme).improvement)
+        residuals.append(check_stationarity(f, prof_boost, boost_scheme).improvement)
         audit_ext = approx_ratio_audit(
-            f, prof_ext, stationary_point_floor("extension", curvature=c), slack=1e-9
+            f, prof_ext, stationary_point_floor(None, curvature=c), slack=1e-9
         )
         audit_boost = approx_ratio_audit(
-            f,
-            prof_boost,
-            stationary_point_floor("surrogate+min-gain", curvature=c),
-            slack=1e-6,
+            f, prof_boost, stationary_point_floor(boost_scheme, curvature=c), slack=1e-6
         )
         margins.append(audit_ext.ratio - audit_ext.floor)
         margins.append(audit_boost.ratio - audit_boost.floor)
@@ -242,16 +232,15 @@ def tightness_instance_escape() -> CheckResult:
     started = time.monotonic()
     f = coverage_instance(3, 0.1, 1)
     trap = PolicyProfile(f.partition, f.partition.members(np.zeros((1, 3), dtype=np.int64))[0])
-    plain = check_stationarity(f, trap, "extension", tol=1e-9)
-    audit = approx_ratio_audit(
-        f, trap, stationary_point_floor("extension", curvature=1.0)
-    )
-    boosted = check_stationarity(f, trap, "surrogate+min-gain", tol=1e-9)
+    scheme = SurrogateScheme.submodular()
+    plain = check_stationarity(f, trap, tol=1e-9)
+    audit = approx_ratio_audit(f, trap, stationary_point_floor(None, curvature=1.0))
+    boosted = check_stationarity(f, trap, scheme, tol=1e-9)
     graph = CommGraph.complete(3)
     learner = PolicyConsensusLearner(
         f.partition,
         graph,
-        SurrogateScheme.submodular(),
+        scheme,
         horizon=500,
         seed=0,
         exact_gradient=True,
@@ -300,10 +289,9 @@ def inner_loop_lag_bound() -> CheckResult:
     bound = diameter(graph) / k_steps
     lo, hi = math.inf, -math.inf
     for t in range(1, 101):
-        learner.round(f, t, record_inner=True)
-        for step_vals in learner.last_inner_disagreement:
-            for v in step_vals:
-                lo, hi = min(lo, v), max(hi, v)
+        learner.round(f, t)
+        gaps = learner.inner_disagreement()
+        lo, hi = min(lo, gaps.min()), max(hi, gaps.max())
     ok = lo >= 0.0 and hi <= bound
     return CheckResult(
         "inner-loop-lag-bound",

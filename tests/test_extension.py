@@ -26,7 +26,6 @@ from macoord.extension import (
     SurrogateScheme,
     exact_extension,
     exact_gradient,
-    exact_surrogate_gradient,
     sample_choices,
     sample_slots,
     sampled_gradients,
@@ -57,6 +56,16 @@ def columns(p, agent):
     return slice(p.offsets[agent], p.offsets[agent + 1])
 
 
+def split_blocks(profile):
+    """Views of the agents' blocks of a profile's row (columns of a stack)."""
+    return tuple(np.split(profile.row, profile.partition.offsets[1:-1], axis=-1))
+
+
+def weight(scheme, z):
+    """The scheme's w(z) at a scalar or at every entry of an array of nodes."""
+    return np.exp(scheme.rate * (z - 1.0))
+
+
 def estimate(f, prof, agent, rng, samples=1, scheme=None, budget=None):
     """The agent's block of the learners' sampled gradients when every agent
     scores the same draws from ``rng``: ``(k,)`` for a row, ``(m, k)`` for a
@@ -85,12 +94,11 @@ def test_profile_construction_and_immutability():
     prof = PolicyProfile.uniform(p)
     assert prof.sizes == (2, 3)
     assert prof.n_agents == 2
-    np.testing.assert_allclose(prof.blocks[1], np.full(3, 1 / 3))
+    np.testing.assert_allclose(split_blocks(prof)[1], np.full(3, 1 / 3))
     with pytest.raises(ValueError):
-        prof.blocks[0][0] = 0.9  # blocks are read-only
+        split_blocks(prof)[0][0] = 0.9  # blocks are read-only
     with pytest.raises(ValueError):
         prof.row[0] = 0.9
-    assert PolicyProfile.zeros(p).row.tolist() == [0.0] * 5
     # the row is copied on construction: later writes to the source do not leak
     source = np.array([0.2, 0.6, 0.1, 0.1, 0.1])
     copied = PolicyProfile(p, source)
@@ -114,12 +122,12 @@ def test_profile_validate():
 def test_profile_blocks_are_views_on_the_row():
     p = Partition((2, 1))
     prof = PolicyProfile(p, np.array([0.2, 0.6, 1.0]))
-    assert [b.tolist() for b in prof.blocks] == [[0.2, 0.6], [1.0]]
-    assert all(np.shares_memory(b, prof.row) for b in prof.blocks)
+    assert [b.tolist() for b in split_blocks(prof)] == [[0.2, 0.6], [1.0]]
+    assert all(np.shares_memory(b, prof.row) for b in split_blocks(prof))
     # a stack of m rows has (m, k_j) blocks, one column range per agent
     stack = PolicyProfile(p, np.array([[0.2, 0.6, 1.0], [0.0, 0.5, 0.25]]))
-    assert [b.shape for b in stack.blocks] == [(2, 2), (2, 1)]
-    assert stack.blocks[1][:, 0].tolist() == [1.0, 0.25]
+    assert [b.shape for b in split_blocks(stack)] == [(2, 2), (2, 1)]
+    assert split_blocks(stack)[1][:, 0].tolist() == [1.0, 0.25]
 
 
 def test_scheme_rates_and_validation():
@@ -134,8 +142,10 @@ def test_scheme_rates_and_validation():
             SurrogateScheme.weak_dr(bad)
     with pytest.raises(ValueError):
         SurrogateScheme.weak_sub(gamma=0.5, beta=0.9)
-    with pytest.raises(ValueError):
-        SurrogateScheme("bogus")
+    # a scheme's rate lies in (0, MAX_RATE], however it was built
+    for rate in (0.0, -1.0, math.nan, 2 * MAX_RATE):
+        with pytest.raises(ValueError):
+            SurrogateScheme(rate, False)
 
 
 def test_weight_integral_matches_dense_sum():
@@ -169,7 +179,7 @@ def reference_z(scheme, rng):
 def reference_gains(f, prof, agent, rng, z=1.0):
     """One sample: a uniform per agent in agent order, the own draw ignored."""
     u = rng.random(prof.n_agents)
-    row = [reference_slot(z * b, u[j]) for j, b in enumerate(prof.blocks)]
+    row = [reference_slot(z * b, u[j]) for j, b in enumerate(split_blocks(prof))]
     row[agent] = -1
     return f.agent_marginals(agent, np.array([row]))[0]
 
@@ -204,7 +214,7 @@ def test_sample_choices_match_scalar_reference():
         u = rng.random((25, len(sizes)))
         # uniforms on the interval boundaries themselves
         u[0] = 0.0
-        u[1] = [np.cumsum(b)[0] for b in prof.blocks]
+        u[1] = [np.cumsum(b)[0] for b in split_blocks(prof)]
         scale = rng.random(25)
         scale[:3] = (0.0, 1.0, 0.5)
         # a stack of 25 scaled rows: uniform row l rounds scaled row l
@@ -213,7 +223,7 @@ def test_sample_choices_match_scalar_reference():
             got = sample_choices(profile, u)
             assert got.shape == u.shape and got.dtype == np.int64
             for l in range(u.shape[0]):
-                for j, b in enumerate(prof.blocks):
+                for j, b in enumerate(split_blocks(prof)):
                     block = b if z is None else float(z[l]) * b
                     assert got[l, j] == reference_slot(block, u[l, j])
 
@@ -261,7 +271,7 @@ def profiles_and_uniforms(draw):
     u = rng.random((draw(st.integers(0, 30)), len(sizes)))
     if len(u) >= 2:
         u[0] = 0.0  # uniforms on the interval boundaries themselves
-        u[1] = [np.cumsum(b)[rng.integers(b.size)] for b in prof.blocks]
+        u[1] = [np.cumsum(b)[rng.integers(b.size)] for b in split_blocks(prof)]
     scale = rng.random(len(u))
     scale[: min(3, len(u))] = (0.0, 1.0, 0.5)[: min(3, len(u))]
     # stacks: one scaled row per uniform row, and two rows for halves of u
@@ -411,7 +421,7 @@ def dense_surrogate_gradient(f, prof, scheme, agent, steps=2000):
     zs = np.linspace(0.0, 1.0, steps + 1)
     vals = np.stack(
         [
-            scheme.weight(float(z))
+            weight(scheme, float(z))
             * exact_gradient(f, PolicyProfile(prof.partition, z * prof.row))[block]
             for z in zs
         ]
@@ -436,7 +446,7 @@ def test_surrogate_gradient_quadrature_vs_dense_grid(scheme):
     f = synthetic_setfn("coverage-random", (2, 2), rng)
     prof = random_profile(f.partition.sizes, rng)
     for agent in range(2):
-        quad = exact_surrogate_gradient(f, prof, scheme)[columns(f.partition, agent)]
+        quad = exact_gradient(f, prof, scheme)[columns(f.partition, agent)]
         dense = dense_surrogate_gradient(f, prof, scheme, agent)
         np.testing.assert_allclose(quad, dense, rtol=1e-7, atol=1e-9)
 
@@ -448,7 +458,7 @@ def gauss_legendre_01(nodes=64):
 
 def exact_surrogate_value(f, profile, scheme, nodes=64):
     """Quadrature evaluation of the surrogate potential, whose gradient
-    :func:`exact_surrogate_gradient` must be:
+    :func:`exact_gradient` with a scheme must be:
 
         F^s(pi) = int_0^1 (w(z) / z) F(z * pi) dz   (+ linear min-gain bonus),
 
@@ -457,7 +467,7 @@ def exact_surrogate_value(f, profile, scheme, nodes=64):
     """
     zs, ws = gauss_legendre_01(nodes)
     values = [exact_extension(f, PolicyProfile(profile.partition, z * profile.row)) for z in zs]
-    total = float((ws * scheme.weight(zs) / zs) @ values)
+    total = float((ws * weight(scheme, zs) / zs) @ values)
     if scheme.adds_min_gain:
         total += math.exp(-1.0) * float(np.dot(f.min_gains, profile.row))
     return total
@@ -469,7 +479,7 @@ def test_surrogate_value_gradient_consistency():
     f = synthetic_setfn("coverage-random", (2, 2), rng)
     scheme = SurrogateScheme.submodular()
     prof = random_profile(f.partition.sizes, rng, lo=0.1, hi=0.4)
-    grad = exact_surrogate_gradient(f, prof, scheme)
+    grad = exact_gradient(f, prof, scheme)
     h = 1e-5
     for idx in range(f.partition.total):
         step = np.zeros(f.partition.total)
@@ -578,16 +588,16 @@ def test_contraction_matches_enumeration(case):
     def close(got, expect):
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * scale)
 
-    close(exact_extension(f, prof), enumerated_extension(values, prof.blocks))
+    close(exact_extension(f, prof), enumerated_extension(values, split_blocks(prof)))
     block = columns(f.partition, agent)
-    close(exact_gradient(f, prof)[block], enumerated_gradient(values, prof.blocks, agent))
+    close(exact_gradient(f, prof)[block], enumerated_gradient(values, split_blocks(prof), agent))
     close(
-        exact_surrogate_gradient(f, prof, scheme)[block],
-        enumerated_surrogate_gradient(f, values, prof.blocks, scheme, agent),
+        exact_gradient(f, prof, scheme)[block],
+        enumerated_surrogate_gradient(f, values, split_blocks(prof), scheme, agent),
     )
     close(
         exact_surrogate_value(f, prof, scheme),
-        enumerated_surrogate_value(f, values, prof.blocks, scheme),
+        enumerated_surrogate_value(f, values, split_blocks(prof), scheme),
     )
 
 
@@ -603,7 +613,7 @@ def test_exact_layer_rejects_mismatched_profiles():
     for call in (
         lambda: exact_extension(f, wrong),
         lambda: exact_gradient(f, wrong),
-        lambda: exact_surrogate_gradient(f, wrong, scheme),
+        lambda: exact_gradient(f, wrong, scheme),
         lambda: exact_surrogate_value(f, wrong, scheme),
         lambda: exact_extension(f, stacked),
         lambda: exact_surrogate_value(f, stacked, scheme),
@@ -675,12 +685,12 @@ def test_exact_gradients_equal_per_agent_reference(case):
     views = np.broadcast_to(prof.row, (n, f.partition.total))
     assert exact_gradient(f, prof).tobytes() == _loop_gradient(f, views, np.ones(1)).tobytes()
     bonus = math.exp(-1.0) * f.min_gains if scheme.adds_min_gain else 0.0
-    got = exact_surrogate_gradient(f, prof, scheme)
+    got = exact_gradient(f, prof, scheme)
     zs, ws = _surrogate_rule(n, scheme.rate)
     assert len(zs) == n
     assert got.tobytes() == (_loop_gradient(f, views, zs, ws) + bonus).tobytes()
     zs, ws = gauss_legendre_01(64)
-    expect = _loop_gradient(f, views, zs, ws * scheme.weight(zs)) + bonus
+    expect = _loop_gradient(f, views, zs, ws * weight(scheme, zs)) + bonus
     scale = max(np.abs(expect).max(), 1e-300)
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * scale)
 
@@ -692,7 +702,7 @@ def test_exact_gradients_refuse_stacks_of_other_heights():
         with pytest.raises(ValueError):
             exact_gradient(f, prof)
         with pytest.raises(ValueError):
-            exact_surrogate_gradient(f, prof, SurrogateScheme.submodular())
+            exact_gradient(f, prof, SurrogateScheme.submodular())
 
 
 def test_slot_gain_tables_are_cached_read_only():
@@ -732,7 +742,7 @@ def test_estimate_surrogate_gradient_is_unbiased():
     scheme = SurrogateScheme.submodular()
     prof = random_profile(f.partition.sizes, rng)
     agent = 0
-    exact = exact_surrogate_gradient(f, prof, scheme)[columns(f.partition, agent)]
+    exact = exact_gradient(f, prof, scheme)[columns(f.partition, agent)]
     n = 6000
     draws = np.stack(
         [

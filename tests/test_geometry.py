@@ -180,11 +180,11 @@ def _indicator(p, row):
 def test_indicator_profile():
     p = Partition((2, 3))
     prof = _indicator(p, [1, -1])
-    assert prof.blocks[0].tolist() == [0.0, 1.0]
-    assert prof.blocks[1].tolist() == [0.0, 0.0, 0.0]
+    assert prof.row[:2].tolist() == [0.0, 1.0]
+    assert prof.row[2:].tolist() == [0.0, 0.0, 0.0]
     # agent 0 idle, agent 1 on its last slot
     prof2 = _indicator(p, [-1, 2])
-    assert prof2.blocks[1].tolist() == [0.0, 0.0, 1.0]
+    assert prof2.row[2:].tolist() == [0.0, 0.0, 1.0]
     with pytest.raises(ValueError):
         _indicator(p, [1, -1, 0])
 

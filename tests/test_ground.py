@@ -288,7 +288,7 @@ def test_min_gain_vector_computed_once_per_objective():
     full = f.value(np.ones((1, p.total), dtype=bool))[0]
     reference = (full - f.value(~np.eye(p.total, dtype=bool))).tolist()
     f.value_calls = f.value_rows = 0
-    env = StaticEnvironment(f, horizon=3)
+    env = StaticEnvironment(f)
     graph = CommGraph.complete(p.n_agents)
     learner = PolicyConsensusLearner(
         p, graph, SurrogateScheme.submodular(), horizon=3, seed=0, batch=2,

@@ -16,6 +16,7 @@ import macoord.cli as cli
 from macoord.cli import main
 from macoord.envs import make_environment
 from macoord.errors import ConfigError
+from macoord.extension import SurrogateScheme
 from macoord.geometry import normalize_policy
 from macoord.harness import (
     BENCH_MATRICES,
@@ -99,10 +100,10 @@ def test_run_config_number_types():
 
 
 def test_scheme_from_dict():
-    assert scheme_from_dict(None).kind == "submodular"
-    assert scheme_from_dict({"kind": "weak-dr", "alpha": 0.3}).alpha == 0.3
+    assert scheme_from_dict(None) == SurrogateScheme.submodular()
+    assert scheme_from_dict({"kind": "weak-dr", "alpha": 0.3}) == SurrogateScheme(0.3, False)
     s = scheme_from_dict({"kind": "weak-sub", "gamma": 0.8, "beta": 1.2})
-    assert (s.gamma, s.beta) == (0.8, 1.2)
+    assert s == SurrogateScheme(1.2 * (1 - 0.8) + 0.8**2, False)
     with pytest.raises(ConfigError):
         scheme_from_dict({"kind": "weak-dr"})  # missing alpha
     with pytest.raises(ConfigError):

@@ -43,6 +43,15 @@ from macoord.network import CommGraph, erdos_renyi, metropolis_weights
 from macoord.oracle import brute_force_opt, estimate_ratios
 
 
+def _blocks(profile):
+    """Views of the agents' blocks of a profile's row."""
+    return np.split(profile.row, profile.partition.offsets[1:-1])
+
+
+def _cycle(n):
+    return CommGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 # ---------------------------------------------------------------------------
 # per-(round, agent) randomness
 # ---------------------------------------------------------------------------
@@ -165,7 +174,7 @@ def test_spl_constructor_validations():
 def test_spl_initial_state_and_set_start():
     p = Partition((2, 3))
     learner = _spl(p, CommGraph.complete(2))
-    blocks = PolicyProfile(p, learner.policies[0]).blocks
+    blocks = _blocks(PolicyProfile(p, learner.policies[0]))
     np.testing.assert_allclose(blocks[0], [0.5, 0.5], atol=0)
     np.testing.assert_allclose(blocks[1], np.zeros(3), atol=0)
     assert learner.disagreement() > 0.0
@@ -191,7 +200,7 @@ def test_spl_single_agent_exact_gradient_finds_modular_argmax():
     )
     for t in range(1, 51):
         learner.round(f, t)
-    np.testing.assert_allclose(learner.played_profile().blocks[0], [0.0, 1.0], atol=1e-9)
+    np.testing.assert_allclose(_blocks(learner.played_profile())[0], [0.0, 1.0], atol=1e-9)
     # an indicator policy plays its slot with certainty
     assert learner.round(f, 99).tolist() == [1]
 
@@ -205,7 +214,7 @@ def test_spl_one_round_consensus_arithmetic():
     learner.policies = np.array([[0.2, 0.1, 0.6, 0.2], [0.4, 0.3, 0.0, 0.4]])
     learner.round(f, 1)
     # Metropolis on a 2-path averages the two copies of every block
-    blocks = [PolicyProfile(p, learner.policies[i]).blocks for i in range(2)]
+    blocks = [_blocks(PolicyProfile(p, learner.policies[i])) for i in range(2)]
     np.testing.assert_allclose(blocks[0][0], [0.3, 0.2], atol=1e-12)
     np.testing.assert_allclose(blocks[0][1], [0.3, 0.3], atol=1e-12)
     np.testing.assert_allclose(blocks[1][0], [0.3, 0.2], atol=1e-12)
@@ -235,11 +244,11 @@ def test_spl_one_round_consensus_arithmetic():
         [0.2, 0.2, 0.7],  # 1/3 * (0.6, 0.6, 0.3) + 2/3 * (0.0, 0.0, 0.9)
     ]
     for i in range(3):
-        sums = [b.sum() for b in PolicyProfile(p, learner.policies[i]).blocks]
+        sums = [b.sum() for b in _blocks(PolicyProfile(p, learner.policies[i]))]
         np.testing.assert_allclose(sums, expected_sums[i], atol=1e-12)
     # the own blocks are feasible already, so the zero-gradient step keeps them
     np.testing.assert_allclose(
-        np.concatenate(learner.played_profile().blocks),
+        np.concatenate(_blocks(learner.played_profile())),
         [0.2, 0.2, 0.3, 0.1, 0.7, 0.0],
         atol=1e-12,
     )
@@ -248,7 +257,7 @@ def test_spl_one_round_consensus_arithmetic():
 def test_spl_iterates_stay_feasible():
     rng = np.random.default_rng(2)
     f = synthetic_setfn("coverage-random", (2, 3, 2), rng)
-    learner = _spl(f.partition, CommGraph.cycle(3), batch=2)
+    learner = _spl(f.partition, _cycle(3), batch=2)
     for t in range(1, 31):
         chosen = learner.round(f, t)
         assert chosen.shape == (3,)
@@ -318,10 +327,10 @@ def test_mpl_path_lag_disagreement_is_exact():
         f.partition, CommGraph.path(6), horizon=10, seed=0,
         inner_steps=k_steps, sample_batch=1,
     )
-    learner.round(f, 1, record_inner=True)
+    learner.round(f, 1)
     assert learner.disagreement() == pytest.approx(10.0 / (6 * k_steps), abs=1e-12)
     # lag gaps only shrink as the inner loop proceeds, and end nonnegative
-    for step_vals in learner.last_inner_disagreement:
+    for step_vals in learner.inner_disagreement():
         for v in step_vals:
             assert -1e-12 <= v <= 5.0 / k_steps + 1e-12
 
@@ -363,12 +372,12 @@ def test_mpl_estimates_reset_each_round():
         inner_steps=3, sample_batch=1,
     )
     learner.round(f, 1)
-    first = PolicyProfile(f.partition, learner.estimates[0]).blocks
+    first = _blocks(PolicyProfile(f.partition, learner.estimates[0]))
     learner.round(f, 2)
     # the build-from-zero loop caps every block's mass at one per round
     for i in range(3):
         for j in range(3):
-            assert PolicyProfile(f.partition, learner.estimates[i]).blocks[j].sum() <= 1.0 + 1e-9
+            assert _blocks(PolicyProfile(f.partition, learner.estimates[i]))[j].sum() <= 1.0 + 1e-9
     assert all(b.sum() <= 1.0 + 1e-9 for b in first)
 
 
@@ -444,11 +453,12 @@ def _reference_inner_disagreement(partition, estimates):
     return ((np.diag(mass) - mass).sum(axis=1) / partition.n_agents).tolist()
 
 
-def _reference_mpl_round(learner, f, t, record_inner):
+def _reference_mpl_round(learner, f, t):
     p, k_steps = learner.partition, learner.inner_steps
     n = p.n_agents
     own = (np.repeat(np.arange(n), p.sizes), np.arange(p.total))
-    hoods = [list(learner.graph.neighbors(i) + (i,)) for i in range(n)]
+    hoods = [[j for j in range(n) if j == i or tuple(sorted((i, j))) in learner.graph.edges]
+             for i in range(n)]
     learner.budget.reset()
     estimates = np.zeros((n, p.total))
     steps = np.empty((k_steps, n, p.total))
@@ -458,9 +468,8 @@ def _reference_mpl_round(learner, f, t, record_inner):
         y[own] += learner.iterates[k] / k_steps
         estimates = np.stack([y[hood].max(axis=0) for hood in hoods])
         steps[k] = estimates
-        if record_inner:
-            inner.append(_reference_inner_disagreement(p, estimates))
-    learner.estimates, learner.last_inner_disagreement = estimates, inner
+        inner.append(_reference_inner_disagreement(p, estimates))
+    learner.estimates = estimates
     streams = [agent_stream(learner.seed, t, i) for i in range(n)]
     chosen = _play(p, estimates[own], np.array([s.random() for s in streams]))
     rewards = np.empty_like(learner.iterates)
@@ -470,7 +479,7 @@ def _reference_mpl_round(learner, f, t, record_inner):
         gains = local_marginal_block(f, i, slots, learner.budget)
         rewards[:, lo:hi] = gains.reshape(k_steps, batch, hi - lo).mean(axis=1)
     learner.update(rewards)
-    return chosen, max(_reference_inner_disagreement(p, estimates))
+    return chosen, inner, max(inner[-1])
 
 
 def _reference_spl_round(learner, f, t):
@@ -504,7 +513,7 @@ def _rounds_cases(draw, kind):
     if kind == "path":
         g = CommGraph.path(n)
     elif kind == "cycle":
-        g = CommGraph.cycle(n)
+        g = _cycle(n)
     elif kind == "star":
         g = CommGraph(n, [(0, i) for i in range(1, n)])
     elif kind == "complete":
@@ -569,15 +578,14 @@ def test_loop_free_rounds_equal_loop_references(kind, data):
         for _ in range(2)
     ]
     for t in (1, 2, 3):
-        record = t != 2
-        got = mpl[0].round(f, t, record_inner=record)
-        expect, worst = _reference_mpl_round(mpl[1], f, t, record)
+        got = mpl[0].round(f, t)
+        expect, inner, worst = _reference_mpl_round(mpl[1], f, t)
         np.testing.assert_array_equal(got, expect)
         for name in ("iterates", "estimates"):
             a, b = getattr(mpl[0], name), getattr(mpl[1], name)
             assert a.tobytes() == b.tobytes(), name
-        assert mpl[0].last_inner_disagreement == mpl[1].last_inner_disagreement
-        assert len(mpl[0].last_inner_disagreement) == (case["k_steps"] if record else 0)
+        assert mpl[0].inner_disagreement().tolist() == inner
+        assert len(inner) == case["k_steps"]
         assert mpl[0].disagreement() == worst
         np.testing.assert_array_equal(mpl[0].budget.per_agent(), mpl[1].budget.per_agent())
 

@@ -44,21 +44,42 @@ def test_no_unused_imports(path):
 
 
 def _unreferenced_functions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of every public module-level function of the package
-    sources (module name to source) that no package module reads, by name or
-    as an attribute, outside the function's own body: code that only tests
-    (or nothing) call."""
-    defined, read = {}, set()
+    """``module.name`` of every public module-level function, and
+    ``module.Class.name`` of every public method, static method and property
+    of a module-level class, that no package module (module name to source)
+    reads outside the definition's own body: code that only tests (or
+    nothing) call.  A function counts as read by name or as an attribute, a
+    method only as an attribute (``x.name``), whichever class defines it."""
+    functions, methods, names, attrs = {}, {}, set(), set()
+
+    def read(node, own=None):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id != own:  # a recursive call is no caller
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute) and n.attr != own:
+                attrs.add(n.attr)
+
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
-            names.update(n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute))
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.discard(stmt.name)  # a recursive call is no caller
-                if not stmt.name.startswith("_"):
-                    defined[stmt.name] = module
-            read |= names
-    return sorted(f"{module}.{name}" for name, module in defined.items() if name not in read)
+            members = [stmt]
+            if isinstance(stmt, ast.ClassDef):
+                members = stmt.body
+                for part in stmt.bases + stmt.keywords + stmt.decorator_list:
+                    read(part)
+            for node in members:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    read(node)
+                    continue
+                read(node, own=node.name)
+                if node.name.startswith("_"):
+                    continue
+                if node is stmt:
+                    functions[node.name] = module
+                else:
+                    methods.setdefault(node.name, []).append(f"{module}.{stmt.name}.{node.name}")
+    unread = [f"{module}.{name}" for name, module in functions.items() if name not in names | attrs]
+    unread += [label for name, labels in methods.items() if name not in attrs for label in labels]
+    return sorted(unread)
 
 
 def test_unreferenced_function_scan_finds_planted_names():
@@ -70,8 +91,35 @@ def test_unreferenced_function_scan_finds_planted_names():
     assert _unreferenced_functions(sources) == ["a.only_tested"]
 
 
+def test_unreferenced_method_scan_finds_planted_names():
+    sources = {
+        "a": "class C:\n    def __init__(self):\n        self.walk()\n"
+        "    def walk(self):\n        return 1\n"
+        "    def spin(self):\n        return self.spin()\n"
+        "    def _hidden(self):\n        pass\n"
+        "    @staticmethod\n    def make():\n        return C()\n"
+        "    @staticmethod\n    def unmade():\n        return C()\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    @property\n    def shape(self):\n        return (1,)\n"
+        "class D(C):\n    def walk(self):\n        pass\n    def named(self):\n        pass\n",
+        # a bare name is no method read: ``named`` is read only as a variable
+        "b": "from .a import C\nnamed = C.make().size\n",
+    }
+    assert _unreferenced_functions(sources) == [
+        "a.C.shape", "a.C.spin", "a.C.unmade", "a.D.named"
+    ]
+
+
+# Public methods that the package never reads, kept on purpose.
+UNREFERENCED_ALLOWED = {
+    "ground.MarginalBudget.per_agent": "the run telemetry (ROADMAP item 4) records "
+    "per-agent query totals",
+}
+
+
 def test_no_function_is_only_called_by_tests():
-    assert _unreferenced_functions({p.stem: p.read_text() for p in MODULES}) == []
+    unread = _unreferenced_functions({p.stem: p.read_text() for p in MODULES})
+    assert unread == sorted(UNREFERENCED_ALLOWED)
 
 
 def _functions(sources: dict[str, str]):

@@ -18,11 +18,21 @@ from macoord.network import (
 )
 
 
+def _cycle(n):
+    if n < 3:
+        raise TopologyError("cycle needs at least 3 nodes")
+    return CommGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _neighbors(g, i):
+    return tuple(sorted(v if u == i else u for u, v in g.edges if i in (u, v)))
+
+
 def test_graph_construction_and_canonical_edges():
     g = CommGraph(3, frozenset({(2, 1), (0, 1)}))
     assert g.edges == ((0, 1), (1, 2))
-    assert g.neighbors(1) == (0, 2)
-    assert g.degree(1) == 2
+    assert _neighbors(g, 1) == (0, 2)
+    assert len(_neighbors(g, 1)) == 2
     assert g.is_connected()
 
 
@@ -39,10 +49,10 @@ def test_standard_topologies():
     assert len(CommGraph.complete(5).edges) == 10
     assert diameter(CommGraph.complete(5)) == 1
     assert diameter(CommGraph.path(6)) == 5
-    assert diameter(CommGraph.cycle(6)) == 3
+    assert diameter(_cycle(6)) == 3
     assert not CommGraph(3, frozenset({(0, 1)})).is_connected()
     with pytest.raises(TopologyError):
-        CommGraph.cycle(2)
+        _cycle(2)
 
 
 def _star(n):
@@ -53,7 +63,7 @@ def _star(n):
     "g, expect",
     [
         (CommGraph.path(4), [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]),
-        (CommGraph.cycle(5), [[min(abs(i - j), 5 - abs(i - j)) for j in range(5)] for i in range(5)]),
+        (_cycle(5), [[min(abs(i - j), 5 - abs(i - j)) for j in range(5)] for i in range(5)]),
         (_star(4), [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]),
         (CommGraph.complete(4), 1 - np.eye(4, dtype=int)),
         (CommGraph(1, ()), [[0]]),
@@ -113,6 +123,24 @@ def test_metropolis_weights_structure():
     assert w[0, 1] == pytest.approx(1 / 3, abs=1e-15)
 
 
+def _loop_metropolis_weights(g):
+    """The per-edge loop the array form must equal bit for bit."""
+    w = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        w[u, v] = w[v, u] = 1.0 / (1.0 + max(len(_neighbors(g, u)), len(_neighbors(g, v))))
+    for u in range(g.n):
+        w[u, u] = 1.0 - w[u].sum()
+    return w
+
+
+def test_metropolis_weights_equal_loop_reference():
+    rng = np.random.default_rng(11)
+    graphs = [CommGraph(1, ()), CommGraph.path(2), _star(7), _cycle(9), CommGraph.complete(20)]
+    graphs += [erdos_renyi(n, 2.0, rng) for n in (3, 8, 20) for _ in range(3)]
+    for g in graphs:
+        assert metropolis_weights(g).tobytes() == _loop_metropolis_weights(g).tobytes()
+
+
 def test_metropolis_on_complete_graph_is_uniform():
     w = metropolis_weights(CommGraph.complete(6))
     np.testing.assert_allclose(w, np.full((6, 6), 1 / 6), atol=1e-15)
@@ -130,7 +158,7 @@ def test_spectral_gap_known_values():
     )
     # 4-cycle: all degrees 2, W = (I + A + A^T/...)/3 has eigenvalues
     # {1, 1/3, 1/3, -1/3}, so the mixing rate is exactly 1/3
-    assert spectral_gap(metropolis_weights(CommGraph.cycle(4))) == pytest.approx(
+    assert spectral_gap(metropolis_weights(_cycle(4))) == pytest.approx(
         1 / 3, abs=1e-12
     )
     assert spectral_gap(np.array([[1.0]])) == 0.0

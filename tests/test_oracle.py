@@ -26,6 +26,7 @@ from macoord.extension import (
     PolicyProfile,
     SurrogateScheme,
     exact_extension,
+    exact_gradient,
     sample_choices,
 )
 from macoord.ground import Partition
@@ -50,6 +51,11 @@ def _value(f, row):
 def _indicator(p, row):
     """The deterministic profile of one selection: its membership row."""
     return PolicyProfile(p, p.members(np.array([row]))[0])
+
+
+def _blocks(profile):
+    """Views of the agents' blocks of a profile's row."""
+    return np.split(profile.row, profile.partition.offsets[1:-1])
 
 
 def _mask_value(f, mask):
@@ -341,18 +347,15 @@ def test_check_stationarity_hand_values():
     np.testing.assert_allclose(rep.gradient, [1.0, 2.0], atol=1e-12)
 
 
-def test_check_stationarity_objective_scheme_guards():
-    p = Partition((2,))
-    f = ModularFunction(p, np.ones(2))
-    prof = PolicyProfile.uniform(p)
-    with pytest.raises(ValueError):
-        check_stationarity(f, prof, objective="surrogate",
-                           scheme=SurrogateScheme.submodular())
-    with pytest.raises(ValueError):
-        check_stationarity(f, prof, objective="surrogate+min-gain",
-                           scheme=SurrogateScheme.weak_dr(0.5))
-    with pytest.raises(ValueError):
-        check_stationarity(f, prof, objective="entropy")
+def test_check_stationarity_certifies_the_schemes_gradient():
+    # None certifies F; a scheme certifies its surrogate, min-gain bonus included
+    f = coverage_instance(3, 0.1, 1)
+    trap = _indicator(f.partition, [0, 0, 0])
+    for scheme in (None, SurrogateScheme.weak_dr(0.5), SurrogateScheme.submodular()):
+        rep = check_stationarity(f, trap, scheme)
+        assert rep.gradient.tobytes() == exact_gradient(f, trap, scheme).tobytes()
+    assert check_stationarity(f, trap, tol=1e-9).stationary
+    assert not check_stationarity(f, trap, SurrogateScheme.submodular(), tol=1e-9).stationary
 
 
 # ---------------------------------------------------------------------------
@@ -361,35 +364,36 @@ def test_check_stationarity_objective_scheme_guards():
 
 
 def test_stationary_point_floor_table():
-    assert stationary_point_floor("extension", curvature=1.0) == pytest.approx(0.5)
-    assert stationary_point_floor("extension", curvature=0.0) == pytest.approx(1.0)
+    assert stationary_point_floor(None, curvature=1.0) == pytest.approx(0.5)
+    assert stationary_point_floor(None, curvature=0.0) == pytest.approx(1.0)
     a = 0.6
-    assert stationary_point_floor("extension", dr_ratio=a) == pytest.approx(
+    assert stationary_point_floor(None, dr_ratio=a) == pytest.approx(
         a**2 / (1 + a)
     )
     g, b = 0.7, 1.3
     assert stationary_point_floor(
-        "extension", lower_ratio=g, upper_ratio=b
+        None, lower_ratio=g, upper_ratio=b
     ) == pytest.approx(g**2 / (b + b * (1 - g) + g**2))
     assert stationary_point_floor(
-        "surrogate+min-gain", curvature=1.0
+        SurrogateScheme.submodular(), curvature=1.0
     ) == pytest.approx(1.0 - 1.0 / math.e)
-    assert stationary_point_floor("surrogate", dr_ratio=a) == pytest.approx(
+    assert stationary_point_floor(SurrogateScheme.weak_dr(a), dr_ratio=a) == pytest.approx(
         1.0 - math.exp(-a)
     )
     phi = b * (1 - g) + g**2
     assert stationary_point_floor(
-        "surrogate", lower_ratio=g, upper_ratio=b
+        SurrogateScheme.weak_sub(g, b), lower_ratio=g, upper_ratio=b
     ) == pytest.approx(g**2 * (1 - math.exp(-phi)) / phi)
 
 
 def test_stationary_point_floor_missing_args_raise():
     with pytest.raises(ValueError):
-        stationary_point_floor("extension")
+        stationary_point_floor(None)
     with pytest.raises(ValueError):
-        stationary_point_floor("surrogate+min-gain")
+        stationary_point_floor(SurrogateScheme.submodular())
+    # a surrogate without the min-gain bonus has no floor from the curvature alone
     with pytest.raises(ValueError):
-        stationary_point_floor("spectral", curvature=0.5)
+        stationary_point_floor(SurrogateScheme.weak_dr(0.5), curvature=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +404,7 @@ def test_stationary_point_floor_missing_args_raise():
 def test_approx_ratio_audit_on_coverage_trap():
     f = coverage_instance(3, 0.1, 1)
     trap = _indicator(f.partition, [0, 0, 0])
-    floor = stationary_point_floor("extension", curvature=1.0)
+    floor = stationary_point_floor(None, curvature=1.0)
     rep = approx_ratio_audit(f, trap, floor)
     assert rep.opt_value == pytest.approx(4.0, abs=1e-12)
     assert rep.ratio == pytest.approx(2.2 / 4.0, abs=1e-12)
@@ -420,7 +424,7 @@ def test_projected_ascent_on_modular_reaches_argmax():
     p = Partition((3,))
     f = ModularFunction(p, np.array([1.0, 3.0, 2.0]))
     prof = projected_ascent(f)
-    np.testing.assert_allclose(prof.blocks[0], [0.0, 1.0, 0.0], atol=1e-8)
+    np.testing.assert_allclose(_blocks(prof)[0], [0.0, 1.0, 0.0], atol=1e-8)
 
 
 def test_projected_ascent_respects_start_and_iteration_cap():
@@ -428,7 +432,7 @@ def test_projected_ascent_respects_start_and_iteration_cap():
     f = ModularFunction(p, np.array([0.0, 1.0]))
     start = _indicator(p, [0])
     frozen = projected_ascent(f, start=start, max_iters=0)
-    np.testing.assert_allclose(frozen.blocks[0], start.blocks[0], atol=0)
+    np.testing.assert_allclose(_blocks(frozen)[0], _blocks(start)[0], atol=0)
 
 
 def test_projected_ascent_stays_at_trap_vertex():
@@ -438,7 +442,7 @@ def test_projected_ascent_stays_at_trap_vertex():
     trap = _indicator(f.partition, [0, 0, 0])
     assert check_stationarity(f, trap, tol=1e-9).stationary
     stuck = projected_ascent(f, start=trap, max_iters=200)
-    for b, tb in zip(stuck.blocks, trap.blocks):
+    for b, tb in zip(_blocks(stuck), _blocks(trap)):
         np.testing.assert_allclose(b, tb, atol=1e-9)
 
 
