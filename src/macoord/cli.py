@@ -22,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, MacoordError
+from .errors import ConfigError, MacoordError, config_value
 from .harness import (
     PRESETS,
     RunConfig,
@@ -88,15 +88,11 @@ def _load_run_config(args: argparse.Namespace, forced_kind: str | None) -> RunCo
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigError("config must be a JSON object")
-        doc.update(overrides)
+        doc.update(config_value("config", overrides, dict))
     if not doc:
         raise ConfigError("need --config and/or --preset")
     if forced_kind is not None:
-        learner = doc.get("learner", {})
-        if not isinstance(learner, dict):
-            raise ConfigError(f"learner must be an object, got {learner!r}")
+        learner = config_value("learner", doc.get("learner", {}), dict)
         if learner.get("kind", forced_kind) != forced_kind:
             learner = {}  # settings of another learner kind
         doc["learner"] = {**learner, "kind": forced_kind}

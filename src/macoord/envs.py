@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ScaleError, check_fields, config_field, config_value
+from .errors import ConfigError, ScaleError, read_kind
 from .ground import Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
@@ -488,38 +488,35 @@ def _default_mix(n_targets: int, kinds: Sequence[str]) -> dict[str, int]:
 class _MovingTargetEnvironment:
     """Shared driver: build world, expose per-round objectives, advance."""
 
-    speeds: Sequence[float]
     target_kinds: Sequence[str]
 
-    def __init__(self, config: dict, seed: int):
-        check_fields("environment", config, (
-            "kind", "horizon", "agents", "targets", "speeds", "headings", "target_mix",
-            "record_world",
-        ))
-        self.horizon = config_field(config, "horizon", int, 300)
-        n_agents = config_field(config, "agents", int, 6)
-        n_targets = config_field(config, "targets", int, 8)
-        if n_agents < 1 or n_targets < 1:
+    def __init__(
+        self,
+        seed: int,
+        horizon: int,
+        agents: int,
+        targets: int,
+        speeds: Sequence[float],
+        headings: int,
+        target_mix: Optional[dict[str, int]],
+        record_world: bool,
+    ):
+        if agents < 1 or targets < 1:
             raise ConfigError("need at least one agent and one target")
-        speeds = [config_value("speeds", v, float) for v in config.get("speeds", self.speeds)]
-        headings = config_field(config, "headings", int, DEFAULT_HEADINGS)
         motion = MotionGrid(headings, speeds)
         self._rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x656E76)))
-        mix = config.get("target_mix") or _default_mix(n_targets, self.target_kinds)
-        if not isinstance(mix, dict):
-            raise ConfigError("target_mix must map target kinds to counts")
+        mix = target_mix or _default_mix(targets, self.target_kinds)
         unknown = sorted(set(mix) - set(TARGET_KINDS))
         if unknown:
             raise ConfigError(f"unknown target kinds {unknown}; known: {list(TARGET_KINDS)}")
-        if any(config_value("target_mix", c, int) < 0 for c in mix.values()):
+        if any(c < 0 for c in mix.values()):
             raise ConfigError(f"target_mix counts must be nonnegative integers, got {mix}")
-        if sum(mix.values()) != n_targets:
+        if sum(mix.values()) != targets:
             raise ConfigError("target_mix must sum to the number of targets")
-        targets = _build_targets(mix, self._rng)
-        agents = _spawn_disk(self._rng, n_agents)
-        self.world = TrackingWorld(agents, targets, motion, self.horizon)
+        world_targets = _build_targets(mix, self._rng)
+        self.world = TrackingWorld(_spawn_disk(self._rng, agents), world_targets, motion, horizon)
         self.partition = self.world.partition()
-        self.record_world = config_field(config, "record_world", bool, False)
+        self.record_world = record_world
         self._trace: list[tuple] = []
         if self.record_world:
             self._record()
@@ -550,7 +547,6 @@ class _MovingTargetEnvironment:
 
 
 class FacilityEnvironment(_MovingTargetEnvironment):
-    speeds = FACILITY_SPEEDS
     target_kinds = ("random", "polyline", "adversarial")
 
     def _objective(self) -> SetFunction:
@@ -562,7 +558,6 @@ class FacilityEnvironment(_MovingTargetEnvironment):
 
 
 class TrackingGainEnvironment(_MovingTargetEnvironment):
-    speeds = EKF_SPEEDS
     target_kinds = ("brownian",)
 
     def _objective(self) -> SetFunction:
@@ -597,34 +592,34 @@ class OrbitingTargetsEnvironment:
     same inverse-distance coverage as the facility world.
     """
 
-    def __init__(self, config: dict, seed: int):
-        check_fields("environment", config, (
-            "kind", "horizon", "agents", "slots", "targets", "drift_cycles", "radius",
-            "target_radius",
-        ))
-        n_agents = config_field(config, "agents", int, 3)
-        slots = config_field(config, "slots", int, 2)
-        n_targets = config_field(config, "targets", int, 2)
-        self.horizon = config_field(config, "horizon", int, 500)
-        self.cycles = config_field(config, "drift_cycles", float, 1.0)
-        self.radius = config_field(config, "radius", float, 4.0)
-        self.target_radius = config_field(config, "target_radius", float, 0.625 * self.radius)
-        for name, x in (
-            ("drift_cycles", self.cycles),
-            ("radius", self.radius),
-            ("target_radius", self.target_radius),
-        ):
+    def __init__(
+        self,
+        seed: int,
+        horizon: int,
+        agents: int,
+        slots: int,
+        targets: int,
+        drift_cycles: float,
+        radius: float,
+        target_radius: Optional[float],
+    ):
+        self.horizon = horizon
+        self.cycles = drift_cycles
+        self.radius = radius
+        self.target_radius = 0.625 * radius if target_radius is None else target_radius
+        limited = ("drift_cycles", "radius", "target_radius")
+        for name, x in zip(limited, (drift_cycles, radius, self.target_radius)):
             if not abs(x) <= WORLD_LIMIT:
                 raise ConfigError(
                     f"orbiting-targets {name} must be finite and at most {WORLD_LIMIT:g} "
                     f"in magnitude, got {x}"
                 )
-        self.partition = Partition((slots,) * n_agents)
+        self.partition = Partition((slots,) * agents)
         total = self.partition.total
         angles = 2.0 * math.pi * np.arange(total) / total
         self.sites = self.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6F726269)))
-        self.phases = rng.uniform(0.0, 2.0 * math.pi, n_targets)
+        self.phases = rng.uniform(0.0, 2.0 * math.pi, targets)
         self.tick = 0
 
     def _target_positions(self) -> np.ndarray:
@@ -638,32 +633,42 @@ class OrbitingTargetsEnvironment:
         self.tick += 1
 
 
-def make_environment(spec: dict, seed: int):
-    """Environment factory keyed on ``spec["kind"]``."""
-    kind = spec.get("kind")
-    if kind == "facility":
-        return FacilityEnvironment(spec, seed)
-    if kind == "tracking-gain":
-        return TrackingGainEnvironment(spec, seed)
-    if kind == "orbiting-targets":
-        return OrbitingTargetsEnvironment(spec, seed)
+# Each environment kind's spec fields, name -> (JSON kind, default), read by
+# errors.read_kind.  The run's horizon is no spec field: the harness passes it.
+_TRACKING_FIELDS = {
+    "agents": (int, 6),
+    "targets": (int, 8),
+    "speeds": (list[float], EKF_SPEEDS),
+    "headings": (int, DEFAULT_HEADINGS),
+    "target_mix": (dict[str, int], None),
+    "record_world": (bool, False),
+}
+ENVIRONMENT_FIELDS = {
+    "facility": {**_TRACKING_FIELDS, "speeds": (list[float], FACILITY_SPEEDS)},
+    "tracking-gain": _TRACKING_FIELDS,
+    "ekf": _TRACKING_FIELDS,  # the tracking-gain world under its filter's name
+    "orbiting-targets": {
+        "agents": (int, 3),
+        "slots": (int, 2),
+        "targets": (int, 2),
+        "drift_cycles": (float, 1.0),
+        "radius": (float, 4.0),
+        "target_radius": (float, None),  # 0.625 radius
+    },
+    "coverage": {"agents": (int, 3), "epsilon": (float, 0.1), "k": (int, 1)},
+    "synthetic": {"objective": (str, "coverage-random"), "sizes": (list[int], (2, 2, 2))},
+}
+
+
+def make_environment(spec: dict, seed: int, horizon: int):
+    """Environment factory keyed on ``spec["kind"]``, for a run of ``horizon`` rounds."""
+    if "horizon" in spec:
+        raise ConfigError("unknown environment field 'horizon'; the top-level horizon sets it")
+    kind, fields = read_kind("environment", spec, ENVIRONMENT_FIELDS)
     if kind == "coverage":
-        check_fields("environment", spec, ("kind", "horizon", "agents", "epsilon", "k"))
-        f = coverage_instance(
-            config_field(spec, "agents", int, 3),
-            config_field(spec, "epsilon", float, 0.1),
-            config_field(spec, "k", int, 1),
-        )
-        return StaticEnvironment(f)
+        return StaticEnvironment(coverage_instance(fields["agents"], fields["epsilon"], fields["k"]))
     if kind == "synthetic":
-        check_fields("environment", spec, ("kind", "horizon", "objective", "sizes"))
-        rng = np.random.default_rng(
-            np.random.SeedSequence((int(seed), 0x73796E74))
-        )
-        f = synthetic_setfn(
-            spec.get("objective", "coverage-random"),
-            tuple(config_value("sizes", k, int) for k in spec.get("sizes", (2, 2, 2))),
-            rng,
-        )
-        return StaticEnvironment(f)
-    raise ConfigError(f"unknown environment kind {kind!r}")
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x73796E74)))
+        return StaticEnvironment(synthetic_setfn(fields["objective"], fields["sizes"], rng))
+    worlds = {"facility": FacilityEnvironment, "orbiting-targets": OrbitingTargetsEnvironment}
+    return worlds.get(kind, TrackingGainEnvironment)(seed, horizon, **fields)

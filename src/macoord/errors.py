@@ -1,6 +1,7 @@
-"""Exception types, and the config-field readers, shared across the package."""
+"""Exception types, and the spec-section readers, shared across the package."""
 
 import numbers
+import typing
 
 
 class MacoordError(Exception):
@@ -30,25 +31,56 @@ class DataError(MacoordError, ValueError):
     """Logged experiment data is missing fields required by an operation."""
 
 
-def config_value(key: str, value, kind: type):
-    """A config value of one kind, refused rather than coerced (``dict()`` reads
-    pairs, ``bool("no")`` is true, ``int()`` takes "5" and 2.7).  A bool is no
-    number and an int is a float."""
-    allowed = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-        what = {dict: "an object", bool: "true or false", int: "an integer", float: "a number"}
-        raise ConfigError(f"{key} must be {what[kind]}, got {value!r}")
+REQUIRED = object()  # the default of a field that a spec must give
+_WHAT = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
+         int: "an integer", float: "a number"}
+
+
+def config_value(key: str, value, kind):
+    """A config value of one JSON kind, refused rather than coerced (``dict()``
+    reads pairs, ``bool("no")`` is true, ``int()`` takes "5" and 2.7).  A bool
+    is no number and an int is a float.  ``list[T]`` is an array (a list or a
+    tuple) and ``dict[str, T]`` an object, each element of kind ``T``."""
+    origin = typing.get_origin(kind) or kind
+    allowed = {int: numbers.Integral, float: numbers.Real, list: (list, tuple)}.get(origin, origin)
+    if isinstance(value, bool) != (origin is bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{key} must be {_WHAT[origin]}, got {value!r}")
+    if origin is list:
+        return [config_value(key, x, *typing.get_args(kind)) for x in value]
+    if origin is dict and kind is not dict:
+        keys, items = typing.get_args(kind)
+        return {config_value(key, k, keys): config_value(key, v, items) for k, v in value.items()}
     return kind(value)
 
 
-def config_field(doc: dict, key: str, kind: type, default=None):
-    """``doc[key]`` through :func:`config_value`; a missing field without
-    default is a KeyError."""
-    return config_value(key, doc[key] if default is None else doc.get(key, default), kind)
+def read_section(section: str, doc, fields: dict) -> dict:
+    """The fields of the spec section ``doc``, as ``fields`` declares them.
 
-
-def check_fields(section: str, doc: dict, fields: tuple) -> None:
-    """Refuse a field of ``doc`` that its reader, which takes ``fields``, would ignore."""
+    ``fields`` maps each field name, in order, to ``(kind, default)``.  A
+    field it does not name is refused, every value is typed through
+    :func:`config_value`, and an absent field takes its default; a
+    :data:`REQUIRED` field must be given.  A field whose default is None is
+    optional, and None (JSON null) leaves it unset.
+    """
+    doc = config_value(section, doc, dict)
     unknown = [key for key in doc if key not in fields]
     if unknown:
         raise ConfigError(f"unknown {section} field {unknown[0]!r}; accepted: {', '.join(fields)}")
+    values = {}
+    for key, (kind, default) in fields.items():
+        if default is REQUIRED and key not in doc:
+            raise ConfigError(f"missing {section} field: {key}")
+        value = doc.get(key, default)
+        values[key] = None if value is None and default is None else config_value(key, value, kind)
+    return values
+
+
+def read_kind(section: str, doc, kinds: dict) -> tuple[str, dict]:
+    """``(kind, fields)`` of a spec section whose ``kind`` picks its
+    declaration from ``kinds`` (kind to fields, read by :func:`read_section`)."""
+    kind = config_value(section, doc, dict).get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {section} kind {kind!r}; known: {', '.join(kinds)}")
+    fields = read_section(section, doc, {"kind": (str, REQUIRED), **kinds[kind]})
+    del fields["kind"]
+    return kind, fields

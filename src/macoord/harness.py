@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MacoordError, ScaleError, check_fields, config_field
+from .errors import REQUIRED, ConfigError, MacoordError, ScaleError, read_kind, read_section
 from .extension import SurrogateScheme
 from .ground import Partition
 from .learners import (
@@ -34,7 +33,35 @@ from .network import CommGraph, graph_from_spec
 from .envs import make_environment
 from .oracle import brute_force_opt
 
-LEARNER_KINDS = ("ma-spl", "ma-mpl", "random", "greedy")
+# Each spec section's fields, name -> (JSON kind, default), read by
+# errors.read_section: the top level, and the learner and its scheme per kind.
+CONFIG_FIELDS = {
+    "environment": (dict, REQUIRED),
+    "graph": (dict, {"kind": "complete"}),
+    "learner": (dict, REQUIRED),
+    "horizon": (int, REQUIRED),
+    "seed": (int, 0),
+    "oracle_regret": (bool, False),
+    "rho": (float, 1.0),
+    "out": (str, None),
+}
+LEARNER_FIELDS = {
+    "ma-spl": {
+        "scheme": (dict, None),  # submodular
+        "eta0": (float, 1.0),
+        "batch": (int, 10),
+        "exact_gradient": (bool, False),
+        "step_size": (float, None),  # eta0 / sqrt(horizon)
+    },
+    "ma-mpl": {"K": (int, 15), "L": (int, 10), "eta0": (float, 1.0), "step_size": (float, None)},
+    "random": {},
+    "greedy": {},
+}
+SCHEME_FIELDS = {
+    "submodular": {},
+    "weak-dr": {"alpha": (float, REQUIRED)},
+    "weak-sub": {"gamma": (float, REQUIRED), "beta": (float, REQUIRED)},
+}
 
 
 @dataclass(frozen=True)
@@ -49,134 +76,83 @@ class RoundLog:
 
 @dataclass
 class RunConfig:
+    """A run's top-level config (:data:`CONFIG_FIELDS`); the sections stay
+    mappings until their readers build the run's parts."""
+
     environment: dict
     graph: dict
     learner: dict
     horizon: int
     seed: int
-    oracle_regret: bool = False
-    rho: float = 1.0
-    out: Optional[str] = None
+    oracle_regret: bool
+    rho: float
+    out: Optional[str]
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
-        if not isinstance(self.environment, dict) or "kind" not in self.environment:
-            raise ConfigError("environment spec needs a 'kind'")
-        if not isinstance(self.graph, dict) or "kind" not in self.graph:
-            raise ConfigError("graph spec needs a 'kind'")
-        kind = self.learner.get("kind") if isinstance(self.learner, dict) else None
-        if kind not in LEARNER_KINDS:
-            raise ConfigError(f"learner kind must be one of {LEARNER_KINDS}, got {kind!r}")
+        read_kind("learner", self.learner, LEARNER_FIELDS)  # refused before the run starts
         if not (0.0 <= self.rho <= 1.0):
             raise ConfigError("rho must lie in [0, 1]")
-        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
-            raise ConfigError(f"out must be a directory path, got {self.out!r}")
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
-        check_fields(
-            "config",
-            doc,
-            ("environment", "graph", "learner", "horizon", "seed", "oracle_regret", "rho", "out"),
-        )
-        try:
-            return RunConfig(
-                environment=config_field(doc, "environment", dict),
-                graph=config_field(doc, "graph", dict, {"kind": "complete"}),
-                learner=config_field(doc, "learner", dict),
-                horizon=config_field(doc, "horizon", int),
-                seed=config_field(doc, "seed", int, 0),
-                oracle_regret=config_field(doc, "oracle_regret", bool, False),
-                rho=config_field(doc, "rho", float, 1.0),
-                out=doc.get("out"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: {exc.args[0]}") from exc
+        return RunConfig(**read_section("config", doc, CONFIG_FIELDS))
 
 
 def scheme_from_dict(doc: Optional[dict]) -> SurrogateScheme:
-    doc = doc or {"kind": "submodular"}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"surrogate scheme must be an object with a 'kind', got {doc!r}")
-    kind = doc.get("kind")
-    try:
-        if kind == "submodular":
-            check_fields("scheme", doc, ("kind",))
-            return SurrogateScheme.submodular()
-        if kind == "weak-dr":
-            check_fields("scheme", doc, ("kind", "alpha"))
-            return SurrogateScheme.weak_dr(config_field(doc, "alpha", float))
-        if kind == "weak-sub":
-            check_fields("scheme", doc, ("kind", "gamma", "beta"))
-            return SurrogateScheme.weak_sub(
-                config_field(doc, "gamma", float), config_field(doc, "beta", float)
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad surrogate scheme {doc}: {exc}") from exc
-    raise ConfigError(f"unknown surrogate scheme kind {kind!r}")
+    """The surrogate scheme of a learner's ``scheme`` spec; none is submodular."""
+    kind, fields = read_kind("scheme", doc or {"kind": "submodular"}, SCHEME_FIELDS)
+    if kind == "weak-dr":
+        return SurrogateScheme.weak_dr(fields["alpha"])
+    if kind == "weak-sub":
+        return SurrogateScheme.weak_sub(fields["gamma"], fields["beta"])
+    return SurrogateScheme.submodular()
 
 
 @contextmanager
 def _spec_errors(what: str, spec: dict):
-    """Report a bad value in a config mapping as a one-line ConfigError."""
+    """Report a spec value that a library check refuses as a one-line ConfigError."""
     try:
         yield
-    except MacoordError:
+    except ConfigError:
         raise
-    except KeyError as exc:
-        raise ConfigError(f"bad {what} spec {spec}: missing field {exc}") from exc
+    except MacoordError as exc:
+        raise ConfigError(str(exc)) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what} spec {spec}: {exc}") from exc
 
 
 def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
-    doc = cfg.learner
-    kind = doc["kind"]
-    with _spec_errors("learner", doc):
+    with _spec_errors("learner", cfg.learner):
+        kind, fields = read_kind("learner", cfg.learner, LEARNER_FIELDS)
         if kind == "ma-spl":
-            check_fields(
-                "learner", doc, ("kind", "scheme", "eta0", "batch", "exact_gradient", "step_size")
-            )
+            fields["scheme"] = scheme_from_dict(fields["scheme"])
             return PolicyConsensusLearner(
-                partition,
-                graph,
-                scheme_from_dict(doc.get("scheme")),
-                horizon=cfg.horizon,
-                seed=cfg.seed,
-                eta0=config_field(doc, "eta0", float, 1.0),
-                batch=config_field(doc, "batch", int, 10),
-                exact_gradient=config_field(doc, "exact_gradient", bool, False),
-                step_size=doc.get("step_size"),
+                partition, graph, horizon=cfg.horizon, seed=cfg.seed, **fields
             )
         if kind == "ma-mpl":
-            check_fields("learner", doc, ("kind", "K", "L", "eta0", "step_size"))
             return MetaConditionalGradientLearner(
                 partition,
                 graph,
                 horizon=cfg.horizon,
                 seed=cfg.seed,
-                inner_steps=config_field(doc, "K", int, 15),
-                sample_batch=config_field(doc, "L", int, 10),
-                eta0=config_field(doc, "eta0", float, 1.0),
-                step_size=doc.get("step_size"),
+                inner_steps=fields["K"],
+                sample_batch=fields["L"],
+                eta0=fields["eta0"],
+                step_size=fields["step_size"],
             )
-        check_fields("learner", doc, ("kind",))
         if kind == "random":
             return RandomLearner(partition, cfg.seed)
-        if kind == "greedy":
-            return GreedyLearner(partition)
-    raise ConfigError(f"unknown learner kind {kind!r}")
+        return GreedyLearner(partition)
 
 
 def run_experiment(cfg: RunConfig) -> list[RoundLog]:
     """Execute one full run; deterministic in the config (incl. seed)."""
-    env_spec = {**cfg.environment, "horizon": cfg.horizon}
-    env_spec["kind"] = ENV_KIND_ALIASES.get(env_spec.get("kind"), env_spec.get("kind"))
-    with _spec_errors("environment", env_spec):
-        env = make_environment(env_spec, cfg.seed)
+    with _spec_errors("environment", cfg.environment):
+        env = make_environment(cfg.environment, cfg.seed, cfg.horizon)
     partition = env.partition
     if cfg.oracle_regret:
         try:
@@ -338,9 +314,6 @@ BENCH_MATRICES: dict[str, list[tuple[str, dict]]] = {
     ],
 }
 
-ENV_KIND_ALIASES = {"ekf": "tracking-gain"}
-
-
 def resolve_preset(name: str) -> dict:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
@@ -367,10 +340,7 @@ def run_bench(
     for label, learner_doc in BENCH_MATRICES[preset]:
         per_seed = []
         for seed in seeds:
-            doc = json.loads(json.dumps(base))
-            doc["learner"] = learner_doc
-            doc["seed"] = int(seed)
-            cfg = RunConfig.from_dict(doc)
+            cfg = RunConfig.from_dict({**base, "learner": learner_doc, "seed": int(seed)})
             logs = run_experiment(cfg)
             export_csv(logs, out_dir / label / f"seed{seed}.csv")
             per_seed.append(float(np.mean([log.utility for log in logs])))

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, config_value
+from .errors import ConfigError
 from .extension import (
     PolicyProfile,
     SurrogateScheme,
@@ -63,10 +63,7 @@ def agent_stream(seed: int, t: int, agent: int) -> np.random.Generator:
 
 
 def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> float:
-    if step_size is None:
-        step = eta0 / math.sqrt(horizon)
-    else:
-        step = config_value("step_size", step_size, float)
+    step = eta0 / math.sqrt(horizon) if step_size is None else step_size
     if not 0.0 < step < math.inf:
         raise ConfigError(f"step size must be finite and positive, got {step}")
     return step

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TopologyError, check_fields, config_field, config_value
+from .errors import REQUIRED, TopologyError, read_kind
 
 ERDOS_RENYI_MAX_RETRIES = 1000
 UNREACHABLE = -1  # hop distance between nodes in different components
@@ -125,26 +125,23 @@ def erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> CommGrap
     )
 
 
-def graph_from_spec(spec: dict, n: int) -> CommGraph:
-    """Build a graph from a config mapping.
+# Each graph kind's spec fields, name -> (JSON kind, default), read by errors.read_kind.
+GRAPH_FIELDS = {
+    "complete": {},
+    "erdos_renyi": {"avg_degree": (float, 4.0), "seed": (int, 0)},
+    "explicit": {"edges": (list[list[int]], REQUIRED)},
+}
 
-    Kinds: ``complete``; ``erdos_renyi`` with ``avg_degree`` and ``seed``;
-    ``explicit`` with an ``edges`` list.
-    """
-    kind = spec.get("kind")
-    if kind == "complete":
-        check_fields("graph", spec, ("kind",))
-        return CommGraph.complete(n)
+
+def graph_from_spec(spec: dict, n: int) -> CommGraph:
+    """Build a graph on ``n`` agents from a config mapping (:data:`GRAPH_FIELDS`)."""
+    kind, fields = read_kind("graph", spec, GRAPH_FIELDS)
     if kind == "erdos_renyi":
-        check_fields("graph", spec, ("kind", "avg_degree", "seed"))
-        seed = config_field(spec, "seed", int, 0)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E6574)))
-        return erdos_renyi(n, config_field(spec, "avg_degree", float, 4.0), rng)
+        rng = np.random.default_rng(np.random.SeedSequence((fields["seed"], 0x6E6574)))
+        return erdos_renyi(n, fields["avg_degree"], rng)
     if kind == "explicit":
-        check_fields("graph", spec, ("kind", "edges"))
-        pairs = [(u, v) for u, v in spec["edges"]]
-        g = CommGraph(n, [tuple(config_value("edges", x, int) for x in e) for e in pairs])
+        g = CommGraph(n, fields["edges"])
         if not g.is_connected():
             raise TopologyError("explicit graph is disconnected")
         return g
-    raise TopologyError(f"unknown graph kind {kind!r}")
+    return CommGraph.complete(n)

@@ -379,7 +379,7 @@ def seeded_determinism() -> CheckResult:
     }
     rows = []
     for _ in range(2):
-        logs = run_experiment(RunConfig.from_dict(json.loads(json.dumps(doc))))
+        logs = run_experiment(RunConfig.from_dict(doc))
         rows.append(tuple((l.t, l.utility, l.disagreement, l.queries) for l in logs))
     return CheckResult(
         "seeded-determinism",

@@ -391,7 +391,7 @@ def _assert_min_gains_match_reference(f):
 def test_facility_min_gains_match_generic_path(preset, seeds):
     spec = resolve_preset(preset)["environment"]
     for seed in seeds:
-        env = make_environment(dict(spec, horizon=10), seed)
+        env = make_environment(spec, seed, 10)
         rng = np.random.default_rng(seed)
         for t in range(1, 4):
             f = env.begin_round()
@@ -402,7 +402,7 @@ def test_facility_min_gains_match_generic_path(preset, seeds):
 
 def test_orbiting_min_gains_match_generic_path():
     for config in ({}, {"agents": 4, "slots": 3, "targets": 5}):
-        env = OrbitingTargetsEnvironment(dict(config, horizon=40), seed=3)
+        env = make_environment(dict(config, kind="orbiting-targets"), 3, 40)
         for t in range(1, 41):
             _assert_min_gains_match_reference(env.begin_round())
             env.finish_round(np.full(env.partition.n_agents, -1))
@@ -808,7 +808,7 @@ def test_tracking_gain_is_weakly_dr_but_not_submodular():
 
 
 def test_facility_environment_defaults():
-    env = make_environment({"kind": "facility", "agents": 6, "targets": 8}, seed=0)
+    env = make_environment({"kind": "facility", "agents": 6, "targets": 8}, 0, 300)
     assert isinstance(env, FacilityEnvironment)
     assert env.partition.sizes == (DEFAULT_HEADINGS * len(FACILITY_SPEEDS),) * 6
     kinds = [t.kind for t in env.world.targets]
@@ -821,7 +821,7 @@ def test_facility_environment_defaults():
 
 
 def test_tracking_environment_defaults():
-    env = make_environment({"kind": "tracking-gain", "agents": 4, "targets": 5}, seed=0)
+    env = make_environment({"kind": "tracking-gain", "agents": 4, "targets": 5}, 0, 300)
     assert env.partition.sizes == (DEFAULT_HEADINGS * len(EKF_SPEEDS),) * 4
     assert all(t.kind == "brownian" for t in env.world.targets)
     f = env.begin_round()
@@ -829,10 +829,10 @@ def test_tracking_environment_defaults():
 
 
 def test_environment_world_is_seeded():
-    spec = {"kind": "facility", "agents": 3, "targets": 4, "horizon": 20}
-    a = make_environment(spec, seed=5)
-    b = make_environment(spec, seed=5)
-    c = make_environment(spec, seed=6)
+    spec = {"kind": "facility", "agents": 3, "targets": 4}
+    a = make_environment(spec, 5, 20)
+    b = make_environment(spec, 5, 20)
+    c = make_environment(spec, 6, 20)
     np.testing.assert_array_equal(a.world.agents, b.world.agents)
     assert not np.array_equal(a.world.agents, c.world.agents)
     chosen = np.array([0, 1, 2])
@@ -850,7 +850,8 @@ def test_environment_target_mix_must_sum():
                 "targets": 3,
                 "target_mix": {"random": 1},
             },
-            seed=0,
+            0,
+            300,
         )
 
 
@@ -860,10 +861,10 @@ def test_environment_world_trace():
             "kind": "facility",
             "agents": 2,
             "targets": 3,
-            "horizon": 4,
             "record_world": True,
         },
-        seed=0,
+        0,
+        4,
     )
     for t in range(1, 5):
         env.begin_round()
@@ -877,7 +878,7 @@ def test_environment_world_trace():
 
 def test_static_environment_passthrough():
     f = coverage_instance(3, 0.1, 1)
-    env = make_environment({"kind": "coverage", "agents": 3, "epsilon": 0.1, "k": 1}, 0)
+    env = make_environment({"kind": "coverage", "agents": 3, "epsilon": 0.1, "k": 1}, 0, 1)
     assert isinstance(env, StaticEnvironment)
     rows = f.partition.members(np.array([[1, 1, 1]]))
     assert env.begin_round().value(rows) == f.value(rows)
@@ -885,8 +886,7 @@ def test_static_environment_passthrough():
 
 def test_orbiting_environment_geometry():
     env = make_environment(
-        {"kind": "orbiting-targets", "agents": 3, "slots": 2, "targets": 2, "horizon": 8},
-        seed=1,
+        {"kind": "orbiting-targets", "agents": 3, "slots": 2, "targets": 2}, 1, 8
     )
     assert isinstance(env, OrbitingTargetsEnvironment)
     assert env.partition.sizes == (2, 2, 2)
@@ -898,12 +898,11 @@ def test_orbiting_environment_geometry():
     assert not np.array_equal(f0.reward, f1.reward)
     # deterministic in the seed
     env2 = make_environment(
-        {"kind": "orbiting-targets", "agents": 3, "slots": 2, "targets": 2, "horizon": 8},
-        seed=1,
+        {"kind": "orbiting-targets", "agents": 3, "slots": 2, "targets": 2}, 1, 8
     )
     np.testing.assert_array_equal(env2.begin_round().reward, f0.reward)
 
 
 def test_make_environment_unknown_kind():
     with pytest.raises(ConfigError):
-        make_environment({"kind": "lunar"}, seed=0)
+        make_environment({"kind": "lunar"}, 0, 1)

@@ -7,6 +7,7 @@ full-scale benchmark claims live in the acceptance suite.
 import csv
 import json
 import math
+import typing
 import warnings
 
 import numpy as np
@@ -14,14 +15,17 @@ import pytest
 
 import macoord.cli as cli
 from macoord.cli import main
-from macoord.envs import make_environment
-from macoord.errors import ConfigError
+from macoord.envs import ENVIRONMENT_FIELDS, make_environment
+from macoord.errors import REQUIRED, ConfigError
 from macoord.extension import SurrogateScheme
 from macoord.geometry import normalize_policy
 from macoord.harness import (
     BENCH_MATRICES,
+    CONFIG_FIELDS,
     CSV_COLUMNS,
+    LEARNER_FIELDS,
     PRESETS,
+    SCHEME_FIELDS,
     RoundLog,
     RunConfig,
     export_csv,
@@ -33,7 +37,7 @@ from macoord.harness import (
     scheme_from_dict,
     write_world_trace,
 )
-from macoord.network import graph_from_spec
+from macoord.network import GRAPH_FIELDS, graph_from_spec
 from macoord.verification import CheckResult
 
 TINY_ENV = {"kind": "synthetic", "objective": "coverage-random", "sizes": [2, 2]}
@@ -120,7 +124,7 @@ def test_make_learner_kinds():
     from macoord.network import graph_from_spec
 
     cfg = tiny_config()
-    env = make_environment({**cfg.environment, "horizon": 4}, cfg.seed)
+    env = make_environment(cfg.environment, cfg.seed, 4)
     graph = graph_from_spec(cfg.graph, 2)
     for kind, cls in (
         ("ma-spl", PolicyConsensusLearner),
@@ -150,7 +154,7 @@ def test_run_experiment_single_round_known_value():
         horizon=1,
     )
     logs = run_experiment(cfg)
-    env = make_environment({**cfg.environment, "horizon": 1}, cfg.seed)
+    env = make_environment(cfg.environment, cfg.seed, 1)
     f = env.begin_round()
     expect = f.value(f.partition.members(np.array([[0, 0]])))[0]
     assert len(logs) == 1
@@ -345,7 +349,7 @@ def test_tracking_desk_learners_leave_their_uniform_start():
         doc = resolve_preset("tracking-desk")
         doc["learner"] = learner_doc
         cfg = RunConfig.from_dict(doc)
-        env = make_environment({**cfg.environment, "horizon": cfg.horizon}, cfg.seed)
+        env = make_environment(cfg.environment, cfg.seed, cfg.horizon)
         graph = graph_from_spec(cfg.graph, env.partition.n_agents)
         learner = make_learner(cfg, env.partition, graph)
         for t in range(1, rounds + 1):
@@ -521,9 +525,12 @@ def _weak_sub(gamma, beta):
         (dict(CLI_DOC, environment=dict(TINY_ENV, agents=2)), "agents", "environment"),
         (dict(CLI_DOC, environment={"kind": "orbiting-targets", "slot": 2}), "slot", "environment"),
         (dict(CLI_DOC, graph={"kind": "erdos_renyi", "degree": 3}), "degree", "graph"),
+        # the run's horizon sets the world's; this one used to be overwritten
+        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "horizon": 7}, horizon=3),
+         "horizon", "environment"),
     ],
     ids=["environment", "learner", "graph", "scheme", "mpl-learner", "synthetic", "orbit",
-         "erdos-renyi"],
+         "erdos-renyi", "environment-horizon"],
 )
 def test_cli_refuses_unknown_spec_fields(tmp_path, capsys, doc, field, section):
     # each of these used to be ignored, and the run took the default
@@ -533,6 +540,83 @@ def test_cli_refuses_unknown_spec_fields(tmp_path, capsys, doc, field, section):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert f"unknown {section} field {field!r}" in err, err
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        (dict(CLI_DOC, environment={"kind": "coverage", "agents": 3},
+              graph={"kind": "explicit", "edges": [[0, 1]]}), "explicit graph is disconnected"),
+        (dict(CLI_DOC, environment={"kind": "synthetic", "sizes": []}),
+         "partition needs at least one agent"),
+    ],
+    ids=["disconnected-graph", "no-agents"],
+)
+def test_cli_reports_refused_spec_values_as_config_errors(tmp_path, capsys, doc, line):
+    # a library check refuses these; they used to be printed as "error:"
+    path = _write_config(tmp_path, doc)
+    assert main(["run-spl", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+# a valid value of each field that has no default, for the specs below
+_REQUIRED_VALUES = {"alpha": 1.0, "gamma": 1.0, "beta": 1.0, "edges": [[0, 1]]}
+_LEARNER_COMMANDS = {"ma-spl": ["run-spl"], "ma-mpl": ["run-mpl"],
+                     "random": ["run-baseline", "--baseline", "random"],
+                     "greedy": ["run-baseline", "--baseline", "greedy"]}
+
+
+def _wrong_values(kind) -> list:
+    """Values of another JSON kind than ``kind``: for an array or an object,
+    also one whose element is of another kind."""
+    wrong = [5 if kind is str else "x"]
+    if typing.get_origin(kind) is list:
+        wrong.append(["x"])
+    elif typing.get_origin(kind) is dict:
+        wrong.append({"k": "x"})
+    return wrong
+
+
+def _declared_specs():
+    """``(command, doc, field, value)``: every declared field of every spec
+    section set to each value of :func:`_wrong_values` in a config that is
+    valid otherwise, and an unknown field ``bogus`` in every section."""
+
+    def cases(kind, fields):
+        base = {key: _REQUIRED_VALUES[key] for key, (_, d) in fields.items() if d is REQUIRED}
+        wrong = [(f, v) for f, (k, _) in fields.items() for v in _wrong_values(k)]
+        for field, value in wrong + [("bogus", 1)]:
+            yield field, value, {"kind": kind, **base, field: value}
+
+    for field, value in [(f, v) for f, (k, _) in CONFIG_FIELDS.items() for v in _wrong_values(k)]:
+        yield ["run-spl"], dict(CLI_DOC, **{field: value}), field, value
+    yield ["run-spl"], dict(CLI_DOC, bogus=1), "bogus", 1
+    for kind, fields in ENVIRONMENT_FIELDS.items():
+        for field, value, spec in cases(kind, fields):
+            yield ["run-spl"], dict(CLI_DOC, environment=spec), field, value
+    for kind, fields in GRAPH_FIELDS.items():
+        for field, value, spec in cases(kind, fields):
+            yield ["run-spl"], dict(CLI_DOC, graph=spec), field, value
+    for kind, fields in LEARNER_FIELDS.items():
+        for field, value, spec in cases(kind, fields):
+            yield _LEARNER_COMMANDS[kind], dict(CLI_DOC, learner=spec), field, value
+    for kind, fields in SCHEME_FIELDS.items():
+        for field, value, spec in cases(kind, fields):
+            learner = {"kind": "ma-spl", "scheme": spec}
+            yield ["run-spl"], dict(CLI_DOC, learner=learner), field, value
+
+
+def test_cli_refuses_a_wrong_kind_in_every_declared_field(tmp_path, capsys):
+    # driven by the declarations, so a field is covered once it is declared
+    failures = []
+    cases = list(_declared_specs())
+    for command, doc, field, value in cases:
+        code = main([*command, "--config", str(_write_config(tmp_path, doc))])
+        err = capsys.readouterr().err
+        want = "config error: " + ("unknown" if field == "bogus" else f"{field} must be")
+        if code != 1 or err.count("\n") != 1 or not err.startswith(want) or field not in err:
+            failures.append(f"{field}={value!r} in {doc}: exit {code}, {err!r}")
+    assert cases and not failures, "\n".join(failures)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from macoord.errors import TopologyError
+from macoord.errors import ConfigError, TopologyError
 from macoord.network import (
     UNREACHABLE,
     CommGraph,
@@ -199,6 +199,6 @@ def test_graph_from_spec():
     assert ex.edges == ((0, 1), (1, 2))
     with pytest.raises(TopologyError):
         graph_from_spec({"kind": "explicit", "edges": [(0, 1)]}, 3)
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError):
         graph_from_spec({"kind": "smoke-signals"}, 3)
 
