@@ -32,19 +32,27 @@ class DataError(MacoordError, ValueError):
 
 
 REQUIRED = object()  # the default of a field that a spec must give
-_WHAT = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
-         int: "an integer", float: "a number"}
+_WHAT = {dict: "an object", list: "an array", tuple: "an array", str: "a string",
+         bool: "true or false", int: "an integer", float: "a number"}
 
 
 def config_value(key: str, value, kind):
     """A config value of one JSON kind, refused rather than coerced (``dict()``
     reads pairs, ``bool("no")`` is true, ``int()`` takes "5" and 2.7).  A bool
     is no number and an int is a float.  ``list[T]`` is an array (a list or a
-    tuple) and ``dict[str, T]`` an object, each element of kind ``T``."""
+    tuple) and ``dict[str, T]`` an object, each element of kind ``T``;
+    ``tuple[T1, ..., Tk]`` is an array of exactly k elements, element i of
+    kind ``Ti``."""
     origin = typing.get_origin(kind) or kind
-    allowed = {int: numbers.Integral, float: numbers.Real, list: (list, tuple)}.get(origin, origin)
+    allowed = {int: numbers.Integral, float: numbers.Real, list: (list, tuple),
+               tuple: (list, tuple)}.get(origin, origin)
     if isinstance(value, bool) != (origin is bool) or not isinstance(value, allowed):
         raise ConfigError(f"{key} must be {_WHAT[origin]}, got {value!r}")
+    if origin is tuple:
+        items = typing.get_args(kind)
+        if len(value) != len(items):
+            raise ConfigError(f"{key} must be an array of {len(items)} items, got {value!r}")
+        return tuple(config_value(key, x, item) for x, item in zip(value, items))
     if origin is list:
         return [config_value(key, x, *typing.get_args(kind)) for x in value]
     if origin is dict and kind is not dict:

@@ -48,9 +48,10 @@ class PolicyProfile:
     ``row`` may instead be an ``(m, |V|)`` stack of m such rows, which
     :func:`sample_choices` and the Monte-Carlo estimators take at once; the
     exact layer takes a single row, and its gradients also one row per agent.
-    The row is copied, made read-only and validated once, here: finite, no
-    entry below ``-PROFILE_ATOL`` and no block carrying more than
-    ``1 + PROFILE_ATOL``.
+    The row is copied, made read-only and validated once, here, where it
+    enters: finite, no entry below ``-PROFILE_ATOL`` and no block carrying
+    more than ``1 + PROFILE_ATOL``.  The learners wrap the rows they project
+    themselves through :meth:`_of_own_rows` instead, unchecked.
     """
 
     partition: Partition
@@ -72,6 +73,18 @@ class PolicyProfile:
             raise ValueError(f"a policy block carries total mass {mass.max()} > 1")
         row.flags.writeable = False
         object.__setattr__(self, "row", row)
+
+    @classmethod
+    def _of_own_rows(cls, partition: Partition, rows: np.ndarray) -> "PolicyProfile":
+        """A profile on a read-only view of rows a learner built itself,
+        projected onto every block's capped simplex, so neither copied nor
+        validated again.  Rows from anywhere else go through the constructor."""
+        view = rows.view()
+        view.flags.writeable = False
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "partition", partition)
+        object.__setattr__(profile, "row", view)
+        return profile
 
     @staticmethod
     def uniform(partition: Partition) -> "PolicyProfile":
@@ -152,14 +165,25 @@ def sample_rows(partition: Partition, rows: np.ndarray, u: np.ndarray) -> np.nda
     row r.  All agents go through one cumulative sum over the blocks padded
     to the longest (:meth:`Partition.pad`) with +inf, which no uniform
     reaches, so only a block's own entries are counted.
+
+    The count runs slot-major: the k_max cumulative planes, each laid out
+    ``(n, m)``, are compared with the uniforms laid out ``(L / m, n, m)``,
+    so the innermost loop runs over all n m blocks, and the planes are
+    summed in the smallest unsigned type that holds k_max.  Counting, not a
+    search, keeps the meaning on the non-monotone cumulative rows that
+    :data:`PROFILE_ATOL` admits.
     """
     u = np.asarray(u, dtype=np.float64)
     n = partition.n_agents
     m = 1 if rows.ndim == 1 else len(rows)
     if u.ndim != 2 or u.shape[1] != n or len(u) % m:
         raise ValueError(f"expected uniforms of shape ({m} * L, {n}), got {u.shape}")
-    cumulative = np.cumsum(partition.pad(rows, np.inf), axis=-1).reshape(m, 1, n, -1)
-    idx = (cumulative <= u.reshape(m, -1, n, 1)).sum(axis=-1).reshape(u.shape)
+    k_max = max(partition.sizes)
+    cumulative = np.cumsum(partition.pad(rows, np.inf), axis=-1).reshape(m, n, k_max)
+    planes = np.ascontiguousarray(cumulative.transpose(2, 1, 0))[:, None]  # (k_max, 1, n, m)
+    draws = np.ascontiguousarray(u.reshape(m, -1, n).transpose(1, 2, 0))  # (L / m, n, m)
+    counts = np.add.reduce(planes <= draws, axis=0, dtype=np.min_scalar_type(k_max))
+    idx = counts.transpose(2, 0, 1).astype(np.int64, order="C").reshape(u.shape)
     return np.where(idx < partition.sizes, idx, -1)
 
 

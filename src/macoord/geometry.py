@@ -1,4 +1,4 @@
-"""Capped-simplex geometry: projection and normalization.
+"""Capped-simplex geometry: projection.
 
 The feasible region of one agent's block is the capped simplex
 ``{x >= 0, sum(x) <= 1}``; a policy profile lives in the product of these.
@@ -9,8 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .ground import Partition
-
-NORMALIZE_FLOOR = 1e-12
 
 
 def project_capped_simplex(y: np.ndarray) -> np.ndarray:
@@ -43,12 +41,3 @@ def project_blocks(partition: Partition, rows: np.ndarray) -> np.ndarray:
     :func:`project_capped_simplex` call."""
     return partition.unpad(project_capped_simplex(partition.pad(rows)))
 
-
-def normalize_policy(partition: Partition, row: np.ndarray) -> np.ndarray:
-    """Scale every nonnegative block of a flat row to sum one; a block with
-    about zero mass becomes uniform."""
-    blocks = partition.pad(np.asarray(row, dtype=np.float64))
-    totals = blocks.sum(axis=-1, keepdims=True)
-    empty = totals <= NORMALIZE_FLOOR
-    uniform = 1.0 / np.array(partition.sizes)[:, None]
-    return partition.unpad(np.where(empty, uniform, blocks / np.where(empty, 1.0, totals)))

@@ -33,15 +33,15 @@ from .extension import (
     PolicyProfile,
     SurrogateScheme,
     exact_gradient,
-    sample_rows,
     sample_slots,
     sampled_gradients,
 )
-from .geometry import normalize_policy, project_blocks
+from .geometry import project_blocks
 from .ground import MarginalBudget, Partition, SetFunction, local_marginal_block
 from .network import UNREACHABLE, CommGraph, hop_distances, metropolis_weights
 
 _RANDOM_TAG = 0x72616E64
+NORMALIZE_FLOOR = 1e-12  # a played block with no more mass than this plays uniformly
 
 
 def agent_stream(seed: int, t: int, agent: int) -> np.random.Generator:
@@ -87,11 +87,19 @@ def _ascend(
 
 
 def _play(partition: Partition, own: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Each agent samples its own normalized block at its uniform ``u[i]``:
-    the slot row of one rounding of the normalized own row.  Round-off that
-    leaves a block's total below its uniform gives the block's last slot."""
-    slots = sample_rows(partition, normalize_policy(partition, own), u[None])[0]
-    return np.where(slots < 0, np.array(partition.sizes) - 1, slots)
+    """Each agent samples its own block, scaled to sum one, at its uniform
+    ``u[i]``: the number of the block's cumulative sums at or below it, over
+    half-open intervals.  A block with about zero mass plays uniformly.  All
+    blocks go zero-padded (:meth:`Partition.pad`) through one pass; a count
+    past a block's own slots, from the padding or from round-off that leaves
+    the block's total below its uniform, gives the block's last slot."""
+    blocks = partition.pad(own)
+    totals = blocks.sum(axis=-1, keepdims=True)
+    empty = totals <= NORMALIZE_FLOOR
+    sizes = np.array(partition.sizes)
+    scaled = np.where(empty, 1.0 / sizes[:, None], blocks / np.where(empty, 1.0, totals))
+    counts = (np.cumsum(scaled, axis=-1) <= u[:, None]).sum(axis=-1)
+    return np.minimum(counts, sizes - 1)
 
 
 class PolicyConsensusLearner:
@@ -172,7 +180,7 @@ class PolicyConsensusLearner:
         # local reweighted gradients at each agent's current view: one exact
         # contraction of all views, or every agent's z-scaled views rounded at
         # once and one oracle call for all
-        views = PolicyProfile(self.partition, self.policies)
+        views = PolicyProfile._of_own_rows(self.partition, self.policies)
         if self.exact_gradient:
             grad = exact_gradient(f, views, self.scheme)
         else:
@@ -290,7 +298,7 @@ class MetaConditionalGradientLearner:
 
         # score every agent's K inner estimates: one rounding of all n K L
         # draws, one oracle call for all, then teach every maximizer at once
-        views = PolicyProfile(self.partition, steps.swapaxes(0, 1).reshape(-1, total))
+        views = PolicyProfile._of_own_rows(self.partition, steps.swapaxes(0, 1).reshape(-1, total))
         slots = sample_slots(views, streams, self.sample_batch)
         self.update(sampled_gradients(f, slots, self.sample_batch, self.budget))
         return chosen

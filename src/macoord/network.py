@@ -129,7 +129,7 @@ def erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> CommGrap
 GRAPH_FIELDS = {
     "complete": {},
     "erdos_renyi": {"avg_degree": (float, 4.0), "seed": (int, 0)},
-    "explicit": {"edges": (list[list[int]], REQUIRED)},
+    "explicit": {"edges": (list[tuple[int, int]], REQUIRED)},
 }
 
 

@@ -262,6 +262,17 @@ def make_block(kind, k, rng):
     return b
 
 
+def on_boundaries(rows, partition, rng, at=None):
+    """A uniform row on one cumulative value of every block of each row:
+    entry ``at`` of each block, or a random one (clipped to the block)."""
+    out = []
+    for row in rows:
+        cums = np.split(row, partition.offsets[1:-1])
+        out.append([np.cumsum(b)[min(rng.integers(b.size) if at is None else at, b.size - 1)]
+                    for b in cums])
+    return np.array(out)
+
+
 @st.composite
 def profiles_and_uniforms(draw):
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
@@ -278,14 +289,40 @@ def profiles_and_uniforms(draw):
     stacks = [PolicyProfile(prof.partition, np.multiply.outer(scale, prof.row))] if len(u) else []
     if len(u) % 2 == 0:
         stacks.append(PolicyProfile(prof.partition, np.stack([prof.row, 0.5 * prof.row])))
-    return prof, u, stacks
+    cases = [(profile, u) for profile in [prof, *stacks]]
+
+    # ma-mpl's layout: m >= 2 rows of the same block kinds, each rounded by
+    # s >= 2 consecutive uniform rows, the first of them on a cumulative value
+    m, s = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    rows = np.stack([
+        profile_of([make_block(kind, k, rng) for kind, k in zip(kinds, sizes)]).row
+        for _ in range(m)
+    ])
+    u_stack = rng.random((m * s, len(sizes)))
+    u_stack[::s] = on_boundaries(rows, prof.partition, rng)
+    cases.append((PolicyProfile(prof.partition, rows), u_stack))
+
+    # unequal sizes with one block of at least 256 actions, whose counts
+    # pass what a uint8 holds; one uniform row sits on its 256th or a later
+    # cumulative value, and every block is also rounded in an m-row stack
+    wide, at = draw(st.integers(256, 300)), draw(st.integers(255, 299))
+    blocks = [make_block(kind, k, rng) for kind, k in zip(kinds, sizes)]
+    wide_block = make_block(draw(st.sampled_from(BLOCK_KINDS)), wide, rng)
+    blocks.insert(draw(st.integers(0, len(sizes))), wide_block)
+    wide_prof = profile_of(blocks)
+    u_wide = rng.random((m * s, len(blocks)))
+    u_wide[0] = on_boundaries([wide_prof.row], wide_prof.partition, rng, at)[0]
+    u_wide[1] = 1.0 - 1e-12
+    cases.append((wide_prof, u_wide))
+    wide_stack = np.multiply.outer(rng.random(m), wide_prof.row)
+    cases.append((PolicyProfile(wide_prof.partition, wide_stack), u_wide))
+    return cases
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(profiles_and_uniforms())
-def test_sample_choices_equal_per_agent_loop(case):
-    prof, u, stacks = case
-    for profile in [prof, *stacks]:
+def test_sample_choices_equal_per_agent_loop(cases):
+    for profile, u in cases:
         got = sample_choices(profile, u)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, reference_sample_choices(profile, u))

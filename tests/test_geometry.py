@@ -1,5 +1,5 @@
 """Capped-simplex projection against a dense grid oracle and a 1-d
-reference, plus normalization and indicator profiles."""
+reference, plus indicator profiles."""
 
 import itertools
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from macoord.extension import PolicyProfile
-from macoord.geometry import normalize_policy, project_capped_simplex
+from macoord.geometry import project_capped_simplex
 from macoord.ground import Partition
 
 
@@ -154,22 +154,6 @@ def test_batched_projection_of_padded_blocks_equals_reference(case):
     )
     # the padded entries of every block project to exactly zero
     np.testing.assert_array_equal(project_capped_simplex(p.pad(rows)), p.pad(expect))
-
-
-def test_normalize_policy():
-    np.testing.assert_allclose(
-        normalize_policy(Partition((2,)), np.array([1.0, 3.0])), [0.25, 0.75], atol=1e-15
-    )
-    # vanishing mass falls back to uniform
-    np.testing.assert_allclose(
-        normalize_policy(Partition((4,)), np.zeros(4)), [0.25, 0.25, 0.25, 0.25], atol=0
-    )
-    # blocks of a flat row normalize separately, each with its own size
-    np.testing.assert_allclose(
-        normalize_policy(Partition((2, 4, 1)), np.array([1.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.2])),
-        [0.25, 0.75, 0.25, 0.25, 0.25, 0.25, 1.0],
-        atol=1e-15,
-    )
 
 
 def _indicator(p, row):

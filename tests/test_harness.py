@@ -18,7 +18,6 @@ from macoord.cli import main
 from macoord.envs import ENVIRONMENT_FIELDS, make_environment
 from macoord.errors import REQUIRED, ConfigError
 from macoord.extension import SurrogateScheme
-from macoord.geometry import normalize_policy
 from macoord.harness import (
     BENCH_MATRICES,
     CONFIG_FIELDS,
@@ -356,7 +355,8 @@ def test_tracking_desk_learners_leave_their_uniform_start():
             env.finish_round(learner.round(env.begin_round(), t))
         # largest relative move of a played probability away from 1/k
         p = env.partition
-        played = normalize_policy(p, learner.played_profile().row)
+        blocks = p.pad(learner.played_profile().row)
+        played = p.unpad(blocks / blocks.sum(axis=-1, keepdims=True))
         departure[label] = float(np.abs(played * np.repeat(p.sizes, p.sizes) - 1.0).max())
     assert set(departure) == {"ma-spl-a0.1", "ma-spl-a1"}
     assert min(departure.values()) > 2e-3, departure
@@ -549,11 +549,17 @@ def test_cli_refuses_unknown_spec_fields(tmp_path, capsys, doc, field, section):
               graph={"kind": "explicit", "edges": [[0, 1]]}), "explicit graph is disconnected"),
         (dict(CLI_DOC, environment={"kind": "synthetic", "sizes": []}),
          "partition needs at least one agent"),
+        (dict(CLI_DOC, graph={"kind": "explicit", "edges": [[0, 1], [0, 1, 2]]}),
+         "edges must be an array of 2 items, got [0, 1, 2]"),
+        (dict(CLI_DOC, graph={"kind": "explicit", "edges": [[0, 1], [1]]}),
+         "edges must be an array of 2 items, got [1]"),
     ],
-    ids=["disconnected-graph", "no-agents"],
+    ids=["disconnected-graph", "no-agents", "edge-three-ends", "edge-one-end"],
 )
 def test_cli_reports_refused_spec_values_as_config_errors(tmp_path, capsys, doc, line):
-    # a library check refuses these; they used to be printed as "error:"
+    # a library check refuses the first two, and they used to be printed as
+    # "error:"; an edge that is no pair used to print the whole graph spec
+    # and "too many values to unpack"
     path = _write_config(tmp_path, doc)
     assert main(["run-spl", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"config error: {line}\n"

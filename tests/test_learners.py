@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import macoord.learners as learners_module
 from macoord.envs import (
     FacilityObjective,
     ModularFunction,
@@ -24,9 +25,10 @@ from macoord.extension import (
     PolicyProfile,
     SurrogateScheme,
     exact_extension,
+    exact_gradient,
     sample_slots,
 )
-from macoord.geometry import normalize_policy, project_blocks
+from macoord.geometry import project_blocks
 from macoord.ground import Partition, local_marginal_block
 from macoord.learners import (
     GreedyLearner,
@@ -139,9 +141,22 @@ def test_play_clamps_round_off_to_last_slot():
     # round-off leaves the normalized block's total below u: the last slot takes it
     q = Partition((2, 5))
     own = np.array([0.0, 0.0] + [0.3] * 5)  # agent 0 has no mass: uniform
-    total = np.cumsum(normalize_policy(q, own)[2:])[-1]
+    total = np.cumsum(own[2:] / own[2:].sum())[-1]
     assert total < 1.0
     assert _play(q, own, np.array([0.75, total])).tolist() == [1, 4]
+
+
+def test_play_scales_each_block_to_sum_one():
+    # [1, 3] plays as [0.25, 0.75]
+    p, own = Partition((2,)), np.array([1.0, 3.0])
+    assert [_play(p, own, np.array([x]))[0] for x in (0.2, 0.25, 0.3)] == [0, 1, 1]
+    # vanishing mass falls back to uniform
+    p = Partition((4,))
+    assert [_play(p, np.zeros(4), np.array([x]))[0] for x in (0.1, 0.3, 0.6, 0.9)] == [0, 1, 2, 3]
+    # blocks of a flat row scale separately, each with its own size
+    p = Partition((2, 4, 1))
+    own = np.array([1.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.2])
+    assert _play(p, own, np.array([0.3, 0.6, 0.9])).tolist() == [1, 2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,3 +609,68 @@ def test_loop_free_rounds_equal_loop_references(kind, data):
             assert spl[0].policies.tobytes() == spl[1].policies.tobytes()
             assert spl[0].disagreement() == spl[1].disagreement()
             np.testing.assert_array_equal(spl[0].budget.per_agent(), spl[1].budget.per_agent())
+
+
+# ---------------------------------------------------------------------------
+# rows are validated where they enter, not every round
+# ---------------------------------------------------------------------------
+
+
+def test_rounds_build_no_profile_and_hand_on_read_only_rows(monkeypatch):
+    p, g = Partition((2, 3, 2)), CommGraph.path(3)
+    f = synthetic_setfn("coverage-random", p.sizes, np.random.default_rng(4))
+    learners = {
+        "ma-spl sampled": _spl(p, g, batch=2),
+        "ma-spl exact": _spl(p, g, exact_gradient=True),
+        "ma-mpl": MetaConditionalGradientLearner(p, g, 10, 0, inner_steps=3, sample_batch=2),
+    }
+    built, handed = [], []
+    validate = PolicyProfile.__post_init__
+
+    def counted(profile):
+        built.append(profile)
+        validate(profile)
+
+    monkeypatch.setattr(PolicyProfile, "__post_init__", counted)
+    for name in ("sample_slots", "exact_gradient"):
+        consumer = getattr(learners_module, name)
+
+        def spy(*args, _consumer=consumer):
+            handed.extend(a.row for a in args if isinstance(a, PolicyProfile))
+            return _consumer(*args)
+
+        monkeypatch.setattr(learners_module, name, spy)
+    for label, learner in learners.items():
+        built.clear()
+        handed.clear()
+        for t in (1, 2):
+            learner.round(f, t)
+        assert built == [], label
+        assert len(handed) == 2, label
+        for row in handed:
+            assert not row.flags.writeable, label
+            with pytest.raises(ValueError):
+                row[(0,) * row.ndim] = 0.0
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([np.nan, 0.5, 0.0, 0.0], "policy has non-finite entries"),
+        ([-0.1, 0.5, 0.0, 0.0], "policy has negative mass -0.1"),
+        ([0.7, 0.7, 0.0, 0.0], "a policy block carries total mass 1.4 > 1"),
+    ],
+)
+def test_rows_from_outside_are_refused_where_they_enter(bad, message):
+    p = Partition((2, 2))
+    f = synthetic_setfn("coverage-random", p.sizes, np.random.default_rng(3))
+    learner = _spl(p, CommGraph.path(2))
+    rngs = [agent_stream(0, 1, i) for i in range(2)]
+    for enter in (
+        lambda row: PolicyProfile(p, row),
+        lambda row: learner.set_start(PolicyProfile(p, row)),
+        lambda row: sample_slots(PolicyProfile(p, np.stack([row, row])), rngs, 2),
+        lambda row: exact_gradient(f, PolicyProfile(p, row)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            enter(np.array(bad))
