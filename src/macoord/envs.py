@@ -1,7 +1,9 @@
 """Benchmark objectives and simulated worlds.
 
-Two moving-target worlds share the same motion model for agents (a grid of
-heading x speed moves per tick) and differ in the reward:
+One class, :class:`MovingTargetEnvironment`, runs the moving-target worlds:
+agents move by one row of a read-only table of heading x speed moves per
+tick, targets move by their own kinds, and the environment kind (the
+``MOVING_KINDS`` table) picks the reward and the default target kinds:
 
 * facility-style proximity coverage: every target pays the inverse distance
   to the closest selected agent position (floored), a monotone submodular
@@ -12,6 +14,9 @@ heading x speed moves per tick) and differ in the reward:
   that the measurements remove.  The reward is monotone and weakly
   DR-submodular with some ratio alpha > 0; it is close to modular far from
   the targets and not submodular at close range.
+
+A world whose per-round objective table (agents x moves x targets entries)
+would pass ``MOVING_WORLD_LIMIT`` is refused before anything is allocated.
 
 Static instances used by the oracle suite live here too: weighted coverage
 (including a tight two-slot family with a bad interior fixed point), modular,
@@ -45,6 +50,9 @@ EVADE_SPEED = 15.0
 EVADE_CANDIDATE_HEADINGS = 16
 SYNTHETIC_MAX_ACTIONS = 12
 VALUE_BLOCK = 1 << 20  # floats per masked block of FacilityObjective.value
+# Most entries, agents * headings * len(speeds) * targets, of a moving world's
+# per-round objective table; paper-scale tracking-full has 20 * 24 * 30 = 14,400.
+MOVING_WORLD_LIMIT = 10**7
 
 DEFAULT_HEADINGS = 8
 FACILITY_SPEEDS = (5.0, 10.0, 15.0)
@@ -59,8 +67,8 @@ TARGET_KINDS = ("random", "polyline", "adversarial", "brownian")
 # ---------------------------------------------------------------------------
 
 
-class ModularFunction(SetFunction):
-    """f(S) = sum of per-action weights; the additive baseline case."""
+class _ActionWeights(SetFunction):
+    """An objective of one nonnegative weight per action."""
 
     def __init__(self, partition: Partition, weights: np.ndarray):
         weights = np.asarray(weights, dtype=np.float64)
@@ -70,6 +78,10 @@ class ModularFunction(SetFunction):
             raise ValueError("weights must be nonnegative")
         self.partition = partition
         self.weights = weights
+
+
+class ModularFunction(_ActionWeights):
+    """f(S) = sum of per-action weights; the additive baseline case."""
 
     def value(self, members: np.ndarray) -> np.ndarray:
         return members @ self.weights
@@ -79,17 +91,8 @@ class ModularFunction(SetFunction):
         return np.tile(self.weights[lo:hi], (len(choices), 1))
 
 
-class SqrtModularFunction(SetFunction):
+class SqrtModularFunction(_ActionWeights):
     """f(S) = sqrt(sum of weights): concave-of-modular, monotone submodular."""
-
-    def __init__(self, partition: Partition, weights: np.ndarray):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (partition.total,):
-            raise ValueError("need one weight per action")
-        if weights.min(initial=0.0) < 0:
-            raise ValueError("weights must be nonnegative")
-        self.partition = partition
-        self.weights = weights
 
     def value(self, members: np.ndarray) -> np.ndarray:
         return np.sqrt(members @ self.weights)
@@ -199,68 +202,22 @@ class Target:
     evade_velocity: Optional[np.ndarray] = None
 
 
-class MotionGrid:
-    """Per-tick displacement options: headings pi/4 .. 2pi crossed with speeds."""
-
-    def __init__(self, n_headings: int, speeds: Sequence[float]):
-        if n_headings < 1 or len(speeds) < 1:
-            raise ConfigError("need at least one heading and one speed")
-        self.headings = np.array(
-            [2.0 * math.pi * (h + 1) / n_headings for h in range(n_headings)]
+def motion_moves(headings: int, speeds: Sequence[float]) -> np.ndarray:
+    """Read-only (headings * len(speeds), 2) table of per-tick displacements:
+    headings 2pi/headings .. 2pi crossed with the speeds, slot = heading_index
+    * len(speeds) + speed_index."""
+    if headings < 1 or len(speeds) < 1:
+        raise ConfigError("need at least one heading and one speed")
+    angles = 2.0 * math.pi * np.arange(1, headings + 1) / headings
+    rates = np.array(list(speeds), dtype=np.float64)
+    if not np.all(np.abs(rates) <= WORLD_LIMIT):
+        raise ConfigError(
+            f"speeds must be finite and at most {WORLD_LIMIT:g} in magnitude, got {list(speeds)}"
         )
-        self.speeds = np.array(list(speeds), dtype=np.float64)
-        if not np.all(np.abs(self.speeds) <= WORLD_LIMIT):
-            raise ConfigError(
-                f"speeds must be finite and at most {WORLD_LIMIT:g} in magnitude, got {list(speeds)}"
-            )
-        dirs = np.stack([np.cos(self.headings), np.sin(self.headings)], axis=1)
-        self._moves = (dirs[:, None, :] * self.speeds[None, :, None] * DT).reshape(-1, 2)
-        self._moves.flags.writeable = False
-
-    @property
-    def n_moves(self) -> int:
-        return self.headings.size * self.speeds.size
-
-    def displacements(self) -> np.ndarray:
-        """Read-only (n_moves, 2) table; slot = heading_index * n_speeds + speed_index."""
-        return self._moves
-
-
-class TrackingWorld:
-    """Agent and target positions advanced tick by tick."""
-
-    def __init__(
-        self,
-        agent_positions: np.ndarray,
-        targets: list[Target],
-        motion: MotionGrid,
-        horizon: int,
-    ):
-        self.agents = np.asarray(agent_positions, dtype=np.float64).copy()
-        self.targets = targets
-        self.motion = motion
-        self.horizon = int(horizon)
-        self.tick = 0
-
-    @property
-    def n_agents(self) -> int:
-        return self.agents.shape[0]
-
-    def partition(self) -> Partition:
-        return Partition((self.motion.n_moves,) * self.n_agents)
-
-    def candidate_positions(self) -> np.ndarray:
-        """(total_actions, 2): landing point of each action from current poses."""
-        moves = self.motion.displacements()
-        return (self.agents[:, None, :] + moves[None, :, :]).reshape(-1, 2)
-
-    def apply_moves(self, chosen: np.ndarray) -> None:
-        """Move every agent by its chosen slot of a slot row; idle (-1) stays."""
-        moving = chosen >= 0
-        self.agents[moving] += self.motion.displacements()[chosen[moving]]
-
-    def target_positions(self) -> np.ndarray:
-        return np.stack([t.pos for t in self.targets])
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    moves = (dirs[:, None, :] * rates[None, :, None] * DT).reshape(-1, 2)
+    moves.flags.writeable = False
+    return moves
 
 
 def _random_walk_velocity(rng: np.random.Generator) -> np.ndarray:
@@ -284,8 +241,10 @@ def _evade_direction(pos: np.ndarray, agents: np.ndarray) -> np.ndarray:
     return best
 
 
-def step_targets(world: TrackingWorld, rng: np.random.Generator) -> None:
-    """Advance every target one tick; increments the world tick.
+def step_targets(
+    targets: list[Target], agents: np.ndarray, tick: int, horizon: int, rng: np.random.Generator
+) -> None:
+    """Advance every target from tick ``tick`` of a ``horizon``-tick run to the next.
 
     * random: fresh heading/speed each tick;
     * polyline: fresh heading/speed only at its segment breakpoints, straight
@@ -295,13 +254,13 @@ def step_targets(world: TrackingWorld, rng: np.random.Generator) -> None:
       moves like a random target;
     * brownian: position increment 0.02 * N(0, I).
     """
-    for t in world.targets:
+    for t in targets:
         if t.kind == "random":
             t.velocity = _random_walk_velocity(rng)
             t.pos = t.pos + t.velocity * DT
         elif t.kind == "polyline":
-            segment = max(1, world.horizon // max(1, t.segment_count))
-            if world.tick % segment == 0 or t.velocity is None:
+            segment = max(1, horizon // max(1, t.segment_count))
+            if tick % segment == 0 or t.velocity is None:
                 t.velocity = _random_walk_velocity(rng)
             t.pos = t.pos + t.velocity * DT
         elif t.kind == "adversarial":
@@ -309,9 +268,9 @@ def step_targets(world: TrackingWorld, rng: np.random.Generator) -> None:
                 t.pos = t.pos + t.evade_velocity * DT
                 t.evade_ticks -= 1
             else:
-                nearest = float(np.linalg.norm(world.agents - t.pos, axis=1).min())
+                nearest = float(np.linalg.norm(agents - t.pos, axis=1).min())
                 if nearest <= ADVERSARIAL_TRIGGER_RADIUS:
-                    t.evade_velocity = EVADE_SPEED * _evade_direction(t.pos, world.agents)
+                    t.evade_velocity = EVADE_SPEED * _evade_direction(t.pos, agents)
                     t.evade_ticks = max(1, round(1.0 / DT)) - 1
                     t.pos = t.pos + t.evade_velocity * DT
                 else:
@@ -321,7 +280,6 @@ def step_targets(world: TrackingWorld, rng: np.random.Generator) -> None:
             t.pos = t.pos + EKF_PROCESS_SCALE * rng.standard_normal(2)
         else:
             raise ConfigError(f"unknown target kind {t.kind!r}")
-    world.tick += 1
 
 
 class FacilityObjective(SetFunction):
@@ -453,7 +411,7 @@ class TrackingGainObjective(SetFunction):
 
 
 # ---------------------------------------------------------------------------
-# environments (round-by-round drivers around the worlds)
+# environments (round-by-round drivers)
 # ---------------------------------------------------------------------------
 
 
@@ -485,13 +443,15 @@ def _default_mix(n_targets: int, kinds: Sequence[str]) -> dict[str, int]:
     return mix
 
 
-class _MovingTargetEnvironment:
-    """Shared driver: build world, expose per-round objectives, advance."""
-
-    target_kinds: Sequence[str]
+class MovingTargetEnvironment:
+    """A moving-target world: agents and targets on the plane, advanced tick
+    by tick.  Each agent's actions are the rows of the read-only ``moves``
+    table; each round's objective is the kind's reward of every landing point
+    against the targets' current positions."""
 
     def __init__(
         self,
+        kind: str,
         seed: int,
         horizon: int,
         agents: int,
@@ -503,9 +463,16 @@ class _MovingTargetEnvironment:
     ):
         if agents < 1 or targets < 1:
             raise ConfigError("need at least one agent and one target")
-        motion = MotionGrid(headings, speeds)
+        size = agents * headings * len(speeds) * targets
+        if size > MOVING_WORLD_LIMIT:
+            raise ConfigError(
+                f"agents * headings * len(speeds) * targets is {size}, the size of a round's "
+                f"objective table; it must be at most {MOVING_WORLD_LIMIT:,}"
+            )
+        self.objective, default_kinds = MOVING_KINDS[kind]
+        self.moves = motion_moves(headings, speeds)
         self._rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x656E76)))
-        mix = target_mix or _default_mix(targets, self.target_kinds)
+        mix = _default_mix(targets, default_kinds) if target_mix is None else target_mix
         unknown = sorted(set(mix) - set(TARGET_KINDS))
         if unknown:
             raise ConfigError(f"unknown target kinds {unknown}; known: {list(TARGET_KINDS)}")
@@ -513,59 +480,43 @@ class _MovingTargetEnvironment:
             raise ConfigError(f"target_mix counts must be nonnegative integers, got {mix}")
         if sum(mix.values()) != targets:
             raise ConfigError("target_mix must sum to the number of targets")
-        world_targets = _build_targets(mix, self._rng)
-        self.world = TrackingWorld(_spawn_disk(self._rng, agents), world_targets, motion, horizon)
-        self.partition = self.world.partition()
+        self.targets = _build_targets(mix, self._rng)
+        self.agents = _spawn_disk(self._rng, agents)
+        self.horizon = int(horizon)
+        self.tick = 0
+        self.partition = Partition((len(self.moves),) * agents)
         self.record_world = record_world
         self._trace: list[tuple] = []
         if self.record_world:
             self._record()
 
-    def _objective(self) -> SetFunction:
-        raise NotImplementedError
+    def landing_points(self) -> np.ndarray:
+        """(total_actions, 2): where each action lands from the current poses."""
+        return (self.agents[:, None, :] + self.moves[None, :, :]).reshape(-1, 2)
 
     def begin_round(self) -> SetFunction:
-        return self._objective()
+        targets = np.stack([t.pos for t in self.targets])
+        return self.objective(self.partition, self.landing_points(), targets)
 
     def finish_round(self, chosen: np.ndarray) -> None:
-        self.world.apply_moves(chosen)
-        step_targets(self.world, self._rng)
+        """Move every agent by its chosen slot (idle, -1, stays), then the targets."""
+        moving = chosen >= 0
+        self.agents[moving] += self.moves[chosen[moving]]
+        step_targets(self.targets, self.agents, self.tick, self.horizon, self._rng)
+        self.tick += 1
         if self.record_world:
             self._record()
 
     def _record(self) -> None:
-        k = self.world.tick
-        for i, pos in enumerate(self.world.agents):
-            self._trace.append((k, f"agent:{i}", float(pos[0]), float(pos[1]), "agent"))
-        for j, tgt in enumerate(self.world.targets):
+        for i, pos in enumerate(self.agents):
+            self._trace.append((self.tick, f"agent:{i}", float(pos[0]), float(pos[1]), "agent"))
+        for j, tgt in enumerate(self.targets):
             self._trace.append(
-                (k, f"target:{j}", float(tgt.pos[0]), float(tgt.pos[1]), tgt.kind)
+                (self.tick, f"target:{j}", float(tgt.pos[0]), float(tgt.pos[1]), tgt.kind)
             )
 
     def trajectory_rows(self) -> list[tuple]:
         return list(self._trace)
-
-
-class FacilityEnvironment(_MovingTargetEnvironment):
-    target_kinds = ("random", "polyline", "adversarial")
-
-    def _objective(self) -> SetFunction:
-        return FacilityObjective(
-            self.partition,
-            self.world.candidate_positions(),
-            self.world.target_positions(),
-        )
-
-
-class TrackingGainEnvironment(_MovingTargetEnvironment):
-    target_kinds = ("brownian",)
-
-    def _objective(self) -> SetFunction:
-        return TrackingGainObjective(
-            self.partition,
-            self.world.candidate_positions(),
-            self.world.target_positions(),
-        )
 
 
 class StaticEnvironment:
@@ -633,6 +584,12 @@ class OrbitingTargetsEnvironment:
         self.tick += 1
 
 
+# Each moving-target kind's reward and the target kinds its default mix cycles through.
+MOVING_KINDS = {
+    "facility": (FacilityObjective, ("random", "polyline", "adversarial")),
+    "tracking-gain": (TrackingGainObjective, ("brownian",)),
+    "ekf": (TrackingGainObjective, ("brownian",)),  # the tracking-gain world under its filter's name
+}
 # Each environment kind's spec fields, name -> (JSON kind, default), read by
 # errors.read_kind.  The run's horizon is no spec field: the harness passes it.
 _TRACKING_FIELDS = {
@@ -646,7 +603,7 @@ _TRACKING_FIELDS = {
 ENVIRONMENT_FIELDS = {
     "facility": {**_TRACKING_FIELDS, "speeds": (list[float], FACILITY_SPEEDS)},
     "tracking-gain": _TRACKING_FIELDS,
-    "ekf": _TRACKING_FIELDS,  # the tracking-gain world under its filter's name
+    "ekf": _TRACKING_FIELDS,
     "orbiting-targets": {
         "agents": (int, 3),
         "slots": (int, 2),
@@ -670,5 +627,6 @@ def make_environment(spec: dict, seed: int, horizon: int):
     if kind == "synthetic":
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x73796E74)))
         return StaticEnvironment(synthetic_setfn(fields["objective"], fields["sizes"], rng))
-    worlds = {"facility": FacilityEnvironment, "orbiting-targets": OrbitingTargetsEnvironment}
-    return worlds.get(kind, TrackingGainEnvironment)(seed, horizon, **fields)
+    if kind == "orbiting-targets":
+        return OrbitingTargetsEnvironment(seed, horizon, **fields)
+    return MovingTargetEnvironment(kind, seed, horizon, **fields)

@@ -25,19 +25,18 @@ from macoord.envs import (
     EVADE_CANDIDATE_HEADINGS,
     EVADE_SPEED,
     FACILITY_SPEEDS,
-    FacilityEnvironment,
     FacilityObjective,
     ModularFunction,
-    MotionGrid,
+    MovingTargetEnvironment,
     OrbitingTargetsEnvironment,
     SqrtModularFunction,
     StaticEnvironment,
     Target,
     TrackingGainObjective,
-    TrackingWorld,
     WeightedCoverage,
     coverage_instance,
     make_environment,
+    motion_moves,
     step_targets,
     synthetic_setfn,
 )
@@ -157,76 +156,78 @@ def test_synthetic_setfn_kinds_and_guards():
 # ---------------------------------------------------------------------------
 
 
+def _world(agents, horizon, speeds=(5.0,)):
+    """A one-target facility world of four headings, its agents placed at ``agents``."""
+    spec = {"kind": "facility", "agents": len(agents), "targets": 1, "headings": 4,
+            "speeds": list(speeds)}
+    env = make_environment(spec, 0, horizon)
+    env.agents[:] = agents
+    return env
+
+
 def test_motion_grid_layout():
-    grid = MotionGrid(4, (5.0, 10.0))
-    assert grid.n_moves == 8
-    moves = grid.displacements()
+    moves = motion_moves(4, (5.0, 10.0))
+    assert len(moves) == 8
     for h in range(4):
         theta = 2.0 * math.pi * (h + 1) / 4
         for s, speed in enumerate((5.0, 10.0)):
             expect = speed * DT * np.array([math.cos(theta), math.sin(theta)])
             np.testing.assert_allclose(moves[h * 2 + s], expect, atol=1e-12)
     with pytest.raises(ConfigError):
-        MotionGrid(0, (5.0,))
+        motion_moves(0, (5.0,))
 
 
 def test_motion_grid_table_is_read_only():
     # the table is built once and shared by every round's moves
-    grid = MotionGrid(4, (5.0, 10.0))
-    moves = grid.displacements()
+    world = _world(np.zeros((2, 2)), 3, speeds=(5.0, 10.0))
+    moves = world.moves
     before = moves.copy()
-    assert grid.displacements() is moves
     with pytest.raises(ValueError):
         moves[0, 0] = 1.0
-    world = TrackingWorld(np.zeros((2, 2)), [], grid, horizon=3)
-    world.apply_moves(np.array([1, 0]))
-    world.candidate_positions()[:] = 0.0
-    np.testing.assert_array_equal(grid.displacements(), before)
+    world.finish_round(np.array([1, 0]))
+    world.landing_points()[:] = 0.0
+    assert world.moves is moves
+    np.testing.assert_array_equal(world.moves, before)
 
 
 def test_tracking_world_moves():
-    grid = MotionGrid(4, (5.0,))
-    world = TrackingWorld(np.zeros((2, 2)), [], grid, horizon=10)
-    assert world.partition().sizes == (4, 4)
-    cand = world.candidate_positions()
+    world = _world(np.zeros((2, 2)), 10)
+    assert world.partition.sizes == (4, 4)
+    cand = world.landing_points()
     assert cand.shape == (8, 2)
-    np.testing.assert_allclose(cand[:4], grid.displacements(), atol=1e-12)
-    world.apply_moves(np.array([0, -1]))
-    np.testing.assert_allclose(world.agents[0], grid.displacements()[0], atol=1e-12)
+    np.testing.assert_allclose(cand[:4], world.moves, atol=1e-12)
+    world.finish_round(np.array([0, -1]))
+    np.testing.assert_allclose(world.agents[0], world.moves[0], atol=1e-12)
     np.testing.assert_allclose(world.agents[1], [0.0, 0.0], atol=0)
 
 
 def test_random_target_step_length():
     rng = np.random.default_rng(3)
-    world = TrackingWorld(
-        np.zeros((1, 2)), [Target("random", np.zeros(2))], MotionGrid(4, (5.0,)), 100
-    )
-    prev = world.targets[0].pos.copy()
-    for _ in range(200):
-        step_targets(world, rng)
-        step = np.linalg.norm(world.targets[0].pos - prev)
+    targets = [Target("random", np.zeros(2))]
+    prev = targets[0].pos.copy()
+    for tick in range(200):
+        step_targets(targets, np.zeros((1, 2)), tick, 100, rng)
+        step = np.linalg.norm(targets[0].pos - prev)
         assert 5.0 * DT - 1e-12 <= step <= 10.0 * DT + 1e-12
-        prev = world.targets[0].pos.copy()
+        prev = targets[0].pos.copy()
 
 
 def test_polyline_single_segment_keeps_heading():
     rng = np.random.default_rng(4)
     t = Target("polyline", np.zeros(2), segment_count=1)
-    world = TrackingWorld(np.zeros((1, 2)), [t], MotionGrid(4, (5.0,)), horizon=50)
-    step_targets(world, rng)
+    step_targets([t], np.zeros((1, 2)), 0, 50, rng)
     v0 = t.velocity.copy()
-    for _ in range(48):
-        step_targets(world, rng)
+    for tick in range(1, 49):
+        step_targets([t], np.zeros((1, 2)), tick, 50, rng)
         np.testing.assert_allclose(t.velocity, v0, atol=0)
 
 
 def test_polyline_two_segments_turns_once():
     rng = np.random.default_rng(5)
     t = Target("polyline", np.zeros(2), segment_count=2)
-    world = TrackingWorld(np.zeros((1, 2)), [t], MotionGrid(4, (5.0,)), horizon=40)
     velocities = []
-    for _ in range(40):
-        step_targets(world, rng)
+    for tick in range(40):
+        step_targets([t], np.zeros((1, 2)), tick, 40, rng)
         velocities.append(t.velocity.copy())
     distinct = {tuple(v) for v in velocities}
     assert len(distinct) == 2
@@ -239,8 +240,7 @@ def test_adversarial_target_evades_nearby_agents():
     rng = np.random.default_rng(6)
     agents = np.array([[1.0, 0.0]])  # well within the trigger radius
     t = Target("adversarial", np.zeros(2))
-    world = TrackingWorld(agents, [t], MotionGrid(4, (5.0,)), horizon=200)
-    step_targets(world, rng)
+    step_targets([t], agents, 0, 200, rng)
     step1 = t.pos.copy()
     # flees at exactly the evade speed
     assert np.linalg.norm(step1) == pytest.approx(EVADE_SPEED * DT, abs=1e-12)
@@ -268,9 +268,9 @@ def test_adversarial_target_evades_nearby_agents():
     )
     # the evade heading is held for one second of ticks
     hold = max(1, round(1.0 / DT)) - 1
-    for _ in range(hold):
+    for tick in range(1, hold + 1):
         before = t.pos.copy()
-        step_targets(world, rng)
+        step_targets([t], agents, tick, 200, rng)
         np.testing.assert_allclose(t.pos - before, step1, atol=1e-12)
     assert t.evade_ticks == 0
 
@@ -279,10 +279,9 @@ def test_adversarial_target_wanders_when_agents_far():
     rng = np.random.default_rng(7)
     agents = np.array([[ADVERSARIAL_TRIGGER_RADIUS + 30.0, 0.0]])
     t = Target("adversarial", np.zeros(2))
-    world = TrackingWorld(agents, [t], MotionGrid(4, (5.0,)), horizon=100)
-    for _ in range(20):
+    for tick in range(20):
         prev = t.pos.copy()
-        step_targets(world, rng)
+        step_targets([t], agents, tick, 100, rng)
         step = np.linalg.norm(t.pos - prev)
         assert 5.0 * DT - 1e-12 <= step <= 10.0 * DT + 1e-12
 
@@ -290,11 +289,10 @@ def test_adversarial_target_wanders_when_agents_far():
 def test_brownian_target_statistics():
     rng = np.random.default_rng(8)
     t = Target("brownian", np.zeros(2))
-    world = TrackingWorld(np.zeros((1, 2)), [t], MotionGrid(4, (5.0,)), horizon=10)
     steps = []
-    for _ in range(4000):
+    for tick in range(4000):
         prev = t.pos.copy()
-        step_targets(world, rng)
+        step_targets([t], np.zeros((1, 2)), tick, 10, rng)
         steps.append(t.pos - prev)
     steps = np.array(steps)
     assert abs(steps.mean()) < 4.0 * EKF_PROCESS_SCALE / math.sqrt(steps.size)
@@ -302,11 +300,9 @@ def test_brownian_target_statistics():
 
 
 def test_unknown_target_kind_raises():
-    world = TrackingWorld(
-        np.zeros((1, 2)), [Target("ghost", np.zeros(2))], MotionGrid(4, (5.0,)), 10
-    )
     with pytest.raises(ConfigError):
-        step_targets(world, np.random.default_rng(0))
+        step_targets([Target("ghost", np.zeros(2))], np.zeros((1, 2)), 0, 10,
+                     np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -809,21 +805,22 @@ def test_tracking_gain_is_weakly_dr_but_not_submodular():
 
 def test_facility_environment_defaults():
     env = make_environment({"kind": "facility", "agents": 6, "targets": 8}, 0, 300)
-    assert isinstance(env, FacilityEnvironment)
+    assert isinstance(env, MovingTargetEnvironment)
+    assert env.objective is FacilityObjective
     assert env.partition.sizes == (DEFAULT_HEADINGS * len(FACILITY_SPEEDS),) * 6
-    kinds = [t.kind for t in env.world.targets]
+    kinds = [t.kind for t in env.targets]
     assert kinds.count("random") == 3
     assert kinds.count("polyline") == 3
     assert kinds.count("adversarial") == 2
     # every position spawns inside the 20-unit disk
-    assert np.linalg.norm(env.world.agents, axis=1).max() <= 20.0
-    assert np.linalg.norm(env.world.target_positions(), axis=1).max() <= 20.0
+    assert np.linalg.norm(env.agents, axis=1).max() <= 20.0
+    assert np.linalg.norm([t.pos for t in env.targets], axis=1).max() <= 20.0
 
 
 def test_tracking_environment_defaults():
     env = make_environment({"kind": "tracking-gain", "agents": 4, "targets": 5}, 0, 300)
     assert env.partition.sizes == (DEFAULT_HEADINGS * len(EKF_SPEEDS),) * 4
-    assert all(t.kind == "brownian" for t in env.world.targets)
+    assert all(t.kind == "brownian" for t in env.targets)
     f = env.begin_round()
     assert isinstance(f, TrackingGainObjective)
 
@@ -833,12 +830,12 @@ def test_environment_world_is_seeded():
     a = make_environment(spec, 5, 20)
     b = make_environment(spec, 5, 20)
     c = make_environment(spec, 6, 20)
-    np.testing.assert_array_equal(a.world.agents, b.world.agents)
-    assert not np.array_equal(a.world.agents, c.world.agents)
+    np.testing.assert_array_equal(a.agents, b.agents)
+    assert not np.array_equal(a.agents, c.agents)
     chosen = np.array([0, 1, 2])
     a.finish_round(chosen)
     b.finish_round(chosen)
-    np.testing.assert_array_equal(a.world.target_positions(), b.world.target_positions())
+    np.testing.assert_array_equal([t.pos for t in a.targets], [t.pos for t in b.targets])
 
 
 def test_environment_target_mix_must_sum():
