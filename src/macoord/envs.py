@@ -15,8 +15,8 @@ tick, targets move by their own kinds, and the environment kind (the
   DR-submodular with some ratio alpha > 0; it is close to modular far from
   the targets and not submodular at close range.
 
-A world whose per-round objective table (agents x moves x targets entries)
-would pass ``MOVING_WORLD_LIMIT`` is refused before anything is allocated.
+A world whose per-round objective table (agents x moves, or x slots, x targets
+entries) would pass ``MOVING_WORLD_LIMIT`` is refused before any allocation.
 
 Static instances used by the oracle suite live here too: weighted coverage
 (including a tight two-slot family with a bad interior fixed point), modular,
@@ -50,8 +50,9 @@ EVADE_SPEED = 15.0
 EVADE_CANDIDATE_HEADINGS = 16
 SYNTHETIC_MAX_ACTIONS = 12
 VALUE_BLOCK = 1 << 20  # floats per masked block of FacilityObjective.value
-# Most entries, agents * headings * len(speeds) * targets, of a moving world's
-# per-round objective table; paper-scale tracking-full has 20 * 24 * 30 = 14,400.
+# Most entries of a moving world's per-round objective table: agents * headings
+# * len(speeds) * targets, or agents * slots * targets in the orbiting world;
+# paper-scale tracking-full has 20 * 24 * 30 = 14,400.
 MOVING_WORLD_LIMIT = 10**7
 
 DEFAULT_HEADINGS = 8
@@ -565,6 +566,12 @@ class OrbitingTargetsEnvironment:
                     f"orbiting-targets {name} must be finite and at most {WORLD_LIMIT:g} "
                     f"in magnitude, got {x}"
                 )
+        size = agents * slots * targets
+        if size > MOVING_WORLD_LIMIT:
+            raise ConfigError(
+                f"orbiting-targets agents * slots * targets is {size}, the size of a round's "
+                f"objective table; it must be at most {MOVING_WORLD_LIMIT:,}"
+            )
         self.partition = Partition((slots,) * agents)
         total = self.partition.total
         angles = 2.0 * math.pi * np.arange(total) / total

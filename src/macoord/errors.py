@@ -28,7 +28,8 @@ class ConfigError(MacoordError, ValueError):
 
 
 class DataError(MacoordError, ValueError):
-    """Logged experiment data is missing fields required by an operation."""
+    """An instance a reference computation cannot measure: an approximation
+    ratio against an optimum that is not strictly positive."""
 
 
 REQUIRED = object()  # the default of a field that a spec must give

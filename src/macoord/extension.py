@@ -46,7 +46,7 @@ class PolicyProfile:
 
     Agent j's sub-distribution is ``row[offsets[j]:offsets[j + 1]]``.
     ``row`` may instead be an ``(m, |V|)`` stack of m such rows, which
-    :func:`sample_choices` and the Monte-Carlo estimators take at once; the
+    :func:`sample_rows` and the Monte-Carlo estimators take at once; the
     exact layer takes a single row, and its gradients also one row per agent.
     The row is copied, made read-only and validated once, here, where it
     enters: finite, no entry below ``-PROFILE_ATOL`` and no block carrying
@@ -90,14 +90,6 @@ class PolicyProfile:
     def uniform(partition: Partition) -> "PolicyProfile":
         """Uniform distribution on each agent's own actions (no idle mass)."""
         return PolicyProfile(partition, np.repeat(1.0 / np.array(partition.sizes), partition.sizes))
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.partition.sizes
-
-    @property
-    def n_agents(self) -> int:
-        return self.partition.n_agents
 
 
 @dataclass(frozen=True)
@@ -187,11 +179,6 @@ def sample_rows(partition: Partition, rows: np.ndarray, u: np.ndarray) -> np.nda
     return np.where(idx < partition.sizes, idx, -1)
 
 
-def sample_choices(profile: PolicyProfile, u: np.ndarray) -> np.ndarray:
-    """Round a profile's row, or each row of its stack: :func:`sample_rows`."""
-    return sample_rows(profile.partition, profile.row, u)
-
-
 def sample_z(scheme: SurrogateScheme, u: np.ndarray) -> np.ndarray:
     """Map uniforms u to z in [0, 1] with density proportional to w(z).
 
@@ -271,8 +258,8 @@ def _expectation(table: np.ndarray, w: np.ndarray, agents: Sequence[int]) -> np.
 def _row(f: SetFunction, profile: PolicyProfile, stack: bool = False) -> np.ndarray:
     """The profile's single row; with ``stack`` also one row per agent."""
     if profile.partition != f.partition:
-        raise ValueError(f"profile sizes {profile.sizes} differ from {f.partition.sizes}")
-    if profile.row.ndim != 1 and not (stack and len(profile.row) == profile.n_agents):
+        raise ValueError(f"profile sizes {profile.partition.sizes} differ from {f.partition.sizes}")
+    if profile.row.ndim != 1 and not (stack and len(profile.row) == f.partition.n_agents):
         raise ValueError(f"need one policy row, or n rows for a gradient; got {profile.row.shape}")
     return profile.row
 
@@ -346,7 +333,7 @@ def sample_slots(
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    n = profile.n_agents
+    n = profile.partition.n_agents
     rows = profile.row.reshape(-1, profile.partition.total)
     if len(rows) % len(rngs):
         raise ValueError(f"{len(rows)} profile rows do not split among {len(rngs)} generators")

@@ -128,8 +128,6 @@ class PolicyConsensusLearner:
         enumeration scale; no marginal queries charged).
     """
 
-    kind = "ma-spl"
-
     def __init__(
         self,
         partition: Partition,
@@ -147,7 +145,6 @@ class PolicyConsensusLearner:
         if batch < 1:
             raise ConfigError("batch must be >= 1")
         self.partition = partition
-        self.graph = graph
         self.weights = metropolis_weights(graph)
         self.scheme = scheme
         self.seed = int(seed)
@@ -223,8 +220,6 @@ class MetaConditionalGradientLearner:
     a projected gradient step on each observed linear reward (:meth:`update`).
     """
 
-    kind = "ma-mpl"
-
     def __init__(
         self,
         partition: Partition,
@@ -243,7 +238,6 @@ class MetaConditionalGradientLearner:
         if sample_batch < 1:
             raise ConfigError("sample batch must be >= 1")
         self.partition = partition
-        self.graph = graph
         self.seed = int(seed)
         self.inner_steps = int(inner_steps)
         self.sample_batch = int(sample_batch)
@@ -313,26 +307,8 @@ class MetaConditionalGradientLearner:
         return float(self._gaps(self.estimates).max())
 
 
-def random_baseline_round(partition: Partition, rng: np.random.Generator) -> np.ndarray:
-    """Every agent plays a uniformly random own action."""
-    return np.array([int(rng.integers(k)) for k in partition.sizes])
-
-
-def sequential_greedy_round(
-    f: SetFunction, budget: Optional[MarginalBudget] = None
-) -> np.ndarray:
-    """Agents in index order each take their best action given predecessors.
-
-    Ties break to the lowest slot (argmax returns the first maximizer).
-    """
-    chosen = np.full((1, f.partition.n_agents), -1, dtype=np.int64)
-    for i in range(chosen.shape[1]):
-        chosen[0, i] = np.argmax(local_marginal_block(f, i, chosen, budget)[0])
-    return chosen[0]
-
-
 class RandomLearner:
-    kind = "random"
+    """Every agent plays a uniformly random own action."""
 
     def __init__(self, partition: Partition, seed: int):
         self.partition = partition
@@ -341,23 +317,26 @@ class RandomLearner:
 
     def round(self, f: SetFunction, t: int) -> np.ndarray:
         self.budget.reset()
-        return random_baseline_round(
-            self.partition, agent_stream(self.seed, t, _RANDOM_TAG)
-        )
+        rng = agent_stream(self.seed, t, _RANDOM_TAG)
+        return np.array([int(rng.integers(k)) for k in self.partition.sizes])
 
     def disagreement(self) -> float:
         return 0.0
 
 
 class GreedyLearner:
-    kind = "greedy"
+    """Agents in index order each take their best action given predecessors;
+    ties break to the lowest slot (argmax returns the first maximizer)."""
 
     def __init__(self, partition: Partition):
         self.budget = MarginalBudget(partition.n_agents)
 
     def round(self, f: SetFunction, t: int) -> np.ndarray:
         self.budget.reset()
-        return sequential_greedy_round(f, self.budget)
+        chosen = np.full((1, f.partition.n_agents), -1, dtype=np.int64)
+        for i in range(chosen.shape[1]):
+            chosen[0, i] = np.argmax(local_marginal_block(f, i, chosen, self.budget)[0])
+        return chosen[0]
 
     def disagreement(self) -> float:
         return 0.0

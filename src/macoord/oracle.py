@@ -3,14 +3,15 @@
 Everything here is allowed to call ``value`` on whole sets and to enumerate
 subsets; nothing here is available to the learners, which see only their own
 marginal gains.  This module backs the ``verify`` CLI subcommand and the test
-suite: best feasible selections, set-function structure ratios, stationarity
-certificates, and approximation-floor audits.
+suite with plain numbers, which each caller holds to its own bound: best
+feasible selections, structure ratios, stationarity gaps, approximation
+ratios F(pi)/OPT and their floors, and exact projected ascent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,7 +23,6 @@ from .ground import Partition, SetFunction
 
 RATIO_MAX_ACTIONS = 12
 RATIO_ZERO_TOL = 1e-12  # a ratio's denominator at or below this counts as zero
-STATIONARITY_TOL = 1e-6
 ASCENT_STEP = 0.1
 ASCENT_MOVE_TOL = 1e-10
 ASCENT_MAX_ITERS = 100_000
@@ -124,34 +124,19 @@ def estimate_ratios(f: SetFunction) -> RatioReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StationarityReport:
-    improvement: float  # max_{y feasible} <y - pi, grad>
-    stationary: bool
-    gradient: np.ndarray = field(repr=False)  # flat, in the profile's order
-
-
-def check_stationarity(
-    f: SetFunction,
-    profile: PolicyProfile,
-    scheme: Optional[SurrogateScheme] = None,
-    tol: float = STATIONARITY_TOL,
-) -> StationarityReport:
-    """Certify max_{y in product of capped simplexes} <y - pi, grad> <= tol
-    for the gradient of F, or of the scheme's surrogate.
+def stationarity_gap(
+    f: SetFunction, profile: PolicyProfile, scheme: Optional[SurrogateScheme] = None
+) -> float:
+    """max_{y in product of capped simplexes} <y - pi, grad> for the gradient
+    of F, or of the scheme's surrogate: zero exactly at a stationary point.
 
     The maximum separates per block: the best y places unit mass on the
-    largest strictly positive coordinate (or no mass at all), so the
-    improvement is sum_i max(0, max_m grad_im) - <pi, grad>.
+    largest strictly positive coordinate (or no mass at all), so the gap is
+    sum_i max(0, max_m grad_im) - <pi, grad>.
     """
     grad = exact_gradient(f, profile, scheme)
     best = np.maximum(profile.partition.pad(grad).max(axis=-1), 0.0)  # padding is 0 too
-    improvement = float(best.sum() - np.dot(grad, profile.row))
-    return StationarityReport(
-        improvement=improvement,
-        stationary=improvement <= tol,
-        gradient=grad,
-    )
+    return float(best.sum() - np.dot(grad, profile.row))
 
 
 def stationary_point_floor(
@@ -191,29 +176,14 @@ def stationary_point_floor(
     raise ValueError(f"no floor for scheme {scheme} with given ratios")
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    opt_value: float
-    ratio: float
-    floor: float
-    clears: bool
-
-
-def approx_ratio_audit(
-    f: SetFunction, profile: PolicyProfile, floor: float, slack: float = 0.0
-) -> AuditReport:
-    """Compare F(pi) / OPT against a theoretical floor (OPT by brute force)."""
+def approx_ratio(f: SetFunction, profile: PolicyProfile) -> float:
+    """F(pi) / OPT, with OPT by brute force; refuses an OPT that is not
+    strictly positive."""
     value = exact_extension(f, profile)
     opt = brute_force_opt(f)[1]
     if opt <= 0:
         raise DataError("audit needs a strictly positive optimum")
-    ratio = value / opt
-    return AuditReport(
-        opt_value=float(opt),
-        ratio=float(ratio),
-        floor=float(floor),
-        clears=ratio >= floor - slack,
-    )
+    return float(value / opt)
 
 
 def projected_ascent(

@@ -30,7 +30,7 @@ from .extension import (
     SurrogateScheme,
     exact_extension,
     exact_gradient,
-    sample_choices,
+    sample_rows,
     sample_z,
 )
 from .ground import Partition
@@ -38,12 +38,12 @@ from .harness import RunConfig, run_experiment
 from .learners import MetaConditionalGradientLearner, PolicyConsensusLearner
 from .network import CommGraph, diameter, erdos_renyi, metropolis_weights, spectral_gap
 from .oracle import (
-    approx_ratio_audit,
+    approx_ratio,
     brute_force_opt,
-    check_stationarity,
     estimate_ratios,
     feasible_sets,
     projected_ascent,
+    stationarity_gap,
     stationary_point_floor,
 )
 
@@ -102,7 +102,7 @@ def lossless_rounding() -> CheckResult:
         f = _random_instance(rng)
         profile = _random_profile(f.partition.sizes, rng)
         u = rng.random((f.partition.n_agents, draws)).T  # agent-major draw order
-        vals = f.outcome_values[tuple((sample_choices(profile, u) + 1).T)]
+        vals = f.outcome_values[tuple((sample_rows(f.partition, profile.row, u) + 1).T)]
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1)) / math.sqrt(draws)
         dev = abs(mean - exact_extension(f, profile)) / max(stderr, 1e-12)
@@ -205,17 +205,10 @@ def stationary_point_floors() -> CheckResult:
         prof_ext = projected_ascent(f)
         prof_surr = projected_ascent(f, plain_scheme, step=0.3, max_iters=400)
         prof_boost = projected_ascent(f, boost_scheme, step=0.3, max_iters=400)
-        residuals.append(check_stationarity(f, prof_ext).improvement)
-        residuals.append(check_stationarity(f, prof_surr, plain_scheme).improvement)
-        residuals.append(check_stationarity(f, prof_boost, boost_scheme).improvement)
-        audit_ext = approx_ratio_audit(
-            f, prof_ext, stationary_point_floor(None, curvature=c), slack=1e-9
-        )
-        audit_boost = approx_ratio_audit(
-            f, prof_boost, stationary_point_floor(boost_scheme, curvature=c), slack=1e-6
-        )
-        margins.append(audit_ext.ratio - audit_ext.floor)
-        margins.append(audit_boost.ratio - audit_boost.floor)
+        ascents = ((prof_ext, None), (prof_surr, plain_scheme), (prof_boost, boost_scheme))
+        residuals += [stationarity_gap(f, prof, scheme) for prof, scheme in ascents]
+        for prof, scheme in ((prof_ext, None), (prof_boost, boost_scheme)):
+            margins.append(approx_ratio(f, prof) - stationary_point_floor(scheme, curvature=c))
     converged = max(residuals) <= 1e-3
     ok = converged and all(m >= -1e-9 for m in margins)
     return CheckResult(
@@ -223,7 +216,7 @@ def stationary_point_floors() -> CheckResult:
         ok,
         f"worst stationarity residual {max(residuals):.2e} (certificate 1e-3); "
         f"min floor margin {min(margins):+.4f} over {len(instances)} instances "
-        "(floors 1/(1+c) and 1-c/e-1e-6)",
+        "(floors 1/(1+c) and 1-c/e; bound -1e-9)",
     )
 
 
@@ -233,9 +226,9 @@ def tightness_instance_escape() -> CheckResult:
     f = coverage_instance(3, 0.1, 1)
     trap = PolicyProfile(f.partition, f.partition.members(np.zeros((1, 3), dtype=np.int64))[0])
     scheme = SurrogateScheme.submodular()
-    plain = check_stationarity(f, trap, tol=1e-9)
-    audit = approx_ratio_audit(f, trap, stationary_point_floor(None, curvature=1.0))
-    boosted = check_stationarity(f, trap, scheme, tol=1e-9)
+    plain = stationarity_gap(f, trap)
+    ratio = approx_ratio(f, trap)
+    boosted = stationarity_gap(f, trap, scheme)
     graph = CommGraph.complete(3)
     learner = PolicyConsensusLearner(
         f.partition,
@@ -256,18 +249,18 @@ def tightness_instance_escape() -> CheckResult:
             break
     elapsed = time.monotonic() - started
     ok = (
-        plain.stationary
-        and abs(audit.ratio - 0.55) < 1e-12
-        and not boosted.stationary
+        plain <= 1e-9
+        and abs(ratio - 0.55) < 1e-12
+        and boosted > 1e-9
         and escaped_value >= 0.95 * opt
         and elapsed < 60.0
     )
     return CheckResult(
         "tightness-instance-escape",
         ok,
-        f"trap stationary for plain objective (improvement {plain.improvement:.2e} "
-        f"<= 1e-9); audit ratio {audit.ratio:.4f} (expect 0.55); boosted "
-        f"improvement {boosted.improvement:.3f} > 0; escape reached "
+        f"trap stationary for plain objective (improvement {plain:.2e} "
+        f"<= 1e-9); audit ratio {ratio:.4f} (expect 0.55); boosted "
+        f"improvement {boosted:.3f} > 0; escape reached "
         f"{escaped_value:.3f} of OPT {opt:.3f} at round {escaped_at} (bound 500); "
         f"{elapsed:.1f} s (bound 60)",
     )

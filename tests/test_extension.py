@@ -26,7 +26,7 @@ from macoord.extension import (
     SurrogateScheme,
     exact_extension,
     exact_gradient,
-    sample_choices,
+    sample_rows,
     sample_slots,
     sampled_gradients,
     _surrogate_rule,
@@ -70,7 +70,7 @@ def estimate(f, prof, agent, rng, samples=1, scheme=None, budget=None):
     """The agent's block of the learners' sampled gradients when every agent
     scores the same draws from ``rng``: ``(k,)`` for a row, ``(m, k)`` for a
     stack of m rows."""
-    slots = np.repeat(sample_slots(prof, [rng], samples, scheme), prof.n_agents, axis=0)
+    slots = np.repeat(sample_slots(prof, [rng], samples, scheme), prof.partition.n_agents, axis=0)
     block = sampled_gradients(f, slots, samples, budget, scheme)[:, columns(f.partition, agent)]
     return block if prof.row.ndim == 2 else block[0]
 
@@ -92,8 +92,8 @@ def random_profile(sizes, rng, lo=0.05, hi=0.95):
 def test_profile_construction_and_immutability():
     p = Partition((2, 3))
     prof = PolicyProfile.uniform(p)
-    assert prof.sizes == (2, 3)
-    assert prof.n_agents == 2
+    assert prof.partition.sizes == (2, 3)
+    assert prof.partition.n_agents == 2
     np.testing.assert_allclose(split_blocks(prof)[1], np.full(3, 1 / 3))
     with pytest.raises(ValueError):
         split_blocks(prof)[0][0] = 0.9  # blocks are read-only
@@ -178,7 +178,7 @@ def reference_z(scheme, rng):
 
 def reference_gains(f, prof, agent, rng, z=1.0):
     """One sample: a uniform per agent in agent order, the own draw ignored."""
-    u = rng.random(prof.n_agents)
+    u = rng.random(prof.partition.n_agents)
     row = [reference_slot(z * b, u[j]) for j, b in enumerate(split_blocks(prof))]
     row[agent] = -1
     return f.agent_marginals(agent, np.array([row]))[0]
@@ -220,7 +220,7 @@ def test_sample_choices_match_scalar_reference():
         # a stack of 25 scaled rows: uniform row l rounds scaled row l
         stack = PolicyProfile(prof.partition, np.multiply.outer(scale, prof.row))
         for z, profile in ((None, prof), (scale, stack)):
-            got = sample_choices(profile, u)
+            got = sample_rows(profile.partition, profile.row, u)
             assert got.shape == u.shape and got.dtype == np.int64
             for l in range(u.shape[0]):
                 for j, b in enumerate(split_blocks(prof)):
@@ -228,7 +228,7 @@ def test_sample_choices_match_scalar_reference():
                     assert got[l, j] == reference_slot(block, u[l, j])
 
 
-def reference_sample_choices(prof, u):
+def reference_sample_rows(prof, u):
     """Per-agent loop: one cumulative search of each block in turn; row l of
     a stack rounds the l-th group of len(u) / m uniform rows."""
     rows = prof.row.reshape(-1, prof.partition.total)
@@ -323,22 +323,22 @@ def profiles_and_uniforms(draw):
 @given(profiles_and_uniforms())
 def test_sample_choices_equal_per_agent_loop(cases):
     for profile, u in cases:
-        got = sample_choices(profile, u)
+        got = sample_rows(profile.partition, profile.row, u)
         assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, reference_sample_choices(profile, u))
+        np.testing.assert_array_equal(got, reference_sample_rows(profile, u))
 
 
 def test_sample_choices_on_indicator_is_deterministic():
     p = Partition((2, 3, 2))
     prof = indicator(p, [1, -1, 0])
-    choices = sample_choices(prof, np.random.default_rng(0).random((20, 3)))
+    choices = sample_rows(prof.partition, prof.row, np.random.default_rng(0).random((20, 3)))
     assert (choices == [1, -1, 0]).all()
 
 
 def test_sample_choices_frequencies():
     prof = PolicyProfile(Partition((2,)), np.array([0.3, 0.5]))  # leftover 0.2 idles
     n = 20_000
-    slots = sample_choices(prof, np.random.default_rng(42).random((n, 1)))[:, 0]
+    slots = sample_rows(prof.partition, prof.row, np.random.default_rng(42).random((n, 1)))[:, 0]
     for key, p_true in ((0, 0.3), (1, 0.5), (-1, 0.2)):
         band = 4.0 * math.sqrt(p_true * (1 - p_true) / n)
         assert abs(np.mean(slots == key) - p_true) < band
@@ -349,12 +349,12 @@ def test_sample_choices_shape_guard():
     prof = PolicyProfile.uniform(p)
     for bad in (np.zeros((4, 3)), np.zeros(2)):
         with pytest.raises(ValueError):
-            sample_choices(prof, bad)
+            sample_rows(prof.partition, prof.row, bad)
     # a stack of 3 rows needs a multiple of 3 uniform rows
     stack = PolicyProfile(p, np.tile(prof.row, (3, 1)))
-    assert sample_choices(stack, np.zeros((6, 2))).shape == (6, 2)
+    assert sample_rows(stack.partition, stack.row, np.zeros((6, 2))).shape == (6, 2)
     with pytest.raises(ValueError):
-        sample_choices(stack, np.zeros((4, 2)))
+        sample_rows(stack.partition, stack.row, np.zeros((4, 2)))
 
 
 def test_estimators_exclude_own_agent():
@@ -866,7 +866,7 @@ def test_lossless_rounding_small():
     prof = random_profile(f.partition.sizes, rng)
     exact = exact_extension(f, prof)
     n = 20_000
-    choices = sample_choices(prof, rng.random((n, prof.n_agents)))
+    choices = sample_rows(prof.partition, prof.row, rng.random((n, prof.partition.n_agents)))
     vals = f.value(f.partition.members(choices))
     sem = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - exact) <= 4.0 * sem

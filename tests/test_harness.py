@@ -674,6 +674,7 @@ def test_cli_rejects_non_finite_environment_values(tmp_path, capsys, environment
         (dict(CLI_DOC, environment=dict(_FACILITY, agents=1, headings=1, speeds=[5.0],
                                         targets=10**15, target_mix={"random": 10**15})),
          "targets"),
+        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "targets": 10**15}), "targets"),
         (dict(CLI_DOC, environment=dict(_FACILITY, speeds=[1e308])), "speeds"),
         (dict(CLI_DOC, environment={"kind": "orbiting-targets", "drift_cycles": 1e308}),
          "drift_cycles"),
@@ -688,8 +689,8 @@ def test_cli_rejects_non_finite_environment_values(tmp_path, capsys, environment
         (dict(CLI_DOC, learner=_weak_sub(1.0, math.inf)), "beta"),
         (dict(CLI_DOC, learner=_weak_sub(0.5, 1e308)), "beta"),
     ],
-    ids=["mix-bool", "mix-empty", "world-huge", "speeds-huge", "cycles-huge", "spl-step-huge", "mpl-step-huge",
-         "epsilon-huge", "two-agent-epsilon-huge", "beta-nan", "beta-inf-rate-nan",
+    ids=["mix-bool", "mix-empty", "world-huge", "orbit-huge", "speeds-huge", "cycles-huge",
+         "spl-step-huge", "mpl-step-huge", "epsilon-huge", "two-agent-epsilon-huge", "beta-nan", "beta-inf-rate-nan",
          "beta-huge-rate"],
 )
 def test_cli_refuses_values_that_break_the_run(tmp_path, capsys, doc, field):

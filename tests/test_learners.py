@@ -38,8 +38,6 @@ from macoord.learners import (
     _RANDOM_TAG,
     _play,
     agent_stream,
-    random_baseline_round,
-    sequential_greedy_round,
 )
 from macoord.network import CommGraph, erdos_renyi, metropolis_weights
 from macoord.oracle import brute_force_opt, estimate_ratios
@@ -403,9 +401,11 @@ def test_mpl_estimates_reset_each_round():
 
 def test_random_baseline_uniform_and_total():
     p = Partition((4, 2))
+    f = ModularFunction(p, np.ones(6))
+    learner = RandomLearner(p, seed=0)
     counts = np.zeros(4)
     for t in range(1, 4001):
-        s = random_baseline_round(p, agent_stream(0, t, 99))
+        s = learner.round(f, t)
         assert (s >= 0).all() and s.shape == (2,)  # never abstains
         counts[s[0]] += 1
     expect, sigma = 1000.0, np.sqrt(4000 * 0.25 * 0.75)
@@ -414,7 +414,7 @@ def test_random_baseline_uniform_and_total():
 
 def test_sequential_greedy_escapes_coverage_trap():
     f = coverage_instance(3, 0.1, 1)
-    s = sequential_greedy_round(f)
+    s = GreedyLearner(f.partition).round(f, 1)
     assert s.tolist() == [1, 1, 1]
     assert f.value(f.partition.members(s[None]))[0] == pytest.approx(4.0, abs=1e-12)
 
@@ -422,7 +422,7 @@ def test_sequential_greedy_escapes_coverage_trap():
 def test_sequential_greedy_tie_breaks_to_lowest_slot():
     p = Partition((3, 2))
     f = ModularFunction(p, np.array([2.0, 2.0, 2.0, 1.0, 1.0]))
-    assert sequential_greedy_round(f).tolist() == [0, 0]
+    assert GreedyLearner(p).round(f, 1).tolist() == [0, 0]
 
 
 def test_sequential_greedy_curvature_guarantee():
@@ -430,7 +430,7 @@ def test_sequential_greedy_curvature_guarantee():
     rng = np.random.default_rng(6)
     for _ in range(20):
         f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
-        greedy = sequential_greedy_round(f)
+        greedy = GreedyLearner(f.partition).round(f, 1)
         greedy_val = f.value(f.partition.members(greedy[None]))[0]
         opt = brute_force_opt(f)[1]
         c = estimate_ratios(f).curvature
@@ -445,7 +445,7 @@ def test_learner_wrappers():
     np.testing.assert_array_equal(s1, s2)  # same round, same seed, same draw
     assert rand.disagreement() == 0.0
     greedy = GreedyLearner(p)
-    np.testing.assert_array_equal(greedy.round(f, 1), sequential_greedy_round(f))
+    assert greedy.round(f, 1).tolist() == [2, 2]  # each agent's heaviest slot
     assert greedy.disagreement() == 0.0
     assert greedy.budget.per_agent().tolist() == [3, 3]
 
@@ -468,11 +468,11 @@ def _reference_inner_disagreement(partition, estimates):
     return ((np.diag(mass) - mass).sum(axis=1) / partition.n_agents).tolist()
 
 
-def _reference_mpl_round(learner, f, t):
+def _reference_mpl_round(learner, graph, f, t):
     p, k_steps = learner.partition, learner.inner_steps
     n = p.n_agents
     own = (np.repeat(np.arange(n), p.sizes), np.arange(p.total))
-    hoods = [[j for j in range(n) if j == i or tuple(sorted((i, j))) in learner.graph.edges]
+    hoods = [[j for j in range(n) if j == i or tuple(sorted((i, j))) in graph.edges]
              for i in range(n)]
     learner.budget.reset()
     estimates = np.zeros((n, p.total))
@@ -594,7 +594,7 @@ def test_loop_free_rounds_equal_loop_references(kind, data):
     ]
     for t in (1, 2, 3):
         got = mpl[0].round(f, t)
-        expect, inner, worst = _reference_mpl_round(mpl[1], f, t)
+        expect, inner, worst = _reference_mpl_round(mpl[1], g, f, t)
         np.testing.assert_array_equal(got, expect)
         for name in ("iterates", "estimates"):
             a, b = getattr(mpl[0], name), getattr(mpl[1], name)
