@@ -15,8 +15,9 @@ tick, targets move by their own kinds, and the environment kind (the
   DR-submodular with some ratio alpha > 0; it is close to modular far from
   the targets and not submodular at close range.
 
-A world whose per-round objective table (agents x moves, or x slots, x targets
-entries) would pass ``MOVING_WORLD_LIMIT`` is refused before any allocation.
+A world with a size below 1, or whose per-round objective table (agents x
+moves, or x slots, x targets entries) would pass ``MOVING_WORLD_LIMIT``, is
+refused before any allocation.
 
 Static instances used by the oracle suite live here too: weighted coverage
 (including a tight two-slot family with a bad interior fixed point), modular,
@@ -207,8 +208,6 @@ def motion_moves(headings: int, speeds: Sequence[float]) -> np.ndarray:
     """Read-only (headings * len(speeds), 2) table of per-tick displacements:
     headings 2pi/headings .. 2pi crossed with the speeds, slot = heading_index
     * len(speeds) + speed_index."""
-    if headings < 1 or len(speeds) < 1:
-        raise ConfigError("need at least one heading and one speed")
     angles = 2.0 * math.pi * np.arange(1, headings + 1) / headings
     rates = np.array(list(speeds), dtype=np.float64)
     if not np.all(np.abs(rates) <= WORLD_LIMIT):
@@ -416,6 +415,21 @@ class TrackingGainObjective(SetFunction):
 # ---------------------------------------------------------------------------
 
 
+def _check_world_sizes(world: str, sizes: dict[str, int]) -> None:
+    """Refuse a world, before any allocation, with a size below 1 or with a
+    per-round objective table, the product of ``sizes``, of more than
+    ``MOVING_WORLD_LIMIT`` entries.  Each refusal names its fields."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ConfigError(f"{world} {name} must be at least 1, got {size}")
+    table = math.prod(sizes.values())
+    if table > MOVING_WORLD_LIMIT:
+        raise ConfigError(
+            f"{world} {' * '.join(sizes)} is {table}, the size of a round's objective table; "
+            f"it must be at most {MOVING_WORLD_LIMIT:,}"
+        )
+
+
 def _spawn_disk(rng: np.random.Generator, count: int) -> np.ndarray:
     r = SPAWN_RADIUS * np.sqrt(rng.random(count))
     theta = rng.uniform(0.0, 2.0 * math.pi, count)
@@ -462,14 +476,8 @@ class MovingTargetEnvironment:
         target_mix: Optional[dict[str, int]],
         record_world: bool,
     ):
-        if agents < 1 or targets < 1:
-            raise ConfigError("need at least one agent and one target")
-        size = agents * headings * len(speeds) * targets
-        if size > MOVING_WORLD_LIMIT:
-            raise ConfigError(
-                f"agents * headings * len(speeds) * targets is {size}, the size of a round's "
-                f"objective table; it must be at most {MOVING_WORLD_LIMIT:,}"
-            )
+        _check_world_sizes(kind, {"agents": agents, "headings": headings,
+                                  "len(speeds)": len(speeds), "targets": targets})
         self.objective, default_kinds = MOVING_KINDS[kind]
         self.moves = motion_moves(headings, speeds)
         self._rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x656E76)))
@@ -566,12 +574,8 @@ class OrbitingTargetsEnvironment:
                     f"orbiting-targets {name} must be finite and at most {WORLD_LIMIT:g} "
                     f"in magnitude, got {x}"
                 )
-        size = agents * slots * targets
-        if size > MOVING_WORLD_LIMIT:
-            raise ConfigError(
-                f"orbiting-targets agents * slots * targets is {size}, the size of a round's "
-                f"objective table; it must be at most {MOVING_WORLD_LIMIT:,}"
-            )
+        _check_world_sizes("orbiting-targets",
+                           {"agents": agents, "slots": slots, "targets": targets})
         self.partition = Partition((slots,) * agents)
         total = self.partition.total
         angles = 2.0 * math.pi * np.arange(total) / total

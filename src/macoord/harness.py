@@ -35,6 +35,8 @@ from .oracle import brute_force_opt
 
 # Each spec section's fields, name -> (JSON kind, default), read by
 # errors.read_section: the top level, and the learner and its scheme per kind.
+# A coordination learner takes its kind's fields, under these names and with
+# no defaults of its own, as keyword arguments (make_learner).
 CONFIG_FIELDS = {
     "environment": (dict, REQUIRED),
     "graph": (dict, {"kind": "complete"}),
@@ -125,28 +127,20 @@ def _spec_errors(what: str, spec: dict):
         raise ConfigError(f"bad {what} spec {spec}: {exc}") from exc
 
 
-def make_learner(cfg: RunConfig, partition: Partition, graph: CommGraph):
-    with _spec_errors("learner", cfg.learner):
-        kind, fields = read_kind("learner", cfg.learner, LEARNER_FIELDS)
+def make_learner(spec: dict, partition: Partition, graph: CommGraph, horizon: int, seed: int):
+    """The learner of a learner spec, for a run of ``horizon`` rounds.  A
+    coordination learner takes its :data:`LEARNER_FIELDS` as they are
+    declared, with the ``scheme`` spec read into a surrogate scheme."""
+    with _spec_errors("learner", spec):
+        kind, fields = read_kind("learner", spec, LEARNER_FIELDS)
+        if kind == "random":
+            return RandomLearner(partition, seed)
+        if kind == "greedy":
+            return GreedyLearner(partition)
         if kind == "ma-spl":
             fields["scheme"] = scheme_from_dict(fields["scheme"])
-            return PolicyConsensusLearner(
-                partition, graph, horizon=cfg.horizon, seed=cfg.seed, **fields
-            )
-        if kind == "ma-mpl":
-            return MetaConditionalGradientLearner(
-                partition,
-                graph,
-                horizon=cfg.horizon,
-                seed=cfg.seed,
-                inner_steps=fields["K"],
-                sample_batch=fields["L"],
-                eta0=fields["eta0"],
-                step_size=fields["step_size"],
-            )
-        if kind == "random":
-            return RandomLearner(partition, cfg.seed)
-        return GreedyLearner(partition)
+        cls = PolicyConsensusLearner if kind == "ma-spl" else MetaConditionalGradientLearner
+        return cls(partition, graph, horizon=horizon, seed=seed, **fields)
 
 
 def run_experiment(cfg: RunConfig) -> list[RoundLog]:
@@ -161,7 +155,7 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
             raise ConfigError(f"oracle regret requested beyond enumeration scale: {exc}") from exc
     with _spec_errors("graph", cfg.graph):
         graph = graph_from_spec(cfg.graph, partition.n_agents)
-    learner = make_learner(cfg, partition, graph)
+    learner = make_learner(cfg.learner, partition, graph, cfg.horizon, cfg.seed)
 
     logs: list[RoundLog] = []
     cum_regret = 0.0

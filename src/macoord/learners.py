@@ -62,27 +62,36 @@ def agent_stream(seed: int, t: int, agent: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(entropy))
 
 
-def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> float:
-    step = eta0 / math.sqrt(horizon) if step_size is None else step_size
+def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> tuple[float, str]:
+    """The ascent step, ``step_size`` or else eta0 / sqrt(horizon), and the
+    field that set it, which a refusal names."""
+    if step_size is not None:
+        if not 0.0 < step_size < math.inf:
+            raise ConfigError(f"step_size must be finite and positive, got {step_size}")
+        return step_size, "step_size"
+    step = eta0 / math.sqrt(horizon)
     if not 0.0 < step < math.inf:
-        raise ConfigError(f"step size must be finite and positive, got {step}")
-    return step
+        raise ConfigError(
+            f"eta0 must give a finite positive step eta0/sqrt(horizon), got eta0 {eta0}, "
+            f"step {step}"
+        )
+    return step, "eta0"
 
 
-def _ascend(
-    partition: Partition, rows: np.ndarray, step: float, grad: np.ndarray
-) -> np.ndarray:
-    """Project ``rows + step * grad`` onto every block's capped simplex.  A
-    step that overflows leaves a row non-finite, which the projection
-    refuses; that refusal is reported as a config error on the step size."""
+def _ascend(learner, rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Project ``rows + step * grad``, for the learner's step, onto every
+    block of its partition's capped simplex.  A step that overflows leaves a
+    row non-finite, which the projection refuses; that refusal is reported
+    as a config error on the field that set the step."""
+    step = learner.step_size
     with np.errstate(over="ignore"):
         ascent = rows + step * grad
     try:
-        return project_blocks(partition, ascent)
+        return project_blocks(learner.partition, ascent)
     except ValueError as exc:
         raise ConfigError(
-            f"step_size {step:g} times gradients of magnitude up to {np.abs(grad).max():g} "
-            "is not finite"
+            f"{learner.step_field} gives the step {step:g}, which times gradients of "
+            f"magnitude up to {np.abs(grad).max():g} is not finite"
         ) from exc
 
 
@@ -105,21 +114,20 @@ def _play(partition: Partition, own: np.ndarray, u: np.ndarray) -> np.ndarray:
 class PolicyConsensusLearner:
     """Consensus-plus-projected-ascent coordination (one gradient step/round).
 
-    Parameters
-    ----------
-    partition : Partition
-        Per-agent action-set sizes.
-    graph : CommGraph
-        Connected communication topology; its Metropolis weights
-        (:func:`network.metropolis_weights`) are the consensus matrix.
-    scheme : SurrogateScheme
-        Gradient reweighting; the submodular scheme also adds the min-gain
-        bonus, which the objective computes once; each agent is charged its
-        slots once per round and reuses its slice across the batch.
-    horizon : int
-        Used for the default step size eta0 / sqrt(horizon).
-    seed : int
-        Master seed; per-(round, agent) streams are derived from it.
+    Takes the run's ``partition``, ``graph`` (its Metropolis weights,
+    :func:`network.metropolis_weights`, are the consensus matrix),
+    ``horizon`` and master ``seed`` (the per-(round, agent) streams derive
+    from it), then the ``ma-spl`` fields of ``harness.LEARNER_FIELDS``,
+    which holds their defaults; ``harness.make_learner`` builds one from a
+    spec.
+
+    scheme : Optional[SurrogateScheme]
+        Gradient reweighting, None for plain F; the submodular scheme also
+        adds the min-gain bonus, which the objective computes once; each
+        agent is charged its slots once per round and reuses its slice
+        across the batch.
+    eta0, step_size : float, Optional[float]
+        The ascent step, ``step_size`` or else eta0 / sqrt(horizon).
     batch : int
         Single-sample estimates averaged per round and agent.
     exact_gradient : bool
@@ -132,25 +140,26 @@ class PolicyConsensusLearner:
         self,
         partition: Partition,
         graph: CommGraph,
-        scheme: SurrogateScheme,
+        *,
         horizon: int,
         seed: int,
-        eta0: float = 1.0,
-        batch: int = 10,
-        exact_gradient: bool = False,
-        step_size: Optional[float] = None,
+        scheme: Optional[SurrogateScheme],
+        eta0: float,
+        batch: int,
+        exact_gradient: bool,
+        step_size: Optional[float],
     ):
         if graph.n != partition.n_agents:
             raise ConfigError("graph and partition disagree on the number of agents")
         if batch < 1:
-            raise ConfigError("batch must be >= 1")
+            raise ConfigError(f"batch must be at least 1, got {batch}")
         self.partition = partition
         self.weights = metropolis_weights(graph)
         self.scheme = scheme
         self.seed = int(seed)
         self.batch = int(batch)
         self.exact_gradient = bool(exact_gradient)
-        self.step_size = _step_size(eta0, horizon, step_size)
+        self.step_size, self.step_field = _step_size(eta0, horizon, step_size)
         self._own = (partition.owners, np.arange(partition.total))  # row i at agent i's columns
         # each agent starts uniform on its own block and empty elsewhere
         self.policies = np.zeros((partition.n_agents, partition.total))
@@ -186,7 +195,7 @@ class PolicyConsensusLearner:
 
         # consensus averaging of every copy; ascent step on the own blocks
         mixed = self.weights @ self.policies
-        mixed[self._own] = _ascend(self.partition, mixed[self._own], self.step_size, grad)
+        mixed[self._own] = _ascend(self, mixed[self._own], grad)
         self.policies = mixed
         return chosen
 
@@ -218,41 +227,46 @@ class MetaConditionalGradientLearner:
     ``iterates`` holds every agent's k-th iterate on its own block, starts
     uniform (hence on the sum-one face), is the k-th direction, and moves by
     a projected gradient step on each observed linear reward (:meth:`update`).
+
+    Takes the run's ``partition``, ``graph``, ``horizon`` and ``seed``, then
+    the ``ma-mpl`` fields of ``harness.LEARNER_FIELDS``: ``K``, ``L``, and
+    ``eta0`` and ``step_size`` as for :class:`PolicyConsensusLearner`.
     """
 
     def __init__(
         self,
         partition: Partition,
         graph: CommGraph,
+        *,
         horizon: int,
         seed: int,
-        inner_steps: int = 15,
-        sample_batch: int = 10,
-        eta0: float = 1.0,
-        step_size: Optional[float] = None,
+        K: int,
+        L: int,
+        eta0: float,
+        step_size: Optional[float],
     ):
         if graph.n != partition.n_agents:
             raise ConfigError("graph and partition disagree on the number of agents")
-        if inner_steps < 3:
-            raise ConfigError("need at least 3 inner steps per round")
-        if sample_batch < 1:
-            raise ConfigError("sample batch must be >= 1")
+        if K < 3:
+            raise ConfigError(f"K, the inner steps per round, must be at least 3, got {K}")
+        if L < 1:
+            raise ConfigError(f"L, the samples per inner step, must be at least 1, got {L}")
         self.partition = partition
         self.seed = int(seed)
-        self.inner_steps = int(inner_steps)
-        self.sample_batch = int(sample_batch)
-        self.step_size = _step_size(eta0, horizon, step_size)
+        self.K = int(K)
+        self.L = int(L)
+        self.step_size, self.step_field = _step_size(eta0, horizon, step_size)
         n = partition.n_agents
-        self.iterates = np.tile(PolicyProfile.uniform(partition).row, (self.inner_steps, 1))
+        self.iterates = np.tile(PolicyProfile.uniform(partition).row, (self.K, 1))
         self.budget = MarginalBudget(n)
         self._own = (partition.owners, np.arange(partition.total))  # row i at agent i's columns
         # (K, n, |V|) flat index into the (K + 1, |V|) running sums: row
         # k + 1 - lag, lag = max(hop - 1, 0), clipped at the zero row 0
         hops = np.repeat(hop_distances(graph), partition.sizes, axis=1)
-        rows = np.arange(1, self.inner_steps + 1)[:, None, None] - np.maximum(hops - 1, 0)
+        rows = np.arange(1, self.K + 1)[:, None, None] - np.maximum(hops - 1, 0)
         rows = np.where(hops == UNREACHABLE, 0, np.maximum(rows, 0))
         self._lag = rows * partition.total + np.arange(partition.total)
-        self._steps = np.zeros((self.inner_steps, n, partition.total))
+        self._steps = np.zeros((self.K, n, partition.total))
         self.estimates = self._steps[-1]
 
     def update(self, rewards: np.ndarray) -> None:
@@ -264,7 +278,7 @@ class MetaConditionalGradientLearner:
         rewards = np.asarray(rewards, dtype=np.float64)
         if rewards.shape != self.iterates.shape:
             raise ValueError("reward dimension mismatch")
-        self.iterates = _ascend(self.partition, self.iterates, self.step_size, rewards)
+        self.iterates = _ascend(self, self.iterates, rewards)
 
     def _gaps(self, estimates: np.ndarray) -> np.ndarray:
         """Per-agent (1/n) <1, own-blocks - estimates> of ``(..., n, |V|)``
@@ -280,9 +294,7 @@ class MetaConditionalGradientLearner:
     def round(self, f: SetFunction, t: int) -> np.ndarray:
         self.budget.reset()
         n, total = self.partition.n_agents, self.partition.total
-        running = np.cumsum(
-            np.concatenate((np.zeros((1, total)), self.iterates / self.inner_steps)), axis=0
-        )
+        running = np.cumsum(np.concatenate((np.zeros((1, total)), self.iterates / self.K)), axis=0)
         steps = running.take(self._lag)  # (K, n, |V|): every agent after every inner step
         self._steps, self.estimates = steps, steps[-1]
 
@@ -293,8 +305,8 @@ class MetaConditionalGradientLearner:
         # score every agent's K inner estimates: one rounding of all n K L
         # draws, one oracle call for all, then teach every maximizer at once
         views = PolicyProfile._of_own_rows(self.partition, steps.swapaxes(0, 1).reshape(-1, total))
-        slots = sample_slots(views, streams, self.sample_batch)
-        self.update(sampled_gradients(f, slots, self.sample_batch, self.budget))
+        slots = sample_slots(views, streams, self.L)
+        self.update(sampled_gradients(f, slots, self.L, self.budget))
         return chosen
 
     def inner_disagreement(self) -> np.ndarray:

@@ -173,8 +173,11 @@ def test_motion_grid_layout():
         for s, speed in enumerate((5.0, 10.0)):
             expect = speed * DT * np.array([math.cos(theta), math.sin(theta)])
             np.testing.assert_allclose(moves[h * 2 + s], expect, atol=1e-12)
-    with pytest.raises(ConfigError):
-        motion_moves(0, (5.0,))
+    # the world refuses an empty table before it builds one, naming the field
+    for field, value in (("headings", 0), ("speeds", [])):
+        spec = {"kind": "facility", "agents": 1, "targets": 1, field: value}
+        with pytest.raises(ConfigError, match=rf"facility \S*{field}\S* must be at least 1"):
+            make_environment(spec, 0, 3)
 
 
 def test_motion_grid_table_is_read_only():

@@ -19,8 +19,7 @@ from macoord.ground import (
     local_marginal_block,
     local_marginal_rows,
 )
-from macoord.extension import SurrogateScheme
-from macoord.learners import PolicyConsensusLearner
+from macoord.harness import make_learner
 from macoord.network import CommGraph
 
 
@@ -290,9 +289,7 @@ def test_min_gain_vector_computed_once_per_objective():
     f.value_calls = f.value_rows = 0
     env = StaticEnvironment(f)
     graph = CommGraph.complete(p.n_agents)
-    learner = PolicyConsensusLearner(
-        p, graph, SurrogateScheme.submodular(), horizon=3, seed=0, batch=2,
-    )
+    learner = make_learner({"kind": "ma-spl", "batch": 2}, p, graph, horizon=3, seed=0)
     for t in range(1, 4):
         g = env.begin_round()
         assert g.min_gains.tolist() == reference

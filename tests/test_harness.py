@@ -5,8 +5,10 @@ full-scale benchmark claims live in the acceptance suite.
 """
 
 import csv
+import inspect
 import json
 import math
+import re
 import typing
 import warnings
 
@@ -18,6 +20,7 @@ from macoord.cli import main
 from macoord.envs import ENVIRONMENT_FIELDS, make_environment
 from macoord.errors import REQUIRED, ConfigError
 from macoord.extension import SurrogateScheme
+from macoord.ground import Partition
 from macoord.harness import (
     BENCH_MATRICES,
     CONFIG_FIELDS,
@@ -36,7 +39,7 @@ from macoord.harness import (
     scheme_from_dict,
     write_world_trace,
 )
-from macoord.network import GRAPH_FIELDS, graph_from_spec
+from macoord.network import GRAPH_FIELDS, CommGraph, graph_from_spec
 from macoord.verification import CheckResult
 
 TINY_ENV = {"kind": "synthetic", "objective": "coverage-random", "sizes": [2, 2]}
@@ -120,25 +123,33 @@ def test_make_learner_kinds():
         PolicyConsensusLearner,
         RandomLearner,
     )
-    from macoord.network import graph_from_spec
 
-    cfg = tiny_config()
-    env = make_environment(cfg.environment, cfg.seed, 4)
-    graph = graph_from_spec(cfg.graph, 2)
+    env = make_environment(TINY_ENV, 0, 4)
+    graph = graph_from_spec({"kind": "complete"}, 2)
     for kind, cls in (
         ("ma-spl", PolicyConsensusLearner),
         ("ma-mpl", MetaConditionalGradientLearner),
         ("random", RandomLearner),
         ("greedy", GreedyLearner),
     ):
-        cfg2 = tiny_config(learner={"kind": kind})
-        assert isinstance(make_learner(cfg2, env.partition, graph), cls)
+        assert isinstance(make_learner({"kind": kind}, env.partition, graph, 4, 0), cls)
     with pytest.raises(ConfigError):
-        make_learner(
-            tiny_config(learner={"kind": "ma-spl", "batch": "many"}),
-            env.partition,
-            graph,
-        )
+        make_learner({"kind": "ma-spl", "batch": "many"}, env.partition, graph, 4, 0)
+
+
+def test_learner_settings_are_declared_once():
+    # the learner classes keep no defaults of their own, so a spec that names
+    # no field runs on the defaults LEARNER_FIELDS declares
+    p, graph, horizon = Partition((2, 3)), CommGraph.complete(2), 16
+    built = {kind: make_learner({"kind": kind}, p, graph, horizon, 0) for kind in LEARNER_FIELDS}
+    for kind, learner in built.items():
+        params = inspect.signature(type(learner)).parameters.values()
+        defaults = [param.name for param in params if param.default is not param.empty]
+        assert defaults == [], (kind, defaults)
+    spl, mpl = built["ma-spl"], built["ma-mpl"]
+    assert (spl.batch, spl.exact_gradient, spl.scheme) == (10, False, SurrogateScheme.submodular())
+    assert (mpl.K, mpl.L) == (15, 10)
+    assert spl.step_size == mpl.step_size == 1.0 / math.sqrt(horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +361,7 @@ def test_tracking_desk_learners_leave_their_uniform_start():
         cfg = RunConfig.from_dict(doc)
         env = make_environment(cfg.environment, cfg.seed, cfg.horizon)
         graph = graph_from_spec(cfg.graph, env.partition.n_agents)
-        learner = make_learner(cfg, env.partition, graph)
+        learner = make_learner(cfg.learner, env.partition, graph, cfg.horizon, cfg.seed)
         for t in range(1, rounds + 1):
             env.finish_round(learner.round(env.begin_round(), t))
         # largest relative move of a played probability away from 1/k
@@ -688,10 +699,20 @@ def test_cli_rejects_non_finite_environment_values(tmp_path, capsys, environment
         (dict(CLI_DOC, learner=_weak_sub(0.5, math.nan)), "beta"),
         (dict(CLI_DOC, learner=_weak_sub(1.0, math.inf)), "beta"),
         (dict(CLI_DOC, learner=_weak_sub(0.5, 1e308)), "beta"),
+        # sizes below 1: a world with no targets failed in its first round
+        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "targets": 0}), "targets"),
+        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "targets": -1}), "targets"),
+        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "agents": 0}), "agents"),
+        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "slots": 0}), "slots"),
+        (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-mpl", "K": 2}), "K"),
+        (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-mpl", "L": 0}), "L"),
+        (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-spl", "eta0": -1}),
+         "eta0"),
     ],
     ids=["mix-bool", "mix-empty", "world-huge", "orbit-huge", "speeds-huge", "cycles-huge",
          "spl-step-huge", "mpl-step-huge", "epsilon-huge", "two-agent-epsilon-huge", "beta-nan", "beta-inf-rate-nan",
-         "beta-huge-rate"],
+         "beta-huge-rate", "orbit-empty", "orbit-negative", "orbit-no-agents", "orbit-no-slots",
+         "mpl-K", "mpl-L", "spl-eta0"],
 )
 def test_cli_refuses_values_that_break_the_run(tmp_path, capsys, doc, field):
     # each of these used to run on (a bool count, utility 0.0 after an
@@ -703,7 +724,8 @@ def test_cli_refuses_values_that_break_the_run(tmp_path, capsys, doc, field):
         assert main([command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
-    assert field in err, err
+    # the line names the field, not only as a quoted key of an echoed spec
+    assert re.search(rf"(?<![\w']){field}(?![\w'])", err), err
 
 
 def test_cli_preset_with_config_override(tmp_path, capsys):

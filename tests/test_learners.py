@@ -23,16 +23,15 @@ from macoord.envs import (
 from macoord.errors import ConfigError, TopologyError
 from macoord.extension import (
     PolicyProfile,
-    SurrogateScheme,
     exact_extension,
     exact_gradient,
     sample_slots,
 )
 from macoord.geometry import project_blocks
 from macoord.ground import Partition, local_marginal_block
+from macoord.harness import make_learner
 from macoord.learners import (
     GreedyLearner,
-    MetaConditionalGradientLearner,
     PolicyConsensusLearner,
     RandomLearner,
     _RANDOM_TAG,
@@ -50,6 +49,16 @@ def _blocks(profile):
 
 def _cycle(n):
     return CommGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _spl(partition, graph, horizon=100, seed=0, **fields):
+    """An ma-spl learner built from its spec, as a run builds it."""
+    return make_learner({"kind": "ma-spl", **fields}, partition, graph, horizon, seed)
+
+
+def _mpl(partition, graph, horizon=10, seed=0, **fields):
+    """An ma-mpl learner built from its spec, as a run builds it."""
+    return make_learner({"kind": "ma-mpl", **fields}, partition, graph, horizon, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +95,9 @@ def test_agent_stream_is_numpys_tuple_seeded_stream():
 # ---------------------------------------------------------------------------
 
 
-def _maximizers(sizes, step, inner_steps=3):
+def _maximizers(sizes, step, K=3):
     p = Partition(sizes)
-    return MetaConditionalGradientLearner(
-        p, CommGraph.complete(p.n_agents), horizon=10, seed=0,
-        inner_steps=inner_steps, step_size=step,
-    )
+    return _mpl(p, CommGraph.complete(p.n_agents), K=K, step_size=step)
 
 
 def test_oga_oracle_initial_direction_is_uniform():
@@ -113,7 +119,7 @@ def test_oga_oracle_validation():
 
 def test_oga_oracle_stays_on_face_under_nonnegative_rewards():
     rng = np.random.default_rng(0)
-    learner = _maximizers((5, 1, 3), 0.3, inner_steps=4)
+    learner = _maximizers((5, 1, 3), 0.3, K=4)
     p = learner.partition
     for _ in range(200):
         learner.update(rng.random((4, p.total)))
@@ -162,25 +168,24 @@ def test_play_scales_each_block_to_sum_one():
 # ---------------------------------------------------------------------------
 
 
-def _spl(partition, graph, scheme=None, **kw):
-    scheme = scheme or SurrogateScheme.submodular()
-    return PolicyConsensusLearner(partition, graph, scheme, horizon=100, seed=0, **kw)
-
-
 def test_spl_constructor_validations():
     p = Partition((2, 2))
     g2 = CommGraph.path(2)
     with pytest.raises(ConfigError):
         _spl(p, CommGraph.path(3))  # agent-count mismatch
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="batch must be at least 1"):
         _spl(p, g2, batch=0)
     with pytest.raises(TopologyError):  # Metropolis weights need a connected graph
-        _spl(p, CommGraph(2, []))
-    # the step must be finite and positive, whether given or derived from eta0
+        PolicyConsensusLearner(
+            p, CommGraph(2, []), horizon=100, seed=0, scheme=None, eta0=1.0, batch=10,
+            exact_gradient=False, step_size=None,
+        )
+    # the step must be finite and positive, whether given or derived from eta0,
+    # and the refusal names the field that set it
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^eta0 must"):
             _spl(p, g2, eta0=bad)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^step_size must"):
             _spl(p, g2, step_size=bad)
 
 
@@ -202,15 +207,7 @@ def test_spl_single_agent_exact_gradient_finds_modular_argmax():
     p = Partition((2,))
     f = ModularFunction(p, np.array([1.0, 2.0]))
     g = CommGraph.complete(1)
-    learner = PolicyConsensusLearner(
-        p,
-        g,
-        SurrogateScheme.submodular(),
-        horizon=50,
-        seed=0,
-        exact_gradient=True,
-        step_size=0.3,
-    )
+    learner = _spl(p, g, horizon=50, exact_gradient=True, step_size=0.3)
     for t in range(1, 51):
         learner.round(f, t)
     np.testing.assert_allclose(_blocks(learner.played_profile())[0], [0.0, 1.0], atol=1e-9)
@@ -289,7 +286,7 @@ def test_spl_query_budget_accounting():
     learner.round(f, 1)
     np.testing.assert_array_equal(learner.budget.per_agent(), [(1 + 4) * 2, (1 + 4) * 3])
     # weak-DR scheme has no min-gain bonus
-    learner = _spl(p, g, scheme=SurrogateScheme.weak_dr(0.5), batch=4)
+    learner = _spl(p, g, scheme={"kind": "weak-dr", "alpha": 0.5}, batch=4)
     learner.round(f, 1)
     np.testing.assert_array_equal(learner.budget.per_agent(), [4 * 2, 4 * 3])
     # exact gradients charge nothing
@@ -318,16 +315,16 @@ def test_mpl_constructor_validations():
     p = Partition((2, 2))
     g = CommGraph.path(2)
     with pytest.raises(ConfigError):
-        MetaConditionalGradientLearner(p, CommGraph.path(3), 10, 0)
-    with pytest.raises(ConfigError):
-        MetaConditionalGradientLearner(p, g, 10, 0, inner_steps=2)
-    with pytest.raises(ConfigError):
-        MetaConditionalGradientLearner(p, g, 10, 0, sample_batch=0)
+        _mpl(p, CommGraph.path(3))
+    with pytest.raises(ConfigError, match="^K, the inner steps per round, must be at least 3"):
+        _mpl(p, g, K=2)
+    with pytest.raises(ConfigError, match="^L, the samples per inner step, must be at least 1"):
+        _mpl(p, g, L=0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError):
-            MetaConditionalGradientLearner(p, g, 10, 0, eta0=bad)
-        with pytest.raises(ConfigError):
-            MetaConditionalGradientLearner(p, g, 10, 0, step_size=bad)
+        with pytest.raises(ConfigError, match="^eta0 must"):
+            _mpl(p, g, eta0=bad)
+        with pytest.raises(ConfigError, match="^step_size must"):
+            _mpl(p, g, step_size=bad)
 
 
 def test_mpl_path_lag_disagreement_is_exact():
@@ -336,10 +333,7 @@ def test_mpl_path_lag_disagreement_is_exact():
     # final per-agent gap is sum_j (dist-1)+ / (n K) = 10 / (6 K) exactly.
     f = coverage_instance(6, 0.1, 1)
     k_steps = 15
-    learner = MetaConditionalGradientLearner(
-        f.partition, CommGraph.path(6), horizon=10, seed=0,
-        inner_steps=k_steps, sample_batch=1,
-    )
+    learner = _mpl(f.partition, CommGraph.path(6), K=k_steps, L=1)
     learner.round(f, 1)
     assert learner.disagreement() == pytest.approx(10.0 / (6 * k_steps), abs=1e-12)
     # lag gaps only shrink as the inner loop proceeds, and end nonnegative
@@ -352,10 +346,7 @@ def test_mpl_query_budget_accounting():
     rng = np.random.default_rng(4)
     f = synthetic_setfn("coverage-random", (2, 3), rng)
     k_steps, batch = 4, 3
-    learner = MetaConditionalGradientLearner(
-        f.partition, CommGraph.path(2), horizon=10, seed=0,
-        inner_steps=k_steps, sample_batch=batch,
-    )
+    learner = _mpl(f.partition, CommGraph.path(2), K=k_steps, L=batch)
     learner.round(f, 1)
     np.testing.assert_array_equal(
         learner.budget.per_agent(), [k_steps * batch * 2, k_steps * batch * 3]
@@ -365,10 +356,7 @@ def test_mpl_query_budget_accounting():
 def test_mpl_oracles_learn_across_rounds():
     rng = np.random.default_rng(5)
     f = synthetic_setfn("coverage-random", (2, 2), rng)
-    learner = MetaConditionalGradientLearner(
-        f.partition, CommGraph.complete(2), horizon=20, seed=0,
-        inner_steps=3, sample_batch=2, step_size=0.5,
-    )
+    learner = _mpl(f.partition, CommGraph.complete(2), horizon=20, K=3, L=2, step_size=0.5)
     learner.round(f, 1)
     assert not np.allclose(learner.iterates, 0.5)
     # played selections stay feasible and policies sum to at most one
@@ -380,10 +368,7 @@ def test_mpl_oracles_learn_across_rounds():
 
 def test_mpl_estimates_reset_each_round():
     f = coverage_instance(3, 0.1, 1)
-    learner = MetaConditionalGradientLearner(
-        f.partition, CommGraph.complete(3), horizon=10, seed=0,
-        inner_steps=3, sample_batch=1,
-    )
+    learner = _mpl(f.partition, CommGraph.complete(3), K=3, L=1)
     learner.round(f, 1)
     first = _blocks(PolicyProfile(f.partition, learner.estimates[0]))
     learner.round(f, 2)
@@ -469,7 +454,7 @@ def _reference_inner_disagreement(partition, estimates):
 
 
 def _reference_mpl_round(learner, graph, f, t):
-    p, k_steps = learner.partition, learner.inner_steps
+    p, k_steps = learner.partition, learner.K
     n = p.n_agents
     own = (np.repeat(np.arange(n), p.sizes), np.arange(p.total))
     hoods = [[j for j in range(n) if j == i or tuple(sorted((i, j))) in graph.edges]
@@ -489,7 +474,7 @@ def _reference_mpl_round(learner, graph, f, t):
     chosen = _play(p, estimates[own], np.array([s.random() for s in streams]))
     rewards = np.empty_like(learner.iterates)
     for i, (lo, hi) in enumerate(zip(p.offsets[:-1], p.offsets[1:])):
-        batch = learner.sample_batch
+        batch = learner.L
         slots = sample_slots(PolicyProfile(p, steps[:, i]), [streams[i]], batch)[0]
         gains = local_marginal_block(f, i, slots, learner.budget)
         rewards[:, lo:hi] = gains.reshape(k_steps, batch, hi - lo).mean(axis=1)
@@ -549,9 +534,7 @@ def _rounds_cases(draw, kind):
         k_steps=draw(st.integers(3, 8)),
         batch=draw(st.integers(1, 4)),
         seed=draw(st.integers(0, 2**16)),
-        scheme=draw(st.sampled_from(
-            [SurrogateScheme.submodular(), SurrogateScheme.weak_dr(0.4)]
-        )),
+        scheme=draw(st.sampled_from([{"kind": "submodular"}, {"kind": "weak-dr", "alpha": 0.4}])),
         objective=draw(st.sampled_from(ROUND_OBJECTIVES)),
     )
 
@@ -578,18 +561,13 @@ def test_loop_free_rounds_equal_loop_references(kind, data):
     p = Partition(sizes)
     f = _round_objective(case["objective"], sizes, case["seed"])
     mpl = [
-        MetaConditionalGradientLearner(
-            p, g, horizon=10, seed=case["seed"], inner_steps=case["k_steps"],
-            sample_batch=case["batch"], step_size=0.3,
-        )
+        _mpl(p, g, seed=case["seed"], K=case["k_steps"], L=case["batch"], step_size=0.3)
         for _ in range(2)
     ]
     # Metropolis weights need a connected graph: the split graph runs MPL alone
     spl = [] if kind == "split" else [
-        PolicyConsensusLearner(
-            p, g, case["scheme"], horizon=10, seed=case["seed"],
-            batch=case["batch"], step_size=0.3,
-        )
+        _spl(p, g, horizon=10, seed=case["seed"], scheme=case["scheme"], batch=case["batch"],
+             step_size=0.3)
         for _ in range(2)
     ]
     for t in (1, 2, 3):
@@ -622,7 +600,7 @@ def test_rounds_build_no_profile_and_hand_on_read_only_rows(monkeypatch):
     learners = {
         "ma-spl sampled": _spl(p, g, batch=2),
         "ma-spl exact": _spl(p, g, exact_gradient=True),
-        "ma-mpl": MetaConditionalGradientLearner(p, g, 10, 0, inner_steps=3, sample_batch=2),
+        "ma-mpl": _mpl(p, g, K=3, L=2),
     }
     built, handed = [], []
     validate = PolicyProfile.__post_init__
