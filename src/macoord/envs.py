@@ -16,8 +16,9 @@ tick, targets move by their own kinds, and the environment kind (the
   the targets and not submodular at close range.
 
 A world with a size below 1, or whose per-round objective table (agents x
-moves, or x slots, x targets entries) would pass ``MOVING_WORLD_LIMIT``, is
-refused before any allocation.
+moves, or x slots, x targets entries) would pass ``errors.TABLE_LIMIT``, is
+refused before any allocation; so is a coverage instance whose mask table
+would.
 
 Static instances used by the oracle suite live here too: weighted coverage
 (including a tight two-slot family with a bad interior fixed point), modular,
@@ -32,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ScaleError, read_kind
+from .errors import ConfigError, ScaleError, check_sizes, read_kind
 from .ground import Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
@@ -51,10 +52,6 @@ EVADE_SPEED = 15.0
 EVADE_CANDIDATE_HEADINGS = 16
 SYNTHETIC_MAX_ACTIONS = 12
 VALUE_BLOCK = 1 << 20  # floats per masked block of FacilityObjective.value
-# Most entries of a moving world's per-round objective table: agents * headings
-# * len(speeds) * targets, or agents * slots * targets in the orbiting world;
-# paper-scale tracking-full has 20 * 24 * 30 = 14,400.
-MOVING_WORLD_LIMIT = 10**7
 
 DEFAULT_HEADINGS = 8
 FACILITY_SPEEDS = (5.0, 10.0, 15.0)
@@ -113,7 +110,9 @@ class WeightedCoverage(SetFunction):
         if weights.min(initial=0.0) < 0:
             raise ValueError("element weights must be nonnegative")
         self.partition = partition
-        self.masks = masks
+        # the masks and a zero row -1, which absent context entries read
+        self._masks = np.vstack((masks, np.zeros(masks.shape[1], dtype=bool)))
+        self.masks = self._masks[:-1]
         self.element_weights = weights
 
     def value(self, members: np.ndarray) -> np.ndarray:
@@ -121,8 +120,7 @@ class WeightedCoverage(SetFunction):
         return np.where(covered, self.element_weights, 0.0).sum(axis=1)
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
-        idx, present = self.partition.context_index(choices, agent)
-        covered = (self.masks[idx] & present[:, :, None]).any(axis=1)  # (L, universe)
+        covered = self._masks[self.partition.context_index(choices, agent)].any(axis=1)
         lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
         fresh = self.masks[lo:hi] & ~covered[:, None, :]
         return fresh @ self.element_weights
@@ -147,6 +145,8 @@ def coverage_instance(n: int, epsilon: float, k: int) -> WeightedCoverage:
     if not 0 < epsilon <= WORLD_LIMIT:
         raise ConfigError(f"epsilon must be positive and at most {WORLD_LIMIT:g}, got {epsilon}")
     universe = n_x + n_y + n_eps
+    check_sizes("coverage", {"2 * agents": 2 * n, "(3 * agents - k - 2)": universe},
+                "its set-by-element mask table")
     x0, y0, e0 = 0, n_x, n_x + n_y
     weights = np.concatenate(
         [np.ones(n_x), np.ones(n_y), np.full(n_eps, float(epsilon))]
@@ -172,7 +172,8 @@ def synthetic_setfn(
     partition = Partition(tuple(sizes))
     if partition.total > SYNTHETIC_MAX_ACTIONS:
         raise ScaleError(
-            f"synthetic objectives are capped at {SYNTHETIC_MAX_ACTIONS} actions"
+            f"synthetic sizes {partition.sizes} hold {partition.total} actions; synthetic "
+            f"objectives are capped at {SYNTHETIC_MAX_ACTIONS} actions"
         )
     if kind == "modular":
         return ModularFunction(partition, rng.uniform(0.1, 1.0, partition.total))
@@ -313,17 +314,15 @@ class FacilityObjective(SetFunction):
         return out
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
-        idx, present = self.partition.context_index(choices, agent)
-        # rewards are positive, so an absent entry's zero is the empty max
-        best = np.where(present[:, :, None], self.reward[idx], 0.0).max(axis=1)
+        # rewards are positive, so an absent entry's zero row is the empty max
+        best = self._rewards[self.partition.context_index(choices, agent)].max(axis=1)
         lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
         return np.maximum(self.reward[lo:hi] - best[:, None, :], 0.0).sum(axis=2)
 
     def marginal_rows(self, slots: np.ndarray) -> np.ndarray:
         """Every agent's :meth:`agent_marginals` in one pass, to the bit."""
-        idx, present = self.partition.context_index(slots)
-        idx[~present] = -1  # the zero row: the empty max
-        best = self._rewards[idx.transpose(2, 0, 1)].max(axis=0)  # (n, L, targets)
+        idx = self.partition.context_index(slots).transpose(2, 0, 1)
+        best = self._rewards[idx].max(axis=0)  # (n, L, targets)
         mine = best.swapaxes(0, 1).take(self.partition.owners, axis=1)  # (L, |V|, targets)
         return np.maximum(np.subtract(self.reward, mine, out=mine), 0.0, out=mine).sum(axis=2)
 
@@ -390,8 +389,7 @@ class TrackingGainObjective(SetFunction):
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
         lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
-        idx, present = self.partition.context_index(choices, agent)
-        idx[~present] = -1
+        idx = self.partition.context_index(choices, agent)
         ctx = np.zeros((3, self.comps.shape[1], len(choices)))  # (3, targets, L)
         for col in range(idx.shape[1]):
             if col != agent:
@@ -413,21 +411,6 @@ class TrackingGainObjective(SetFunction):
 # ---------------------------------------------------------------------------
 # environments (round-by-round drivers)
 # ---------------------------------------------------------------------------
-
-
-def _check_world_sizes(world: str, sizes: dict[str, int]) -> None:
-    """Refuse a world, before any allocation, with a size below 1 or with a
-    per-round objective table, the product of ``sizes``, of more than
-    ``MOVING_WORLD_LIMIT`` entries.  Each refusal names its fields."""
-    for name, size in sizes.items():
-        if size < 1:
-            raise ConfigError(f"{world} {name} must be at least 1, got {size}")
-    table = math.prod(sizes.values())
-    if table > MOVING_WORLD_LIMIT:
-        raise ConfigError(
-            f"{world} {' * '.join(sizes)} is {table}, the size of a round's objective table; "
-            f"it must be at most {MOVING_WORLD_LIMIT:,}"
-        )
 
 
 def _spawn_disk(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -476,8 +459,8 @@ class MovingTargetEnvironment:
         target_mix: Optional[dict[str, int]],
         record_world: bool,
     ):
-        _check_world_sizes(kind, {"agents": agents, "headings": headings,
-                                  "len(speeds)": len(speeds), "targets": targets})
+        check_sizes(kind, {"agents": agents, "headings": headings, "len(speeds)": len(speeds),
+                           "targets": targets}, "a round's objective table")
         self.objective, default_kinds = MOVING_KINDS[kind]
         self.moves = motion_moves(headings, speeds)
         self._rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x656E76)))
@@ -574,8 +557,8 @@ class OrbitingTargetsEnvironment:
                     f"orbiting-targets {name} must be finite and at most {WORLD_LIMIT:g} "
                     f"in magnitude, got {x}"
                 )
-        _check_world_sizes("orbiting-targets",
-                           {"agents": agents, "slots": slots, "targets": targets})
+        check_sizes("orbiting-targets", {"agents": agents, "slots": slots, "targets": targets},
+                    "a round's objective table")
         self.partition = Partition((slots,) * agents)
         total = self.partition.total
         angles = 2.0 * math.pi * np.arange(total) / total

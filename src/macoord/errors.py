@@ -1,5 +1,7 @@
-"""Exception types, and the spec-section readers, shared across the package."""
+"""Exception types, the spec-section readers and the size rule, shared
+across the package."""
 
+import math
 import numbers
 import typing
 
@@ -33,6 +35,10 @@ class DataError(MacoordError, ValueError):
 
 
 REQUIRED = object()  # the default of a field that a spec must give
+# Most entries of a per-round table that a config sizes: a world's objective
+# or mask table, or a sampled learner's draws.  Paper-scale tracking-full has
+# 14,400 objective entries and, under ma-mpl, 1,440,000 sampler comparisons.
+TABLE_LIMIT = 10**7
 _WHAT = {dict: "an object", list: "an array", tuple: "an array", str: "a string",
          bool: "true or false", int: "an integer", float: "a number"}
 
@@ -93,3 +99,18 @@ def read_kind(section: str, doc, kinds: dict) -> tuple[str, dict]:
     fields = read_section(section, doc, {"kind": (str, REQUIRED), **kinds[kind]})
     del fields["kind"]
     return kind, fields
+
+
+def check_sizes(owner: str, sizes: dict[str, int], table: str) -> None:
+    """Refuse, before any allocation, a size below 1 or a ``table`` (named
+    in the message) whose entries, the product of ``sizes``, pass
+    :data:`TABLE_LIMIT`.  Each refusal names its fields."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ConfigError(f"{owner} {name} must be at least 1, got {size}")
+    entries = math.prod(sizes.values())
+    if entries > TABLE_LIMIT:
+        raise ConfigError(
+            f"{owner} {' * '.join(sizes)} is {entries}, the size of {table}; "
+            f"it must be at most {TABLE_LIMIT:,}"
+        )

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ground import MarginalBudget, Partition, SetFunction, local_marginal_rows
+from .ground import Partition, SetFunction, local_marginal_rows
 
 QUADRATURE_NODES = 64
 PROFILE_ATOL = 1e-9  # round-off a profile's masses may carry past [0, 1]
@@ -351,20 +351,21 @@ def sampled_gradients(
     f: SetFunction,
     slots: np.ndarray,
     samples: int,
-    budget: Optional[MarginalBudget] = None,
+    queries: Optional[np.ndarray] = None,
     scheme: Optional[SurrogateScheme] = None,
 ) -> np.ndarray:
     """Score an ``(n, m * samples, n)`` slot tensor, block i agent i's draws,
-    from one :func:`local_marginal_rows` call: ``(m, |V|)`` flat rows of each
-    agent's mean gains over each ``samples`` consecutive rows of its block.
-    With a scheme every gain is rescaled by int_0^1 w; the submodular scheme
-    adds e^{-1} ``f.min_gains``, charging every agent one query per slot."""
-    gains = local_marginal_rows(f, slots, budget)
+    from one :func:`local_marginal_rows` call, which adds into ``queries``:
+    ``(m, |V|)`` flat rows of each agent's mean gains over each ``samples``
+    consecutive rows of its block.  With a scheme every gain is rescaled by
+    int_0^1 w; the submodular scheme adds e^{-1} ``f.min_gains``, one more
+    query per slot of every agent."""
+    gains = local_marginal_rows(f, slots, queries)
     values = gains.reshape(-1, samples, gains.shape[1])
     if scheme is not None:
         values = scheme.weight_integral * values
         if scheme.adds_min_gain:
             values = values + math.exp(-1.0) * f.min_gains
-            if budget is not None:
-                budget.charge(slice(None), f.partition.sizes)
+            if queries is not None:
+                queries += f.partition.sizes
     return values.mean(axis=1)

@@ -50,7 +50,7 @@ class Partition:
         if len(sizes) == 0:
             raise InvalidActionError("partition needs at least one agent")
         if any(k < 1 for k in sizes):
-            raise InvalidActionError(f"every agent needs at least one action, got {sizes}")
+            raise InvalidActionError(f"sizes {sizes}: every agent needs at least one action")
         object.__setattr__(self, "sizes", sizes)
         offsets = (0,) + tuple(itertools.accumulate(sizes))
         object.__setattr__(self, "_offsets", offsets)
@@ -108,13 +108,13 @@ class Partition:
         if choices.size and ((choices < -1) | (choices >= self._sizes)).any():
             raise InvalidActionError(f"slot matrix entry outside [-1, k) for sizes {self.sizes}")
 
-    def context_index(self, choices: np.ndarray, agent=None) -> tuple[np.ndarray, np.ndarray]:
-        """Flat action index of every slot-matrix entry, and whether it is in
-        the row's context (chosen, and not in ``agent``'s own column; with no
-        agent, not block i's column i of a slot tensor).  Absent entries get 0."""
+    def context_index(self, choices: np.ndarray, agent=None) -> np.ndarray:
+        """Flat action index of every slot-matrix entry in its row's context,
+        and -1, as in the slot matrix itself, for an idle entry and for
+        ``agent``'s own column (with no agent, block i's column i of a slot
+        tensor).  An objective reads index -1 as its zero row."""
         own = np.eye(self.n_agents, dtype=bool)[slice(None) if agent is None else agent]
-        present = (choices >= 0) & ~own[..., None, :]
-        return np.where(present, choices + self._starts, 0), present
+        return np.where((choices < 0) | own[..., None, :], -1, choices + self._starts)
 
     def members(self, choices: np.ndarray) -> np.ndarray:
         """``(L, |V|)`` bool membership rows of an ``(L, n)`` slot matrix: row l
@@ -164,9 +164,9 @@ class SetFunction:
     column is ignored, and returns the ``(L, k_agent)`` gains of every one of
     the agent's actions against every row; :meth:`marginal_rows` answers all
     agents' rows at once.  Callers go through :func:`local_marginal_block`
-    and :func:`local_marginal_rows`, which validate the slots and charge the
-    queries.  The generic methods are the tested references; objectives may
-    override them with direct batched forms.
+    and :func:`local_marginal_rows`, which validate the slots and add the
+    queries into the caller's count row.  The generic methods are the
+    tested references; objectives may override them with direct batched forms.
     The exact (enumeration-scale) layer reads :attr:`outcome_values`.
     """
 
@@ -244,60 +244,39 @@ class SetFunction:
         return values[0] - values[1:]
 
 
-class MarginalBudget:
-    """Per-agent counter of marginal-oracle queries; reset at round boundaries."""
-
-    def __init__(self, n_agents: int):
-        self._counts = np.zeros(n_agents, dtype=np.int64)
-
-    def charge(self, agent, count=1) -> None:
-        """``count`` queries to ``agent``, or one count each to a slice of agents."""
-        if np.min(count) < 0:
-            raise ValueError("cannot uncharge a query budget")
-        self._counts[agent] += count
-
-    def per_agent(self) -> np.ndarray:
-        return self._counts.copy()
-
-    def total(self) -> int:
-        return int(self._counts.sum())
-
-    def reset(self) -> None:
-        self._counts[:] = 0
-
-
 def local_marginal_block(
     f: SetFunction,
     agent: int,
     choices: np.ndarray,
-    budget: Optional[MarginalBudget] = None,
+    queries: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gains of all of ``agent``'s actions against every row of an ``(L, n)``
     slot matrix (see :class:`SetFunction`), as an ``(L, k_agent)`` array.
 
-    The matrix is checked before anything is charged: an entry outside
-    [-1, k_j) would address another agent's action.  Charges one query per
-    slot per row.
+    The matrix is checked before anything is counted: an entry outside
+    [-1, k_j) would address another agent's action.  One query per slot per
+    row is added to ``queries[agent]``, the caller's ``(n,)`` int count row;
+    None counts nothing.
     """
     f.partition.check_agent(agent)
     f.partition.check_choices(choices)
-    if budget is not None:
-        budget.charge(agent, len(choices) * f.partition.sizes[agent])
+    if queries is not None:
+        queries[agent] += len(choices) * f.partition.sizes[agent]
     return f.agent_marginals(agent, choices)
 
 
 def local_marginal_rows(
-    f: SetFunction, slots: np.ndarray, budget: Optional[MarginalBudget] = None
+    f: SetFunction, slots: np.ndarray, queries: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Every agent's :func:`local_marginal_block` in one call: column block
     i of the ``(L, |V|)`` result answers block i of an ``(n, L, n)`` slot
-    tensor.  The tensor is checked once, before agent i is charged L * k_i."""
+    tensor.  The tensor is checked once, before L * k_i is added to
+    ``queries[i]`` for every agent i."""
     p = f.partition
     n = p.n_agents
     if not (isinstance(slots, np.ndarray) and slots.ndim == 3 and slots.shape[::2] == (n, n)):
         raise InvalidActionError(f"expected an int slot tensor of shape ({n}, L, {n})")
     p.check_choices(slots.reshape(-1, n))
-    if budget is not None:
-        budget.charge(slice(None), slots.shape[1] * p._sizes)
+    if queries is not None:
+        queries += slots.shape[1] * p._sizes
     return f.marginal_rows(slots)
-

@@ -176,7 +176,7 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
                 opt=opt,
                 cum_regret=regret,
                 disagreement=float(learner.disagreement()),
-                queries=learner.budget.total(),
+                queries=int(learner.queries.sum()),
             )
         )
         env.finish_round(chosen)

@@ -19,6 +19,10 @@ idle agent.
 
 Both learners round every agent's own-stream draws in one call, then make
 one marginal-oracle call for all agents (``extension.sampled_gradients``).
+Every learner counts its round's marginal queries in ``queries``, an
+``(n,)`` int64 row that it zeroes when the round starts and that the oracle
+adds into.  A sampled learner whose per-round draws would pass
+``errors.TABLE_LIMIT`` entries is refused when it is built.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_sizes
 from .extension import (
     PolicyProfile,
     SurrogateScheme,
@@ -37,7 +41,7 @@ from .extension import (
     sampled_gradients,
 )
 from .geometry import project_blocks
-from .ground import MarginalBudget, Partition, SetFunction, local_marginal_block
+from .ground import Partition, SetFunction, local_marginal_block
 from .network import UNREACHABLE, CommGraph, hop_distances, metropolis_weights
 
 _RANDOM_TAG = 0x72616E64
@@ -124,8 +128,8 @@ class PolicyConsensusLearner:
     scheme : Optional[SurrogateScheme]
         Gradient reweighting, None for plain F; the submodular scheme also
         adds the min-gain bonus, which the objective computes once; each
-        agent is charged its slots once per round and reuses its slice
-        across the batch.
+        agent counts its slots once per round and reuses its slice across
+        the batch.
     eta0, step_size : float, Optional[float]
         The ascent step, ``step_size`` or else eta0 / sqrt(horizon).
     batch : int
@@ -133,7 +137,7 @@ class PolicyConsensusLearner:
     exact_gradient : bool
         Replace the Monte-Carlo estimates with the quadrature-exact gradient,
         every agent's block at its own view in one call (only possible at
-        enumeration scale; no marginal queries charged).
+        enumeration scale; no marginal queries counted).
     """
 
     def __init__(
@@ -153,6 +157,9 @@ class PolicyConsensusLearner:
             raise ConfigError("graph and partition disagree on the number of agents")
         if batch < 1:
             raise ConfigError(f"batch must be at least 1, got {batch}")
+        if not exact_gradient:
+            check_sizes("ma-spl", {"agents": partition.n_agents, "batch": batch,
+                                   "|V|": partition.total}, "a round's z-scaled views")
         self.partition = partition
         self.weights = metropolis_weights(graph)
         self.scheme = scheme
@@ -164,7 +171,7 @@ class PolicyConsensusLearner:
         # each agent starts uniform on its own block and empty elsewhere
         self.policies = np.zeros((partition.n_agents, partition.total))
         self.policies[self._own] = PolicyProfile.uniform(partition).row
-        self.budget = MarginalBudget(partition.n_agents)
+        self.queries = np.zeros(partition.n_agents, dtype=np.int64)
 
     def set_start(self, profile: PolicyProfile) -> None:
         """Reset every agent's estimates to a common profile (diagnostics)."""
@@ -177,7 +184,7 @@ class PolicyConsensusLearner:
         return PolicyProfile(self.partition, self.policies[self._own])
 
     def round(self, f: SetFunction, t: int) -> np.ndarray:
-        self.budget.reset()
+        self.queries[:] = 0
         n = self.partition.n_agents
         streams = [agent_stream(self.seed, t, i) for i in range(n)]
         u = np.array([stream.random() for stream in streams])
@@ -191,7 +198,7 @@ class PolicyConsensusLearner:
             grad = exact_gradient(f, views, self.scheme)
         else:
             slots = sample_slots(views, streams, self.batch, self.scheme)
-            grad = sampled_gradients(f, slots, self.batch, self.budget, self.scheme)[0]
+            grad = sampled_gradients(f, slots, self.batch, self.queries, self.scheme)[0]
 
         # consensus averaging of every copy; ascent step on the own blocks
         mixed = self.weights @ self.policies
@@ -251,6 +258,8 @@ class MetaConditionalGradientLearner:
             raise ConfigError(f"K, the inner steps per round, must be at least 3, got {K}")
         if L < 1:
             raise ConfigError(f"L, the samples per inner step, must be at least 1, got {L}")
+        check_sizes("ma-mpl", {"agents": partition.n_agents, "K": K, "L": L,
+                               "|V|": partition.total}, "a round's sampler comparison table")
         self.partition = partition
         self.seed = int(seed)
         self.K = int(K)
@@ -258,7 +267,7 @@ class MetaConditionalGradientLearner:
         self.step_size, self.step_field = _step_size(eta0, horizon, step_size)
         n = partition.n_agents
         self.iterates = np.tile(PolicyProfile.uniform(partition).row, (self.K, 1))
-        self.budget = MarginalBudget(n)
+        self.queries = np.zeros(n, dtype=np.int64)
         self._own = (partition.owners, np.arange(partition.total))  # row i at agent i's columns
         # (K, n, |V|) flat index into the (K + 1, |V|) running sums: row
         # k + 1 - lag, lag = max(hop - 1, 0), clipped at the zero row 0
@@ -292,7 +301,7 @@ class MetaConditionalGradientLearner:
         return (own - mass).sum(axis=-1) / self.partition.n_agents
 
     def round(self, f: SetFunction, t: int) -> np.ndarray:
-        self.budget.reset()
+        self.queries[:] = 0
         n, total = self.partition.n_agents, self.partition.total
         running = np.cumsum(np.concatenate((np.zeros((1, total)), self.iterates / self.K)), axis=0)
         steps = running.take(self._lag)  # (K, n, |V|): every agent after every inner step
@@ -306,7 +315,7 @@ class MetaConditionalGradientLearner:
         # draws, one oracle call for all, then teach every maximizer at once
         views = PolicyProfile._of_own_rows(self.partition, steps.swapaxes(0, 1).reshape(-1, total))
         slots = sample_slots(views, streams, self.L)
-        self.update(sampled_gradients(f, slots, self.L, self.budget))
+        self.update(sampled_gradients(f, slots, self.L, self.queries))
         return chosen
 
     def inner_disagreement(self) -> np.ndarray:
@@ -320,15 +329,14 @@ class MetaConditionalGradientLearner:
 
 
 class RandomLearner:
-    """Every agent plays a uniformly random own action."""
+    """Every agent plays a uniformly random own action; ``queries`` stays zero."""
 
     def __init__(self, partition: Partition, seed: int):
         self.partition = partition
         self.seed = int(seed)
-        self.budget = MarginalBudget(partition.n_agents)
+        self.queries = np.zeros(partition.n_agents, dtype=np.int64)
 
     def round(self, f: SetFunction, t: int) -> np.ndarray:
-        self.budget.reset()
         rng = agent_stream(self.seed, t, _RANDOM_TAG)
         return np.array([int(rng.integers(k)) for k in self.partition.sizes])
 
@@ -341,13 +349,13 @@ class GreedyLearner:
     ties break to the lowest slot (argmax returns the first maximizer)."""
 
     def __init__(self, partition: Partition):
-        self.budget = MarginalBudget(partition.n_agents)
+        self.queries = np.zeros(partition.n_agents, dtype=np.int64)
 
     def round(self, f: SetFunction, t: int) -> np.ndarray:
-        self.budget.reset()
+        self.queries[:] = 0
         chosen = np.full((1, f.partition.n_agents), -1, dtype=np.int64)
         for i in range(chosen.shape[1]):
-            chosen[0, i] = np.argmax(local_marginal_block(f, i, chosen, self.budget)[0])
+            chosen[0, i] = np.argmax(local_marginal_block(f, i, chosen, self.queries)[0])
         return chosen[0]
 
     def disagreement(self) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import REQUIRED, TopologyError, read_kind
+from .errors import REQUIRED, ConfigError, TopologyError, read_kind
 
 ERDOS_RENYI_MAX_RETRIES = 1000
 UNREACHABLE = -1  # hop distance between nodes in different components
@@ -33,9 +33,9 @@ class CommGraph:
         canon = set()
         for u, v in self.edges:
             if u == v:
-                raise TopologyError(f"self-loop at node {u}")
+                raise TopologyError(f"edges entry ({u}, {v}) is a self-loop")
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise TopologyError(f"edge ({u}, {v}) out of range")
+                raise TopologyError(f"edges entry ({u}, {v}) names a node outside 0..{self.n - 1}")
             canon.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
@@ -114,7 +114,10 @@ def erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> CommGrap
         raise TopologyError("need at least two nodes")
     p = avg_degree / (n - 1)
     if not (0.0 < p <= 1.0):
-        raise TopologyError(f"average degree {avg_degree} infeasible for n={n}")
+        raise TopologyError(
+            f"avg_degree {avg_degree} is infeasible for n={n}: avg_degree / (n - 1) "
+            "must lie in (0, 1]"
+        )
     for _ in range(ERDOS_RENYI_MAX_RETRIES):
         mask = rng.random((n, n)) < p
         g = CommGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]])
@@ -137,7 +140,10 @@ def graph_from_spec(spec: dict, n: int) -> CommGraph:
     """Build a graph on ``n`` agents from a config mapping (:data:`GRAPH_FIELDS`)."""
     kind, fields = read_kind("graph", spec, GRAPH_FIELDS)
     if kind == "erdos_renyi":
-        rng = np.random.default_rng(np.random.SeedSequence((fields["seed"], 0x6E6574)))
+        seed = fields["seed"]
+        if seed < 0:
+            raise ConfigError(f"erdos_renyi seed must be a nonnegative integer, got {seed}")
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E6574)))
         return erdos_renyi(n, fields["avg_degree"], rng)
     if kind == "explicit":
         g = CommGraph(n, fields["edges"])

@@ -42,7 +42,6 @@ from macoord.envs import (
 )
 from macoord.errors import ConfigError, ScaleError
 from macoord.ground import (
-    MarginalBudget,
     Partition,
     SetFunction,
     local_marginal_block,
@@ -516,19 +515,20 @@ def test_marginal_rows_match_per_agent_calls(kind, sizes, rows, seed):
     """One local_marginal_rows call against n local_marginal_block calls,
     one per block of the slot tensor: the same gains in flat policy order
     (facility's vectorized pass to the bit, as a C-contiguous array) and the
-    same charges per agent."""
+    same queries added into each count row."""
     if len(sizes) > 1 and len(set(sizes)) == 1:  # unequal blocks
         sizes = sizes[:-1] + (1 if sizes[0] > 1 else 2,)
     rng = np.random.default_rng(seed)
     f, _ = _marginal_objective(kind, sizes, rng)
     p = f.partition
     slots = rng.integers(-1, p.sizes, size=(p.n_agents, rows, p.n_agents))
-    one, each = MarginalBudget(p.n_agents), MarginalBudget(p.n_agents)
+    one, each = np.zeros((2, p.n_agents), dtype=np.int64)
     got = local_marginal_rows(f, slots, one)
     blocks = [local_marginal_block(f, i, slots[i], each) for i in range(p.n_agents)]
     expect = np.concatenate(blocks, axis=1)
     assert got.shape == (rows, p.total)
-    np.testing.assert_array_equal(one.per_agent(), each.per_agent())
+    np.testing.assert_array_equal(one, each)
+    np.testing.assert_array_equal(one, rows * np.array(p.sizes))
     if kind == "facility":
         assert got.flags.c_contiguous
         assert got.tobytes() == expect.tobytes()

@@ -31,7 +31,7 @@ from macoord.extension import (
     sampled_gradients,
     _surrogate_rule,
 )
-from macoord.ground import MarginalBudget, Partition, local_marginal_block
+from macoord.ground import Partition, local_marginal_block
 from macoord.oracle import feasible_sets
 from macoord.verification import z_sampler_cdf
 
@@ -66,12 +66,12 @@ def weight(scheme, z):
     return np.exp(scheme.rate * (z - 1.0))
 
 
-def estimate(f, prof, agent, rng, samples=1, scheme=None, budget=None):
+def estimate(f, prof, agent, rng, samples=1, scheme=None, queries=None):
     """The agent's block of the learners' sampled gradients when every agent
     scores the same draws from ``rng``: ``(k,)`` for a row, ``(m, k)`` for a
     stack of m rows."""
     slots = np.repeat(sample_slots(prof, [rng], samples, scheme), prof.partition.n_agents, axis=0)
-    block = sampled_gradients(f, slots, samples, budget, scheme)[:, columns(f.partition, agent)]
+    block = sampled_gradients(f, slots, samples, queries, scheme)[:, columns(f.partition, agent)]
     return block if prof.row.ndim == 2 else block[0]
 
 
@@ -821,33 +821,33 @@ def test_estimators_match_scalar_reference():
 
 def test_stacked_estimates_equal_row_by_row_draws():
     """m rows in one call: one (m * L, n) draw equals m successive (L, n)
-    draws from the same generator, so every row's estimate and the charge
+    draws from the same generator, so every row's estimate and the queries
     are those of m single-row calls."""
     rng = np.random.default_rng(31)
     f = synthetic_setfn("coverage-random", (2, 3, 2), rng)
     rows = [random_profile(f.partition.sizes, rng) for _ in range(4)]
     stack = PolicyProfile(f.partition, np.stack([r.row for r in rows]))
     for scheme in (None, SurrogateScheme.submodular(), SurrogateScheme.weak_dr(0.3)):
-        budgets = MarginalBudget(3), MarginalBudget(3)
-        got = estimate(f, stack, 1, np.random.default_rng(8), 5, scheme, budgets[0])
+        counts = np.zeros((2, 3), dtype=np.int64)
+        got = estimate(f, stack, 1, np.random.default_rng(8), 5, scheme, counts[0])
         gen = np.random.default_rng(8)
-        expect = np.stack([estimate(f, r, 1, gen, 5, scheme, budgets[1]) for r in rows])
+        expect = np.stack([estimate(f, r, 1, gen, 5, scheme, counts[1]) for r in rows])
         assert got.shape == (4, 3)
         np.testing.assert_array_equal(got, expect)
         # the stacked call reads the min-gain bonus once, not once per row
         bonus = 3 * 3 if scheme is not None and scheme.adds_min_gain else 0
-        charged = [b.per_agent()[1] for b in budgets]
-        assert charged[0] == charged[1] - bonus == 4 * 5 * 3 + bonus / 3
+        counted = counts[:, 1]
+        assert counted[0] == counted[1] - bonus == 4 * 5 * 3 + bonus / 3
 
 
 @pytest.mark.parametrize("agent", [-1, 3])
 def test_bad_agent_raises_before_any_charge(agent):
     rng = np.random.default_rng(8)
     f = synthetic_setfn("coverage-random", (2, 2, 2), rng)
-    budget = MarginalBudget(3)
+    queries = np.zeros(3, dtype=np.int64)
     with pytest.raises(InvalidActionError):
-        local_marginal_block(f, agent, np.full((1, 3), -1), budget)
-    assert budget.total() == 0
+        local_marginal_block(f, agent, np.full((1, 3), -1), queries)
+    assert queries.tolist() == [0, 0, 0]
 
 
 def test_estimators_need_a_sample():

@@ -13,7 +13,6 @@ from macoord.envs import (
 )
 from macoord.errors import InvalidActionError
 from macoord.ground import (
-    MarginalBudget,
     Partition,
     SetFunction,
     local_marginal_block,
@@ -164,29 +163,50 @@ def test_default_agent_marginals_matches_slot_loop():
 
 
 def test_budget_accounting():
-    b = MarginalBudget(3)
-    b.charge(0)
-    b.charge(2, 5)
-    assert b.per_agent().tolist() == [1, 0, 5]
-    assert b.total() == 6
-    b.reset()
-    assert b.total() == 0
-    with pytest.raises(ValueError):
-        b.charge(1, -1)
+    # the oracle adds L * k_i into the caller's (n,) count row, agent i's entry
+    p = Partition((2, 3, 1))
+    f = ModularFunction(p, np.arange(1.0, 7.0))
+    queries = np.zeros(3, dtype=np.int64)
+    local_marginal_block(f, 0, np.full((1, 3), -1), queries)
+    local_marginal_block(f, 1, np.full((2, 3), -1), queries)
+    assert queries.tolist() == [2, 6, 0]
+    local_marginal_rows(f, np.full((3, 4, 3), -1), queries)
+    assert queries.tolist() == [2 + 8, 6 + 12, 4]
+    # None counts nothing, and the gains are the same
+    block = local_marginal_block(f, 1, np.full((2, 3), -1))
+    assert block.tolist() == [[3.0, 4.0, 5.0]] * 2
+    assert local_marginal_rows(f, np.full((3, 1, 3), -1)).tolist() == [list(np.arange(1.0, 7.0))]
+    assert queries.tolist() == [10, 18, 4]
+
+
+def test_context_index_marks_idle_and_own_entries_minus_one():
+    p = Partition((2, 3, 1))  # agent starts 0, 2, 5
+    choices = np.array([[1, -1, 0], [0, 2, -1]])
+    # per agent: the agent's own column and every idle entry are -1
+    assert p.context_index(choices, 0).tolist() == [[-1, -1, 5], [-1, 4, -1]]
+    assert p.context_index(choices, 1).tolist() == [[1, -1, 5], [0, -1, -1]]
+    assert p.context_index(choices, 2).tolist() == [[1, -1, -1], [0, 4, -1]]
+    # tensor mode: block i drops its column i, as agent i's call does
+    slots = np.stack([choices, choices[::-1], choices])
+    idx = p.context_index(slots)
+    assert idx.shape == slots.shape
+    for i, block in enumerate(slots):
+        np.testing.assert_array_equal(idx[i], p.context_index(block, i))
+    assert idx[1].tolist() == [[0, -1, -1], [1, -1, 5]]
 
 
 def test_local_marginal_block_charges_per_slot():
     p = Partition((2, 3))
     f = ModularFunction(p, np.arange(1.0, 6.0))
-    budget = MarginalBudget(2)
-    gains = local_marginal_block(f, 1, np.array([[-1, -1]]), budget)
+    queries = np.zeros(2, dtype=np.int64)
+    gains = local_marginal_block(f, 1, np.array([[-1, -1]]), queries)
     assert gains.tolist() == [[3.0, 4.0, 5.0]]
-    assert budget.per_agent().tolist() == [0, 3]
-    # every row is charged one query per slot, also a row that sets the
+    assert queries.tolist() == [0, 3]
+    # every row counts one query per slot, also a row that sets the
     # agent's own column (ignored: the full own weights come back)
-    gains = local_marginal_block(f, 0, np.array([[1, 0], [-1, 2], [0, -1]]), budget)
+    gains = local_marginal_block(f, 0, np.array([[1, 0], [-1, 2], [0, -1]]), queries)
     assert gains.tolist() == [[1.0, 2.0]] * 3
-    assert budget.per_agent().tolist() == [6, 3]
+    assert queries.tolist() == [6, 3]
 
 
 @pytest.mark.parametrize(
@@ -206,24 +226,21 @@ def test_local_marginal_block_charges_per_slot():
 def test_local_marginal_block_rejects_bad_slot_matrix_before_charge(choices):
     p = Partition((2, 3))
     f = ModularFunction(p, np.arange(1.0, 6.0))
-    budget = MarginalBudget(2)
+    queries = np.zeros(2, dtype=np.int64)
     with pytest.raises(InvalidActionError):
-        local_marginal_block(f, 1, choices, budget)
-    assert budget.total() == 0
+        local_marginal_block(f, 1, choices, queries)
+    assert queries.tolist() == [0, 0]
 
 
 def test_local_marginal_rows_charges_every_agent():
     p = Partition((2, 3))
     f = ModularFunction(p, np.arange(1.0, 6.0))
-    budget = MarginalBudget(2)
+    queries = np.zeros(2, dtype=np.int64)
     slots = np.array([[[1, 0], [-1, 2], [0, -1]], [[-1, -1], [1, 0], [0, 2]]])
-    gains = local_marginal_rows(f, slots, budget)
+    gains = local_marginal_rows(f, slots, queries)
     # column block i answers block i's rows: modular gains are the weights
     assert gains.tolist() == [[1.0, 2.0, 3.0, 4.0, 5.0]] * 3
-    assert budget.per_agent().tolist() == [3 * 2, 3 * 3]
-    with pytest.raises(ValueError):
-        budget.charge(slice(None), np.array([1, -1]))
-    assert budget.per_agent().tolist() == [6, 9]
+    assert queries.tolist() == [3 * 2, 3 * 3]
 
 
 @pytest.mark.parametrize(
@@ -243,10 +260,10 @@ def test_local_marginal_rows_charges_every_agent():
 def test_local_marginal_rows_rejects_bad_slot_tensor_before_charge(slots):
     p = Partition((2, 3))
     f = ModularFunction(p, np.arange(1.0, 6.0))
-    budget = MarginalBudget(2)
+    queries = np.zeros(2, dtype=np.int64)
     with pytest.raises(InvalidActionError):
-        local_marginal_rows(f, slots, budget)
-    assert budget.total() == 0
+        local_marginal_rows(f, slots, queries)
+    assert queries.tolist() == [0, 0]
 
 
 def test_min_gain_vector():
@@ -295,7 +312,7 @@ def test_min_gain_vector_computed_once_per_objective():
         assert g.min_gains.tolist() == reference
         learner.round(g, t)
         # two samples plus the bonus: three queries per slot and round
-        assert learner.budget.per_agent().tolist() == [3 * k for k in p.sizes]
+        assert learner.queries.tolist() == [3 * k for k in p.sizes]
     # one generic pass (one value call: V and every V - {v}) over three rounds
     assert f.value_calls == 1
     assert f.value_rows == p.total + 1

@@ -708,11 +708,27 @@ def test_cli_rejects_non_finite_environment_values(tmp_path, capsys, environment
         (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-mpl", "L": 0}), "L"),
         (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-spl", "eta0": -1}),
          "eta0"),
+        # graph and synthetic-world refusals name their field
+        (dict(CLI_DOC, environment={"kind": "coverage"},
+              graph={"kind": "erdos_renyi", "seed": -1}), "seed"),
+        (dict(CLI_DOC, environment={"kind": "coverage"},
+              graph={"kind": "erdos_renyi", "avg_degree": -1}), "avg_degree"),
+        (dict(CLI_DOC, environment={"kind": "coverage"},
+              graph={"kind": "explicit", "edges": [[0, 5]]}), "edges"),
+        (dict(CLI_DOC, environment={"kind": "synthetic", "sizes": [0, 2]}), "sizes"),
+        (dict(CLI_DOC, environment={"kind": "synthetic", "sizes": [7, 7]}), "sizes"),
+        # per-round tables past errors.TABLE_LIMIT, refused before they are allocated
+        (dict(CLI_DOC, environment={"kind": "coverage"},
+              learner={"kind": "ma-spl", "batch": 10**9}), "batch"),
+        (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-mpl", "L": 10**9}),
+         "L"),
+        (dict(CLI_DOC, environment={"kind": "coverage", "agents": 10**6}), "agents"),
     ],
     ids=["mix-bool", "mix-empty", "world-huge", "orbit-huge", "speeds-huge", "cycles-huge",
          "spl-step-huge", "mpl-step-huge", "epsilon-huge", "two-agent-epsilon-huge", "beta-nan", "beta-inf-rate-nan",
          "beta-huge-rate", "orbit-empty", "orbit-negative", "orbit-no-agents", "orbit-no-slots",
-         "mpl-K", "mpl-L", "spl-eta0"],
+         "mpl-K", "mpl-L", "spl-eta0", "graph-seed", "graph-avg-degree", "graph-edge-range",
+         "sizes-zero", "sizes-past-cap", "spl-batch-huge", "mpl-L-huge", "coverage-huge"],
 )
 def test_cli_refuses_values_that_break_the_run(tmp_path, capsys, doc, field):
     # each of these used to run on (a bool count, utility 0.0 after an

@@ -284,15 +284,15 @@ def test_spl_query_budget_accounting():
     # submodular scheme: one min-gain pass plus one pass per batch sample
     learner = _spl(p, g, batch=4)
     learner.round(f, 1)
-    np.testing.assert_array_equal(learner.budget.per_agent(), [(1 + 4) * 2, (1 + 4) * 3])
+    np.testing.assert_array_equal(learner.queries, [(1 + 4) * 2, (1 + 4) * 3])
     # weak-DR scheme has no min-gain bonus
     learner = _spl(p, g, scheme={"kind": "weak-dr", "alpha": 0.5}, batch=4)
     learner.round(f, 1)
-    np.testing.assert_array_equal(learner.budget.per_agent(), [4 * 2, 4 * 3])
-    # exact gradients charge nothing
+    np.testing.assert_array_equal(learner.queries, [4 * 2, 4 * 3])
+    # exact gradients count nothing
     learner = _spl(p, g, exact_gradient=True)
     learner.round(f, 1)
-    np.testing.assert_array_equal(learner.budget.per_agent(), [0, 0])
+    np.testing.assert_array_equal(learner.queries, [0, 0])
 
 
 def test_spl_improves_on_coverage_trap_instance():
@@ -349,7 +349,7 @@ def test_mpl_query_budget_accounting():
     learner = _mpl(f.partition, CommGraph.path(2), K=k_steps, L=batch)
     learner.round(f, 1)
     np.testing.assert_array_equal(
-        learner.budget.per_agent(), [k_steps * batch * 2, k_steps * batch * 3]
+        learner.queries, [k_steps * batch * 2, k_steps * batch * 3]
     )
 
 
@@ -432,7 +432,7 @@ def test_learner_wrappers():
     greedy = GreedyLearner(p)
     assert greedy.round(f, 1).tolist() == [2, 2]  # each agent's heaviest slot
     assert greedy.disagreement() == 0.0
-    assert greedy.budget.per_agent().tolist() == [3, 3]
+    assert greedy.queries.tolist() == [3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +444,7 @@ def test_learner_wrappers():
 # draw, rounding and one-agent oracle call per agent, from its own stream.
 # The closed-form delay line, the stacked rounding and the one oracle call
 # for all agents must reproduce them bit for bit, on a synthetic coverage,
-# a facility and a tracking objective: selections, state, charges and
+# a facility and a tracking objective: selections, state, queries and
 # disagreement.
 
 
@@ -459,7 +459,7 @@ def _reference_mpl_round(learner, graph, f, t):
     own = (np.repeat(np.arange(n), p.sizes), np.arange(p.total))
     hoods = [[j for j in range(n) if j == i or tuple(sorted((i, j))) in graph.edges]
              for i in range(n)]
-    learner.budget.reset()
+    learner.queries[:] = 0
     estimates = np.zeros((n, p.total))
     steps = np.empty((k_steps, n, p.total))
     inner = []
@@ -476,7 +476,7 @@ def _reference_mpl_round(learner, graph, f, t):
     for i, (lo, hi) in enumerate(zip(p.offsets[:-1], p.offsets[1:])):
         batch = learner.L
         slots = sample_slots(PolicyProfile(p, steps[:, i]), [streams[i]], batch)[0]
-        gains = local_marginal_block(f, i, slots, learner.budget)
+        gains = local_marginal_block(f, i, slots, learner.queries)
         rewards[:, lo:hi] = gains.reshape(k_steps, batch, hi - lo).mean(axis=1)
     learner.update(rewards)
     return chosen, inner, max(inner[-1])
@@ -486,17 +486,17 @@ def _reference_spl_round(learner, f, t):
     p, scheme = learner.partition, learner.scheme
     n = p.n_agents
     own = (np.repeat(np.arange(n), p.sizes), np.arange(p.total))
-    learner.budget.reset()
+    learner.queries[:] = 0
     streams = [agent_stream(learner.seed, t, i) for i in range(n)]
     chosen = _play(p, learner.policies[own], np.array([s.random() for s in streams]))
     grads = []
     for i, (lo, hi) in enumerate(zip(p.offsets[:-1], p.offsets[1:])):
         profile = PolicyProfile(p, learner.policies[i])
         slots = sample_slots(profile, [streams[i]], learner.batch, scheme)[0]
-        values = scheme.weight_integral * local_marginal_block(f, i, slots, learner.budget)
+        values = scheme.weight_integral * local_marginal_block(f, i, slots, learner.queries)
         if scheme.adds_min_gain:
             values = values + math.exp(-1.0) * f.min_gains[lo:hi]
-            learner.budget.charge(i, hi - lo)
+            learner.queries[i] += hi - lo
         grads.append(values.mean(axis=0))
     mixed = learner.weights @ learner.policies
     mixed[own] = project_blocks(p, mixed[own] + learner.step_size * np.concatenate(grads))
@@ -580,13 +580,13 @@ def test_loop_free_rounds_equal_loop_references(kind, data):
         assert mpl[0].inner_disagreement().tolist() == inner
         assert len(inner) == case["k_steps"]
         assert mpl[0].disagreement() == worst
-        np.testing.assert_array_equal(mpl[0].budget.per_agent(), mpl[1].budget.per_agent())
+        np.testing.assert_array_equal(mpl[0].queries, mpl[1].queries)
 
         if spl:
             np.testing.assert_array_equal(spl[0].round(f, t), _reference_spl_round(spl[1], f, t))
             assert spl[0].policies.tobytes() == spl[1].policies.tobytes()
             assert spl[0].disagreement() == spl[1].disagreement()
-            np.testing.assert_array_equal(spl[0].budget.per_agent(), spl[1].budget.per_agent())
+            np.testing.assert_array_equal(spl[0].queries, spl[1].queries)
 
 
 # ---------------------------------------------------------------------------

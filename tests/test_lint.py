@@ -111,10 +111,7 @@ def test_unreferenced_method_scan_finds_planted_names():
 
 
 # Public methods that the package never reads, kept on purpose.
-UNREFERENCED_ALLOWED = {
-    "ground.MarginalBudget.per_agent": "the run telemetry (ROADMAP item 3) records "
-    "per-agent query totals",
-}
+UNREFERENCED_ALLOWED: dict[str, str] = {}
 
 
 def test_no_function_is_only_called_by_tests():
