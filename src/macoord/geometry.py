@@ -26,12 +26,13 @@ def project_capped_simplex(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 0 or y.shape[-1] == 0:
         raise ValueError("expected rows with a nonempty last axis")
-    if not np.isfinite(y).all():
-        raise ValueError("cannot project non-finite input")
     s = np.sort(y, axis=-1)[..., ::-1]
-    theta = ((np.cumsum(s, axis=-1) - 1.0) / np.arange(1, y.shape[-1] + 1)).max(
-        axis=-1, keepdims=True
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(s, axis=-1)
+    # a non-finite entry or partial sum leaves the row's last sum non-finite
+    if not np.isfinite(sums[..., -1]).all():
+        raise ValueError("cannot project input whose entries or sums are not finite")
+    theta = ((sums - 1.0) / np.arange(1, y.shape[-1] + 1)).max(axis=-1, keepdims=True)
     return np.maximum(y - np.maximum(theta, 0.0), 0.0)
 
 

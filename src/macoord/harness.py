@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -185,7 +185,7 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
     return logs
 
 
-CSV_COLUMNS = ("t", "utility", "opt", "cum_regret", "disagreement", "queries")
+CSV_COLUMNS = tuple(field.name for field in fields(RoundLog))
 
 
 def _cell(x) -> str:

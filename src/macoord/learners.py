@@ -17,12 +17,15 @@ idle agent.
   max-consensus, a delay line: a block reaches an agent one inner step
   late per hop beyond the first.
 
-Both learners round every agent's own-stream draws in one call, then make
-one marginal-oracle call for all agents (``extension.sampled_gradients``).
-Every learner counts its round's marginal queries in ``queries``, an
-``(n,)`` int64 row that it zeroes when the round starts and that the oracle
-adds into.  A sampled learner whose per-round draws would pass
-``errors.TABLE_LIMIT`` entries is refused when it is built.
+Both share one skeleton: in a round, one call gives each agent its own
+stream, draws one uniform from each and plays every own block; then all
+agents' draws are rounded in one call and the marginal oracle is asked once
+for all (``extension.sampled_gradients``).  Each ascent goes through the step
+rule :class:`FixedStep`, which refuses, naming its field, a step that
+overflows the projection.  Every learner counts its round's marginal
+queries in ``queries``, an ``(n,)`` int64 row that it zeroes when the round
+starts and that the oracle adds into.  A sampled learner whose per-round
+draws would pass ``errors.TABLE_LIMIT`` entries is refused when it is built.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, check_sizes
+from .errors import ConfigError, ScaleError, check_sizes
 from .extension import (
     PolicyProfile,
     SurrogateScheme,
@@ -66,37 +69,29 @@ def agent_stream(seed: int, t: int, agent: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(entropy))
 
 
-def _step_size(eta0: float, horizon: int, step_size: Optional[float]) -> tuple[float, str]:
-    """The ascent step, ``step_size`` or else eta0 / sqrt(horizon), and the
-    field that set it, which a refusal names."""
-    if step_size is not None:
-        if not 0.0 < step_size < math.inf:
-            raise ConfigError(f"step_size must be finite and positive, got {step_size}")
-        return step_size, "step_size"
-    step = eta0 / math.sqrt(horizon)
-    if not 0.0 < step < math.inf:
-        raise ConfigError(
-            f"eta0 must give a finite positive step eta0/sqrt(horizon), got eta0 {eta0}, "
-            f"step {step}"
-        )
-    return step, "eta0"
+class FixedStep:
+    """The ascent step ``size``, ``step_size`` or else eta0 / sqrt(horizon),
+    and ``field``, the one of the two that set it, which a refusal names."""
 
+    def __init__(self, eta0: float, horizon: int, step_size: Optional[float]):
+        self.field = "eta0" if step_size is None else "step_size"
+        self.size = eta0 / math.sqrt(horizon) if step_size is None else step_size
+        if not 0.0 < self.size < math.inf:
+            raise ConfigError(f"{self.field} must give a finite positive step, got {self.size}")
 
-def _ascend(learner, rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Project ``rows + step * grad``, for the learner's step, onto every
-    block of its partition's capped simplex.  A step that overflows leaves a
-    row non-finite, which the projection refuses; that refusal is reported
-    as a config error on the field that set the step."""
-    step = learner.step_size
-    with np.errstate(over="ignore"):
-        ascent = rows + step * grad
-    try:
-        return project_blocks(learner.partition, ascent)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{learner.step_field} gives the step {step:g}, which times gradients of "
-            f"magnitude up to {np.abs(grad).max():g} is not finite"
-        ) from exc
+    def ascend(self, partition: Partition, rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Project ``rows + size * grad`` onto every block of the partition's
+        capped simplex.  The projection refuses an ascent whose entries or
+        block sums are not finite; that refusal is a config error on ``field``."""
+        with np.errstate(over="ignore"):
+            ascent = rows + self.size * grad
+        try:
+            return project_blocks(partition, ascent)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{self.field} gives the step {self.size:g}, which times gradients of "
+                f"magnitude up to {np.abs(grad).max():g} overflows the projection"
+            ) from exc
 
 
 def _play(partition: Partition, own: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -115,15 +110,37 @@ def _play(partition: Partition, own: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(counts, sizes - 1)
 
 
-class PolicyConsensusLearner:
+class _Coordination:
+    """The set-up and round prologue of both coordination learners: the run's
+    ``partition`` and master ``seed``, the ascent ``step``, ``_own`` and the
+    ``queries`` row."""
+
+    def __init__(self, partition: Partition, graph: CommGraph, horizon: int, seed: int,
+                 eta0: float, step_size: Optional[float]):
+        if graph.n != partition.n_agents:
+            raise ConfigError("graph and partition disagree on the number of agents")
+        self.partition = partition
+        self.seed = int(seed)
+        self.step = FixedStep(eta0, horizon, step_size)
+        self._own = (partition.owners, np.arange(partition.total))  # row i at agent i's columns
+        self.queries = np.zeros(partition.n_agents, dtype=np.int64)
+
+    def _draw_and_play(self, t: int, rows: np.ndarray) -> tuple[list, np.ndarray]:
+        """Zero ``queries``, give each agent its round-``t`` stream, draw one
+        uniform from each and play the own blocks of ``rows``: ``(streams, chosen)``."""
+        self.queries[:] = 0
+        streams = [agent_stream(self.seed, t, i) for i in range(self.partition.n_agents)]
+        u = np.array([stream.random() for stream in streams])
+        return streams, _play(self.partition, rows[self._own], u)
+
+
+class PolicyConsensusLearner(_Coordination):
     """Consensus-plus-projected-ascent coordination (one gradient step/round).
 
-    Takes the run's ``partition``, ``graph`` (its Metropolis weights,
-    :func:`network.metropolis_weights`, are the consensus matrix),
-    ``horizon`` and master ``seed`` (the per-(round, agent) streams derive
-    from it), then the ``ma-spl`` fields of ``harness.LEARNER_FIELDS``,
-    which holds their defaults; ``harness.make_learner`` builds one from a
-    spec.
+    Takes the run's ``partition``, ``graph`` (its Metropolis weights are the
+    consensus matrix), ``horizon`` and master ``seed`` (the per-(round,
+    agent) streams derive from it), then the ``ma-spl`` fields of
+    ``harness.LEARNER_FIELDS``, which holds their defaults.
 
     scheme : Optional[SurrogateScheme]
         Gradient reweighting, None for plain F; the submodular scheme also
@@ -131,7 +148,7 @@ class PolicyConsensusLearner:
         agent counts its slots once per round and reuses its slice across
         the batch.
     eta0, step_size : float, Optional[float]
-        The ascent step, ``step_size`` or else eta0 / sqrt(horizon).
+        The ascent step (:class:`FixedStep`).
     batch : int
         Single-sample estimates averaged per round and agent.
     exact_gradient : bool
@@ -153,25 +170,22 @@ class PolicyConsensusLearner:
         exact_gradient: bool,
         step_size: Optional[float],
     ):
-        if graph.n != partition.n_agents:
-            raise ConfigError("graph and partition disagree on the number of agents")
+        super().__init__(partition, graph, horizon, seed, eta0, step_size)
         if batch < 1:
             raise ConfigError(f"batch must be at least 1, got {batch}")
-        if not exact_gradient:
+        if exact_gradient:
+            try:
+                partition.check_enumerable()
+            except ScaleError as exc:
+                raise ConfigError(f"exact_gradient needs an enumerable world: {exc}") from exc
+        else:
             check_sizes("ma-spl", {"agents": partition.n_agents, "batch": batch,
                                    "|V|": partition.total}, "a round's z-scaled views")
-        self.partition = partition
         self.weights = metropolis_weights(graph)
-        self.scheme = scheme
-        self.seed = int(seed)
-        self.batch = int(batch)
-        self.exact_gradient = bool(exact_gradient)
-        self.step_size, self.step_field = _step_size(eta0, horizon, step_size)
-        self._own = (partition.owners, np.arange(partition.total))  # row i at agent i's columns
+        self.scheme, self.batch, self.exact_gradient = scheme, int(batch), bool(exact_gradient)
         # each agent starts uniform on its own block and empty elsewhere
         self.policies = np.zeros((partition.n_agents, partition.total))
         self.policies[self._own] = PolicyProfile.uniform(partition).row
-        self.queries = np.zeros(partition.n_agents, dtype=np.int64)
 
     def set_start(self, profile: PolicyProfile) -> None:
         """Reset every agent's estimates to a common profile (diagnostics)."""
@@ -184,11 +198,7 @@ class PolicyConsensusLearner:
         return PolicyProfile(self.partition, self.policies[self._own])
 
     def round(self, f: SetFunction, t: int) -> np.ndarray:
-        self.queries[:] = 0
-        n = self.partition.n_agents
-        streams = [agent_stream(self.seed, t, i) for i in range(n)]
-        u = np.array([stream.random() for stream in streams])
-        chosen = _play(self.partition, self.policies[self._own], u)
+        streams, chosen = self._draw_and_play(t, self.policies)
 
         # local reweighted gradients at each agent's current view: one exact
         # contraction of all views, or every agent's z-scaled views rounded at
@@ -202,7 +212,7 @@ class PolicyConsensusLearner:
 
         # consensus averaging of every copy; ascent step on the own blocks
         mixed = self.weights @ self.policies
-        mixed[self._own] = _ascend(self, mixed[self._own], grad)
+        mixed[self._own] = self.step.ascend(self.partition, mixed[self._own], grad)
         self.policies = mixed
         return chosen
 
@@ -213,7 +223,7 @@ class PolicyConsensusLearner:
         return float(np.sqrt(per_block).sum())
 
 
-class MetaConditionalGradientLearner:
+class MetaConditionalGradientLearner(_Coordination):
     """Per-round K-step conditional gradient with max-consensus estimates.
 
     Every round rebuilds the joint policy from zero in K inner steps: each
@@ -252,30 +262,22 @@ class MetaConditionalGradientLearner:
         eta0: float,
         step_size: Optional[float],
     ):
-        if graph.n != partition.n_agents:
-            raise ConfigError("graph and partition disagree on the number of agents")
+        super().__init__(partition, graph, horizon, seed, eta0, step_size)
         if K < 3:
             raise ConfigError(f"K, the inner steps per round, must be at least 3, got {K}")
         if L < 1:
             raise ConfigError(f"L, the samples per inner step, must be at least 1, got {L}")
         check_sizes("ma-mpl", {"agents": partition.n_agents, "K": K, "L": L,
                                "|V|": partition.total}, "a round's sampler comparison table")
-        self.partition = partition
-        self.seed = int(seed)
-        self.K = int(K)
-        self.L = int(L)
-        self.step_size, self.step_field = _step_size(eta0, horizon, step_size)
-        n = partition.n_agents
+        self.K, self.L = int(K), int(L)
         self.iterates = np.tile(PolicyProfile.uniform(partition).row, (self.K, 1))
-        self.queries = np.zeros(n, dtype=np.int64)
-        self._own = (partition.owners, np.arange(partition.total))  # row i at agent i's columns
         # (K, n, |V|) flat index into the (K + 1, |V|) running sums: row
         # k + 1 - lag, lag = max(hop - 1, 0), clipped at the zero row 0
         hops = np.repeat(hop_distances(graph), partition.sizes, axis=1)
         rows = np.arange(1, self.K + 1)[:, None, None] - np.maximum(hops - 1, 0)
         rows = np.where(hops == UNREACHABLE, 0, np.maximum(rows, 0))
         self._lag = rows * partition.total + np.arange(partition.total)
-        self._steps = np.zeros((self.K, n, partition.total))
+        self._steps = np.zeros((self.K, partition.n_agents, partition.total))
         self.estimates = self._steps[-1]
 
     def update(self, rewards: np.ndarray) -> None:
@@ -287,7 +289,7 @@ class MetaConditionalGradientLearner:
         rewards = np.asarray(rewards, dtype=np.float64)
         if rewards.shape != self.iterates.shape:
             raise ValueError("reward dimension mismatch")
-        self.iterates = _ascend(self, self.iterates, rewards)
+        self.iterates = self.step.ascend(self.partition, self.iterates, rewards)
 
     def _gaps(self, estimates: np.ndarray) -> np.ndarray:
         """Per-agent (1/n) <1, own-blocks - estimates> of ``(..., n, |V|)``
@@ -301,15 +303,11 @@ class MetaConditionalGradientLearner:
         return (own - mass).sum(axis=-1) / self.partition.n_agents
 
     def round(self, f: SetFunction, t: int) -> np.ndarray:
-        self.queries[:] = 0
-        n, total = self.partition.n_agents, self.partition.total
+        total = self.partition.total
         running = np.cumsum(np.concatenate((np.zeros((1, total)), self.iterates / self.K)), axis=0)
         steps = running.take(self._lag)  # (K, n, |V|): every agent after every inner step
         self._steps, self.estimates = steps, steps[-1]
-
-        streams = [agent_stream(self.seed, t, i) for i in range(n)]
-        u = np.array([stream.random() for stream in streams])
-        chosen = _play(self.partition, self.estimates[self._own], u)
+        streams, chosen = self._draw_and_play(t, self.estimates)
 
         # score every agent's K inner estimates: one rounding of all n K L
         # draws, one oracle call for all, then teach every maximizer at once

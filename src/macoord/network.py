@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import REQUIRED, ConfigError, TopologyError, read_kind
+from .errors import REQUIRED, ConfigError, TopologyError, check_sizes, read_kind
 
 ERDOS_RENYI_MAX_RETRIES = 1000
 UNREACHABLE = -1  # hop distance between nodes in different components
@@ -139,6 +139,7 @@ GRAPH_FIELDS = {
 def graph_from_spec(spec: dict, n: int) -> CommGraph:
     """Build a graph on ``n`` agents from a config mapping (:data:`GRAPH_FIELDS`)."""
     kind, fields = read_kind("graph", spec, GRAPH_FIELDS)
+    check_sizes("graph", {"agents * agents": n * n}, "its weight and hop-distance matrices")
     if kind == "erdos_renyi":
         seed = fields["seed"]
         if seed < 0:

@@ -2,6 +2,7 @@
 reference, plus indicator profiles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,11 @@ def test_projection_rejects_bad_input():
         project_capped_simplex(np.array([]))
     with pytest.raises(ValueError):
         project_capped_simplex(np.zeros((2, 0)))
+    # finite entries whose sum overflows: refused, not projected through a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            project_capped_simplex(np.array([[0.5, 0.5], [1e308, 1e308]]))
 
 
 def reference_projection(y):

@@ -24,7 +24,6 @@ from macoord.ground import Partition
 from macoord.harness import (
     BENCH_MATRICES,
     CONFIG_FIELDS,
-    CSV_COLUMNS,
     LEARNER_FIELDS,
     PRESETS,
     SCHEME_FIELDS,
@@ -149,7 +148,7 @@ def test_learner_settings_are_declared_once():
     spl, mpl = built["ma-spl"], built["ma-mpl"]
     assert (spl.batch, spl.exact_gradient, spl.scheme) == (10, False, SurrogateScheme.submodular())
     assert (mpl.K, mpl.L) == (15, 10)
-    assert spl.step_size == mpl.step_size == 1.0 / math.sqrt(horizon)
+    assert spl.step.size == mpl.step.size == 1.0 / math.sqrt(horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,7 @@ def test_export_csv_format_and_roundtrip(tmp_path):
     ]
     path = export_csv(logs, tmp_path / "rounds.csv")
     rows = list(csv.reader(path.open()))
-    assert rows[0] == list(CSV_COLUMNS)
+    assert rows[0] == ["t", "utility", "opt", "cum_regret", "disagreement", "queries"]
     assert rows[1][2] == "" and rows[1][3] == ""  # absent oracle columns
     # float cells round-trip exactly through repr
     assert float(rows[1][1]) == 1 / 3
@@ -400,7 +399,7 @@ def test_cli_run_spl_writes_outputs(tmp_path, capsys):
     assert rc == 0
     assert "ma-spl: T=5 mean utility" in capsys.readouterr().out
     rows = list(csv.reader((out / "rounds.csv").open()))
-    assert rows[0] == list(CSV_COLUMNS)
+    assert rows[0] == ["t", "utility", "opt", "cum_regret", "disagreement", "queries"]
     assert len(rows) == 6
     with (out / "rounds.json").open() as fh:
         assert len(json.load(fh)) == 5
@@ -723,12 +722,28 @@ def test_cli_rejects_non_finite_environment_values(tmp_path, capsys, environment
         (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-mpl", "L": 10**9}),
          "L"),
         (dict(CLI_DOC, environment={"kind": "coverage", "agents": 10**6}), "agents"),
+        # a huge finite step (eta0/sqrt(2) about 7e307) whose ascent stays finite
+        # but whose projection's block sums overflow
+        (dict(CLI_DOC, environment={"kind": "coverage"}, horizon=2,
+              learner={"kind": "ma-spl", "eta0": 1e308}), "eta0"),
+        (dict(CLI_DOC, environment={"kind": "coverage"}, horizon=2,
+              learner={"kind": "ma-mpl", "eta0": 1e308}), "eta0"),
+        (dict(CLI_DOC, environment={"kind": "coverage"},
+              learner={"kind": "ma-spl", "step_size": 7e307}), "step_size"),
+        # the exact gradient past enumeration scale, refused when the learner is built
+        (dict(CLI_DOC, environment={"kind": "facility"},
+              learner={"kind": "ma-spl", "exact_gradient": True}), "exact_gradient"),
+        # a graph whose n x n matrices pass the size limit, refused before any is built
+        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "agents": 10**5, "slots": 1,
+                                    "targets": 1}), "agents"),
     ],
     ids=["mix-bool", "mix-empty", "world-huge", "orbit-huge", "speeds-huge", "cycles-huge",
          "spl-step-huge", "mpl-step-huge", "epsilon-huge", "two-agent-epsilon-huge", "beta-nan", "beta-inf-rate-nan",
          "beta-huge-rate", "orbit-empty", "orbit-negative", "orbit-no-agents", "orbit-no-slots",
          "mpl-K", "mpl-L", "spl-eta0", "graph-seed", "graph-avg-degree", "graph-edge-range",
-         "sizes-zero", "sizes-past-cap", "spl-batch-huge", "mpl-L-huge", "coverage-huge"],
+         "sizes-zero", "sizes-past-cap", "spl-batch-huge", "mpl-L-huge", "coverage-huge",
+         "spl-eta0-huge", "mpl-eta0-huge", "spl-step-near-max", "spl-exact-gradient-huge",
+         "graph-huge"],
 )
 def test_cli_refuses_values_that_break_the_run(tmp_path, capsys, doc, field):
     # each of these used to run on (a bool count, utility 0.0 after an

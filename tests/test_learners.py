@@ -499,7 +499,7 @@ def _reference_spl_round(learner, f, t):
             learner.queries[i] += hi - lo
         grads.append(values.mean(axis=0))
     mixed = learner.weights @ learner.policies
-    mixed[own] = project_blocks(p, mixed[own] + learner.step_size * np.concatenate(grads))
+    mixed[own] = project_blocks(p, mixed[own] + learner.step.size * np.concatenate(grads))
     learner.policies = mixed
     return chosen
 

@@ -202,3 +202,14 @@ def test_graph_from_spec():
     with pytest.raises(ConfigError):
         graph_from_spec({"kind": "smoke-signals"}, 3)
 
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "complete"}, {"kind": "erdos_renyi"}, {"kind": "explicit", "edges": [(0, 1)]}],
+    ids=["complete", "erdos_renyi", "explicit"],
+)
+def test_graph_from_spec_bounds_its_matrices(spec):
+    # 3163 agents are the first whose n x n matrices pass errors.TABLE_LIMIT; the
+    # refusal comes before any edge list or matrix is built, so it is instant
+    with pytest.raises(ConfigError, match=r"^graph agents \* agents is 10004569, .* at most"):
+        graph_from_spec(spec, 3163)
