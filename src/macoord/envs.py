@@ -467,7 +467,7 @@ class MovingTargetEnvironment:
         mix = _default_mix(targets, default_kinds) if target_mix is None else target_mix
         unknown = sorted(set(mix) - set(TARGET_KINDS))
         if unknown:
-            raise ConfigError(f"unknown target kinds {unknown}; known: {list(TARGET_KINDS)}")
+            raise ConfigError(f"unknown target_mix kinds {unknown}; known: {list(TARGET_KINDS)}")
         if any(c < 0 for c in mix.values()):
             raise ConfigError(f"target_mix counts must be nonnegative integers, got {mix}")
         if sum(mix.values()) != targets:

@@ -29,8 +29,10 @@ def project_capped_simplex(y: np.ndarray) -> np.ndarray:
     s = np.sort(y, axis=-1)[..., ::-1]
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.cumsum(s, axis=-1)
-    # a non-finite entry or partial sum leaves the row's last sum non-finite
-    if not np.isfinite(sums[..., -1]).all():
+        spread = s[..., 0] - s[..., -1]
+    # a non-finite entry or partial sum leaves the row's last sum non-finite,
+    # and y - theta below overflows exactly when the spread does
+    if not (np.isfinite(sums[..., -1]).all() and np.isfinite(spread).all()):
         raise ValueError("cannot project input whose entries or sums are not finite")
     theta = ((sums - 1.0) / np.arange(1, y.shape[-1] + 1)).max(axis=-1, keepdims=True)
     return np.maximum(y - np.maximum(theta, 0.0), 0.0)

@@ -48,7 +48,7 @@ class Partition:
     def __post_init__(self) -> None:
         sizes = tuple(int(k) for k in self.sizes)
         if len(sizes) == 0:
-            raise InvalidActionError("partition needs at least one agent")
+            raise InvalidActionError(f"sizes {sizes}: partition needs at least one agent")
         if any(k < 1 for k in sizes):
             raise InvalidActionError(f"sizes {sizes}: every agent needs at least one action")
         object.__setattr__(self, "sizes", sizes)

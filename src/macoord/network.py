@@ -149,6 +149,6 @@ def graph_from_spec(spec: dict, n: int) -> CommGraph:
     if kind == "explicit":
         g = CommGraph(n, fields["edges"])
         if not g.is_connected():
-            raise TopologyError("explicit graph is disconnected")
+            raise TopologyError("edges leave the explicit graph disconnected")
         return g
     return CommGraph.complete(n)

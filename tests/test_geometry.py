@@ -120,6 +120,9 @@ def test_projection_rejects_bad_input():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
             project_capped_simplex(np.array([[0.5, 0.5], [1e308, 1e308]]))
+        # a finite last sum whose spread overflows y - theta
+        with pytest.raises(ValueError, match="not finite"):
+            project_capped_simplex(np.array([1e308, -1e308]))
 
 
 def reference_projection(y):

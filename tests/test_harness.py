@@ -8,7 +8,6 @@ import csv
 import inspect
 import json
 import math
-import re
 import typing
 import warnings
 
@@ -40,8 +39,10 @@ from macoord.harness import (
 )
 from macoord.network import GRAPH_FIELDS, CommGraph, graph_from_spec
 from macoord.verification import CheckResult
+from refusals import BREAKS_RUN, CLI_DOC, COERCED, NON_FINITE, SPEC_VALUES, UNKNOWN_FIELDS
+from test_refusals import assert_refused, cases
 
-TINY_ENV = {"kind": "synthetic", "objective": "coverage-random", "sizes": [2, 2]}
+TINY_ENV = CLI_DOC["environment"]
 
 
 def tiny_config(**over):
@@ -383,15 +384,6 @@ def _write_config(tmp_path, doc, name="cfg.json"):
     return path
 
 
-CLI_DOC = {
-    "environment": TINY_ENV,
-    "graph": {"kind": "complete"},
-    "learner": {"kind": "ma-spl", "batch": 1},
-    "horizon": 5,
-    "seed": 0,
-}
-
-
 def test_cli_run_spl_writes_outputs(tmp_path, capsys):
     cfg = _write_config(tmp_path, CLI_DOC)
     out = tmp_path / "out"
@@ -440,139 +432,34 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run-spl", "--config", str(missing)]) == 1
     assert main(["bench", "--preset", "galaxy-scale", "--out", str(tmp_path)]) == 1
-    capsys.readouterr()
-    facility = {"kind": "facility", "agents": 2, "targets": 2}
-    malformed = {
-        "array": [CLI_DOC],
-        "agents": dict(CLI_DOC, environment={"kind": "facility", "agents": "x"}),
-        "avg_degree": dict(
-            CLI_DOC, environment=facility, graph={"kind": "erdos_renyi", "avg_degree": "x"}
-        ),
-        "edges": dict(CLI_DOC, environment=facility, graph={"kind": "explicit"}),
-        "target_mix": dict(CLI_DOC, environment=dict(facility, target_mix=[1])),
-        "target_kind": dict(CLI_DOC, environment=dict(facility, target_mix={"ghost": 2})),
-        "scheme": dict(CLI_DOC, learner={"kind": "ma-spl", "scheme": "x"}),
-        "out": dict(CLI_DOC, out=5),
-        "speeds_nan": dict(CLI_DOC, environment=dict(facility, speeds=[float("nan")])),
-        "speeds_inf": dict(CLI_DOC, environment=dict(facility, speeds=[1e400])),
-        "learner_str": dict(CLI_DOC, learner="x"),
-        "learner_int": dict(CLI_DOC, learner=5),
-        "learner_list": dict(CLI_DOC, learner=[1]),
-        "oracle_regret_str": dict(CLI_DOC, oracle_regret="no"),
-        "exact_gradient_str": dict(CLI_DOC, learner={"kind": "ma-spl", "exact_gradient": "no"}),
-        "environment_pairs": dict(CLI_DOC, environment=[["kind", "synthetic"], ["sizes", [2, 2]]]),
-        "graph_pairs": dict(CLI_DOC, graph=[["kind", "complete"]]),
-        "horizon_str": dict(CLI_DOC, horizon="5"),
-        "horizon_fraction": dict(CLI_DOC, horizon=2.7),
-        "horizon_float": dict(CLI_DOC, horizon=5.0),
-        "horizon_bool": dict(CLI_DOC, horizon=True),
-        "seed_bool": dict(CLI_DOC, seed=True),
-        "seed_str": dict(CLI_DOC, seed="0"),
-        "seed_null": dict(CLI_DOC, seed=None),
-        "rho_str": dict(CLI_DOC, rho="0.5"),
-        "rho_bool": dict(CLI_DOC, rho=False),
-        "batch_str": dict(CLI_DOC, learner={"kind": "ma-spl", "batch": "5"}),
-        "batch_fraction": dict(CLI_DOC, learner={"kind": "ma-spl", "batch": 2.5}),
-        "eta0_str": dict(CLI_DOC, learner={"kind": "ma-spl", "eta0": "1"}),
-        "alpha_str": dict(
-            CLI_DOC, learner={"kind": "ma-spl", "scheme": {"kind": "weak-dr", "alpha": "1"}}
-        ),
-    }
-    for name, doc in malformed.items():
-        path = _write_config(tmp_path, doc, f"{name}.json")
-        assert main(["run-spl", "--config", str(path)]) == 1, name
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1, (name, err)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        dict(CLI_DOC, learner={"kind": "ma-spl", "step_size": True}),
-        dict(CLI_DOC, learner={"kind": "ma-mpl", "step_size": "0.1"}),
-        dict(CLI_DOC, environment={"kind": "facility", "agents": 2.7, "targets": 2}),
-        dict(CLI_DOC, environment={"kind": "orbiting-targets", "radius": "4"}),
-        dict(CLI_DOC, environment={"kind": "coverage", "agents": 3.0}),
-        dict(CLI_DOC, environment={"kind": "tracking-gain", "agents": 2, "record_world": 1}),
-        dict(CLI_DOC, environment=dict(TINY_ENV, sizes=[2.7, 2])),
-        dict(CLI_DOC, environment={"kind": "facility", "agents": 2, "speeds": [True, 2]}),
-        dict(CLI_DOC, graph={"kind": "erdos_renyi", "avg_degree": "4"}),
-        dict(CLI_DOC, graph={"kind": "erdos_renyi", "seed": 1.5}),
-        dict(CLI_DOC, graph={"kind": "explicit", "edges": [[0, 1.0]]}),
-    ],
-    ids=["step-size-bool", "step-size-str", "agents-fraction", "radius-str",
-         "coverage-agents-float", "record-world-int", "sizes-fraction", "speeds-bool",
-         "avg-degree-str", "graph-seed-fraction", "edge-float"],
-)
-def test_cli_refuses_coerced_spec_numbers(tmp_path, capsys, doc):
-    # each of these used to be read through int() / float() / bool() and run
-    path = _write_config(tmp_path, doc)
-    assert main(["run-spl" if doc["learner"]["kind"] == "ma-spl" else "run-mpl",
-                 "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1, err
+# each group of tests/refusals.py, one case per entry, under the rule of refusals.check
 
 
-_FACILITY = {"kind": "facility", "agents": 2, "targets": 2}
+@cases(COERCED)
+def test_cli_refuses_coerced_spec_numbers(entry, tmp_path, capsys):
+    assert_refused(entry, tmp_path, capsys)
 
 
-def _weak_sub(gamma, beta):
-    return {"kind": "ma-spl", "scheme": {"kind": "weak-sub", "gamma": gamma, "beta": beta}}
+@cases(UNKNOWN_FIELDS)
+def test_cli_refuses_unknown_spec_fields(entry, tmp_path, capsys):
+    assert_refused(entry, tmp_path, capsys)
 
 
-@pytest.mark.parametrize(
-    "doc, field, section",
-    [
-        (dict(CLI_DOC, environment=dict(_FACILITY, agnets=6)), "agnets", "environment"),
-        (dict(CLI_DOC, learner={"kind": "ma-spl", "bacth": 3}), "bacth", "learner"),
-        (dict(CLI_DOC, graph={"kind": "complete", "extra": 1}), "extra", "graph"),
-        (
-            dict(CLI_DOC, learner={"kind": "ma-spl", "scheme": {"kind": "submodular", "gama": 1}}),
-            "gama",
-            "scheme",
-        ),
-        (dict(CLI_DOC, learner={"kind": "ma-mpl", "batch": 3}), "batch", "learner"),
-        (dict(CLI_DOC, environment=dict(TINY_ENV, agents=2)), "agents", "environment"),
-        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "slot": 2}), "slot", "environment"),
-        (dict(CLI_DOC, graph={"kind": "erdos_renyi", "degree": 3}), "degree", "graph"),
-        # the run's horizon sets the world's; this one used to be overwritten
-        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "horizon": 7}, horizon=3),
-         "horizon", "environment"),
-    ],
-    ids=["environment", "learner", "graph", "scheme", "mpl-learner", "synthetic", "orbit",
-         "erdos-renyi", "environment-horizon"],
-)
-def test_cli_refuses_unknown_spec_fields(tmp_path, capsys, doc, field, section):
-    # each of these used to be ignored, and the run took the default
-    path = _write_config(tmp_path, doc)
-    command = "run-mpl" if doc["learner"]["kind"] == "ma-mpl" else "run-spl"
-    assert main([command, "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1, err
-    assert f"unknown {section} field {field!r}" in err, err
+@cases(SPEC_VALUES)
+def test_cli_reports_refused_spec_values_as_config_errors(entry, tmp_path, capsys):
+    assert_refused(entry, tmp_path, capsys)
 
 
-@pytest.mark.parametrize(
-    "doc, line",
-    [
-        (dict(CLI_DOC, environment={"kind": "coverage", "agents": 3},
-              graph={"kind": "explicit", "edges": [[0, 1]]}), "explicit graph is disconnected"),
-        (dict(CLI_DOC, environment={"kind": "synthetic", "sizes": []}),
-         "partition needs at least one agent"),
-        (dict(CLI_DOC, graph={"kind": "explicit", "edges": [[0, 1], [0, 1, 2]]}),
-         "edges must be an array of 2 items, got [0, 1, 2]"),
-        (dict(CLI_DOC, graph={"kind": "explicit", "edges": [[0, 1], [1]]}),
-         "edges must be an array of 2 items, got [1]"),
-    ],
-    ids=["disconnected-graph", "no-agents", "edge-three-ends", "edge-one-end"],
-)
-def test_cli_reports_refused_spec_values_as_config_errors(tmp_path, capsys, doc, line):
-    # a library check refuses the first two, and they used to be printed as
-    # "error:"; an edge that is no pair used to print the whole graph spec
-    # and "too many values to unpack"
-    path = _write_config(tmp_path, doc)
-    assert main(["run-spl", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == f"config error: {line}\n"
+@cases(NON_FINITE)
+def test_cli_rejects_non_finite_environment_values(entry, tmp_path, capsys):
+    assert_refused(entry, tmp_path, capsys)
+
+
+@cases(BREAKS_RUN)
+def test_cli_refuses_values_that_break_the_run(entry, tmp_path, capsys):
+    assert_refused(entry, tmp_path, capsys)
 
 
 # a valid value of each field that has no default, for the specs below
@@ -651,114 +538,6 @@ def test_negative_seed_is_refused_as_the_seed(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: seed must be a nonnegative integer, got -3\n"
 
 
-@pytest.mark.parametrize(
-    "environment",
-    [
-        {"kind": "orbiting-targets", "radius": float("nan")},
-        {"kind": "orbiting-targets", "radius": float("inf")},
-        {"kind": "orbiting-targets", "target_radius": float("-inf")},
-        {"kind": "orbiting-targets", "drift_cycles": float("nan")},
-        {"kind": "orbiting-targets", "drift_cycles": float("inf")},
-        {"kind": "coverage", "agents": 3, "epsilon": float("nan"), "k": 1},
-        {"kind": "coverage", "agents": 3, "epsilon": float("inf"), "k": 1},
-    ],
-    ids=["radius-nan", "radius-inf", "target-radius-inf", "cycles-nan", "cycles-inf",
-         "epsilon-nan", "epsilon-inf"],
-)
-def test_cli_rejects_non_finite_environment_values(tmp_path, capsys, environment):
-    # json writes these as NaN / Infinity, which a config may hold
-    path = _write_config(tmp_path, dict(CLI_DOC, environment=environment))
-    assert main(["run-spl", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1, err
-
-
-@pytest.mark.parametrize(
-    "doc, field",
-    [
-        (dict(CLI_DOC, environment=dict(_FACILITY, target_mix={"random": True, "polyline": 1})),
-         "target_mix"),
-        (dict(CLI_DOC, environment=dict(_FACILITY, target_mix={})), "target_mix"),
-        # past MOVING_WORLD_LIMIT in targets alone, so that a check placed after the
-        # first allocation these fields size would fail at once, not allocate
-        (dict(CLI_DOC, environment=dict(_FACILITY, agents=1, headings=1, speeds=[5.0],
-                                        targets=10**15, target_mix={"random": 10**15})),
-         "targets"),
-        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "targets": 10**15}), "targets"),
-        (dict(CLI_DOC, environment=dict(_FACILITY, speeds=[1e308])), "speeds"),
-        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "drift_cycles": 1e308}),
-         "drift_cycles"),
-        (dict(CLI_DOC, environment={"kind": "coverage"},
-              learner={"kind": "ma-spl", "step_size": 1e308}), "step_size"),
-        (dict(CLI_DOC, environment={"kind": "coverage"},
-              learner={"kind": "ma-mpl", "step_size": 1e308}), "step_size"),
-        (dict(CLI_DOC, environment={"kind": "coverage", "epsilon": 1e308}), "epsilon"),
-        (dict(CLI_DOC, environment={"kind": "coverage", "agents": 2, "epsilon": 1e308}),
-         "epsilon"),
-        (dict(CLI_DOC, learner=_weak_sub(0.5, math.nan)), "beta"),
-        (dict(CLI_DOC, learner=_weak_sub(1.0, math.inf)), "beta"),
-        (dict(CLI_DOC, learner=_weak_sub(0.5, 1e308)), "beta"),
-        # sizes below 1: a world with no targets failed in its first round
-        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "targets": 0}), "targets"),
-        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "targets": -1}), "targets"),
-        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "agents": 0}), "agents"),
-        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "slots": 0}), "slots"),
-        (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-mpl", "K": 2}), "K"),
-        (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-mpl", "L": 0}), "L"),
-        (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-spl", "eta0": -1}),
-         "eta0"),
-        # graph and synthetic-world refusals name their field
-        (dict(CLI_DOC, environment={"kind": "coverage"},
-              graph={"kind": "erdos_renyi", "seed": -1}), "seed"),
-        (dict(CLI_DOC, environment={"kind": "coverage"},
-              graph={"kind": "erdos_renyi", "avg_degree": -1}), "avg_degree"),
-        (dict(CLI_DOC, environment={"kind": "coverage"},
-              graph={"kind": "explicit", "edges": [[0, 5]]}), "edges"),
-        (dict(CLI_DOC, environment={"kind": "synthetic", "sizes": [0, 2]}), "sizes"),
-        (dict(CLI_DOC, environment={"kind": "synthetic", "sizes": [7, 7]}), "sizes"),
-        # per-round tables past errors.TABLE_LIMIT, refused before they are allocated
-        (dict(CLI_DOC, environment={"kind": "coverage"},
-              learner={"kind": "ma-spl", "batch": 10**9}), "batch"),
-        (dict(CLI_DOC, environment={"kind": "coverage"}, learner={"kind": "ma-mpl", "L": 10**9}),
-         "L"),
-        (dict(CLI_DOC, environment={"kind": "coverage", "agents": 10**6}), "agents"),
-        # a huge finite step (eta0/sqrt(2) about 7e307) whose ascent stays finite
-        # but whose projection's block sums overflow
-        (dict(CLI_DOC, environment={"kind": "coverage"}, horizon=2,
-              learner={"kind": "ma-spl", "eta0": 1e308}), "eta0"),
-        (dict(CLI_DOC, environment={"kind": "coverage"}, horizon=2,
-              learner={"kind": "ma-mpl", "eta0": 1e308}), "eta0"),
-        (dict(CLI_DOC, environment={"kind": "coverage"},
-              learner={"kind": "ma-spl", "step_size": 7e307}), "step_size"),
-        # the exact gradient past enumeration scale, refused when the learner is built
-        (dict(CLI_DOC, environment={"kind": "facility"},
-              learner={"kind": "ma-spl", "exact_gradient": True}), "exact_gradient"),
-        # a graph whose n x n matrices pass the size limit, refused before any is built
-        (dict(CLI_DOC, environment={"kind": "orbiting-targets", "agents": 10**5, "slots": 1,
-                                    "targets": 1}), "agents"),
-    ],
-    ids=["mix-bool", "mix-empty", "world-huge", "orbit-huge", "speeds-huge", "cycles-huge",
-         "spl-step-huge", "mpl-step-huge", "epsilon-huge", "two-agent-epsilon-huge", "beta-nan", "beta-inf-rate-nan",
-         "beta-huge-rate", "orbit-empty", "orbit-negative", "orbit-no-agents", "orbit-no-slots",
-         "mpl-K", "mpl-L", "spl-eta0", "graph-seed", "graph-avg-degree", "graph-edge-range",
-         "sizes-zero", "sizes-past-cap", "spl-batch-huge", "mpl-L-huge", "coverage-huge",
-         "spl-eta0-huge", "mpl-eta0-huge", "spl-step-near-max", "spl-exact-gradient-huge",
-         "graph-huge"],
-)
-def test_cli_refuses_values_that_break_the_run(tmp_path, capsys, doc, field):
-    # each of these used to run on (a bool count, utility 0.0 after an
-    # overflow) or end in a traceback from the projection
-    path = _write_config(tmp_path, doc)
-    command = "run-mpl" if doc["learner"]["kind"] == "ma-mpl" else "run-spl"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([command, "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1, err
-    # the line names the field, not only as a quoted key of an echoed spec
-    assert re.search(rf"(?<![\w']){field}(?![\w'])", err), err
-
-
 def test_cli_preset_with_config_override(tmp_path, capsys):
     over = _write_config(tmp_path, {"horizon": 3}, "over.json")
     rc = main(
@@ -796,26 +575,6 @@ def test_cli_bench_tiny(tmp_path, capsys):
     assert (tmp_path / "bench" / "summary.json").exists()
     saved = json.loads((tmp_path / "bench" / "summary.json").read_text())
     assert saved["seeds"] == [0, 1]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run-spl", "--bogus"],
-        ["verify", "--seed", "0"],
-        [],
-        ["run-spl", "--preset", "nope"],
-        ["bench", "--preset", "facility-desk", "--out", "b", "--seeds", "0"],
-        ["bench", "--preset", "facility-desk", "--out", "b", "--seeds", "-2"],
-    ],
-)
-def test_cli_usage_errors_exit_one(argv, capsys):
-    # exit 2 is kept for a failed battery, so a bad invocation is told apart
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_cli_help_exits_zero(capsys):
