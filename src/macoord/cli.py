@@ -23,15 +23,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, MacoordError, config_value
-from .harness import (
-    PRESETS,
-    RunConfig,
-    export_csv,
-    export_json,
-    resolve_preset,
-    run_bench,
-    run_experiment,
-)
+from .harness import PRESETS, RunConfig, resolve_preset, run_bench, run_experiment
 from .verification import run_verification, write_report
 
 
@@ -111,10 +103,7 @@ def _run_single(args: argparse.Namespace, forced_kind: str | None) -> int:
     if cfg.oracle_regret:
         line += f", regret(rho={cfg.rho:.4g}) {logs[-1].cum_regret:.6g}"
     if cfg.out:
-        out = Path(cfg.out)
-        export_csv(logs, out / "rounds.csv")
-        export_json(logs, out / "rounds.json")
-        line += f" -> {out}"
+        line += f" -> {Path(cfg.out)}"
     print(line)
     return 0
 

@@ -33,7 +33,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ScaleError, check_sizes, read_kind
+from .errors import (ORBIT_TAG, SYNTHETIC_TAG, WORLD_TAG, ConfigError, ScaleError, check_sizes,
+                     read_kind, stream)
 from .ground import Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
@@ -463,7 +464,7 @@ class MovingTargetEnvironment:
                            "targets": targets}, "a round's objective table")
         self.objective, default_kinds = MOVING_KINDS[kind]
         self.moves = motion_moves(headings, speeds)
-        self._rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x656E76)))
+        self._rng = stream(seed, WORLD_TAG)
         mix = _default_mix(targets, default_kinds) if target_mix is None else target_mix
         unknown = sorted(set(mix) - set(TARGET_KINDS))
         if unknown:
@@ -563,7 +564,7 @@ class OrbitingTargetsEnvironment:
         total = self.partition.total
         angles = 2.0 * math.pi * np.arange(total) / total
         self.sites = self.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6F726269)))
+        rng = stream(seed, ORBIT_TAG)
         self.phases = rng.uniform(0.0, 2.0 * math.pi, targets)
         self.tick = 0
 
@@ -619,7 +620,7 @@ def make_environment(spec: dict, seed: int, horizon: int):
     if kind == "coverage":
         return StaticEnvironment(coverage_instance(fields["agents"], fields["epsilon"], fields["k"]))
     if kind == "synthetic":
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x73796E74)))
+        rng = stream(seed, SYNTHETIC_TAG)
         return StaticEnvironment(synthetic_setfn(fields["objective"], fields["sizes"], rng))
     if kind == "orbiting-targets":
         return OrbitingTargetsEnvironment(seed, horizon, **fields)

@@ -1,9 +1,13 @@
-"""Exception types, the spec-section readers and the size rule, shared
-across the package."""
+"""Exception types, the spec-section readers, the size rule and the stream
+rule, shared across the package."""
+
+from __future__ import annotations
 
 import math
 import numbers
 import typing
+
+import numpy as np
 
 
 class MacoordError(Exception):
@@ -114,3 +118,25 @@ def check_sizes(owner: str, sizes: dict[str, int], table: str) -> None:
             f"{owner} {' * '.join(sizes)} is {entries}, the size of {table}; "
             f"it must be at most {TABLE_LIMIT:,}"
         )
+
+
+# The word after the run seed in each seeded purpose's stream key, the ASCII of
+# its name; the random baseline's key puts the round between them.
+WORLD_TAG, ORBIT_TAG, SYNTHETIC_TAG, GRAPH_TAG, RANDOM_TAG = (
+    int.from_bytes(word, "big") for word in (b"env", b"orbi", b"synt", b"net", b"rand"))
+
+
+def stream(*key: int) -> np.random.Generator:
+    """The package's only generator: ``default_rng(SeedSequence(key))`` for
+    nonnegative ints, seeded from the uint32 words numpy splits them into (each
+    int little-endian, 0 as one zero word), which skips its per-element
+    coercion.  A learner's agent i draws from ``stream(seed, t, i)`` in round t."""
+    words = []
+    for x in map(int, key):
+        if x < 0:
+            raise ValueError(f"expected non-negative integers, got {key}")
+        words.append(x & 0xFFFFFFFF)
+        while x := x >> 32:
+            words.append(x & 0xFFFFFFFF)
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(entropy))

@@ -4,8 +4,9 @@ A run couples one environment, one communication graph, and one learner for a
 fixed horizon.  Per round the harness asks the environment for the current
 objective, lets the learner pick a feasible selection, logs the realized
 utility (optionally against the brute-force per-round optimum), and then
-advances the world.  CSV/JSON exports carry exactly the columns
-``t, utility, opt, cum_regret, disagreement, queries``.
+advances the world.  With ``out`` set it writes every file of the run there:
+``rounds.csv`` and ``rounds.json`` carry exactly the columns ``t, utility,
+opt, cum_regret, disagreement, queries``; a recording world adds ``world.csv``.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def make_learner(spec: dict, partition: Partition, graph: CommGraph, horizon: in
 
 
 def run_experiment(cfg: RunConfig) -> list[RoundLog]:
-    """Execute one full run; deterministic in the config (incl. seed)."""
+    """Execute one full run; it and its files are deterministic in the config."""
     with _spec_errors("environment", cfg.environment):
         env = make_environment(cfg.environment, cfg.seed, cfg.horizon)
     partition = env.partition
@@ -152,7 +153,7 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
         try:
             partition.check_enumerable()
         except ScaleError as exc:
-            raise ConfigError(f"oracle regret requested beyond enumeration scale: {exc}") from exc
+            raise ConfigError(f"oracle_regret needs an enumerable world: {exc}") from exc
     with _spec_errors("graph", cfg.graph):
         graph = graph_from_spec(cfg.graph, partition.n_agents)
     learner = make_learner(cfg.learner, partition, graph, cfg.horizon, cfg.seed)
@@ -180,8 +181,12 @@ def run_experiment(cfg: RunConfig) -> list[RoundLog]:
             )
         )
         env.finish_round(chosen)
-    if getattr(env, "record_world", False) and cfg.out:
-        write_world_trace(env.trajectory_rows(), Path(cfg.out) / "world.csv")
+    if cfg.out:
+        out = Path(cfg.out)
+        export_csv(logs, out / "rounds.csv")
+        export_json(logs, out / "rounds.json")
+        if getattr(env, "record_world", False):
+            write_world_trace(env.trajectory_rows(), out / "world.csv")
     return logs
 
 
@@ -196,35 +201,36 @@ def _cell(x) -> str:
     return str(x)
 
 
-def export_csv(logs: Sequence[RoundLog], path: "Path | str") -> Path:
+def _write_csv(path: "Path | str", header: Sequence[str], rows) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for log in logs:
-            writer.writerow([_cell(getattr(log, c)) for c in CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def export_csv(logs: Sequence[RoundLog], path: "Path | str") -> Path:
+    return _write_csv(path, CSV_COLUMNS,
+                      ([_cell(getattr(log, c)) for c in CSV_COLUMNS] for log in logs))
+
+
+def write_json(doc, path: "Path | str") -> Path:
+    """``doc`` as JSON indented by two, newline-terminated: every JSON file written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
 
 
 def export_json(logs: Sequence[RoundLog], path: "Path | str") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        json.dump([asdict(log) for log in logs], fh, indent=2)
-        fh.write("\n")
-    return path
+    return write_json([asdict(log) for log in logs], path)
 
 
 def write_world_trace(rows: Sequence[tuple], path: "Path | str") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("tick", "entity", "x", "y", "kind"))
-        for tick, entity, x, y, kind in rows:
-            writer.writerow((tick, entity, repr(x), repr(y), kind))
-    return path
+    return _write_csv(path, ("tick", "entity", "x", "y", "kind"),
+                      ((tick, entity, repr(x), repr(y), kind) for tick, entity, x, y, kind in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +348,5 @@ def run_bench(
             "per_seed_mean_utility": per_seed,
             "mean_utility": float(np.mean(per_seed)),
         }
-    with (out_dir / "summary.json").open("w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(summary, out_dir / "summary.json")
     return summary

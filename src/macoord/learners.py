@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ScaleError, check_sizes
+from .errors import RANDOM_TAG, ConfigError, ScaleError, check_sizes, stream
 from .extension import (
     PolicyProfile,
     SurrogateScheme,
@@ -47,37 +47,18 @@ from .geometry import project_blocks
 from .ground import Partition, SetFunction, local_marginal_block
 from .network import UNREACHABLE, CommGraph, hop_distances, metropolis_weights
 
-_RANDOM_TAG = 0x72616E64
 NORMALIZE_FLOOR = 1e-12  # a played block with no more mass than this plays uniformly
-
-
-def agent_stream(seed: int, t: int, agent: int) -> np.random.Generator:
-    """Independent per-(round, agent) generator; order-insensitive across agents.
-
-    The stream of ``default_rng(SeedSequence((seed, t, agent)))``, seeded from
-    the uint32 words numpy splits that tuple into (each int little-endian, 0
-    as one zero word), which skips its per-element coercion.
-    """
-    words = []
-    for x in (int(seed), int(t), int(agent)):
-        if x < 0:
-            raise ValueError(f"expected non-negative integers, got {(seed, t, agent)}")
-        words.append(x & 0xFFFFFFFF)
-        while x := x >> 32:
-            words.append(x & 0xFFFFFFFF)
-    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(entropy))
 
 
 class FixedStep:
     """The ascent step ``size``, ``step_size`` or else eta0 / sqrt(horizon),
-    and ``field``, the one of the two that set it, which a refusal names."""
+    and ``field``, the one of the two that set it, which a refusal names and quotes."""
 
     def __init__(self, eta0: float, horizon: int, step_size: Optional[float]):
-        self.field = "eta0" if step_size is None else "step_size"
+        self.field, value = ("eta0", eta0) if step_size is None else ("step_size", step_size)
         self.size = eta0 / math.sqrt(horizon) if step_size is None else step_size
         if not 0.0 < self.size < math.inf:
-            raise ConfigError(f"{self.field} must give a finite positive step, got {self.size}")
+            raise ConfigError(f"{self.field} must give a finite positive step, got {value}")
 
     def ascend(self, partition: Partition, rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Project ``rows + size * grad`` onto every block of the partition's
@@ -129,8 +110,8 @@ class _Coordination:
         """Zero ``queries``, give each agent its round-``t`` stream, draw one
         uniform from each and play the own blocks of ``rows``: ``(streams, chosen)``."""
         self.queries[:] = 0
-        streams = [agent_stream(self.seed, t, i) for i in range(self.partition.n_agents)]
-        u = np.array([stream.random() for stream in streams])
+        streams = [stream(self.seed, t, i) for i in range(self.partition.n_agents)]
+        u = np.array([rng.random() for rng in streams])
         return streams, _play(self.partition, rows[self._own], u)
 
 
@@ -335,7 +316,7 @@ class RandomLearner:
         self.queries = np.zeros(partition.n_agents, dtype=np.int64)
 
     def round(self, f: SetFunction, t: int) -> np.ndarray:
-        rng = agent_stream(self.seed, t, _RANDOM_TAG)
+        rng = stream(self.seed, t, RANDOM_TAG)
         return np.array([int(rng.integers(k)) for k in self.partition.sizes])
 
     def disagreement(self) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import REQUIRED, ConfigError, TopologyError, check_sizes, read_kind
+from .errors import GRAPH_TAG, REQUIRED, ConfigError, TopologyError, check_sizes, read_kind, stream
 
 ERDOS_RENYI_MAX_RETRIES = 1000
 UNREACHABLE = -1  # hop distance between nodes in different components
@@ -111,7 +111,7 @@ def erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> CommGrap
     """Connected G(n, p) sample with p = avg_degree / (n - 1); resamples until
     connected (bounded retries)."""
     if n < 2:
-        raise TopologyError("need at least two nodes")
+        raise TopologyError(f"an erdos_renyi graph needs at least two agents, got {n}")
     p = avg_degree / (n - 1)
     if not (0.0 < p <= 1.0):
         raise TopologyError(
@@ -144,8 +144,7 @@ def graph_from_spec(spec: dict, n: int) -> CommGraph:
         seed = fields["seed"]
         if seed < 0:
             raise ConfigError(f"erdos_renyi seed must be a nonnegative integer, got {seed}")
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E6574)))
-        return erdos_renyi(n, fields["avg_degree"], rng)
+        return erdos_renyi(n, fields["avg_degree"], stream(seed, GRAPH_TAG))
     if kind == "explicit":
         g = CommGraph(n, fields["edges"])
         if not g.is_connected():

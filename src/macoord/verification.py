@@ -4,13 +4,13 @@ Each check replays one claim with pinned seeds, instances and bounds against
 an independent reference computation (enumeration, finite differences,
 quadrature, sampling bands) and returns a one-line verdict.  ``macoord
 verify`` runs them all in a second or two; the acceptance gate asserts the
-first seven as ACCEPTANCE 1-6 and 9.
+first seven and the last as ACCEPTANCE 1-6, 9 and 10.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,6 +25,7 @@ from .envs import (
     coverage_instance,
     synthetic_setfn,
 )
+from .errors import stream
 from .extension import (
     PolicyProfile,
     SurrogateScheme,
@@ -34,7 +35,7 @@ from .extension import (
     sample_z,
 )
 from .ground import Partition
-from .harness import RunConfig, make_learner, run_experiment
+from .harness import RunConfig, make_learner, run_experiment, write_json
 from .network import CommGraph, diameter, erdos_renyi, metropolis_weights, spectral_gap
 from .oracle import (
     approx_ratio,
@@ -94,7 +95,7 @@ NONSUB_TRACKING = TrackingGainObjective(
 def lossless_rounding() -> CheckResult:
     """ACCEPTANCE 1: sampling a profile is an unbiased estimate of F(pi)."""
     started = time.monotonic()
-    rng = np.random.default_rng(101)
+    rng = stream(101)
     draws = 100_000
     worst = 0.0
     for _ in range(20):
@@ -119,7 +120,7 @@ def lossless_rounding() -> CheckResult:
 def gradient_formula() -> CheckResult:
     """ACCEPTANCE 2: exact partial derivatives match central differences."""
     started = time.monotonic()
-    rng = np.random.default_rng(202)
+    rng = stream(202)
     h = 1e-5
     worst = 0.0
     for _ in range(100):
@@ -148,7 +149,7 @@ def gradient_formula() -> CheckResult:
 
 def key_inequalities() -> CheckResult:
     """ACCEPTANCE 3: the gradient inequalities in alpha, gamma and beta."""
-    rng = np.random.default_rng(303)
+    rng = stream(303)
     instances = [
         synthetic_setfn("coverage-random", (2, 2, 2), rng),
         coverage_instance(3, 0.1, 1),
@@ -187,7 +188,7 @@ def key_inequalities() -> CheckResult:
 
 def stationary_point_floors() -> CheckResult:
     """ACCEPTANCE 4: stationary points clear 1/(1+c) and 1 - c/e."""
-    rng = np.random.default_rng(404)
+    rng = stream(404)
     instances = [
         synthetic_setfn("coverage-random", (2, 2, 2), rng) for _ in range(3)
     ]
@@ -292,7 +293,7 @@ def ratio_estimator_sanity() -> CheckResult:
         and modular.upper_ratio == 1.0
     )
     trap_c = estimate_ratios(coverage_instance(3, 0.1, 1)).curvature
-    rng = np.random.default_rng(909)
+    rng = stream(909)
     family = [
         estimate_ratios(synthetic_setfn("coverage-random", (2, 2, 2), rng)),
         estimate_ratios(
@@ -318,7 +319,7 @@ def ratio_estimator_sanity() -> CheckResult:
 
 def consensus_weights() -> CheckResult:
     """Metropolis weights are doubly stochastic and mix at a rate below one."""
-    rng = np.random.default_rng(0)
+    rng = stream(0)
     g = erdos_renyi(8, 4.0, rng)
     w = metropolis_weights(g)
     rows = np.allclose(w.sum(axis=1), 1.0) and np.allclose(w, w.T) and w.min() >= 0
@@ -334,7 +335,7 @@ def z_sampler_cdf() -> CheckResult:
     """Surrogate z draws stay in [0, 1] and follow the CDF (e^{cz} - 1) / (e^c - 1)."""
     scheme = SurrogateScheme.weak_dr(0.7)
     n = 20_000
-    draws = np.sort(sample_z(scheme, np.random.default_rng(5).random(n)))
+    draws = np.sort(sample_z(scheme, stream(5).random(n)))
     in_range = bool(0.0 <= draws[0] and draws[-1] <= 1.0)
     c = scheme.rate
     cdf = (np.exp(c * draws) - 1.0) / (math.exp(c) - 1.0)
@@ -347,23 +348,29 @@ def z_sampler_cdf() -> CheckResult:
     )
 
 
-def seeded_determinism() -> CheckResult:
-    """Two runs of one config and seed log the same rounds."""
-    doc = {
-        "environment": {"kind": "synthetic", "objective": "coverage-random", "sizes": [2, 2]},
-        "graph": {"kind": "complete"},
-        "learner": {"kind": "ma-spl", "batch": 2},
-        "horizon": 10,
-        "seed": 0,
-    }
-    rows = []
-    for _ in range(2):
-        logs = run_experiment(RunConfig.from_dict(doc))
-        rows.append(tuple((l.t, l.utility, l.disagreement, l.queries) for l in logs))
+def byte_identical_reruns() -> CheckResult:
+    """ACCEPTANCE 10: a rerun writes the same files, byte for byte, under each
+    sampling learner, and another seed changes the rounds."""
+    world = {"kind": "facility", "agents": 2, "targets": 2, "record_world": True}
+    doc = {"environment": world, "graph": {"kind": "complete"}, "horizon": 4}
+    files = ("rounds.csv", "rounds.json", "world.csv")
+    checked = []  # (what was compared, with its verdict; whether it holds)
+    with tempfile.TemporaryDirectory() as tmp:
+        for learner in ({"kind": "ma-spl", "batch": 2}, {"kind": "ma-mpl"}, {"kind": "random"}):
+            kind, runs = learner["kind"], []
+            for seed in (3, 3, 4):
+                out = Path(tmp) / f"{kind}-{len(runs)}"
+                run_experiment(RunConfig.from_dict({**doc, "learner": learner, "seed": seed,
+                                                    "out": str(out)}))
+                runs.append([(out / name).read_bytes() for name in files])
+            for name, first, rerun in zip(files, runs[0], runs[1]):
+                checked.append((f"{kind}/{name} {'=' if first == rerun else '!='}", first == rerun))
+            moved = runs[2][0] != runs[0][0]
+            checked.append((f"{kind}/rounds.csv at seed 4 {'!=' if moved else '='}", moved))
     return CheckResult(
-        "seeded-determinism",
-        rows[0] == rows[1],
-        "two runs with one seed produced identical logs",
+        "byte-identical-reruns",
+        all(holds for _, holds in checked),
+        "; ".join(what for what, _ in checked),
     )
 
 
@@ -377,7 +384,7 @@ CHECKS: list[Callable[[], CheckResult]] = [
     ratio_estimator_sanity,
     consensus_weights,
     z_sampler_cdf,
-    seeded_determinism,
+    byte_identical_reruns,
 ]
 
 
@@ -386,7 +393,4 @@ def run_verification() -> list[CheckResult]:
 
 
 def write_report(results: list[CheckResult], path: "Path | str") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps([asdict(r) for r in results], indent=2) + "\n")
-    return path
+    return write_json([asdict(r) for r in results], path)

@@ -192,14 +192,21 @@ BREAKS_RUN = [
             "slots"),
     Refusal("mpl-K", MPL, _doc(environment=_COVERAGE, learner={"kind": "ma-mpl", "K": 2}), "K"),
     Refusal("mpl-L", MPL, _doc(environment=_COVERAGE, learner={"kind": "ma-mpl", "L": 0}), "L"),
+    # the value written, not the step eta0 / sqrt(horizon) derived from it
     Refusal("spl-eta0", SPL, _doc(environment=_COVERAGE, learner={"kind": "ma-spl", "eta0": -1}),
-            "eta0"),
+            "eta0", line="eta0 must give a finite positive step, got -1.0"),
     # graph and synthetic-world refusals name their field
     Refusal("graph-seed", SPL,
             _doc(environment=_COVERAGE, graph={"kind": "erdos_renyi", "seed": -1}), "seed"),
     Refusal("graph-avg-degree", SPL,
             _doc(environment=_COVERAGE, graph={"kind": "erdos_renyi", "avg_degree": -1}),
             "avg_degree"),
+    Refusal("graph-one-agent", SPL,
+            _doc(environment={"kind": "orbiting-targets", "agents": 1},
+                 graph={"kind": "erdos_renyi"}), "agents"),
+    Refusal("oracle-regret-huge", SPL,
+            _doc(environment={"kind": "facility", "agents": 6, "targets": 3}, oracle_regret=True),
+            "oracle_regret"),
     Refusal("graph-edge-range", SPL,
             _doc(environment=_COVERAGE, graph={"kind": "explicit", "edges": [[0, 5]]}), "edges"),
     Refusal("sizes-zero", SPL, _doc(environment={"kind": "synthetic", "sizes": [0, 2]}), "sizes"),

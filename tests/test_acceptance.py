@@ -2,23 +2,19 @@
 
 Each test prints exactly one ``ACCEPTANCE n <name>: PASS/FAIL`` line with the
 measured quantities, then asserts.  Failures are left to fail loudly — the
-printed detail carries the measured numbers for the report.  Criteria 1-6 and
-9 are checks of ``macoord.verification``, which ``macoord verify`` also runs.
+printed detail carries the measured numbers for the report.  Criteria 1-6, 9
+and 10 are checks of ``macoord.verification``, which ``macoord verify`` also
+runs.
 """
 
 import time
 
 import numpy as np
 
-from macoord.cli import main
-from macoord.harness import (
-    RunConfig,
-    resolve_preset,
-    run_bench,
-    run_experiment,
-)
+from macoord.harness import RunConfig, resolve_preset, run_bench, run_experiment
 from macoord.verification import (
     CheckResult,
+    byte_identical_reruns,
     gradient_formula,
     inner_loop_lag_bound,
     key_inequalities,
@@ -124,39 +120,5 @@ def test_09_ratio_estimator_sanity():
     _report(9, ratio_estimator_sanity())
 
 
-def test_10_byte_identical_reruns(tmp_path):
-    import json
-
-    doc = {
-        "environment": {
-            "kind": "facility",
-            "agents": 2,
-            "targets": 2,
-            "record_world": True,
-        },
-        "graph": {"kind": "complete"},
-        "learner": {"kind": "ma-spl", "batch": 2},
-        "horizon": 4,
-        "seed": 3,
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
-    identical = True
-    checked = []
-    for command in (["run-spl"], ["run-mpl"], ["run-baseline", "--baseline", "random"]):
-        paths = []
-        for rep in ("a", "b"):
-            out = tmp_path / f"{command[0]}-{command[-1]}-{rep}"
-            rc = main([*command, "--config", str(cfg_path), "--out", str(out)])
-            assert rc == 0
-            paths.append(out)
-        for name in ("rounds.csv", "world.csv"):
-            same = (paths[0] / name).read_bytes() == (paths[1] / name).read_bytes()
-            identical &= same
-            checked.append(f"{command[0]}/{name}: {'=' if same else '!='}")
-    _report(
-        10,
-        "byte-identical-reruns",
-        identical,
-        "; ".join(checked),
-    )
+def test_10_byte_identical_reruns():
+    _report(10, byte_identical_reruns())

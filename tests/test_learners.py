@@ -20,7 +20,8 @@ from macoord.envs import (
     coverage_instance,
     synthetic_setfn,
 )
-from macoord.errors import ConfigError, TopologyError
+from macoord.errors import (GRAPH_TAG, ORBIT_TAG, RANDOM_TAG, SYNTHETIC_TAG, WORLD_TAG, ConfigError,
+                            TopologyError, stream)
 from macoord.extension import (
     PolicyProfile,
     exact_extension,
@@ -30,14 +31,7 @@ from macoord.extension import (
 from macoord.geometry import project_blocks
 from macoord.ground import Partition, local_marginal_block
 from macoord.harness import make_learner
-from macoord.learners import (
-    GreedyLearner,
-    PolicyConsensusLearner,
-    RandomLearner,
-    _RANDOM_TAG,
-    _play,
-    agent_stream,
-)
+from macoord.learners import GreedyLearner, PolicyConsensusLearner, RandomLearner, _play
 from macoord.network import CommGraph, erdos_renyi, metropolis_weights
 from macoord.oracle import brute_force_opt, estimate_ratios
 
@@ -67,27 +61,35 @@ def _mpl(partition, graph, horizon=10, seed=0, **fields):
 
 
 def test_agent_stream_determinism():
-    a = agent_stream(7, 3, 1).random(4)
-    b = agent_stream(7, 3, 1).random(4)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, agent_stream(7, 3, 2).random(4))
-    assert not np.array_equal(a, agent_stream(7, 4, 1).random(4))
-    assert not np.array_equal(a, agent_stream(8, 3, 1).random(4))
+    a = stream(7, 3, 1).random(4)
+    np.testing.assert_array_equal(a, stream(7, 3, 1).random(4))
+    # a change in any part of a key moves its stream
+    assert not np.array_equal(a, stream(7, 3, 2).random(4))
+    assert not np.array_equal(a, stream(7, 4, 1).random(4))
+    assert not np.array_equal(a, stream(8, 3, 1).random(4))
 
 
 def test_agent_stream_is_numpys_tuple_seeded_stream():
     rng = np.random.default_rng(41)
     triples = [(int(s), int(t), int(a)) for s, t, a in rng.integers(0, 2**16, (150, 3))]
     triples += [(int(s), 0, int(a)) for s, a in rng.integers(0, 2**63, (30, 2), dtype=np.uint64)]
-    triples += [(2**32 + i, i, _RANDOM_TAG) for i in range(10)]
+    triples += [(2**32 + i, i, RANDOM_TAG) for i in range(10)]
     triples += [(s, t, a) for s in (0, 2**32 - 1, 2**32, 2**64 + 3) for t in (0, 1) for a in (0, 5)]
-    triples += [(0, 0, 0), (7, 2**40, 1), (1, 1, _RANDOM_TAG)]
+    triples += [(0, 0, 0), (7, 2**40, 1), (1, 1, RANDOM_TAG)]
     assert len(set(triples)) >= 200
     for seed, t, agent in triples:
         expect = np.random.default_rng(np.random.SeedSequence((seed, t, agent))).random(3)
-        np.testing.assert_array_equal(agent_stream(seed, t, agent).random(3), expect)
+        np.testing.assert_array_equal(stream(seed, t, agent).random(3), expect)
+    # each purpose's tag draws what its hex spelling drew: a retyped tag fails here
+    for tag, word in ((WORLD_TAG, 0x656E76), (ORBIT_TAG, 0x6F726269), (SYNTHETIC_TAG, 0x73796E74),
+                      (GRAPH_TAG, 0x6E6574), (RANDOM_TAG, 0x72616E64)):
+        for seed in (0, 3, 2**32, 10**20):
+            expect = np.random.default_rng(np.random.SeedSequence((seed, word))).random(3)
+            np.testing.assert_array_equal(stream(seed, tag).random(3), expect)
+    for n in (0, 5, 101, 909):  # the pinned generators of macoord.verification
+        np.testing.assert_array_equal(stream(n).random(3), np.random.default_rng(n).random(3))
     with pytest.raises(ValueError):
-        agent_stream(-1, 0, 0)
+        stream(-1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +472,7 @@ def _reference_mpl_round(learner, graph, f, t):
         steps[k] = estimates
         inner.append(_reference_inner_disagreement(p, estimates))
     learner.estimates = estimates
-    streams = [agent_stream(learner.seed, t, i) for i in range(n)]
+    streams = [stream(learner.seed, t, i) for i in range(n)]
     chosen = _play(p, estimates[own], np.array([s.random() for s in streams]))
     rewards = np.empty_like(learner.iterates)
     for i, (lo, hi) in enumerate(zip(p.offsets[:-1], p.offsets[1:])):
@@ -487,7 +489,7 @@ def _reference_spl_round(learner, f, t):
     n = p.n_agents
     own = (np.repeat(np.arange(n), p.sizes), np.arange(p.total))
     learner.queries[:] = 0
-    streams = [agent_stream(learner.seed, t, i) for i in range(n)]
+    streams = [stream(learner.seed, t, i) for i in range(n)]
     chosen = _play(p, learner.policies[own], np.array([s.random() for s in streams]))
     grads = []
     for i, (lo, hi) in enumerate(zip(p.offsets[:-1], p.offsets[1:])):
@@ -643,7 +645,7 @@ def test_rows_from_outside_are_refused_where_they_enter(bad, message):
     p = Partition((2, 2))
     f = synthetic_setfn("coverage-random", p.sizes, np.random.default_rng(3))
     learner = _spl(p, CommGraph.path(2))
-    rngs = [agent_stream(0, 1, i) for i in range(2)]
+    rngs = [stream(0, 1, i) for i in range(2)]
     for enter in (
         lambda row: PolicyProfile(p, row),
         lambda row: learner.set_start(PolicyProfile(p, row)),

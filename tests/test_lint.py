@@ -241,3 +241,40 @@ UNPASSED_ALLOWED = {
 def test_every_default_is_passed_somewhere():
     unpassed = _unpassed_defaults({p.stem: p.read_text() for p in MODULES})
     assert unpassed == sorted(UNPASSED_ALLOWED)
+
+
+def _generator_builders(sources: dict[str, str]) -> list[str]:
+    """``module.[Class.]function`` of every function, and ``module`` for code
+    outside any, that calls ``SeedSequence``, ``PCG64``, ``Generator`` or
+    ``default_rng``, by name or as an attribute; an annotation builds nothing."""
+    builders = set()
+
+    def visit(node, where):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called in {"SeedSequence", "PCG64", "Generator", "default_rng"}:
+                builders.add(where)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(builders)
+
+
+def test_generator_scan_finds_planted_builders():
+    sources = {
+        "a": "import numpy as np\nfrom numpy.random import default_rng\n"
+        "def rule(*key):\n    return np.random.Generator(np.random.PCG64(key))\n"
+        "def typed(rng: np.random.Generator) -> np.random.Generator:\n    return rng\n"
+        "class World:\n    def __init__(self, seed):\n        self.rng = default_rng(seed)\n"
+        "def words(seed):\n    return np.random.SeedSequence(seed).generate_state(1)\n"
+        "RNG = np.random.default_rng(0)\n",
+    }
+    assert _generator_builders(sources) == ["a", "a.World.__init__", "a.rule", "a.words"]
+
+
+def test_only_the_stream_rule_builds_generators():
+    assert _generator_builders({p.stem: p.read_text() for p in MODULES}) == ["errors.stream"]
