@@ -22,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, MacoordError, config_value
+from .errors import ConfigError, config_value
 from .harness import PRESETS, RunConfig, resolve_preset, run_bench, run_experiment
 from .verification import run_verification, write_report
 
@@ -138,9 +138,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except MacoordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (ORBIT_TAG, SYNTHETIC_TAG, WORLD_TAG, ConfigError, ScaleError, check_sizes,
                      read_kind, stream)
-from .ground import Partition, SetFunction
+from .ground import ORACLE_MAX_ACTIONS, Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
 DISTANCE_FLOOR = 1e-3
@@ -51,7 +51,6 @@ WORLD_LIMIT = 1e50
 ADVERSARIAL_TRIGGER_RADIUS = 20.0
 EVADE_SPEED = 15.0
 EVADE_CANDIDATE_HEADINGS = 16
-SYNTHETIC_MAX_ACTIONS = 12
 VALUE_BLOCK = 1 << 20  # floats per masked block of FacilityObjective.value
 
 DEFAULT_HEADINGS = 8
@@ -170,12 +169,12 @@ def synthetic_setfn(
     Kinds: ``modular``, ``coverage-random`` (random incidence weighted
     coverage), ``concave-of-modular`` (square root of a random modular sum).
     """
-    partition = Partition(tuple(sizes))
-    if partition.total > SYNTHETIC_MAX_ACTIONS:
+    if sum(sizes) > ORACLE_MAX_ACTIONS:  # before any table the sizes set is built
         raise ScaleError(
-            f"synthetic sizes {partition.sizes} hold {partition.total} actions; synthetic "
-            f"objectives are capped at {SYNTHETIC_MAX_ACTIONS} actions"
+            f"synthetic sizes {tuple(sizes)} hold {sum(sizes)} actions; synthetic "
+            f"objectives are capped at {ORACLE_MAX_ACTIONS} actions"
         )
+    partition = Partition(tuple(sizes))
     if kind == "modular":
         return ModularFunction(partition, rng.uniform(0.1, 1.0, partition.total))
     if kind == "concave-of-modular":
@@ -407,6 +406,18 @@ class TrackingGainObjective(SetFunction):
             own = self.comps[:, t, lo:hi]  # (4, k)
             out += (num[t] @ own[:3]) / (den[t] @ own)
         return out / self.prior_trace
+
+    def compute_min_gains(self) -> np.ndarray:
+        """Closed form: v's Sherman-Morrison gain, as in :meth:`agent_marginals`, against
+        the prior plus the terms before v and after v, sums in which no term of v cancels."""
+        xx, xy, yy = own = self.comps[:3, :, :-1]  # (3, targets, |V|)
+        pad = np.zeros(own.shape[:2] + (1,))
+        before = np.cumsum(np.concatenate((pad, own[..., :-1]), axis=-1), axis=-1)
+        after = np.cumsum(np.concatenate((pad, own[..., :0:-1]), axis=-1), axis=-1)[..., ::-1]
+        a, b, d = before + after + self.prior_info[[0, 0, 1], [0, 1, 1]][:, None, None]
+        det = a * d - b * b
+        gain = ((d * d + b * b) * xx - 2.0 * b * (a + d) * xy + (a * a + b * b) * yy) / det
+        return (gain / (d * xx - 2.0 * b * xy + a * yy + det)).sum(axis=0) / self.prior_trace
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,9 @@ class InvalidActionError(MacoordError, ValueError):
 
 
 class ScaleError(MacoordError, ValueError):
-    """An exact/brute-force routine was asked to enumerate too large a space.
-
-    Callers hitting this should switch to the Monte-Carlo estimators.
-    """
+    """An exact/brute-force routine was asked to enumerate too large a space;
+    the message names what needed the enumeration and gives its size against
+    the limit."""
 
 
 class TopologyError(MacoordError, ValueError):

@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .ground import Partition, SetFunction, local_marginal_rows
 
 QUADRATURE_NODES = 64
@@ -104,6 +105,7 @@ class SurrogateScheme:
         the two-sided submodularity ratios ``gamma`` in (0, 1] and a finite
         ``beta`` >= 1.
 
+    A builder refuses a ratio out of its range with a ConfigError naming it.
     Wherever a scheme is taken, ``None`` selects the plain extension F.
     """
 
@@ -121,18 +123,18 @@ class SurrogateScheme:
     @staticmethod
     def weak_dr(alpha: float) -> "SurrogateScheme":
         if alpha is None or not (0.0 < alpha <= 1.0):
-            raise ValueError(f"weak-dr scheme needs alpha in (0, 1], got {alpha}")
+            raise ConfigError(f"weak-dr scheme needs alpha in (0, 1], got {alpha}")
         return SurrogateScheme(float(alpha), False)
 
     @staticmethod
     def weak_sub(gamma: float, beta: float) -> "SurrogateScheme":
         if gamma is None or not (0.0 < gamma <= 1.0):
-            raise ValueError(f"weak-sub scheme needs gamma in (0, 1], got {gamma}")
+            raise ConfigError(f"weak-sub scheme needs gamma in (0, 1], got {gamma}")
         if beta is None or not 1.0 <= beta < math.inf:
-            raise ValueError(f"weak-sub scheme needs a finite beta >= 1, got {beta}")
+            raise ConfigError(f"weak-sub scheme needs a finite beta >= 1, got {beta}")
         rate = float(beta * (1.0 - gamma) + gamma**2)
         if rate > MAX_RATE:
-            raise ValueError(f"weak-sub rate {rate:g} of gamma, beta exceeds {MAX_RATE:g}")
+            raise ConfigError(f"weak-sub rate {rate:g} of gamma, beta exceeds {MAX_RATE:g}")
         return SurrogateScheme(rate, False)
 
     @property

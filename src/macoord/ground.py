@@ -36,6 +36,9 @@ import numpy as np
 from .errors import InvalidActionError, ScaleError
 
 EXACT_ENUMERATION_LIMIT = 1_000_000
+# Most actions of an oracle-scale instance: ratio estimation enumerates all
+# 3^|V| subset pairs S of T, and the synthetic objectives exist for it.
+ORACLE_MAX_ACTIONS = 12
 OUTCOME_BLOCK = 1 << 14  # joint outcomes per value() call while building T
 
 
@@ -84,12 +87,14 @@ class Partition:
         """Joint outcomes per agent: idle, then each of its slots."""
         return tuple(k + 1 for k in self.sizes)
 
-    def check_enumerable(self) -> None:
-        """Refuse joint outcome spaces beyond :data:`EXACT_ENUMERATION_LIMIT`."""
-        if math.prod(self.outcome_shape) > EXACT_ENUMERATION_LIMIT:
+    def check_enumerable(self, need: str) -> None:
+        """Refuse joint outcome spaces beyond :data:`EXACT_ENUMERATION_LIMIT`,
+        naming ``need``, what needs them enumerated."""
+        count = math.prod(self.outcome_shape)
+        if count > EXACT_ENUMERATION_LIMIT:
             raise ScaleError(
-                f"joint outcome space exceeds {EXACT_ENUMERATION_LIMIT}; "
-                "use the Monte-Carlo estimators instead"
+                f"{need} needs every joint outcome enumerated: {count:,} of them, "
+                f"past the limit of {EXACT_ENUMERATION_LIMIT:,}"
             )
 
     def check_agent(self, agent: int) -> None:
@@ -216,7 +221,7 @@ class SetFunction:
         of :data:`OUTCOME_BLOCK` outcomes, and the size guard runs before it.
         """
         partition = self.partition
-        partition.check_enumerable()
+        partition.check_enumerable("outcome_values")
         values = np.empty(math.prod(partition.outcome_shape))
         for lo in range(0, values.size, OUTCOME_BLOCK):
             hi = min(lo + OUTCOME_BLOCK, values.size)

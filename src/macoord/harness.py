@@ -14,14 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import REQUIRED, ConfigError, MacoordError, ScaleError, read_kind, read_section
+from .errors import REQUIRED, ConfigError, MacoordError, read_kind, read_section
 from .extension import SurrogateScheme
 from .ground import Partition
 from .learners import (
@@ -115,48 +114,41 @@ def scheme_from_dict(doc: Optional[dict]) -> SurrogateScheme:
     return SurrogateScheme.submodular()
 
 
-@contextmanager
-def _spec_errors(what: str, spec: dict):
-    """Report a spec value that a library check refuses as a one-line ConfigError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except MacoordError as exc:
-        raise ConfigError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what} spec {spec}: {exc}") from exc
-
-
 def make_learner(spec: dict, partition: Partition, graph: CommGraph, horizon: int, seed: int):
     """The learner of a learner spec, for a run of ``horizon`` rounds.  A
     coordination learner takes its :data:`LEARNER_FIELDS` as they are
     declared, with the ``scheme`` spec read into a surrogate scheme."""
-    with _spec_errors("learner", spec):
-        kind, fields = read_kind("learner", spec, LEARNER_FIELDS)
-        if kind == "random":
-            return RandomLearner(partition, seed)
-        if kind == "greedy":
-            return GreedyLearner(partition)
-        if kind == "ma-spl":
-            fields["scheme"] = scheme_from_dict(fields["scheme"])
-        cls = PolicyConsensusLearner if kind == "ma-spl" else MetaConditionalGradientLearner
-        return cls(partition, graph, horizon=horizon, seed=seed, **fields)
+    kind, fields = read_kind("learner", spec, LEARNER_FIELDS)
+    if kind == "random":
+        return RandomLearner(partition, seed)
+    if kind == "greedy":
+        return GreedyLearner(partition)
+    if kind == "ma-spl":
+        fields["scheme"] = scheme_from_dict(fields["scheme"])
+    cls = PolicyConsensusLearner if kind == "ma-spl" else MetaConditionalGradientLearner
+    return cls(partition, graph, horizon=horizon, seed=seed, **fields)
 
 
 def run_experiment(cfg: RunConfig) -> list[RoundLog]:
-    """Execute one full run; it and its files are deterministic in the config."""
-    with _spec_errors("environment", cfg.environment):
+    """Execute one full run; it and its files are deterministic in the config.
+    Building it is the one place where a check's refusal, a MacoordError that
+    names its field, becomes a ConfigError."""
+    try:
         env = make_environment(cfg.environment, cfg.seed, cfg.horizon)
-    partition = env.partition
-    if cfg.oracle_regret:
-        try:
-            partition.check_enumerable()
-        except ScaleError as exc:
-            raise ConfigError(f"oracle_regret needs an enumerable world: {exc}") from exc
-    with _spec_errors("graph", cfg.graph):
+        partition = env.partition
+        if cfg.oracle_regret:
+            partition.check_enumerable("oracle_regret")
         graph = graph_from_spec(cfg.graph, partition.n_agents)
-    learner = make_learner(cfg.learner, partition, graph, cfg.horizon, cfg.seed)
+        learner = make_learner(cfg.learner, partition, graph, cfg.horizon, cfg.seed)
+    except ConfigError:
+        raise
+    except MacoordError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg.out:  # made before the rounds, so that a path that cannot be one is refused at once
+        try:
+            Path(cfg.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out cannot be made a directory: {exc.strerror}") from exc
 
     logs: list[RoundLog] = []
     cum_regret = 0.0

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import RANDOM_TAG, ConfigError, ScaleError, check_sizes, stream
+from .errors import RANDOM_TAG, ConfigError, check_sizes, stream
 from .extension import (
     PolicyProfile,
     SurrogateScheme,
@@ -134,8 +134,8 @@ class PolicyConsensusLearner(_Coordination):
         Single-sample estimates averaged per round and agent.
     exact_gradient : bool
         Replace the Monte-Carlo estimates with the quadrature-exact gradient,
-        every agent's block at its own view in one call (only possible at
-        enumeration scale; no marginal queries counted).
+        every agent's block at its own view in one call (no marginal queries
+        counted); past enumeration scale a ScaleError naming it refuses it.
     """
 
     def __init__(
@@ -155,10 +155,7 @@ class PolicyConsensusLearner(_Coordination):
         if batch < 1:
             raise ConfigError(f"batch must be at least 1, got {batch}")
         if exact_gradient:
-            try:
-                partition.check_enumerable()
-            except ScaleError as exc:
-                raise ConfigError(f"exact_gradient needs an enumerable world: {exc}") from exc
+            partition.check_enumerable("exact_gradient")
         else:
             check_sizes("ma-spl", {"agents": partition.n_agents, "batch": batch,
                                    "|V|": partition.total}, "a round's z-scaled views")

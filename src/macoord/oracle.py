@@ -19,9 +19,8 @@ import numpy as np
 from .errors import DataError, ScaleError
 from .extension import PolicyProfile, SurrogateScheme, exact_extension, exact_gradient
 from .geometry import project_blocks
-from .ground import Partition, SetFunction
+from .ground import ORACLE_MAX_ACTIONS, Partition, SetFunction
 
-RATIO_MAX_ACTIONS = 12
 RATIO_ZERO_TOL = 1e-12  # a ratio's denominator at or below this counts as zero
 ASCENT_STEP = 0.1
 ASCENT_MOVE_TOL = 1e-10
@@ -32,7 +31,7 @@ def feasible_sets(partition: Partition) -> np.ndarray:
     """Slot rows of all selections with at most one action per agent, in
     lexicographic order (idle before slot 0 before slot 1, agents nested
     left to right): the C order of the outcome tensor."""
-    partition.check_enumerable()
+    partition.check_enumerable("feasible_sets")
     return partition.outcomes(np.arange(math.prod(partition.outcome_shape)))
 
 
@@ -74,13 +73,13 @@ def estimate_ratios(f: SetFunction) -> RatioReport:
     Quotients whose denominator is at most :data:`RATIO_ZERO_TOL` are
     skipped: they are exactly the pairs where the defining constraint binds
     vacuously.
-    Exponential in the number of actions; guarded at 12.  Every S subset T
-    pair is one base-3 code (digit 0: v outside T, 1: in T - S, 2: in S), and
-    the sums over T - S add their terms lowest element first.
+    Exponential in the number of actions; guarded at ``ORACLE_MAX_ACTIONS``.
+    Every S subset T pair is one base-3 code (digit 0: v outside T, 1: in
+    T - S, 2: in S), and the sums over T - S add their terms lowest first.
     """
     kappa = f.partition.total
-    if kappa > RATIO_MAX_ACTIONS:
-        raise ScaleError(f"ratio estimation is capped at {RATIO_MAX_ACTIONS} actions")
+    if kappa > ORACLE_MAX_ACTIONS:
+        raise ScaleError(f"ratio estimation is capped at {ORACLE_MAX_ACTIONS} actions")
     bits = 1 << np.arange(kappa)
     subsets = np.arange(1 << kappa)[:, None]
     values = f.value((subsets & bits) != 0)  # f at every subset, indexed by its bitmask

@@ -85,11 +85,15 @@ def _interior_profile(sizes, rng):
     )
 
 
+# The fixed instances the checks share: a close-range tracking gain that is
+# not submodular, the three-agent planted trap, and a concave-of-modular pair.
 NONSUB_TRACKING = TrackingGainObjective(
     Partition((2, 1)),
     np.array([[0.0, -0.08], [-0.01, -0.03], [0.0, 0.05]]),
     np.array([[0.0, 0.0]]),
 )
+TRAP = coverage_instance(3, 0.1, 1)
+SQRT_PAIR = SqrtModularFunction(Partition((2, 2)), np.array([2.25, 1.0, 4.0, 0.25]))
 
 
 def lossless_rounding() -> CheckResult:
@@ -152,8 +156,8 @@ def key_inequalities() -> CheckResult:
     rng = stream(303)
     instances = [
         synthetic_setfn("coverage-random", (2, 2, 2), rng),
-        coverage_instance(3, 0.1, 1),
-        SqrtModularFunction(Partition((2, 2)), np.array([2.25, 1.0, 4.0, 0.25])),
+        TRAP,
+        SQRT_PAIR,
         NONSUB_TRACKING,
     ]
     min_slack = math.inf
@@ -189,13 +193,8 @@ def key_inequalities() -> CheckResult:
 def stationary_point_floors() -> CheckResult:
     """ACCEPTANCE 4: stationary points clear 1/(1+c) and 1 - c/e."""
     rng = stream(404)
-    instances = [
-        synthetic_setfn("coverage-random", (2, 2, 2), rng) for _ in range(3)
-    ]
-    instances.append(coverage_instance(3, 0.1, 1))
-    instances.append(
-        SqrtModularFunction(Partition((2, 2)), np.array([2.25, 1.0, 4.0, 0.25]))
-    )
+    instances = [synthetic_setfn("coverage-random", (2, 2, 2), rng) for _ in range(3)]
+    instances += [TRAP, SQRT_PAIR]
     plain_scheme = SurrogateScheme.weak_dr(1.0)  # same decay, no min-gain bonus
     boost_scheme = SurrogateScheme.submodular()
     margins = []
@@ -223,7 +222,7 @@ def stationary_point_floors() -> CheckResult:
 def tightness_instance_escape() -> CheckResult:
     """ACCEPTANCE 5: the planted trap holds the plain ascent, not the boosted one."""
     started = time.monotonic()
-    f = coverage_instance(3, 0.1, 1)
+    f = TRAP
     trap = PolicyProfile(f.partition, f.partition.members(np.zeros((1, 3), dtype=np.int64))[0])
     scheme = SurrogateScheme.submodular()
     plain = stationarity_gap(f, trap)
@@ -292,13 +291,11 @@ def ratio_estimator_sanity() -> CheckResult:
         and modular.lower_ratio == 1.0
         and modular.upper_ratio == 1.0
     )
-    trap_c = estimate_ratios(coverage_instance(3, 0.1, 1)).curvature
+    trap_c = estimate_ratios(TRAP).curvature
     rng = stream(909)
     family = [
         estimate_ratios(synthetic_setfn("coverage-random", (2, 2, 2), rng)),
-        estimate_ratios(
-            SqrtModularFunction(Partition((2, 2)), np.array([2.25, 1.0, 4.0, 0.25]))
-        ),
+        estimate_ratios(SQRT_PAIR),
         estimate_ratios(NONSUB_TRACKING),
         modular,
     ]

@@ -53,6 +53,10 @@ class Refusal(NamedTuple):
     line: str | None = None  # set when the whole message is pinned
 
 
+def _weak_dr(alpha):
+    return {"kind": "ma-spl", "scheme": {"kind": "weak-dr", "alpha": alpha}}
+
+
 def _weak_sub(gamma, beta):
     return {"kind": "ma-spl", "scheme": {"kind": "weak-sub", "gamma": gamma, "beta": beta}}
 
@@ -181,6 +185,12 @@ BREAKS_RUN = [
     Refusal("beta-nan", SPL, _doc(learner=_weak_sub(0.5, math.nan)), "beta"),
     Refusal("beta-inf-rate-nan", SPL, _doc(learner=_weak_sub(1.0, math.inf)), "beta"),
     Refusal("beta-huge-rate", SPL, _doc(learner=_weak_sub(0.5, 1e308)), "beta"),
+    Refusal("alpha-zero", SPL, _doc(learner=_weak_dr(0)), "alpha"),
+    Refusal("alpha-past-one", SPL, _doc(learner=_weak_dr(2)), "alpha",
+            line="weak-dr scheme needs alpha in (0, 1], got 2.0"),
+    Refusal("alpha-nan", SPL, _doc(learner=_weak_dr(math.nan)), "alpha"),
+    Refusal("gamma-zero", SPL, _doc(learner=_weak_sub(0, 1.5)), "gamma"),
+    Refusal("gamma-past-one", SPL, _doc(learner=_weak_sub(1.5, 1.5)), "gamma"),
     # sizes below 1: a world with no targets failed in its first round
     Refusal("orbit-empty", SPL, _doc(environment={"kind": "orbiting-targets", "targets": 0}),
             "targets"),
@@ -206,11 +216,18 @@ BREAKS_RUN = [
                  graph={"kind": "erdos_renyi"}), "agents"),
     Refusal("oracle-regret-huge", SPL,
             _doc(environment={"kind": "facility", "agents": 6, "targets": 3}, oracle_regret=True),
-            "oracle_regret"),
+            "oracle_regret", line="oracle_regret needs every joint outcome enumerated: "
+                                  "244,140,625 of them, past the limit of 1,000,000"),
     Refusal("graph-edge-range", SPL,
             _doc(environment=_COVERAGE, graph={"kind": "explicit", "edges": [[0, 5]]}), "edges"),
     Refusal("sizes-zero", SPL, _doc(environment={"kind": "synthetic", "sizes": [0, 2]}), "sizes"),
     Refusal("sizes-past-cap", SPL, _doc(environment={"kind": "synthetic", "sizes": [7, 7]}),
+            "sizes"),
+    # sizes past the cap, checked before the partition sizes its tables: the
+    # first overflowed an int64 and the second asked for 7.45 GiB
+    Refusal("sizes-overflow", SPL, _doc(environment={"kind": "synthetic", "sizes": [10**30]}),
+            "sizes"),
+    Refusal("sizes-huge", SPL, _doc(environment={"kind": "synthetic", "sizes": [10**9]}),
             "sizes"),
     # per-round tables past errors.TABLE_LIMIT, refused before they are allocated
     Refusal("spl-batch-huge", SPL,

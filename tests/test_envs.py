@@ -754,6 +754,9 @@ class _ExactTrackingValue(SetFunction):
 @example(  # a one-agent partition: every context is empty
     ((3,), np.eye(3, 2), np.ones((2, 2)), 0, np.array([[2]]))
 )
+@example(  # one action whose term, about 1e-100, vanishes next to the prior
+    ((1,), np.array([[0.0, 1e-57]]), np.zeros((1, 2)), 0, np.array([[0]]))
+)
 @example(  # collinear bearings at close range on both sides of the target
     (
         (1, 1, 2),
@@ -764,8 +767,9 @@ class _ExactTrackingValue(SetFunction):
     )
 )
 def test_tracking_gain_marginals_property(case):
-    """The Sherman-Morrison marginals are nonnegative and match the generic
-    path of SetFunction (two value queries per slot per row), taken exactly."""
+    """The Sherman-Morrison marginals are nonnegative, and they and the
+    closed-form min gains match the generic paths of SetFunction (two value
+    queries per slot per row, and per action), taken exactly."""
     sizes, sites, targets, agent, choices = case
     f = TrackingGainObjective(Partition(sizes), sites, targets)
     got = f.agent_marginals(agent, choices)
@@ -775,6 +779,8 @@ def test_tracking_gain_marginals_property(case):
     assert got.min() >= 0.0
     scale = _full_value(f)
     np.testing.assert_allclose(got, reference.astype(float), rtol=1e-12, atol=1e-12 * scale)
+    reference = SetFunction.compute_min_gains(exact)
+    np.testing.assert_allclose(f.min_gains, reference.astype(float), rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_tracking_gain_single_bearing_falls_off_with_range():

@@ -17,7 +17,7 @@ import pytest
 import macoord.cli as cli
 from macoord.cli import main
 from macoord.envs import ENVIRONMENT_FIELDS, make_environment
-from macoord.errors import REQUIRED, ConfigError
+from macoord.errors import ConfigError
 from macoord.extension import SurrogateScheme
 from macoord.ground import Partition
 from macoord.harness import (
@@ -39,7 +39,8 @@ from macoord.harness import (
 )
 from macoord.network import GRAPH_FIELDS, CommGraph, graph_from_spec
 from macoord.verification import CheckResult
-from refusals import BREAKS_RUN, CLI_DOC, COERCED, NON_FINITE, SPEC_VALUES, UNKNOWN_FIELDS
+from refusals import (BREAKS_RUN, CLI_DOC, COERCED, NON_FINITE, SPEC_VALUES, UNKNOWN_FIELDS,
+                      Refusal, check)
 from test_refusals import assert_refused, cases
 
 TINY_ENV = CLI_DOC["environment"]
@@ -454,11 +455,50 @@ def test_cli_refuses_values_that_break_the_run(entry, tmp_path, capsys):
     assert_refused(entry, tmp_path, capsys)
 
 
-# a valid value of each field that has no default, for the specs below
-_REQUIRED_VALUES = {"alpha": 1.0, "gamma": 1.0, "beta": 1.0, "edges": [[0, 1]]}
+# the document every declared field is put into, and each section kind's
+# spec in it: its required values, and sizes that keep a run of any value small
+_TINY_DOC = dict(CLI_DOC, horizon=2)
+_TINY_MOVING = {"agents": 2, "targets": 1, "headings": 2}
+_TINY_SPECS = {
+    "facility": _TINY_MOVING,
+    "tracking-gain": _TINY_MOVING,
+    "ekf": _TINY_MOVING,
+    "synthetic": {"sizes": [2, 2]},
+    "erdos_renyi": {"avg_degree": 1.0},  # connected on CLI_DOC's two agents
+    "explicit": {"edges": [[0, 1]]},
+    "ma-spl": {"batch": 1},
+    "ma-mpl": {"K": 3, "L": 1},
+    "weak-dr": {"alpha": 0.5},
+    "weak-sub": {"gamma": 0.5, "beta": 1.5},
+}
 _LEARNER_COMMANDS = {"ma-spl": ["run-spl"], "ma-mpl": ["run-mpl"],
                      "random": ["run-baseline", "--baseline", "random"],
                      "greedy": ["run-baseline", "--baseline", "greedy"]}
+
+
+def _declared_sections():
+    """``(command, fields, place)`` for the top level and for every kind of
+    every spec section: ``fields`` maps each declared field to its JSON kind
+    and its value in the tiny spec (else its default), and ``place(field,
+    value)`` is :data:`_TINY_DOC` with that spec holding ``field: value``."""
+
+    def section(command, kind, declared, put):
+        tiny = _TINY_SPECS.get(kind, {})
+        fields = {f: (k, tiny.get(f, default)) for f, (k, default) in declared.items()}
+        return command, fields, lambda f, v: put({"kind": kind, **tiny, f: v})
+
+    yield ["run-spl"], {f: (k, _TINY_DOC.get(f, d)) for f, (k, d) in CONFIG_FIELDS.items()}, \
+        lambda f, v: dict(_TINY_DOC, **{f: v})
+    for kind, declared in ENVIRONMENT_FIELDS.items():
+        yield section(["run-spl"], kind, declared, lambda spec: dict(_TINY_DOC, environment=spec))
+    for kind, declared in GRAPH_FIELDS.items():
+        yield section(["run-spl"], kind, declared, lambda spec: dict(_TINY_DOC, graph=spec))
+    for kind, declared in LEARNER_FIELDS.items():
+        yield section(_LEARNER_COMMANDS[kind], kind, declared,
+                      lambda spec: dict(_TINY_DOC, learner=spec))
+    for kind, declared in SCHEME_FIELDS.items():
+        yield section(["run-spl"], kind, declared, lambda spec: dict(
+            _TINY_DOC, learner={**_TINY_SPECS["ma-spl"], "kind": "ma-spl", "scheme": spec}))
 
 
 def _wrong_values(kind) -> list:
@@ -472,39 +512,14 @@ def _wrong_values(kind) -> list:
     return wrong
 
 
-def _declared_specs():
-    """``(command, doc, field, value)``: every declared field of every spec
-    section set to each value of :func:`_wrong_values` in a config that is
-    valid otherwise, and an unknown field ``bogus`` in every section."""
-
-    def cases(kind, fields):
-        base = {key: _REQUIRED_VALUES[key] for key, (_, d) in fields.items() if d is REQUIRED}
-        wrong = [(f, v) for f, (k, _) in fields.items() for v in _wrong_values(k)]
-        for field, value in wrong + [("bogus", 1)]:
-            yield field, value, {"kind": kind, **base, field: value}
-
-    for field, value in [(f, v) for f, (k, _) in CONFIG_FIELDS.items() for v in _wrong_values(k)]:
-        yield ["run-spl"], dict(CLI_DOC, **{field: value}), field, value
-    yield ["run-spl"], dict(CLI_DOC, bogus=1), "bogus", 1
-    for kind, fields in ENVIRONMENT_FIELDS.items():
-        for field, value, spec in cases(kind, fields):
-            yield ["run-spl"], dict(CLI_DOC, environment=spec), field, value
-    for kind, fields in GRAPH_FIELDS.items():
-        for field, value, spec in cases(kind, fields):
-            yield ["run-spl"], dict(CLI_DOC, graph=spec), field, value
-    for kind, fields in LEARNER_FIELDS.items():
-        for field, value, spec in cases(kind, fields):
-            yield _LEARNER_COMMANDS[kind], dict(CLI_DOC, learner=spec), field, value
-    for kind, fields in SCHEME_FIELDS.items():
-        for field, value, spec in cases(kind, fields):
-            learner = {"kind": "ma-spl", "scheme": spec}
-            yield ["run-spl"], dict(CLI_DOC, learner=learner), field, value
-
-
 def test_cli_refuses_a_wrong_kind_in_every_declared_field(tmp_path, capsys):
-    # driven by the declarations, so a field is covered once it is declared
+    # driven by the declarations, so a field is covered once it is declared;
+    # every section also gets an unknown field, bogus
     failures = []
-    cases = list(_declared_specs())
+    cases = [(command, place(field, value), field, value)
+             for command, fields, place in _declared_sections()
+             for field, value in [(f, v) for f, (k, _) in fields.items()
+                                  for v in _wrong_values(k)] + [("bogus", 1)]]
     for command, doc, field, value in cases:
         code = main([*command, "--config", str(_write_config(tmp_path, doc))])
         err = capsys.readouterr().err
@@ -512,6 +527,73 @@ def test_cli_refuses_a_wrong_kind_in_every_declared_field(tmp_path, capsys):
         if code != 1 or err.count("\n") != 1 or not err.startswith(want) or field not in err:
             failures.append(f"{field}={value!r} in {doc}: exit {code}, {err!r}")
     assert cases and not failures, "\n".join(failures)
+
+
+_HUGE = 10**4  # a huge array's or string's length: past the action cap and a file name's
+_EXTREMES = {
+    int: (0, -1, 2**63, 10**30),
+    float: (0.0, -1.0, 1e308, -1e308, 1e-320, math.nan, math.inf, -math.inf),
+    bool: (False, True),
+    str: ("", "x" * _HUGE),
+    dict: ({},),
+}
+
+
+def _extreme_values(field, kind, plain) -> list:
+    """The extreme values of JSON kind ``kind`` for ``field``, whose plain
+    value is ``plain``.  An array is also empty, huge (its plain first
+    element ``_HUGE`` times) and each extreme element alone; an edge pair
+    joins its plain first end to each extreme integer; a count object is
+    also empty, and maps a target kind to each extreme integer."""
+    origin = typing.get_origin(kind) or kind
+    if field == "horizon":
+        return [0, -1]  # a positive horizon runs that many rounds
+    if origin is list:
+        (item,) = typing.get_args(kind)
+        first = plain[0]
+        return [[], [first] * _HUGE, *([x] for x in _extreme_values(field, item, first))]
+    if origin is tuple:
+        return [[plain[0], x] for x in _EXTREMES[int]]
+    if origin is dict and kind is not dict:
+        return [{}, *({"random": x} for x in _EXTREMES[int])]
+    return list(_EXTREMES[origin])
+
+
+def _finite_cells(path) -> bool:
+    with path.open() as fh:
+        rows = list(csv.reader(fh))[1:]
+    return bool(rows) and all(math.isfinite(float(cell)) for row in rows for cell in row if cell)
+
+
+def test_every_declared_field_runs_or_refuses_extreme_values(tmp_path, capsys):
+    # each extreme value of each declared field's kind, in a tiny run at
+    # horizon 2: exit 0 with finite rounds.csv cells, or the refusal rule of
+    # refusals.check, one config error line that names the field; never a
+    # traceback or a warning
+    failures, runs = [], 0
+    for command, fields, place in _declared_sections():
+        for field, (kind, plain) in fields.items():
+            for value in _extreme_values(field, kind, plain):
+                runs += 1
+                out = tmp_path / f"run{runs}"
+                doc = {"out": str(out), **place(field, value)}
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        code = main([*command, "--config", str(_write_config(tmp_path, doc))])
+                    except Exception as exc:
+                        code = f"{type(exc).__name__}: {str(exc)[:200]}"
+                err = capsys.readouterr().err
+                if code == 0:
+                    wrote = doc["out"] == str(out)
+                    problems = [err] if err else []
+                    if wrote and not _finite_cells(out / "rounds.csv"):
+                        problems.append("a non-finite rounds.csv cell")
+                else:
+                    problems = check(Refusal(field, command, doc, field), code, err)
+                if problems:
+                    failures.append(f"{command} {field}={str(value)[:40]}: {problems}, {err[:200]}")
+    assert runs > 200 and not failures, "\n".join(failures)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
