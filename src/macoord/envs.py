@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (ORBIT_TAG, SYNTHETIC_TAG, WORLD_TAG, ConfigError, ScaleError, check_sizes,
-                     read_kind, stream)
+                     quote, read_kind, stream)
 from .ground import ORACLE_MAX_ACTIONS, Partition, SetFunction
 
 DT = 0.02  # seconds per tick (25 s split into 1250 ticks at full scale)
@@ -52,6 +52,7 @@ ADVERSARIAL_TRIGGER_RADIUS = 20.0
 EVADE_SPEED = 15.0
 EVADE_CANDIDATE_HEADINGS = 16
 VALUE_BLOCK = 1 << 20  # floats per masked block of FacilityObjective.value
+TINY = np.finfo(np.float64).tiny  # below the square root of any positive float
 
 DEFAULT_HEADINGS = 8
 FACILITY_SPEEDS = (5.0, 10.0, 15.0)
@@ -76,7 +77,9 @@ class _ActionWeights(SetFunction):
         if weights.min(initial=0.0) < 0:
             raise ValueError("weights must be nonnegative")
         self.partition = partition
-        self.weights = weights
+        # the weights and a zero weight -1, which absent context entries read
+        self._weights = np.append(weights, 0.0)
+        self.weights = self._weights[:-1]
 
 
 class ModularFunction(_ActionWeights):
@@ -89,12 +92,26 @@ class ModularFunction(_ActionWeights):
         lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
         return np.tile(self.weights[lo:hi], (len(choices), 1))
 
+    def compute_min_gains(self) -> np.ndarray:
+        return self.weights
+
 
 class SqrtModularFunction(_ActionWeights):
-    """f(S) = sqrt(sum of weights): concave-of-modular, monotone submodular."""
+    """f(S) = sqrt(sum of weights): concave-of-modular, monotone submodular.
+    A gain sqrt(S + w) - sqrt(S) is w / (sqrt(S + w) + sqrt(S)), free of
+    cancellation; the roots sum to less than TINY only where w = S = 0."""
 
     def value(self, members: np.ndarray) -> np.ndarray:
         return np.sqrt(members @ self.weights)
+
+    def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
+        s = self._weights[self.partition.context_index(choices, agent)].sum(axis=1)[:, None]
+        w = self.weights[self.partition.offsets[agent] : self.partition.offsets[agent + 1]]
+        return w / np.maximum(np.sqrt(s + w) + np.sqrt(s), TINY)
+
+    def compute_min_gains(self) -> np.ndarray:
+        total = self.weights.sum()
+        return self.weights / np.maximum(np.sqrt(total) + np.sqrt(total - self.weights), TINY)
 
 
 class WeightedCoverage(SetFunction):
@@ -124,6 +141,10 @@ class WeightedCoverage(SetFunction):
         lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
         fresh = self.masks[lo:hi] & ~covered[:, None, :]
         return fresh @ self.element_weights
+
+    def compute_min_gains(self) -> np.ndarray:
+        """Closed form: the weight of the elements that v alone covers."""
+        return (self.masks & (self.masks.sum(axis=0) == 1)) @ self.element_weights
 
 
 def coverage_instance(n: int, epsilon: float, k: int) -> WeightedCoverage:
@@ -171,7 +192,7 @@ def synthetic_setfn(
     """
     if sum(sizes) > ORACLE_MAX_ACTIONS:  # before any table the sizes set is built
         raise ScaleError(
-            f"synthetic sizes {tuple(sizes)} hold {sum(sizes)} actions; synthetic "
+            f"synthetic sizes {quote(tuple(sizes))} hold {quote(sum(sizes))} actions; synthetic "
             f"objectives are capped at {ORACLE_MAX_ACTIONS} actions"
         )
     partition = Partition(tuple(sizes))
@@ -187,7 +208,7 @@ def synthetic_setfn(
             masks[row, int(rng.integers(universe))] = True
         weights = rng.uniform(0.1, 1.0, universe)
         return WeightedCoverage(partition, masks, weights)
-    raise ConfigError(f"unknown synthetic objective kind {kind!r}")
+    raise ConfigError(f"unknown synthetic objective kind {quote(kind)}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +234,8 @@ def motion_moves(headings: int, speeds: Sequence[float]) -> np.ndarray:
     rates = np.array(list(speeds), dtype=np.float64)
     if not np.all(np.abs(rates) <= WORLD_LIMIT):
         raise ConfigError(
-            f"speeds must be finite and at most {WORLD_LIMIT:g} in magnitude, got {list(speeds)}"
+            f"speeds must be finite and at most {WORLD_LIMIT:g} in magnitude, "
+            f"got {quote(list(speeds))}"
         )
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     moves = (dirs[:, None, :] * rates[None, :, None] * DT).reshape(-1, 2)
@@ -409,15 +431,17 @@ class TrackingGainObjective(SetFunction):
 
     def compute_min_gains(self) -> np.ndarray:
         """Closed form: v's Sherman-Morrison gain, as in :meth:`agent_marginals`, against
-        the prior plus the terms before v and after v, sums in which no term of v cancels."""
+        the prior plus the terms before v and after v, sums in which no term of v cancels;
+        its numerator is |A u|^2 with A u taken first, where the expanded form cancels."""
         xx, xy, yy = own = self.comps[:3, :, :-1]  # (3, targets, |V|)
         pad = np.zeros(own.shape[:2] + (1,))
         before = np.cumsum(np.concatenate((pad, own[..., :-1]), axis=-1), axis=-1)
         after = np.cumsum(np.concatenate((pad, own[..., :0:-1]), axis=-1), axis=-1)[..., ::-1]
         a, b, d = before + after + self.prior_info[[0, 0, 1], [0, 1, 1]][:, None, None]
         det = a * d - b * b
-        gain = ((d * d + b * b) * xx - 2.0 * b * (a + d) * xy + (a * a + b * b) * yy) / det
-        return (gain / (d * xx - 2.0 * b * xy + a * yy + det)).sum(axis=0) / self.prior_trace
+        ux, uy = np.sqrt(xx), np.copysign(np.sqrt(yy), xy)  # u u^T = (xx, xy, yy)
+        p, q = d * ux - b * uy, a * uy - b * ux  # A u with A = adj(B)
+        return ((p * p + q * q) / det / (ux * p + uy * q + det)).sum(axis=0) / self.prior_trace
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +503,10 @@ class MovingTargetEnvironment:
         mix = _default_mix(targets, default_kinds) if target_mix is None else target_mix
         unknown = sorted(set(mix) - set(TARGET_KINDS))
         if unknown:
-            raise ConfigError(f"unknown target_mix kinds {unknown}; known: {list(TARGET_KINDS)}")
+            raise ConfigError(f"unknown target_mix kinds {quote(unknown)}; "
+                              f"known: {list(TARGET_KINDS)}")
         if any(c < 0 for c in mix.values()):
-            raise ConfigError(f"target_mix counts must be nonnegative integers, got {mix}")
+            raise ConfigError(f"target_mix counts must be nonnegative integers, got {quote(mix)}")
         if sum(mix.values()) != targets:
             raise ConfigError("target_mix must sum to the number of targets")
         self.targets = _build_targets(mix, self._rng)

@@ -32,6 +32,17 @@ class ConfigError(MacoordError, ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
+QUOTE_LIMIT = 60  # most characters of a value that a refusal line quotes
+
+
+def quote(value) -> str:
+    """``repr(value)`` for a refusal line, cut past :data:`QUOTE_LIMIT`
+    characters and then followed by the value's length (entries or characters)."""
+    text = repr(value)
+    length = len(value) if isinstance(value, (str, list, tuple, dict)) else len(text)
+    return text if len(text) <= QUOTE_LIMIT else f"{text[:QUOTE_LIMIT]}... (length {length:,})"
+
+
 class DataError(MacoordError, ValueError):
     """An instance a reference computation cannot measure: an approximation
     ratio against an optimum that is not strictly positive."""
@@ -57,11 +68,11 @@ def config_value(key: str, value, kind):
     allowed = {int: numbers.Integral, float: numbers.Real, list: (list, tuple),
                tuple: (list, tuple)}.get(origin, origin)
     if isinstance(value, bool) != (origin is bool) or not isinstance(value, allowed):
-        raise ConfigError(f"{key} must be {_WHAT[origin]}, got {value!r}")
+        raise ConfigError(f"{key} must be {_WHAT[origin]}, got {quote(value)}")
     if origin is tuple:
         items = typing.get_args(kind)
         if len(value) != len(items):
-            raise ConfigError(f"{key} must be an array of {len(items)} items, got {value!r}")
+            raise ConfigError(f"{key} must be an array of {len(items)} items, got {quote(value)}")
         return tuple(config_value(key, x, item) for x, item in zip(value, items))
     if origin is list:
         return [config_value(key, x, *typing.get_args(kind)) for x in value]
@@ -83,7 +94,8 @@ def read_section(section: str, doc, fields: dict) -> dict:
     doc = config_value(section, doc, dict)
     unknown = [key for key in doc if key not in fields]
     if unknown:
-        raise ConfigError(f"unknown {section} field {unknown[0]!r}; accepted: {', '.join(fields)}")
+        raise ConfigError(f"unknown {section} field {quote(unknown[0])}; "
+                          f"accepted: {', '.join(fields)}")
     values = {}
     for key, (kind, default) in fields.items():
         if default is REQUIRED and key not in doc:
@@ -98,7 +110,7 @@ def read_kind(section: str, doc, kinds: dict) -> tuple[str, dict]:
     declaration from ``kinds`` (kind to fields, read by :func:`read_section`)."""
     kind = config_value(section, doc, dict).get("kind")
     if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"unknown {section} kind {kind!r}; known: {', '.join(kinds)}")
+        raise ConfigError(f"unknown {section} kind {quote(kind)}; known: {', '.join(kinds)}")
     fields = read_section(section, doc, {"kind": (str, REQUIRED), **kinds[kind]})
     del fields["kind"]
     return kind, fields
@@ -110,11 +122,11 @@ def check_sizes(owner: str, sizes: dict[str, int], table: str) -> None:
     :data:`TABLE_LIMIT`.  Each refusal names its fields."""
     for name, size in sizes.items():
         if size < 1:
-            raise ConfigError(f"{owner} {name} must be at least 1, got {size}")
+            raise ConfigError(f"{owner} {name} must be at least 1, got {quote(size)}")
     entries = math.prod(sizes.values())
     if entries > TABLE_LIMIT:
         raise ConfigError(
-            f"{owner} {' * '.join(sizes)} is {entries}, the size of {table}; "
+            f"{owner} {' * '.join(sizes)} is {quote(entries)}, the size of {table}; "
             f"it must be at most {TABLE_LIMIT:,}"
         )
 

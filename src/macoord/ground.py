@@ -11,9 +11,8 @@ forms only:
   outcome tensor;
 * membership rows, ``(L, |V|)`` bools, one arbitrary subset of V per row in
   flat order -- the form :meth:`SetFunction.value` evaluates, since the
-  min-gain vector and the structure ratios need subsets holding several
-  actions of one agent.  :meth:`Partition.members` converts the first form to
-  the second.
+  structure ratios need subsets holding several actions of one agent.
+  :meth:`Partition.members` converts the first form to the second.
 
 Policies use the same flat order: one float row of length |V| (see
 ``extension.PolicyProfile``); :meth:`Partition.pad` lays the agents' blocks
@@ -33,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidActionError, ScaleError
+from .errors import InvalidActionError, ScaleError, quote
 
 EXACT_ENUMERATION_LIMIT = 1_000_000
 # Most actions of an oracle-scale instance: ratio estimation enumerates all
@@ -51,9 +50,9 @@ class Partition:
     def __post_init__(self) -> None:
         sizes = tuple(int(k) for k in self.sizes)
         if len(sizes) == 0:
-            raise InvalidActionError(f"sizes {sizes}: partition needs at least one agent")
+            raise InvalidActionError(f"sizes {quote(sizes)}: partition needs at least one agent")
         if any(k < 1 for k in sizes):
-            raise InvalidActionError(f"sizes {sizes}: every agent needs at least one action")
+            raise InvalidActionError(f"sizes {quote(sizes)}: every agent needs at least one action")
         object.__setattr__(self, "sizes", sizes)
         offsets = (0,) + tuple(itertools.accumulate(sizes))
         object.__setattr__(self, "_offsets", offsets)
@@ -164,15 +163,16 @@ class SetFunction:
     objective's own width (targets, universe), since :attr:`outcome_values`
     asks for up to :data:`EXACT_ENUMERATION_LIMIT` rows at once.
 
-    The marginal oracle is :meth:`agent_marginals`: it takes an ``(L, n)``
-    int slot matrix, one context per row, where the querying agent's own
-    column is ignored, and returns the ``(L, k_agent)`` gains of every one of
-    the agent's actions against every row; :meth:`marginal_rows` answers all
-    agents' rows at once.  Callers go through :func:`local_marginal_block`
-    and :func:`local_marginal_rows`, which validate the slots and add the
-    queries into the caller's count row.  The generic methods are the
-    tested references; objectives may override them with direct batched forms.
-    The exact (enumeration-scale) layer reads :attr:`outcome_values`.
+    Subclasses also answer both oracle methods in closed form.  The marginal
+    oracle is :meth:`agent_marginals`: it takes an ``(L, n)`` int slot matrix,
+    one context per row, where the querying agent's own column is ignored, and
+    returns the ``(L, k_agent)`` gains of every one of the agent's actions
+    against every row; :meth:`marginal_rows` answers all agents' rows at once.
+    Callers go through :func:`local_marginal_block` and
+    :func:`local_marginal_rows`, which validate the slots and add the queries
+    into the caller's count row.  :meth:`compute_min_gains` builds
+    :attr:`min_gains`.  Their value-difference references live in
+    ``tests/reference.py``.  The exact layer reads :attr:`outcome_values`.
     """
 
     partition: Partition
@@ -181,17 +181,8 @@ class SetFunction:
         raise NotImplementedError
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
-        """Gains of every action of ``agent`` against every slot-matrix row:
-        the value of each row with the agent idle, and of that row plus each
-        one of its slots, all in one :meth:`value` call."""
-        lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
-        base = np.array(choices)
-        base[:, agent] = -1
-        rows = self.partition.members(base)
-        added = np.repeat(rows, hi - lo, axis=0)  # row l * k + m: row l plus slot m
-        added[np.arange(len(added)), np.tile(np.arange(lo, hi), len(rows))] = True
-        values = self.value(np.concatenate((rows, added)))
-        return values[len(rows) :].reshape(len(rows), hi - lo) - values[: len(rows), None]
+        """``(L, k_agent)`` gains of ``agent``'s actions against the rows."""
+        raise NotImplementedError
 
     def marginal_rows(self, slots: np.ndarray) -> np.ndarray:
         """Column block i of the ``(L, |V|)`` result: agent i's gains against
@@ -242,11 +233,8 @@ class SetFunction:
         return gains
 
     def compute_min_gains(self) -> np.ndarray:
-        """Reference path for :attr:`min_gains`: f(V) minus f(V - {v}) for
-        every v, in one :meth:`value` call."""
-        total = self.partition.total
-        values = self.value(np.vstack((np.ones(total, dtype=bool), ~np.eye(total, dtype=bool))))
-        return values[0] - values[1:]
+        """f(v | V - {v}) for every action v, the vector :attr:`min_gains` keeps."""
+        raise NotImplementedError
 
 
 def local_marginal_block(

@@ -23,12 +23,8 @@ import numpy as np
 from .errors import REQUIRED, ConfigError, MacoordError, read_kind, read_section
 from .extension import SurrogateScheme
 from .ground import Partition
-from .learners import (
-    GreedyLearner,
-    MetaConditionalGradientLearner,
-    PolicyConsensusLearner,
-    RandomLearner,
-)
+from .learners import (GreedyLearner, MetaConditionalGradientLearner, PolicyConsensusLearner,
+                       RandomLearner)
 from .network import CommGraph, graph_from_spec
 from .envs import make_environment
 from .oracle import brute_force_opt

@@ -36,13 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import RANDOM_TAG, ConfigError, check_sizes, stream
-from .extension import (
-    PolicyProfile,
-    SurrogateScheme,
-    exact_gradient,
-    sample_slots,
-    sampled_gradients,
-)
+from .extension import (PolicyProfile, SurrogateScheme, exact_gradient, sample_slots,
+                        sampled_gradients)
 from .geometry import project_blocks
 from .ground import Partition, SetFunction, local_marginal_block
 from .network import UNREACHABLE, CommGraph, hop_distances, metropolis_weights

@@ -18,34 +18,16 @@ from typing import Callable
 
 import numpy as np
 
-from .envs import (
-    ModularFunction,
-    SqrtModularFunction,
-    TrackingGainObjective,
-    coverage_instance,
-    synthetic_setfn,
-)
+from .envs import (ModularFunction, SqrtModularFunction, TrackingGainObjective, coverage_instance,
+                   synthetic_setfn)
 from .errors import stream
-from .extension import (
-    PolicyProfile,
-    SurrogateScheme,
-    exact_extension,
-    exact_gradient,
-    sample_rows,
-    sample_z,
-)
+from .extension import (PolicyProfile, SurrogateScheme, exact_extension, exact_gradient,
+                        sample_rows, sample_z)
 from .ground import Partition
 from .harness import RunConfig, make_learner, run_experiment, write_json
 from .network import CommGraph, diameter, erdos_renyi, metropolis_weights, spectral_gap
-from .oracle import (
-    approx_ratio,
-    brute_force_opt,
-    estimate_ratios,
-    feasible_sets,
-    projected_ascent,
-    stationarity_gap,
-    stationary_point_floor,
-)
+from .oracle import (approx_ratio, brute_force_opt, estimate_ratios, feasible_sets,
+                     projected_ascent, stationarity_gap, stationary_point_floor)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 A refusal exits 1 and prints one line to stderr: ``config error: `` and a
 message that names the field at fault, or ``usage error: `` for a bad
-invocation.  It never runs on a coerced value, and never prints a traceback
-or a warning.  :data:`REFUSALS` holds one entry per refused document or
-argument list, in groups by what they refuse, and :func:`check` holds the
-rule.  ``tests/test_refusals.py`` and ``tests/test_harness.py`` run every entry
-in process, one test per group; run as a script, this module runs every entry
-through a command (default ``macoord``, the installed console script)::
+invocation.  The line is at most :data:`MAX_LINE` characters long, however
+large the value at fault.  It never runs on a coerced value, and never
+prints a traceback or a warning.  :data:`REFUSALS` holds one entry per
+refused document or argument list, in groups by what they refuse, and
+:func:`check` holds the rule.  ``tests/test_refusals.py`` and
+``tests/test_harness.py`` run every entry in process, one test per group; run
+as a script, this module runs every entry through a command (default
+``macoord``, the installed console script)::
 
     PYTHONWARNINGS=error python tests/refusals.py
     PYTHONWARNINGS=error PYTHONPATH=src python tests/refusals.py python -m macoord.cli
@@ -36,6 +38,7 @@ CLI_DOC = {
     "seed": 0,
 }
 SPL, MPL = ("run-spl",), ("run-mpl",)
+MAX_LINE = 300  # most characters of a refusal line, its prefix included
 _TINY = CLI_DOC["environment"]
 _FACILITY = {"kind": "facility", "agents": 2, "targets": 2}
 _COVERAGE = {"kind": "coverage"}
@@ -229,6 +232,14 @@ BREAKS_RUN = [
             "sizes"),
     Refusal("sizes-huge", SPL, _doc(environment={"kind": "synthetic", "sizes": [10**9]}),
             "sizes"),
+    # huge values, quoted by their first characters and their length: each of
+    # these lines used to echo the whole value, 10,000 to 30,000 characters
+    Refusal("sizes-long", SPL, _doc(environment={"kind": "synthetic", "sizes": [1] * 10**4}),
+            "sizes"),
+    Refusal("objective-long", SPL, _doc(environment=dict(_TINY, objective="x" * 10**4)),
+            "objective"),
+    Refusal("horizon-long-array", SPL, _doc(horizon=[5] * 10**4), "horizon"),
+    Refusal("kind-long", SPL, _doc(environment={"kind": "x" * 10**4}), "environment"),
     # per-round tables past errors.TABLE_LIMIT, refused before they are allocated
     Refusal("spl-batch-huge", SPL,
             _doc(environment=_COVERAGE, learner={"kind": "ma-spl", "batch": 10**9}), "batch"),
@@ -340,6 +351,8 @@ def check(entry: Refusal, code, err: str) -> list[str]:
     elif entry.field is not None and not re.search(rf"(?<![\w']){entry.field}(?![\w'])", message):
         # the field itself, not only a quoted key of an echoed spec
         problems.append(f"does not name {entry.field}")
+    if len(err) - 1 > MAX_LINE:  # the newline aside
+        problems.append(f"is {len(err) - 1:,} characters long, past {MAX_LINE}")
     if entry.line is not None and message != entry.line:
         problems.append(f"is not {entry.line!r}")
     return problems

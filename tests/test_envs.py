@@ -7,6 +7,7 @@ behavior.
 
 import itertools
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -43,12 +44,12 @@ from macoord.envs import (
 from macoord.errors import ConfigError, ScaleError
 from macoord.ground import (
     Partition,
-    SetFunction,
     local_marginal_block,
     local_marginal_rows,
 )
 from macoord.harness import resolve_preset
 from macoord.oracle import brute_force_opt, estimate_ratios
+import reference
 
 
 def _value(f, *actions):
@@ -125,6 +126,24 @@ def test_coverage_instance_values():
     opt_set, opt = brute_force_opt(f)
     assert opt == pytest.approx(2 * n - k - 1, abs=1e-12)
     assert opt_set.tolist() == [1] * n
+
+
+def test_coverage_instance_min_gains_are_exact():
+    # the weight only v covers: 0.1 for a slot-0 private element, 2.0 for the
+    # last agent's two y elements; a value difference is off in the last bits
+    f = coverage_instance(3, 0.1, 1)
+    assert f.min_gains.tolist() == [0.1, 0.0, 0.1, 0.0, 0.0, 2.0]
+
+
+def test_sqrt_modular_gains_survive_a_large_context():
+    # sqrt(1e16 + 1) - sqrt(1e16) is about 5e-9, which a value difference
+    # loses entirely: both values round to 1e8
+    f = SqrtModularFunction(Partition((1, 1)), np.array([1e16, 1.0]))
+    exact = Decimal(10**16 + 1).sqrt(Context(prec=50)) - Decimal(10**8)
+    gain = f.agent_marginals(1, np.array([[0, -1]]))[0, 0]
+    assert gain == pytest.approx(float(exact), rel=1e-12)
+    assert f.min_gains[1] == pytest.approx(float(exact), rel=1e-12)
+    assert reference.agent_marginals(f, 1, np.array([[0, -1]]))[0, 0] == 0.0
 
 
 def test_coverage_instance_parameter_guards():
@@ -371,14 +390,14 @@ def test_facility_is_monotone_submodular():
 
 
 def _assert_min_gains_match_reference(f):
-    """Closed form against the generic two-value-query path of SetFunction.
+    """Closed form against the value-difference reference (``tests/reference.py``).
 
     Each reference entry is a difference of two values of size f(V), so the
     tolerance is relative to f(V) as well as to the entry.
     """
-    reference = SetFunction.compute_min_gains(f)
     scale = _full_value(f)
-    np.testing.assert_allclose(f.min_gains, reference, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(f.min_gains, reference.min_gains(f), rtol=1e-12,
+                               atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize(
@@ -449,7 +468,7 @@ def test_facility_min_gains_property(instance):
 
 
 # ---------------------------------------------------------------------------
-# batched marginals against the generic reference
+# batched marginals against the value-difference reference
 # ---------------------------------------------------------------------------
 
 
@@ -481,11 +500,11 @@ def _marginal_objective(kind, sizes, rng):
 @example(kind="tracking", sizes=(2, 2), rows=1, seed=0)
 @example(kind="facility", sizes=(3,), rows=1, seed=1)
 def test_batched_marginals_match_reference(kind, sizes, rows, seed):
-    """Every objective's batched agent_marginals against the generic path of
-    SetFunction (two value queries per slot per row).  The first of several
-    rows is all idle, and the agent's own column is always set (and ignored).
-    A gain is a difference of two values of size f(V), so the tolerance is
-    relative to f(V) as well as to the entry."""
+    """Every objective's closed-form agent_marginals and min gains against
+    the value-difference references (``tests/reference.py``).  The first of
+    several rows is all idle, and the agent's own column is always set (and
+    ignored).  A gain is a difference of two values of size f(V), so the
+    tolerance is relative to f(V) as well as to the entry."""
     rng = np.random.default_rng(seed)
     f, _ = _marginal_objective(kind, sizes, rng)
     p = f.partition
@@ -495,10 +514,11 @@ def test_batched_marginals_match_reference(kind, sizes, rows, seed):
         choices[0] = -1
     choices[:, agent] = rng.integers(p.sizes[agent], size=rows)
     got = f.agent_marginals(agent, choices)
-    reference = SetFunction.agent_marginals(f, agent, choices)
     assert got.shape == (rows, p.sizes[agent])
     scale = _full_value(f)
-    np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12 * scale)
+    expected = reference.agent_marginals(f, agent, choices)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+    _assert_min_gains_match_reference(f)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -711,10 +731,10 @@ def _tracking_cases(draw):
     return sizes, sites, targets, agent, choices
 
 
-class _ExactTrackingValue(SetFunction):
+class _ExactTrackingValue:
     """The tracking gain's value in exact rational arithmetic on the float64
-    information terms of :func:`_tracking_info`.  Through it, the generic
-    path of SetFunction is exact: in float64 a difference of two values of
+    information terms of :func:`_tracking_info`.  Through it, the references
+    of ``tests/reference.py`` are exact: in float64 a difference of two values of
     size f(V) loses up to about 2e-12 f(V) when sites sit under the distance
     floor, far more than the closed form's own error."""
 
@@ -766,21 +786,31 @@ class _ExactTrackingValue(SetFunction):
         np.array([[0, 0, 1], [-1, 0, 0], [-1, -1, 1]]),
     )
 )
+@example(  # three sites on one spot under the floor: each min gain's u lies
+    # along the others' large axis, where the expanded numerator lost 2e-7
+    (
+        (1, 1, 1, 1),
+        np.array([[0.0, 4.25], [5e-4, 5e-4], [5e-4, 5e-4], [5e-4, 5e-4]]),
+        np.zeros((1, 2)),
+        0,
+        np.array([[0, 0, 0, 0]]),
+    )
+)
 def test_tracking_gain_marginals_property(case):
     """The Sherman-Morrison marginals are nonnegative, and they and the
-    closed-form min gains match the generic paths of SetFunction (two value
+    closed-form min gains match the value-difference references (two value
     queries per slot per row, and per action), taken exactly."""
     sizes, sites, targets, agent, choices = case
     f = TrackingGainObjective(Partition(sizes), sites, targets)
     got = f.agent_marginals(agent, choices)
     exact = _ExactTrackingValue(f, _tracking_info(sites, targets))
-    reference = SetFunction.agent_marginals(exact, agent, choices)
+    expected = reference.agent_marginals(exact, agent, choices)
     assert got.shape == (len(choices), f.partition.sizes[agent])
     assert got.min() >= 0.0
     scale = _full_value(f)
-    np.testing.assert_allclose(got, reference.astype(float), rtol=1e-12, atol=1e-12 * scale)
-    reference = SetFunction.compute_min_gains(exact)
-    np.testing.assert_allclose(f.min_gains, reference.astype(float), rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(got, expected.astype(float), rtol=1e-12, atol=1e-12 * scale)
+    expected = reference.min_gains(exact)
+    np.testing.assert_allclose(f.min_gains, expected.astype(float), rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_tracking_gain_single_bearing_falls_off_with_range():

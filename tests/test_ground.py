@@ -20,6 +20,7 @@ from macoord.ground import (
 )
 from macoord.harness import make_learner
 from macoord.network import CommGraph
+import reference
 
 
 def test_partition_validation():
@@ -144,10 +145,16 @@ def test_default_marginal_is_value_difference():
     # context {(0, 1)}, and the same context plus each of agent 1's slots
     rows = np.array([[0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=bool)
     values = f.value(rows)
-    gains = SetFunction.agent_marginals(f, 1, np.array([[1, -1]]))[0]
+    gains = reference.agent_marginals(f, 1, np.array([[1, -1]]))[0]
     assert gains == pytest.approx(values[1:] - values[0], abs=1e-15)
     # the agent's own column is ignored: a chosen own slot is not context
-    assert SetFunction.agent_marginals(f, 1, np.array([[1, 0]])).tolist() == [gains.tolist()]
+    assert reference.agent_marginals(f, 1, np.array([[1, 0]])).tolist() == [gains.tolist()]
+    assert f.agent_marginals(1, np.array([[1, 0]]))[0] == pytest.approx(gains, abs=1e-15)
+    # the base class answers neither oracle itself
+    with pytest.raises(NotImplementedError):
+        SetFunction().agent_marginals(1, np.array([[1, -1]]))
+    with pytest.raises(NotImplementedError):
+        SetFunction().compute_min_gains()
 
 
 def test_default_agent_marginals_matches_slot_loop():
@@ -286,33 +293,36 @@ def test_min_gain_vector():
 
 
 class _CountingCoverage(WeightedCoverage):
-    """Weighted coverage that counts its value calls and the rows they carry."""
+    """Weighted coverage that counts its value and min-gain calls."""
 
     value_calls = 0
-    value_rows = 0
+    min_gain_calls = 0
 
     def value(self, members):
         self.value_calls += 1
-        self.value_rows += len(members)
         return super().value(members)
+
+    def compute_min_gains(self):
+        self.min_gain_calls += 1
+        return super().compute_min_gains()
 
 
 def test_min_gain_vector_computed_once_per_objective():
     rng = np.random.default_rng(4)
     p = Partition((2, 3, 2))
     f = _CountingCoverage(p, rng.random((p.total, 6)) < 0.4, rng.uniform(0.1, 1.0, 6))
-    full = f.value(np.ones((1, p.total), dtype=bool))[0]
-    reference = (full - f.value(~np.eye(p.total, dtype=bool))).tolist()
-    f.value_calls = f.value_rows = 0
+    expected = reference.min_gains(f)
+    scale = f.value(np.ones((1, p.total), dtype=bool))[0]
+    f.value_calls = 0
     env = StaticEnvironment(f)
     graph = CommGraph.complete(p.n_agents)
     learner = make_learner({"kind": "ma-spl", "batch": 2}, p, graph, horizon=3, seed=0)
     for t in range(1, 4):
         g = env.begin_round()
-        assert g.min_gains.tolist() == reference
+        np.testing.assert_allclose(g.min_gains, expected, rtol=1e-12, atol=1e-12 * scale)
         learner.round(g, t)
         # two samples plus the bonus: three queries per slot and round
         assert learner.queries.tolist() == [3 * k for k in p.sizes]
-    # one generic pass (one value call: V and every V - {v}) over three rounds
-    assert f.value_calls == 1
-    assert f.value_rows == p.total + 1
+    # one closed-form pass over three rounds, and no value call
+    assert f.min_gain_calls == 1
+    assert f.value_calls == 0
