@@ -27,6 +27,7 @@ random-coverage, and square-root-of-modular objectives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -52,6 +53,7 @@ ADVERSARIAL_TRIGGER_RADIUS = 20.0
 EVADE_SPEED = 15.0
 EVADE_CANDIDATE_HEADINGS = 16
 VALUE_BLOCK = 1 << 20  # floats per masked block of FacilityObjective.value
+GAIN_BLOCK = 1 << 13  # floats per temporary of a block of TrackingGainObjective's gains
 TINY = np.finfo(np.float64).tiny  # below the square root of any positive float
 
 DEFAULT_HEADINGS = 8
@@ -377,8 +379,8 @@ class TrackingGainObjective(SetFunction):
 
     Marginals use Sherman-Morrison: with B the prior plus the context's
     information, adding u u^T lowers tr(B^-1) by u^T B^-2 u / (1 + u^T B^-1 u).
-    Every temporary stays at (L, k) or (L, targets, 4) size for L rows: larger
-    stacks cost more in fresh pages than in arithmetic.
+    One kernel answers both oracle calls, in blocks whose temporaries hold about
+    :data:`GAIN_BLOCK` floats: larger ones cost more in fresh pages than in arithmetic.
     """
 
     def __init__(
@@ -390,50 +392,68 @@ class TrackingGainObjective(SetFunction):
         self.partition = partition
         p = EKF_PROCESS_SCALE**2
         self.prior_info = np.eye(2) / p  # I_j = P^{-1}, identical for all targets
+        self._prior = self.prior_info[[0, 0, 1], [0, 1, 1], None, None, None]  # its (a, b, d)
         self.prior_trace = 2.0 * p
         # z from target to position, as (targets, actions); z_perp = (-dy, dx)
         dx = candidate_positions[:, 0] - target_positions[:, 0, None]
         dy = candidate_positions[:, 1] - target_positions[:, 1, None]
         scale = EKF_NOISE_VAR * np.maximum(np.sqrt(dx * dx + dy * dy), DISTANCE_FLOOR) ** 4
-        # (xx, xy, yy, 1) as (4, targets, actions), plus an all-zero action -1 for absent entries
-        self.comps = np.zeros((4, len(dx), dx.shape[1] + 1))
-        self.comps[:3, :, :-1] = np.stack([dy * dy, -dy * dx, dx * dx]) / scale
-        self.comps[3, :, :-1] = 1.0
+        terms = np.stack([dy * dy, -dy * dx, dx * dx]) / scale  # (xx, xy, yy) by (targets, actions)
+        # the component table, one row of (xx, xy, yy) by targets per action, and the own
+        # table, (xx, xy, yy, 1) by (targets, actions); both end in an action -1 of zero information
+        self._terms = np.zeros((dx.shape[1] + 1, 3 * len(dx)))
+        self._terms[:-1] = terms.transpose(2, 0, 1).reshape(dx.shape[1], -1)
+        self._own = np.ones((len(dx), 4, dx.shape[1] + 1))
+        self._own[:, :3] = self._terms.reshape(-1, 3, len(dx)).transpose(2, 1, 0)
 
     def value(self, members: np.ndarray) -> np.ndarray:
-        n_targets = self.comps.shape[1]
-        # every action's 2x2 information (xx, xy, xy, yy) per target, as one matrix
-        terms = np.ascontiguousarray(self.comps[[0, 1, 1, 2], :, :-1].transpose(2, 1, 0))
-        m = (members @ terms.reshape(len(terms), -1)).reshape(-1, n_targets, 2, 2) + self.prior_info
-        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        posterior = ((m[..., 0, 0] + m[..., 1, 1]) / det).sum(axis=1)
+        n_targets = len(self._own)
+        sums = (members @ self._terms[:-1]).reshape(-1, 3, n_targets).transpose(1, 0, 2)
+        a, b, d = sums + self._prior[..., 0]  # B = ((a, b), (b, d)) per row and target
+        posterior = ((a + d) / (a * d - b * b)).sum(axis=1)
         return n_targets - posterior / self.prior_trace
 
     def agent_marginals(self, agent: int, choices: np.ndarray) -> np.ndarray:
-        lo, hi = self.partition.offsets[agent], self.partition.offsets[agent + 1]
-        idx = self.partition.context_index(choices, agent)
-        ctx = np.zeros((3, self.comps.shape[1], len(choices)))  # (3, targets, L)
-        for col in range(idx.shape[1]):
-            if col != agent:
-                ctx += self.comps[:3].take(idx[:, col], axis=2)
-        a, b, d = ctx + self.prior_info[[0, 0, 1], [0, 1, 1]][:, None, None]  # B
-        bb, m2b = b * b, -2.0 * b
-        det = a * d - bb  # (targets, L)
-        # the gain is u^T A^2 u / det / (det + u^T A u) with A = adj(B) = det B^-1:
-        # (xx, 2xy, yy) rows of A^2 / det and (A, det) rows dot own (xx, xy, yy, 1)
-        num = np.stack([d * d + bb, m2b * (a + d), a * a + bb], axis=-1) / det[..., None]
-        den = np.stack([d, m2b, a, det], axis=-1)
-        out = np.zeros((len(choices), hi - lo))
-        for t in range(len(num)):
-            own = self.comps[:, t, lo:hi]  # (4, k)
-            out += (num[t] @ own[:3]) / (den[t] @ own)
-        return out / self.prior_trace
+        return self._gains(self.partition.context_index(choices, agent)[None], agent)
+
+    def marginal_rows(self, slots: np.ndarray) -> np.ndarray:
+        """Every agent's :meth:`agent_marginals` in one pass, to the bit."""
+        return self._gains(self.partition.context_index(slots), 0)
+
+    def _gains(self, idx: np.ndarray, first: int) -> np.ndarray:
+        """Gains of agents first, first + 1, ... against their blocks of a context_index tensor,
+        in blocks of agents and of two rows or more, from two own columns or more: numpy hands
+        a one-row or one-column product to gemv, which rounds it another way."""
+        n_targets, offsets = len(self._own), self.partition.offsets[first : first + len(idx) + 1]
+        out = np.empty((idx.shape[1], offsets[-1] - offsets[0]))
+        rows = max(2, GAIN_BLOCK // (n_targets * max(self.partition.sizes)))
+        step = max(1, GAIN_BLOCK // (4 * n_targets * rows))
+        for lo, hi in itertools.pairwise([*range(0, max(1, len(out) - 1), rows), len(out)]):
+            for j in range(0, len(idx), step):
+                ctx = self._terms.take(idx[j : j + step, lo:hi, 0], axis=0)
+                for col in range(1, idx.shape[2]):
+                    ctx += self._terms.take(idx[j : j + step, lo:hi, col], axis=0)
+                a, b, d = np.add(ctx.reshape(*ctx.shape[:2], 3, n_targets).transpose(2, 0, 3, 1),
+                                 self._prior, out=np.empty((3, len(ctx), n_targets, hi - lo)))
+                bb, m2b = b * b, -2.0 * b  # B = ((a, b), (b, d))
+                det = a * d - bb
+                # the gain is u^T A^2 u / det / (det + u^T A u) with A = adj(B) = det B^-1:
+                # (xx, 2xy, yy) rows of A^2 / det and (A, det) rows dot own (xx, xy, yy, 1)
+                num = np.stack([d * d + bb, m2b * (a + d), a * a + bb], axis=2) / det[:, :, None]
+                den = np.stack([d, m2b, a, det], axis=2)  # (m, targets, 4, L)
+                for i, (v, w) in enumerate(zip(offsets[j:], offsets[j + 1 : j + step + 1])):
+                    own = self._own[..., v : max(w, v + 2)]
+                    gains = np.matmul(num[i].swapaxes(1, 2), own[:, :3])  # (targets, L, k)
+                    gains /= np.matmul(den[i].swapaxes(1, 2), own)
+                    gains[..., : w - v].sum(axis=0, out=out[lo:hi, v - offsets[0] : w - offsets[0]])
+        out /= self.prior_trace
+        return out
 
     def compute_min_gains(self) -> np.ndarray:
         """Closed form: v's Sherman-Morrison gain, as in :meth:`agent_marginals`, against
         the prior plus the terms before v and after v, sums in which no term of v cancels;
         its numerator is |A u|^2 with A u taken first, where the expanded form cancels."""
-        xx, xy, yy = own = self.comps[:3, :, :-1]  # (3, targets, |V|)
+        xx, xy, yy = own = self._own[:, :3, :-1].transpose(1, 0, 2)  # (3, targets, |V|)
         pad = np.zeros(own.shape[:2] + (1,))
         before = np.cumsum(np.concatenate((pad, own[..., :-1]), axis=-1), axis=-1)
         after = np.cumsum(np.concatenate((pad, own[..., :0:-1]), axis=-1), axis=-1)[..., ::-1]

@@ -112,12 +112,16 @@ class Partition:
         if choices.size and ((choices < -1) | (choices >= self._sizes)).any():
             raise InvalidActionError(f"slot matrix entry outside [-1, k) for sizes {self.sizes}")
 
+    @functools.cached_property
+    def _own_columns(self) -> np.ndarray:  # row i marks column i; n^2 entries, so built on use
+        return np.eye(self.n_agents, dtype=bool)
+
     def context_index(self, choices: np.ndarray, agent=None) -> np.ndarray:
         """Flat action index of every slot-matrix entry in its row's context,
         and -1, as in the slot matrix itself, for an idle entry and for
         ``agent``'s own column (with no agent, block i's column i of a slot
         tensor).  An objective reads index -1 as its zero row."""
-        own = np.eye(self.n_agents, dtype=bool)[slice(None) if agent is None else agent]
+        own = self._own_columns[slice(None) if agent is None else agent]
         return np.where((choices < 0) | own[..., None, :], -1, choices + self._starts)
 
     def members(self, choices: np.ndarray) -> np.ndarray:
@@ -167,7 +171,8 @@ class SetFunction:
     oracle is :meth:`agent_marginals`: it takes an ``(L, n)`` int slot matrix,
     one context per row, where the querying agent's own column is ignored, and
     returns the ``(L, k_agent)`` gains of every one of the agent's actions
-    against every row; :meth:`marginal_rows` answers all agents' rows at once.
+    against every row; :meth:`marginal_rows` answers all agents' rows at once
+    (one call each, unless an objective batches them in one bit-equal pass).
     Callers go through :func:`local_marginal_block` and
     :func:`local_marginal_rows`, which validate the slots and add the queries
     into the caller's count row.  :meth:`compute_min_gains` builds

@@ -41,6 +41,7 @@ from macoord.envs import (
     step_targets,
     synthetic_setfn,
 )
+from macoord import envs
 from macoord.errors import ConfigError, ScaleError
 from macoord.ground import (
     Partition,
@@ -531,11 +532,13 @@ def test_batched_marginals_match_reference(kind, sizes, rows, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(kind="facility", sizes=(3, 1, 2), rows=9, seed=2)
+@example(kind="tracking", sizes=(3, 1, 2), rows=9, seed=2)
+@example(kind="tracking", sizes=(2, 3), rows=0, seed=3)
 def test_marginal_rows_match_per_agent_calls(kind, sizes, rows, seed):
     """One local_marginal_rows call against n local_marginal_block calls,
     one per block of the slot tensor: the same gains in flat policy order
-    (facility's vectorized pass to the bit, as a C-contiguous array) and the
-    same queries added into each count row."""
+    (the facility and tracking passes to the bit, as a C-contiguous array)
+    and the same queries added into each count row."""
     if len(sizes) > 1 and len(set(sizes)) == 1:  # unequal blocks
         sizes = sizes[:-1] + (1 if sizes[0] > 1 else 2,)
     rng = np.random.default_rng(seed)
@@ -549,11 +552,47 @@ def test_marginal_rows_match_per_agent_calls(kind, sizes, rows, seed):
     assert got.shape == (rows, p.total)
     np.testing.assert_array_equal(one, each)
     np.testing.assert_array_equal(one, rows * np.array(p.sizes))
-    if kind == "facility":
+    if kind in ("facility", "tracking"):
         assert got.flags.c_contiguous
         assert got.tobytes() == expect.tobytes()
     else:
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * _full_value(f))
+
+
+@pytest.mark.parametrize("block", [1, 50])
+def test_tracking_gains_do_not_depend_on_the_blocks(monkeypatch, block):
+    """The tracking oracle runs in blocks of rows and agents of about
+    GAIN_BLOCK floats.  Down to blocks of two rows of one agent, on unequal
+    agents one of which has a single action, both oracle calls give the
+    bits they give in one block."""
+    rng = np.random.default_rng(21)
+    f, _ = _marginal_objective("tracking", (3, 1, 2), rng)
+    slots = rng.integers(-1, f.partition.sizes, size=(3, 7, 3))
+    expect = np.concatenate([f.agent_marginals(i, s) for i, s in enumerate(slots)], axis=1)
+    monkeypatch.setattr(envs, "GAIN_BLOCK", block)
+    each = np.concatenate([f.agent_marginals(i, s) for i, s in enumerate(slots)], axis=1)
+    assert f.marginal_rows(slots).tobytes() == each.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("rows", [150, 15])
+def test_tracking_full_marginal_rows_at_paper_scale(rows):
+    """tracking-full seed 0's first-round objective (20 agents of 24 moves,
+    30 targets) against a fixed-seed slot tensor of ma-mpl's shape at L=10
+    and at L=1: the one pass equals the per-agent calls to the bit, and a few
+    rows match the value-difference reference at the property's tolerance."""
+    spec = resolve_preset("tracking-full")["environment"]
+    f = make_environment(spec, 0, 1250).begin_round()
+    p = f.partition
+    rng = np.random.default_rng(rows)
+    slots = rng.integers(-1, p.sizes, size=(p.n_agents, rows, p.n_agents))
+    got = f.marginal_rows(slots)
+    expect = np.concatenate([f.agent_marginals(i, s) for i, s in enumerate(slots)], axis=1)
+    assert got.tobytes() == expect.tobytes()
+    scale = _full_value(f)
+    for agent in (0, 7, 19):
+        lo, hi = p.offsets[agent], p.offsets[agent + 1]
+        np.testing.assert_allclose(got[:3, lo:hi], reference.agent_marginals(f, agent, slots[agent, :3]),
+                                   rtol=1e-12, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
